@@ -6,9 +6,8 @@ solvable Kraus-channel eigenproblem, and recover ground/excited states from
 subspace expansions built out of reduced density matrices.
 """
 
-from .channels import (ChannelSpec, KrausChannel, apply_channel,
-                       apply_channel_factorwise, compose, identity_channel,
-                       lift_to_register, single_qubit_channel)
+from .channels import (ChannelSpec, KrausChannel, apply_channel, compose,
+                       identity_channel, lift_to_register, single_qubit_channel)
 from .linalg import Spectrum, generalized_eigensolve, hermitian_eigensolve
 from .molecule import (MolecularIntegrals, SweepPoint, assemble_hamiltonian,
                        load_sweep, parse_fcidump, render_fcidump,

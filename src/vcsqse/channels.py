@@ -1,4 +1,14 @@
-"""Kraus-operator noise channels and register lifting.
+"""Kraus-operator noise channels on registers of identical factors.
+
+A KrausChannel holds one completeness-checked Kraus set {K} on a d-level
+factor and the number n of identical tensor factors it acts on, so its
+dimension is d^n. An explicit channel has one factor; lift_to_register
+records n factors of a single-qubit set. The |K|^n product operators of the
+register are never formed: the private kernel reshapes a d^n x d^n matrix so
+each factor's row and column index is an axis of its own and applies
+X -> sum_K K X K^dag to one factor after another. With one factor that is
+the dense Kraus sum. apply_channel uses it for rho -> sum K rho K^dag and
+vcs.transform_hamiltonian, with the adjoint set, for H -> sum K^dag H K.
 
 Single-qubit channels are parameterized by the dimensionless ratios
 tp_over_t1 and tp_over_t2 (state-preparation time over decay and coherence
@@ -20,8 +30,6 @@ from math import exp, sqrt
 import numpy as np
 
 COMPLETENESS_TOL = 1e-12
-LIFT_KRAUS_LIMIT = 65536
-LIFT_QUBIT_LIMIT = 12
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -47,9 +55,10 @@ class ChannelSpec:
 
 
 class KrausChannel:
-    """Completeness-checked list of Kraus matrices defining a CPTP map."""
+    """CPTP map: one completeness-checked Kraus set on each of `factors`
+    identical tensor factors."""
 
-    def __init__(self, kraus_ops, label: str = ""):
+    def __init__(self, kraus_ops, label: str = "", factors: int = 1):
         ops = [np.asarray(k, dtype=complex) for k in kraus_ops]
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
@@ -60,12 +69,16 @@ class KrausChannel:
         total = sum(k.conj().T @ k for k in ops)
         if np.abs(total - np.eye(dim)).max() > COMPLETENESS_TOL:
             raise ValueError("Kraus completeness sum K^dag K = I violated")
+        if factors < 1:
+            raise ValueError(f"factor count {factors} must be at least 1")
         self.kraus_ops = ops
         self.label = label
-        self.dim = dim
+        self.factors = factors
+        self.dim = dim ** factors
 
     def __repr__(self):
-        return f"KrausChannel({self.label or 'unnamed'}, dim={self.dim}, {len(self.kraus_ops)} ops)"
+        return (f"KrausChannel({self.label or 'unnamed'}, dim={self.dim}, "
+                f"{len(self.kraus_ops)} ops x {self.factors} factors)")
 
 
 def identity_channel(dim: int = 2) -> KrausChannel:
@@ -106,59 +119,45 @@ def single_qubit_channel(spec: ChannelSpec) -> KrausChannel:
 
 
 def compose(a: KrausChannel, b: KrausChannel, label: str = "") -> KrausChannel:
-    """Channel applying a first then b; Kraus set {B_j A_i}."""
-    if a.dim != b.dim:
-        raise ValueError(f"channel dims differ: {a.dim} vs {b.dim}")
+    """Channel applying a first then b; Kraus set {B_j A_i} on each factor."""
+    if (a.dim, a.factors) != (b.dim, b.factors):
+        raise ValueError(f"channel dims differ: {a.dim} ({a.factors} factors) "
+                         f"vs {b.dim} ({b.factors} factors)")
     ops = [kb @ ka for ka, kb in product(a.kraus_ops, b.kraus_ops)]
-    return KrausChannel(ops, label=label or f"{b.label}*{a.label}")
+    return KrausChannel(ops, label=label or f"{b.label}*{a.label}",
+                        factors=a.factors)
 
 
 def lift_to_register(per_qubit: KrausChannel, n: int) -> KrausChannel:
-    """Tensor the single-qubit channel onto each of n qubits independently."""
-    if per_qubit.dim != 2:
-        raise ValueError("lift_to_register expects a single-qubit channel")
-    if n < 1 or n > LIFT_QUBIT_LIMIT:
-        raise ValueError(f"register size {n} outside [1, {LIFT_QUBIT_LIMIT}]")
-    if len(per_qubit.kraus_ops) ** n > LIFT_KRAUS_LIMIT:
-        raise ValueError(
-            f"{len(per_qubit.kraus_ops)}^{n} Kraus operators exceed the "
-            f"{LIFT_KRAUS_LIMIT} limit")
-    ops = []
-    # Factor for qubit n-1 first so bit i of the index is qubit i.
-    for combo in product(per_qubit.kraus_ops, repeat=n):
-        mat = np.array([[1.0 + 0.0j]])
-        for k in reversed(combo):
-            mat = np.kron(mat, k)
-        ops.append(mat)
-    return KrausChannel(ops, label=f"{per_qubit.label}^x{n}")
+    """The single-qubit channel on each of n qubits independently.
 
-
-def apply_channel_factorwise(per_qubit: KrausChannel, rho: np.ndarray,
-                             check: bool = True) -> np.ndarray:
-    """Apply a single-qubit channel to every qubit of an n-qubit state.
-
-    Equivalent to apply_channel(lift_to_register(per_qubit, n), rho) but
-    sweeps the register one qubit at a time (n * |K| matrix products instead
-    of |K|^n), so it works for registers beyond the lifted-Kraus guard.
+    Only the factor count is recorded; no register-sized operator is built.
     """
     if per_qubit.dim != 2:
-        raise ValueError("factor-wise application expects a single-qubit channel")
-    rho = np.asarray(rho, dtype=complex)
-    dim = rho.shape[0]
-    n = dim.bit_length() - 1
-    if rho.shape != (dim, dim) or dim != 1 << n:
-        raise ValueError(f"state shape {rho.shape} is not an n-qubit register")
-    if check:
-        _check_density(rho)
-    for q in range(n):
-        left = np.eye(1 << (n - q - 1), dtype=complex)
-        right = np.eye(1 << q, dtype=complex)
-        out = np.zeros_like(rho)
-        for k in per_qubit.kraus_ops:
-            full = np.kron(left, np.kron(k, right))
-            out += full @ rho @ full.conj().T
-        rho = out
-    return rho
+        raise ValueError("lift_to_register expects a single-qubit channel")
+    if n < 1:
+        raise ValueError(f"register size {n} must be at least 1")
+    return KrausChannel(per_qubit.kraus_ops, label=f"{per_qubit.label}^x{n}",
+                        factors=n)
+
+
+def _kraus_sweep(ops, mat: np.ndarray, factors: int) -> np.ndarray:
+    """X -> sum_K K X K^dag on each of `factors` tensor factors in turn.
+
+    Factor q is bit q of the index: the row index splits as (outer, d, inner)
+    with inner = d^q, so K acts on the middle axis of the rows, and K^dag on
+    the middle axis of the columns.
+    """
+    d = ops[0].shape[0]
+    dim = mat.shape[0]
+    for q in range(factors):
+        outer, inner = d ** (factors - q - 1), d ** q
+        out = np.zeros_like(mat)
+        for k in ops:
+            kx = k @ mat.reshape(outer, d, inner * dim)
+            out += (k.conj() @ kx.reshape(dim * outer, d, inner)).reshape(dim, dim)
+        mat = out
+    return mat
 
 
 def _check_density(rho):
@@ -177,10 +176,7 @@ def apply_channel(ch: KrausChannel, rho: np.ndarray, check: bool = True) -> np.n
         raise ValueError(f"state dim {rho.shape} does not match channel dim {ch.dim}")
     if check:
         _check_density(rho)
-    out = np.zeros_like(rho)
-    for k in ch.kraus_ops:
-        out += k @ rho @ k.conj().T
-    return out
+    return _kraus_sweep(ch.kraus_ops, rho, ch.factors)
 
 
 def channel_spec_tokens(spec: ChannelSpec) -> dict:

@@ -1,7 +1,6 @@
 """Command-line driver.
 
-    vcsqse run --config experiments.cfg [--output out.csv] [--threads N]
-               [--validate-config]
+    vcsqse run --config experiments.cfg [--output out.csv] [--validate-config]
     vcsqse point --fcidump FILE [--channel ap --tp-over-t1 0.05 ...]
     vcsqse --version
 
@@ -34,7 +33,6 @@ def _build_parser():
     run = sub.add_parser("run", help="run a configured sweep experiment")
     run.add_argument("--config", required=True, help="experiment config file")
     run.add_argument("--output", help="override the configured CSV path")
-    run.add_argument("--threads", type=int, help="worker threads for sweep units")
     run.add_argument("--validate-config", action="store_true",
                      help="parse and echo the run plan without executing")
 
@@ -66,8 +64,6 @@ def _run_command(args) -> int:
         cfg = load_config(args.config)
         if args.output:
             cfg.output = str(Path(args.output).resolve())
-        if args.threads:
-            cfg.threads = args.threads
         cfg.validate()
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

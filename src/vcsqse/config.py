@@ -22,7 +22,6 @@ class ExperimentConfig:
     sweep_manifest: str | None = None
     fcidump: str | None = None
     output: str | None = None
-    threads: int = 1
     metric_cutoff: float = 1e-8
     channel: ChannelSpec | None = None
     subspace_kind: str = "fermionic"
@@ -54,8 +53,6 @@ class ExperimentConfig:
             problems.append("subspace k must be 1 or 2")
         if self.metric_cutoff <= 0 or self.metric_cutoff >= 1:
             problems.append("metric_cutoff must lie in (0, 1)")
-        if self.threads < 1:
-            problems.append("threads must be at least 1")
         for name, _, weight in self.penalties:
             if name not in PENALTY_OPERATORS:
                 problems.append(f"unknown penalty operator {name!r}")
@@ -65,6 +62,8 @@ class ExperimentConfig:
             problems.append(f"unknown projection operator {self.projection[0]!r}")
         if self.shots is not None and self.shots[0] < 1:
             problems.append("shots count must be at least 1")
+        if self.shots is not None and self.shots[1] < 0:
+            problems.append("shots seed must be non-negative")
         if self.sampled_rdms and self.shots is None:
             problems.append("sampled_rdms needs a [shots] section")
         if problems:
@@ -94,7 +93,6 @@ def parse_config(text: str, base_dir=".") -> ExperimentConfig:
     out = run.get("output")
     cfg.output = str((base / out).resolve()) if out else None
     try:
-        cfg.threads = run.getint("threads", fallback=1)
         cfg.metric_cutoff = run.getfloat("metric_cutoff", fallback=1e-8)
     except ValueError as exc:
         raise ConfigError(f"bad [run] value: {exc}") from None
@@ -161,7 +159,6 @@ def config_to_text(cfg: ExperimentConfig) -> str:
         run["fcidump"] = cfg.fcidump
     if cfg.output:
         run["output"] = cfg.output
-    run["threads"] = str(cfg.threads)
     run["metric_cutoff"] = repr(cfg.metric_cutoff)
     parser["run"] = run
     if cfg.channel is not None:

@@ -7,13 +7,13 @@ docs/experiments.md.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .channels import ChannelSpec, lift_to_register, single_qubit_channel
+from .channels import ChannelSpec, channel_kind_from_token, lift_to_register, \
+    single_qubit_channel
 from .config import ConfigError, ExperimentConfig
 from .molecule import assemble_hamiltonian, load_sweep, parse_fcidump, \
     spin_orbital_tensors
@@ -25,11 +25,9 @@ from .rdm import compute_rdms, estimate_pauli
 from .vcs import fidelity, no_variation_baseline, solve_vcs
 
 CHANNEL_TOKENS = ("dephasing", "ap", "depol")
-_KIND_OF_TOKEN = {"dephasing": "dephasing", "ap": "amplitude_phase",
-                  "depol": "depolarizing"}
+# Channel curves are named by their channel token; ph_s2pen is ph with the
+# spin penalty.
 GROUND_CURVES = ("exact", "rhf", "ph", "ap", "depol", "ph_s2pen")
-_CURVE_KIND = {"ph": "dephasing", "ap": "amplitude_phase",
-               "depol": "depolarizing", "ph_s2pen": "dephasing"}
 DEFAULT_RATIOS = (0.05, 0.05)
 S2_PENALTY_WEIGHT = 100.0
 
@@ -67,17 +65,11 @@ def _csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _map_units(fn, units, threads):
-    if threads <= 1 or len(units) <= 1:
-        return [fn(u) for u in units]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, units))
-
-
 @dataclass
 class _Point:
-    bond_length: float
+    bond_length: float | None
     integrals: object
+    h_op: object
     h_dense: np.ndarray
     mode_count: int
     symmetry_dense: dict = field(default_factory=dict)
@@ -89,17 +81,18 @@ class _Point:
         return self.eigh
 
 
+def _point(integrals, bond_length=None) -> _Point:
+    h_op = assemble_hamiltonian(integrals)
+    m = h_op.mode_count
+    sym = {name: fermion_to_dense(symmetry_operator(name, m))
+           for name in ("number", "s_squared")}
+    return _Point(bond_length=bond_length, integrals=integrals, h_op=h_op,
+                  h_dense=fermion_to_dense(h_op), mode_count=m,
+                  symmetry_dense=sym)
+
+
 def _prepare(points):
-    out = []
-    for pt in points:
-        h_op = assemble_hamiltonian(pt.integrals)
-        m = h_op.mode_count
-        sym = {name: fermion_to_dense(symmetry_operator(name, m))
-               for name in ("number", "s_squared")}
-        out.append(_Point(bond_length=pt.bond_length, integrals=pt.integrals,
-                          h_dense=fermion_to_dense(h_op), mode_count=m,
-                          symmetry_dense=sym))
-    return out
+    return [_point(pt.integrals, pt.bond_length) for pt in points]
 
 
 def _channel_for(point: _Point, kind: str, ratios):
@@ -137,7 +130,7 @@ def _fidelity_sweep(cfg: ExperimentConfig):
         rows, events, prev = [], 0, None
         for point in points:
             def step():
-                ch = _channel_for(point, _KIND_OF_TOKEN[token], ratios)
+                ch = _channel_for(point, channel_kind_from_token(token), ratios)
                 sol = solve_vcs(point.h_dense, ch, penalties=cfg.penalties,
                                 continuation=prev)
                 base = no_variation_baseline(point.h_dense, ch,
@@ -151,7 +144,7 @@ def _fidelity_sweep(cfg: ExperimentConfig):
                          base.fidelity_io, fid_exact, sol.energy))
         return rows, events
 
-    results = _map_units(one_channel, list(CHANNEL_TOKENS), cfg.threads)
+    results = [one_channel(token) for token in CHANNEL_TOKENS]
     rows = [row for chunk, _ in results for row in chunk]
     events = sum(ev for _, ev in results)
     header = ["R", "channel", "fidelity_vcs", "fidelity_novar",
@@ -190,7 +183,7 @@ def _spectrum(cfg: ExperimentConfig):
             return rows
         return _guarded(step, point, "spectrum")
 
-    results = _map_units(one_point, points, cfg.threads)
+    results = [one_point(point) for point in points]
     rows = [row for chunk in results for row in chunk]
     return ["R", "method", "level", "energy"], rows, 0
 
@@ -238,7 +231,7 @@ def _qse_repair(cfg: ExperimentConfig):
                          sol.symmetry_expectations["s_squared"], s2_qse, s2_proj))
         return rows, events
 
-    results = _map_units(one_reference, ["vcs", "novar"], cfg.threads)
+    results = [one_reference(ref) for ref in ("vcs", "novar")]
     rows = [row for chunk, _ in results for row in chunk]
     events = sum(ev for _, ev in results)
     header = ["R", "reference", "energy_exact", "energy_ref", "energy_qse",
@@ -266,7 +259,8 @@ def _ground_channels(cfg: ExperimentConfig):
                 penalties = list(cfg.penalties)
                 if curve == "ph_s2pen":
                     penalties = [("s_squared", 0.0, S2_PENALTY_WEIGHT)]
-                ch = _channel_for(point, _CURVE_KIND[curve], ratios)
+                kind = channel_kind_from_token(curve.removesuffix("_s2pen"))
+                ch = _channel_for(point, kind, ratios)
                 sol = solve_vcs(point.h_dense, ch, penalties=penalties,
                                 continuation=prev)
                 return (sol, sol.energy,
@@ -278,7 +272,7 @@ def _ground_channels(cfg: ExperimentConfig):
             rows.append((point.bond_length, curve, energy, s2))
         return rows, events
 
-    results = _map_units(one_curve, list(GROUND_CURVES), cfg.threads)
+    results = [one_curve(curve) for curve in GROUND_CURVES]
     rows = [row for chunk, _ in results for row in chunk]
     events = sum(ev for _, ev in results)
     return ["R", "curve", "energy", "s2"], rows, events
@@ -307,7 +301,7 @@ def _approx_spectrum(cfg: ExperimentConfig, levels: int = 3):
             return rows
         return _guarded(step, point, "approx-spectrum")
 
-    results = _map_units(one_point, points, cfg.threads)
+    results = [one_point(point) for point in points]
     rows = [row for chunk in results for row in chunk]
     return ["R", "method", "level", "energy"], rows, 0
 
@@ -349,7 +343,7 @@ def _sampled_energy(h_pauli: PauliOperator, psi: np.ndarray, shots: int, seed: i
             total += c
             continue
         est, err = estimate_pauli(psi, PauliOperator(n, {word: 1.0}), shots,
-                                  seed + i)
+                                  (seed, i))
         total += c * est
         var += (c * err) ** 2
     return total, var ** 0.5
@@ -361,13 +355,10 @@ def single_point(cfg: ExperimentConfig) -> str:
     if cfg.experiment != "single-point":
         raise ConfigError(f"single_point() got experiment {cfg.experiment!r}")
     ints = parse_fcidump(Path(cfg.fcidump).read_text())
-    h_op = assemble_hamiltonian(ints)
-    m = h_op.mode_count
-    h_dense = fermion_to_dense(h_op)
-    sym = {name: fermion_to_dense(symmetry_operator(name, m))
-           for name in ("number", "s_squared")}
-    w, v = np.linalg.eigh(h_dense)
-    sector = [b for b in range(1 << m) if bin(b).count("1") == ints.nelec]
+    point = _point(ints)
+    m, h_dense = point.mode_count, point.h_dense
+    w, v = point.exact()
+    sector = _sector_indices(point)
     w_sector = np.linalg.eigvalsh(h_dense[np.ix_(sector, sector)])
 
     lines = [f"fixture: {cfg.fcidump}",
@@ -395,9 +386,9 @@ def single_point(cfg: ExperimentConfig) -> str:
     else:
         reference_state = psi0
 
-    basis = (qubit_basis(m, cfg.subspace_order) if cfg.subspace_kind == "qubit"
-             else fermionic_basis(m, cfg.subspace_order))
-    prob = build_subspace_direct(basis, h_dense, reference_state, sym)
+    basis = _basis_for(cfg, point)
+    prob = build_subspace_direct(basis, h_dense, reference_state,
+                                 point.symmetry_dense)
     if cfg.projection is not None:
         name, target, window = cfg.projection
         prob = project_symmetry(prob, name, target, window, cfg.metric_cutoff)
@@ -411,7 +402,7 @@ def single_point(cfg: ExperimentConfig) -> str:
 
     if cfg.shots is not None:
         count, seed = cfg.shots
-        est, err = _sampled_energy(jordan_wigner(h_op), psi0, count, seed)
+        est, err = _sampled_energy(jordan_wigner(point.h_op), psi0, count, seed)
         lines += [f"sampled ground energy ({count} shots/term, seed {seed}): "
                   f"{_fmt(est)} +- {_fmt(err)} (exact {_fmt(w[0])})"]
         if cfg.sampled_rdms:

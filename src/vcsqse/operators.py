@@ -11,7 +11,6 @@ Conventions used throughout the package:
 """
 
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -173,18 +172,6 @@ class FermionOperator:
 
 def _ladder_sort_key(seq):
     return tuple((m, 0 if d else 1) for m, d in seq)
-
-
-def add(a, b):
-    return a + b
-
-
-def multiply(a, b):
-    return a * b
-
-
-def adjoint(a):
-    return a.adjoint()
 
 
 def commutator(a: FermionOperator, b: FermionOperator) -> FermionOperator:

@@ -23,7 +23,6 @@ from .rdm import RdmSet, cumulants_from_rdms, expectation_from_rdms, reconstruct
 QSE_METRIC_CUTOFF = 1e-8
 FERMIONIC_MODE_LIMIT = 8
 QUBIT_LIMIT = 12
-_HERM_SYM_TOL = 1e-12
 
 
 @dataclass
@@ -121,7 +120,7 @@ def qubit_basis(qubit_count: int, order: int) -> ExpansionBasis:
                           includes_reference=True, labels=labels)
 
 
-def _symmetrized(mat: np.ndarray, tol: float = _HERM_SYM_TOL) -> np.ndarray:
+def _symmetrized(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
 
 

@@ -301,9 +301,10 @@ def sample_rdms(state: np.ndarray, max_k: int, shots: int, seed: int) -> RdmSet:
     Every distinct Pauli string appearing in the Jordan-Wigner form of the
     required ladder products is estimated once with `shots` samples; RDM
     elements are then assembled classically from the shared estimates, which
-    keeps upper/lower Hermiticity exact by construction. Deterministic for a
-    fixed seed. Expect per-element noise of a few coefficient sums times
-    1/sqrt(shots).
+    keeps upper/lower Hermiticity exact by construction. The i-th distinct
+    word draws from default_rng((seed, i)), so the streams of different
+    seeds never coincide. Expect per-element noise of a few coefficient sums
+    times 1/sqrt(shots).
     """
     state = np.asarray(state, dtype=complex)
     dim = state.shape[0]
@@ -320,7 +321,7 @@ def sample_rdms(state: np.ndarray, max_k: int, shots: int, seed: int) -> RdmSet:
     def word_value(word):
         if word not in estimates:
             est, _ = estimate_pauli(state, PauliOperator(m, {word: 1.0}),
-                                    shots, seed + len(estimates))
+                                    shots, (seed, len(estimates)))
             estimates[word] = est
         return estimates[word]
 
@@ -354,12 +355,14 @@ def sample_rdms(state: np.ndarray, max_k: int, shots: int, seed: int) -> RdmSet:
 
 
 def estimate_pauli(state: np.ndarray, pauli: PauliOperator, shots: int,
-                   seed: int) -> tuple[float, float]:
+                   seed) -> tuple[float, float]:
     """Simulated projective estimate of a single Pauli string.
 
     Draws `shots` Bernoulli samples at probability (1 + <P>)/2 from the
     seeded generator; returns the sample mean (scaled by the term's real
-    coefficient) and its standard error. Deterministic for a fixed seed.
+    coefficient) and its standard error. `seed` is anything
+    np.random.default_rng accepts, e.g. an int or an (int, word index) pair;
+    the result is deterministic for a fixed seed.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import KrausChannel, apply_channel
+from .channels import KrausChannel, _kraus_sweep, apply_channel
 from .linalg import hermitian_eigensolve
 from .operators import FermionOperator, fermion_to_dense, symmetry_operator
 
@@ -35,14 +35,11 @@ class VcsSolution:
 
 
 def transform_hamiltonian(h: np.ndarray, ch: KrausChannel) -> np.ndarray:
-    """H' = sum_i K_i^dag H K_i (Hermitian for Hermitian H)."""
+    """H' = sum_i K_i^dag H K_i (Hermitian for Hermitian H), factor by factor."""
     h = np.asarray(h, dtype=complex)
     if h.shape != (ch.dim, ch.dim):
         raise ValueError(f"H dim {h.shape} does not match channel dim {ch.dim}")
-    out = np.zeros_like(h)
-    for k in ch.kraus_ops:
-        out += k.conj().T @ h @ k
-    return out
+    return _kraus_sweep([k.conj().T for k in ch.kraus_ops], h, ch.factors)
 
 
 def fidelity(rho: np.ndarray, phi: np.ndarray) -> float:

@@ -9,6 +9,7 @@ from math import exp
 import numpy as np
 import pytest
 
+from kraus_oracle import kron_lift
 from vcsqse.channels import (ChannelSpec, apply_channel, lift_to_register,
                              single_qubit_channel)
 from vcsqse.config import load_config
@@ -28,6 +29,11 @@ KINDS = ("dephasing", "amplitude_phase", "depolarizing")
 
 def lifted(kind, n=4, r1=0.05, r2=0.05):
     return lift_to_register(single_qubit_channel(ChannelSpec(kind, r1, r2)), n)
+
+
+def oracle(kind, n=4, r1=0.05, r2=0.05):
+    """The same channel as explicit Kronecker-product Kraus operators."""
+    return kron_lift(single_qubit_channel(ChannelSpec(kind, r1, r2)), n)
 
 
 def report(num, label, ok, elapsed, bound, detail=""):
@@ -53,7 +59,7 @@ def test_criterion_1_vcs_optimality(dense_by_r):
     worst_gap, worst_achieve = np.inf, 0.0
     for kind in KINDS:
         ch = lifted(kind)
-        kraus = np.stack(ch.kraus_ops)
+        kraus = np.stack(oracle(kind).kraus_ops)
         for r in (0.5, 0.9, 1.5, 2.1, 2.7):
             h, _ = dense_by_r[r]
             sol = solve_vcs(h, ch)
@@ -63,7 +69,7 @@ def test_criterion_1_vcs_optimality(dense_by_r):
             for k in kraus:
                 v = k @ psis
                 energies += np.real(np.einsum("id,id->d", v.conj(), h @ v))
-            # cross-check the vectorized oracle against apply_channel
+            # cross-check the Kronecker-product energies against apply_channel
             for column in (0, 1234):
                 rho = apply_channel(ch, np.outer(psis[:, column],
                                                  psis[:, column].conj()),
@@ -124,8 +130,9 @@ def test_criterion_3_fidelity_ordering(dense_by_r):
     start = time.perf_counter()
     min_margin = np.inf
     best_dephasing_fid = 0.0
+    worst_oracle = 0.0
     for kind in KINDS:
-        ch = lifted(kind)
+        ch, ref = lifted(kind), oracle(kind)
         prev = None
         for r in sorted(dense_by_r):
             h, _ = dense_by_r[r]
@@ -135,12 +142,19 @@ def test_criterion_3_fidelity_ordering(dense_by_r):
             min_margin = min(min_margin, sol.fidelity_io - base.fidelity_io)
             if kind == "dephasing":
                 best_dephasing_fid = max(best_dephasing_fid, sol.fidelity_io)
+            for s in (sol, base):
+                rho = apply_channel(ref, np.outer(s.input_state,
+                                                  s.input_state.conj()))
+                worst_oracle = max(worst_oracle,
+                                   np.abs(rho - s.output_rho).max())
     elapsed = time.perf_counter() - start
-    ok = min_margin >= 0.0 and best_dephasing_fid >= 1.0 - 1e-6
+    ok = (min_margin >= 0.0 and best_dephasing_fid >= 1.0 - 1e-6
+          and worst_oracle <= 1e-12)
     report(3, "variation never lowers fidelity; dephasing finds a "
               "decoherence-free state", ok, elapsed, 60,
            f"min margin {min_margin:.2e}, best dephasing fidelity "
-           f"{best_dephasing_fid:.12f}")
+           f"{best_dephasing_fid:.12f}, Kronecker-oracle output deviation "
+           f"{worst_oracle:.2e}")
 
 
 def test_criterion_4_lr_exactness_and_projection(dense_by_r, sym_dense):
@@ -367,17 +381,45 @@ def test_criterion_10_fixture_sanity(sto3g_ints, sto3g_reference):
            gap < 1e-6, elapsed, 1, f"|deviation| {gap:.2e}")
 
 
+GOLDEN_TOL = 1e-10
+
+
+def golden_deviation(text, golden):
+    """Largest field-wise |difference| of two CSVs; inf if shape or text differs."""
+    got, want = text.splitlines(), golden.splitlines()
+    if len(got) != len(want):
+        return np.inf
+    worst = 0.0
+    for line_got, line_want in zip(got, want):
+        a_fields, b_fields = line_got.split(","), line_want.split(",")
+        if len(a_fields) != len(b_fields):
+            return np.inf
+        for a, b in zip(a_fields, b_fields):
+            try:
+                worst = max(worst, abs(float(a) - float(b)))
+            except ValueError:
+                if a != b:
+                    return np.inf
+    return worst
+
+
 def test_criterion_11_suite_determinism(configs_dir, tmp_path):
     start = time.perf_counter()
     names = ["fig2_fidelity", "fig3_spectrum", "fig4_repair",
              "ground_channels", "zero_approx"]
     identical = True
+    worst_golden = 0.0
     for name in names:
         cfg = load_config(configs_dir / f"{name}.cfg")
         cfg.output = None
         first = run_experiment(cfg).csv_text
         second = run_experiment(cfg).csv_text
         identical = identical and (first.encode() == second.encode())
+        golden = (configs_dir.parent / "out" / f"{name}.csv").read_text()
+        worst_golden = max(worst_golden, golden_deviation(first, golden))
     elapsed = time.perf_counter() - start
-    report(11, "two runs of the full experiment suite are byte-identical",
-           identical, elapsed, 600, f"suite wall time (both runs) {elapsed:.1f}s")
+    report(11, "two runs of the full experiment suite are byte-identical "
+               "and match the tracked out/*.csv",
+           identical and worst_golden <= GOLDEN_TOL, elapsed, 600,
+           f"suite wall time (both runs) {elapsed:.1f}s, largest deviation "
+           f"from out/*.csv {worst_golden:.2e}")

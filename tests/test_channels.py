@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vcsqse.channels import (ChannelSpec, KrausChannel, apply_channel,
-                             apply_channel_factorwise, channel_kind_from_token,
-                             compose, identity_channel, lift_to_register,
+from kraus_oracle import kron_lift
+from vcsqse.channels import (CHANNEL_KINDS, ChannelSpec, KrausChannel,
+                             apply_channel, channel_kind_from_token, compose,
+                             identity_channel, lift_to_register,
                              single_qubit_channel)
+from vcsqse.vcs import transform_hamiltonian
 
 RATIO_GRID = (0.0, 0.01, 0.05, 0.2, 1.0)
 
@@ -13,6 +17,11 @@ def random_density(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho)
+
+
+def random_hermitian(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return a + a.conj().T
 
 
 def dephasing_closed_form(rho, r2):
@@ -165,8 +174,9 @@ class TestCompose:
 class TestLift:
     def test_identity_lift(self):
         ch = lift_to_register(identity_channel(), 3)
-        assert len(ch.kraus_ops) == 1
-        assert np.abs(ch.kraus_ops[0] - np.eye(8)).max() == 0
+        assert (ch.dim, ch.factors, len(ch.kraus_ops)) == (8, 3, 1)
+        rho = random_density(np.random.default_rng(10), 8)
+        assert np.abs(apply_channel(ch, rho) - rho).max() == 0
 
     def test_bell_state_coherence(self):
         r2 = 0.3
@@ -181,41 +191,67 @@ class TestLift:
         assert abs(out[0, 0] - 0.5) < 1e-12
 
     def test_completeness_after_lift(self):
-        for kind in ("dephasing", "amplitude_phase", "depolarizing"):
+        # sum over all register Kraus products of K^dag K is the identity
+        for kind in CHANNEL_KINDS:
             ch = lift_to_register(
-                single_qubit_channel(ChannelSpec(kind, 0.05, 0.05)), 2)
-            total = sum(k.conj().T @ k for k in ch.kraus_ops)
-            assert np.abs(total - np.eye(4)).max() < 1e-12
+                single_qubit_channel(ChannelSpec(kind, 0.05, 0.05)), 3)
+            total = transform_hamiltonian(np.eye(8), ch)
+            assert np.abs(total - np.eye(8)).max() < 1e-12
 
     def test_guards(self):
         with pytest.raises(ValueError, match="single-qubit"):
             lift_to_register(identity_channel(4), 2)
         depol = single_qubit_channel(ChannelSpec("depolarizing", 0.0, 0.1))
-        with pytest.raises(ValueError, match="exceed"):
-            lift_to_register(depol, 9)  # 4^9 Kraus operators
+        with pytest.raises(ValueError, match="at least 1"):
+            lift_to_register(depol, 0)
+        with pytest.raises(ValueError, match="at least 1"):
+            KrausChannel(depol.kraus_ops, factors=0)
+
+    def test_lift_holds_only_the_per_qubit_set(self):
+        # the 4^8 products of 256 x 256 would take 64 GiB
+        depol = single_qubit_channel(ChannelSpec("depolarizing", 0.0, 0.1))
+        ch = lift_to_register(depol, 8)
+        assert (ch.dim, ch.factors) == (256, 8)
+        assert [k.shape for k in ch.kraus_ops] == [(2, 2)] * 4
+        assert sum(k.nbytes for k in ch.kraus_ops) == 4 * 4 * 16
 
     def test_factorwise_matches_lifted_application(self):
         rng = np.random.default_rng(9)
-        for kind in ("dephasing", "amplitude_phase", "depolarizing"):
+        for kind in CHANNEL_KINDS:
             single = single_qubit_channel(ChannelSpec(kind, 0.05, 0.08))
-            lifted = lift_to_register(single, 3)
+            lazy, oracle = lift_to_register(single, 3), kron_lift(single, 3)
             rho = random_density(rng, 8)
-            a = apply_channel(lifted, rho)
-            b = apply_channel_factorwise(single, rho)
-            assert np.abs(a - b).max() < 1e-12
+            assert np.abs(apply_channel(lazy, rho)
+                          - apply_channel(oracle, rho)).max() < 1e-12
+            h = random_hermitian(rng, 8)
+            assert np.abs(transform_hamiltonian(h, lazy)
+                          - transform_hamiltonian(h, oracle)).max() < 1e-12
 
     def test_factorwise_beyond_lift_guard(self):
-        # 4^9 product Kraus operators would trip the lift guard; the sweep
-        # path handles the register one qubit at a time
+        # 4^9 product Kraus operators are never formed; the maximally mixed
+        # state is a fixed point of the unital depolarizing channel
         depol = single_qubit_channel(ChannelSpec("depolarizing", 0.0, 0.1))
         dim = 1 << 9
         rho = np.eye(dim, dtype=complex) / dim
-        out = apply_channel_factorwise(depol, rho)
-        assert abs(np.trace(out) - 1.0) < 1e-10
+        out = apply_channel(lift_to_register(depol, 9), rho)
+        assert np.abs(out - rho).max() < 1e-15
 
     def test_factorwise_needs_single_qubit(self):
+        # a lifted channel is not a single-qubit channel and cannot be lifted again
+        pair = lift_to_register(identity_channel(), 2)
         with pytest.raises(ValueError, match="single-qubit"):
-            apply_channel_factorwise(identity_channel(4), np.eye(4) / 4)
+            lift_to_register(pair, 2)
+
+    def test_compose_lifted_channels(self):
+        a = single_qubit_channel(ChannelSpec("dephasing", 0.0, 0.2))
+        b = single_qubit_channel(ChannelSpec("amplitude_phase", 0.1, 0.3))
+        rho = random_density(np.random.default_rng(11), 8)
+        both = compose(lift_to_register(a, 3), lift_to_register(b, 3))
+        assert both.factors == 3
+        assert np.abs(apply_channel(both, rho)
+                      - apply_channel(kron_lift(compose(a, b), 3), rho)).max() < 1e-12
+        with pytest.raises(ValueError, match="dims differ"):
+            compose(lift_to_register(a, 2), identity_channel(4))
 
     def test_apply_channel_validation(self):
         ch = identity_channel(2)
@@ -227,3 +263,22 @@ class TestLift:
             apply_channel(ch, np.eye(2))
         with pytest.raises(ValueError, match="positive"):
             apply_channel(ch, np.diag([1.5, -0.5]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(CHANNEL_KINDS), n=st.integers(1, 4),
+       r1=st.floats(0.0, 2.0), dephasing_excess=st.floats(0.0, 2.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_lazy_lift_matches_kronecker_oracle(kind, n, r1, dephasing_excess, seed):
+    """Both channel directions agree with the 4^n Kronecker products.
+
+    tp/T2 = tp/(2 T1) + excess keeps T2 <= 2 T1, the amplitude-phase domain.
+    """
+    single = single_qubit_channel(ChannelSpec(kind, r1, r1 / 2 + dephasing_excess))
+    lazy, oracle = lift_to_register(single, n), kron_lift(single, n)
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, 1 << n)
+    h = random_hermitian(rng, 1 << n)
+    assert np.abs(apply_channel(lazy, rho) - apply_channel(oracle, rho)).max() <= 1e-12
+    assert np.abs(transform_hamiltonian(h, lazy)
+                  - transform_hamiltonian(h, oracle)).max() <= 1e-12

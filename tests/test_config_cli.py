@@ -32,7 +32,7 @@ class TestConfig:
         cfg = parse_config(config_text(mini_sweep))
         assert cfg.experiment == "fidelity-sweep"
         assert cfg.channel.kind == "amplitude_phase"
-        assert cfg.threads == 1 and cfg.metric_cutoff == 1e-8
+        assert cfg.metric_cutoff == 1e-8
 
     def test_unknown_experiment(self, mini_sweep):
         with pytest.raises(ConfigError, match="unknown experiment"):
@@ -78,12 +78,6 @@ class TestExperiments:
                             "fidelity_vs_exact", "energy_vcs"]
         assert len(a.rows) == 9  # 3 channels x 3 points
         assert a.csv_text == b.csv_text
-
-    def test_threads_do_not_change_output(self, mini_sweep):
-        cfg = parse_config(config_text(mini_sweep))
-        serial = run_experiment(cfg).csv_text
-        cfg.threads = 3
-        assert run_experiment(cfg).csv_text == serial
 
     def test_spectrum_experiment(self, mini_sweep):
         cfg = parse_config(config_text(
@@ -163,6 +157,12 @@ class TestCli:
 
     def test_point_missing_fixture_exits_2(self, capsys):
         assert main(["point", "--fcidump", "/missing.fcidump"]) == 2
+
+    def test_point_negative_seed_exits_2(self, sto3g_path, capsys):
+        # per-word generators are seeded with (seed, word index)
+        assert main(["point", "--fcidump", str(sto3g_path),
+                     "--shots", "10", "--seed", "-1"]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
 
     def test_point_with_projection_and_penalty(self, sto3g_path, capsys):
         code = main(["point", "--fcidump", str(sto3g_path),

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from vcsqse import experiments, rdm
 from vcsqse.molecule import assemble_hamiltonian, spin_orbital_tensors
 from vcsqse.operators import (FermionOperator, PauliOperator, fermion_to_dense,
-                              normal_order, parse_ladder, symmetry_operator)
+                              jordan_wigner, normal_order, parse_ladder,
+                              symmetry_operator)
 from vcsqse.rdm import (compute_rdms, contract_energy, cumulants_from_rdms,
                         estimate_pauli, expectation_from_rdms, reconstruct_rdms,
                         sample_rdms, wedge)
@@ -324,3 +326,41 @@ class TestSampledRdms:
     def test_guards(self):
         with pytest.raises(ValueError, match="max_k"):
             sample_rdms(np.array([1.0, 0.0]), 5, 10, 0)
+
+
+class TestSeedStreams:
+    """Each Pauli word of a seeded run draws from its own generator, and no
+    word at seed s shares its uniforms with any word at seed s + 1."""
+
+    @staticmethod
+    def word_draws(monkeypatch, module, call):
+        seeds = []
+        real = rdm.estimate_pauli
+
+        def spy(state, pauli, shots, seed):
+            seeds.append(seed)
+            return real(state, pauli, shots, seed)
+
+        monkeypatch.setattr(module, "estimate_pauli", spy)
+        call()
+        monkeypatch.undo()
+        draws = {tuple(np.random.default_rng(s).random(4)) for s in seeds}
+        assert len(draws) == len(seeds) > 1
+        return draws
+
+    def test_sample_rdms_adjacent_seeds_are_disjoint(self, monkeypatch):
+        state = random_state(np.random.default_rng(24), 3)
+        runs = [self.word_draws(monkeypatch, rdm,
+                                lambda s=seed: sample_rdms(state, 1, 10, s))
+                for seed in (5, 6)]
+        assert not runs[0] & runs[1]
+
+    def test_sampled_energy_adjacent_seeds_are_disjoint(self, monkeypatch,
+                                                        sto3g_ints):
+        h_pauli = jordan_wigner(assemble_hamiltonian(sto3g_ints))
+        psi = random_state(np.random.default_rng(25), 4)
+        runs = [self.word_draws(
+                    monkeypatch, experiments,
+                    lambda s=seed: experiments._sampled_energy(h_pauli, psi, 10, s))
+                for seed in (5, 6)]
+        assert not runs[0] & runs[1]

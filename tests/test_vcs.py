@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from kraus_oracle import kron_lift
 from vcsqse.channels import (ChannelSpec, KrausChannel, apply_channel,
                              identity_channel, lift_to_register,
                              single_qubit_channel)
@@ -60,13 +63,15 @@ class TestTransform:
                    - sol.hprime_eigenvalue) < 1e-10
 
     def test_kraus_remixing_invariance(self, h2_dense):
-        # K_i -> sum_j u_ij K_j leaves the channel, hence H', unchanged
+        # K_i -> sum_j u_ij K_j leaves the channel, hence H', unchanged; the
+        # remixed set is the register's explicit Kronecker products
         rng = np.random.default_rng(2)
         h = h2_dense[1.2]
         ch = lifted("dephasing")
-        k = np.stack(ch.kraus_ops)
-        u, _ = np.linalg.qr(rng.normal(size=(len(ch.kraus_ops),) * 2)
-                            + 1j * rng.normal(size=(len(ch.kraus_ops),) * 2))
+        k = np.stack(kron_lift(single_qubit_channel(
+            ChannelSpec("dephasing", 0.05, 0.05)), 4).kraus_ops)
+        u, _ = np.linalg.qr(rng.normal(size=(len(k),) * 2)
+                            + 1j * rng.normal(size=(len(k),) * 2))
         remixed = KrausChannel(list(np.einsum("ij,jab->iab", u, k)))
         w1 = np.linalg.eigvalsh(transform_hamiltonian(h, ch))
         w2 = np.linalg.eigvalsh(transform_hamiltonian(h, remixed))
@@ -149,6 +154,27 @@ class TestSolve:
         sol_a = solve_vcs(h2_dense[2.9], ch)
         sol_b = solve_vcs(h2_dense[3.0], ch, continuation=sol_a.input_state)
         assert abs(np.vdot(sol_a.input_state, sol_b.input_state)) > 0.9
+
+    def test_eight_qubit_amplitude_phase_solve(self):
+        # the 4^8 lifted Kraus products of 256 x 256 would need 64 GiB; the
+        # factor-wise kernel keeps the whole solve to a few MiB
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+        h = a + a.conj().T
+        ch = lifted("amplitude_phase", n=8)
+        tracemalloc.start()
+        try:
+            sol = solve_vcs(h, ch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        assert abs(sol.energy - np.real(np.trace(sol.output_rho @ h))) < 1e-9
+        assert abs(np.trace(sol.output_rho) - 1.0) < 1e-12
+        for _ in range(20):
+            psi = rng.normal(size=256) + 1j * rng.normal(size=256)
+            psi /= np.linalg.norm(psi)
+            assert channel_energy(h, ch, psi) >= sol.hprime_eigenvalue - 1e-9
 
     def test_negative_penalty_rejected(self, h2_dense):
         with pytest.raises(ValueError, match="non-negative"):
