@@ -14,8 +14,7 @@ import numpy as np
 
 from vcsqse import (assemble_hamiltonian, build_subspace_direct, load_sweep,
                     qubit_basis, solve_subspace)
-from vcsqse.operators import fermion_to_dense
-from vcsqse.rdm import _apply_pauli_word
+from vcsqse.operators import PauliOperator, apply_pauli, fermion_to_dense, pauli_action
 
 ROOT = Path(__file__).resolve().parents[1]
 points = load_sweep(ROOT / "fixtures/h2_sto6g/sweep.manifest")
@@ -31,8 +30,7 @@ print(f"qubit expansion basis: {len(basis)} operators "
 print(f"{'error':>6} {'E(corrupted)':>14} {'E(recovered)':>14} {'residual':>10}")
 for q in range(4):
     for letter in "XYZ":
-        word = "".join(letter if i == q else "I" for i in range(4))
-        err = _apply_pauli_word(word, psi0)
+        err = apply_pauli(pauli_action(PauliOperator.from_letter(letter, q, 4)), psi0)
         corrupted = float(np.real(err.conj() @ h @ err))
         prob = build_subspace_direct(basis, h, err)
         spec = solve_subspace(prob)

@@ -81,18 +81,22 @@ class _Point:
         return self.eigh
 
 
-def _point(integrals, bond_length=None) -> _Point:
+def _point(integrals, bond_length=None, symmetry_by_modes=None) -> _Point:
+    """One prepared point; symmetry_by_modes caches the symmetry matrices per M."""
     h_op = assemble_hamiltonian(integrals)
     m = h_op.mode_count
-    sym = {name: fermion_to_dense(symmetry_operator(name, m))
-           for name in ("number", "s_squared")}
+    cache = {} if symmetry_by_modes is None else symmetry_by_modes
+    if m not in cache:
+        cache[m] = {name: fermion_to_dense(symmetry_operator(name, m))
+                    for name in ("number", "s_squared")}
     return _Point(bond_length=bond_length, integrals=integrals, h_op=h_op,
                   h_dense=fermion_to_dense(h_op), mode_count=m,
-                  symmetry_dense=sym)
+                  symmetry_dense=cache[m])
 
 
 def _prepare(points):
-    return [_point(pt.integrals, pt.bond_length) for pt in points]
+    shared = {}
+    return [_point(pt.integrals, pt.bond_length, shared) for pt in points]
 
 
 def _channel_for(point: _Point, kind: str, ratios):

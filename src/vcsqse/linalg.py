@@ -43,19 +43,6 @@ def hermiticity_defect(a) -> float:
     return float(np.abs(a - a.conj().T).max() / scale)
 
 
-def is_hermitian(a, tol: float = 1e-10) -> bool:
-    return hermiticity_defect(_as_square(a)) <= tol
-
-
-def is_psd(a, tol: float = 1e-10) -> bool:
-    a = _as_square(a)
-    if hermiticity_defect(a) > tol:
-        return False
-    w = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
-    scale = max(1.0, abs(w[-1]))
-    return bool(w[0] >= -tol * scale)
-
-
 def _checked_hermitian(a, name: str) -> np.ndarray:
     a = _as_square(a)
     if hermiticity_defect(a) > HERMITICITY_REJECT:

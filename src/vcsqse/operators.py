@@ -8,6 +8,13 @@ Conventions used throughout the package:
   set, so qubit 0 is the least significant bit and qubit |1> means occupied.
 * Jordan-Wigner: a_p^dag -> (prod_{m<p} Z_m) (X_p - i Y_p)/2, which sends
   the creation operator to |1><0| on qubit p.
+* Pauli action: every Pauli word is a signed permutation. With x the bit
+  mask of its X/Y letters and z that of its Z/Y letters,
+  (c P v)[j] = c * i^#Y * (-1)^popcount((j ^ x) & z) * v[j ^ x].
+  pauli_action computes that form for all words of an operator at once;
+  apply_pauli and apply_pauli_right are the only code that multiplies a
+  vector or matrix by a Pauli operator, and pauli_to_dense is the same
+  action on the identity.
 """
 
 from functools import lru_cache
@@ -18,13 +25,6 @@ import numpy as np
 PRUNE_TOL = 1e-14
 
 DENSE_QUBIT_LIMIT = 12
-
-_PAULI_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 
 # (a, b) -> (phase, a*b) for single-qubit Pauli letters.
 _PAULI_MUL = {
@@ -373,46 +373,96 @@ def jordan_wigner(op: FermionOperator) -> PauliOperator:
     return out
 
 
-def pauli_to_dense(op: PauliOperator) -> np.ndarray:
-    """Dense 2^n x 2^n matrix; qubit 0 is the least significant bit."""
+def pauli_action(op: PauliOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Signed-permutation form of every word of op: arrays src and phase.
+
+    Both have shape (words, 2^n), in op.terms order. Word w with
+    coefficient c sends v to phase[w] * v[src[w]], where src[w, j] = j ^ x
+    and phase[w, j] = c * i^#Y * (-1)^popcount(src[w, j] & z).
+    """
     n = op.qubit_count
     if n > DENSE_QUBIT_LIMIT:
         raise ValueError(f"qubit_count {n} exceeds dense limit {DENSE_QUBIT_LIMIT}")
-    dim = 1 << n
-    out = np.zeros((dim, dim), dtype=complex)
-    for word, coeff in op.terms.items():
-        mat = np.array([[coeff]])
-        # Highest qubit first so bit i of the index is qubit i.
-        for ch in reversed(word):
-            mat = np.kron(mat, _PAULI_MATS[ch])
-        out += mat
+    letters = np.array([list(word) for word in op.terms], dtype="U1")
+    letters = letters.reshape(len(op.terms), n)
+    bits = 1 << np.arange(n, dtype=np.int64)
+    is_y = letters == "Y"
+    x = ((letters == "X") | is_y) @ bits
+    z = ((letters == "Z") | is_y) @ bits
+    i_pow = np.array([1, 1j, -1, -1j])[is_y.sum(axis=1) % 4]
+    c = np.array(list(op.terms.values()), dtype=complex) * i_pow
+    src = np.arange(1 << n) ^ x[:, None]
+    odd = np.bitwise_count(src & z[:, None]) & 1
+    return src, np.where(odd, -c[:, None], c[:, None])
+
+
+def apply_pauli(action, arr: np.ndarray) -> np.ndarray:
+    """P @ arr for P given as pauli_action(P), along axis 0 of a vector or matrix.
+
+    Adds one word at a time, so the working set is a few copies of arr
+    whatever the number of words.
+    """
+    src, phase = action
+    arr = np.asarray(arr)
+    if arr.ndim == 2:
+        phase = phase[:, :, None]
+    out = np.zeros(arr.shape, dtype=complex)
+    for s, ph in zip(src, phase):
+        out += ph * arr[s]
     return out
+
+
+def apply_pauli_right(arr: np.ndarray, action) -> np.ndarray:
+    """arr @ P for a matrix arr and P given as pauli_action(P).
+
+    (arr P)^T = P^T arr^T, and P^T is the same permutation with each phase
+    moved to the entry it reads: column j of arr @ P is column j ^ x of arr
+    times phase[j ^ x].
+    """
+    src, phase = action
+    moved = np.take_along_axis(phase, src, axis=1)
+    return apply_pauli((src, moved), np.asarray(arr).T).T
+
+
+def pauli_to_dense(op: PauliOperator) -> np.ndarray:
+    """Dense 2^n x 2^n matrix, the Pauli action on the identity.
+
+    Qubit 0 is the least significant bit of the index.
+    """
+    return apply_pauli(pauli_action(op), np.eye(1 << op.qubit_count))
 
 
 def fermion_to_dense(op: FermionOperator) -> np.ndarray:
     """Dense matrix by direct ladder-operator action on occupation states.
 
     Independent of the Jordan-Wigner route but uses the same phase
-    convention: a_p picks up (-1)^(number of occupied modes below p).
+    convention: a_p picks up (-1)^(number of occupied modes below p). All
+    terms act on all 2^M basis states at once, shorter ladder sequences
+    padded with no-op slots, and contributions are added in term order.
     """
     m = op.mode_count
     if m > DENSE_QUBIT_LIMIT:
         raise ValueError(f"mode_count {m} exceeds dense limit {DENSE_QUBIT_LIMIT}")
     dim = 1 << m
+    longest = max(map(len, op.terms), default=0)
+    # per term and slot: mode, dagger, 1 if the slot holds a ladder operator
+    ladder = np.zeros((len(op.terms), longest, 3), dtype=np.int64)
+    for t, seq in enumerate(op.terms):
+        for pos, (mode, dagger) in enumerate(seq):
+            ladder[t, pos] = mode, dagger, 1
+    source = np.broadcast_to(np.arange(dim), (len(op.terms), dim))
+    state = source.copy()
+    odd = np.zeros(state.shape, dtype=np.uint8)
+    alive = np.ones(state.shape, dtype=bool)
+    for pos in reversed(range(longest)):
+        mode, dagger, used = (ladder[:, pos, k, None] for k in range(3))
+        alive &= (((state >> mode) & 1) != dagger) | (used == 0)
+        odd ^= np.bitwise_count(state & ((1 << mode) - 1)) & used.astype(np.uint8)
+        state ^= used << mode
+    coeffs = np.array(list(op.terms.values()), dtype=complex)[:, None]
+    vals = coeffs * np.where(odd & 1, -1.0, 1.0)
     out = np.zeros((dim, dim), dtype=complex)
-    for seq, coeff in op.terms.items():
-        for b in range(dim):
-            state, phase, alive = b, 1.0, True
-            for mode, dagger in reversed(seq):
-                occupied = (state >> mode) & 1
-                if dagger == bool(occupied):
-                    alive = False
-                    break
-                if (state & ((1 << mode) - 1)).bit_count() & 1:
-                    phase = -phase
-                state ^= 1 << mode
-            if alive:
-                out[state, b] += coeff * phase
+    np.add.at(out, (state[alive], source[alive]), vals[alive])
     return out
 
 

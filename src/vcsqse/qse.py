@@ -1,10 +1,15 @@
 """Quantum subspace expansion around a (possibly mixed) reference state.
 
 Subspace matrices can be assembled two ways: directly as operator traces
-against a dense reference density matrix, or purely from stored reduced
-density matrices via the linear-response matrix-element formulas. Both
-routes agree for consistent inputs and are kept independent so one can
-check the other.
+against a dense reference state, or purely from stored reduced density
+matrices via the linear-response matrix-element formulas. Both routes agree
+for consistent inputs and are kept independent so one can check the other.
+
+The direct route never forms a basis operator as a dense matrix. Every
+Pauli word of a basis element acts as a signed permutation,
+(c P v)[j] = c * i^#Y * (-1)^popcount((j ^ x) & z) * v[j ^ x], with x the
+mask of its X/Y letters and z that of its Z/Y letters
+(operators.pauli_action).
 """
 
 from dataclasses import dataclass, field
@@ -14,8 +19,9 @@ import numpy as np
 
 from .linalg import Spectrum, generalized_eigensolve
 from .molecule import hamiltonian_from_tensors
-from .operators import (FermionOperator, PauliOperator, commutator,
-                        jordan_wigner, normal_order, pauli_to_dense)
+from .operators import (FermionOperator, PauliOperator, apply_pauli,
+                        apply_pauli_right, commutator, jordan_wigner,
+                        normal_order, pauli_action)
 from .rdm import RdmSet, cumulants_from_rdms, expectation_from_rdms, reconstruct_rdms
 
 # Looser than the linalg default: RDM-contracted matrices carry accumulated
@@ -23,6 +29,10 @@ from .rdm import RdmSet, cumulants_from_rdms, expectation_from_rdms, reconstruct
 QSE_METRIC_CUTOFF = 1e-8
 FERMIONIC_MODE_LIMIT = 8
 QUBIT_LIMIT = 12
+# Bound on the two stacks build_subspace_direct holds: E_b rho and W E_b
+# for every basis element b (n_b * 2^M * 2^M complex each for a density
+# matrix, n_b * 2^M for a state vector).
+SUBSPACE_BYTE_LIMIT = 1 << 30
 
 
 @dataclass
@@ -126,23 +136,43 @@ def _symmetrized(mat: np.ndarray) -> np.ndarray:
 
 def build_subspace_direct(basis: ExpansionBasis, h: np.ndarray, rho: np.ndarray,
                           symmetry_ops: dict | None = None) -> SubspaceProblem:
-    """Assemble h_sub[a,b] = Tr[E_a^ H E_b rho] and overlaps by dense traces."""
+    """Assemble h_sub[a,b] = Tr[E_a^ H E_b rho] and overlaps by operator actions.
+
+    A state vector psi gives Phi = [E_b psi] and each block Phi^ (W Phi). A
+    density matrix gives h[a,b] = sum_ij conj(E_a rho)_ij (W E_b)_ij, with
+    E_a rho a row action on rho and W E_b a column action on W, gathered
+    one basis element at a time.
+    """
     h = np.asarray(h, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim == 1:
-        rho = np.outer(rho, rho.conj())
     dim = h.shape[0]
-    if rho.shape != (dim, dim):
+    if rho.shape not in ((dim,), (dim, dim)):
         raise ValueError("H and rho dimensions differ")
-    dense_ops = [pauli_to_dense(op) for op in basis.operators]
-    if dense_ops and dense_ops[0].shape[0] != dim:
+    if basis.operators and 1 << basis.operators[0].qubit_count != dim:
         raise ValueError("basis operator dimension does not match H")
-    n_b = len(dense_ops)
-    evec = np.stack([e.ravel() for e in dense_ops], axis=1)  # (dim^2, n_b)
+    n_b = len(basis)
+    need = 2 * n_b * rho.size * np.dtype(complex).itemsize
+    if need > SUBSPACE_BYTE_LIMIT:
+        raise ValueError(f"subspace build needs {need} bytes for {n_b} basis "
+                         f"elements, above the limit of {SUBSPACE_BYTE_LIMIT}")
+    if rho.ndim == 1:
+        phi = np.stack([apply_pauli(pauli_action(op), rho)
+                        for op in basis.operators], axis=1)
 
-    def block(weight):
-        cols = np.stack([(weight @ e @ rho).ravel() for e in dense_ops], axis=1)
-        return _symmetrized(evec.conj().T @ cols)
+        def block(weight):
+            return _symmetrized(phi.conj().T @ (weight @ phi))
+    else:
+        actions = [pauli_action(op) for op in basis.operators]
+        rows = np.empty((n_b, dim, dim), dtype=complex)
+        cols = np.empty_like(rows)
+        for b, act in enumerate(actions):
+            rows[b] = apply_pauli(act, rho)
+        np.conj(rows, out=rows)
+
+        def block(weight):
+            for b, act in enumerate(actions):
+                cols[b] = apply_pauli_right(weight, act)
+            return _symmetrized(rows.reshape(n_b, -1) @ cols.reshape(n_b, -1).T)
 
     s_sub = block(np.eye(dim))
     h_sub = block(h)

@@ -12,7 +12,8 @@ from math import factorial
 
 import numpy as np
 
-from .operators import FermionOperator, PauliOperator, jordan_wigner, normal_order
+from .operators import (FermionOperator, PauliOperator, apply_pauli, jordan_wigner,
+                        normal_order, pauli_action)
 
 RDM_MODE_LIMIT = 8
 _WEIGHT_TOL = 1e-14
@@ -275,26 +276,6 @@ def expectation_from_rdms(op, rdms: RdmSet) -> complex:
     return complex(value)
 
 
-def _apply_pauli_word(word: str, arr: np.ndarray) -> np.ndarray:
-    """Apply an n-qubit Pauli string along axis 0 of a vector or matrix."""
-    n = len(word)
-    dim = 1 << n
-    idx = np.arange(dim)
-    xmask = 0
-    phase = np.ones(dim, dtype=complex)
-    for q, ch in enumerate(word):
-        bit = (idx >> q) & 1
-        if ch == "Z":
-            phase *= 1.0 - 2.0 * bit
-        elif ch == "X":
-            xmask |= 1 << q
-        elif ch == "Y":
-            xmask |= 1 << q
-            phase *= np.where(bit, 1j, -1j)
-    out = arr[idx ^ xmask]
-    return phase[:, None] * out if out.ndim == 2 else phase * out
-
-
 def sample_rdms(state: np.ndarray, max_k: int, shots: int, seed: int) -> RdmSet:
     """RDMs through the measurement pathway instead of exact traces.
 
@@ -372,7 +353,8 @@ def estimate_pauli(state: np.ndarray, pauli: PauliOperator, shots: int,
     if abs(np.imag(coeff)) > 1e-12:
         raise ValueError("Pauli string coefficient must be real")
     state = np.asarray(state, dtype=complex)
-    acted = _apply_pauli_word(word, state)
+    acted = apply_pauli(pauli_action(PauliOperator(pauli.qubit_count, {word: 1.0})),
+                        state)
     if state.ndim == 1:
         exact = float(np.real(state.conj() @ acted))
     else:

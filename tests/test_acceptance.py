@@ -15,12 +15,12 @@ from vcsqse.channels import (ChannelSpec, apply_channel, lift_to_register,
 from vcsqse.config import load_config
 from vcsqse.experiments import run_experiment
 from vcsqse.molecule import spin_orbital_tensors
-from vcsqse.operators import FermionOperator, fermion_to_dense, symmetry_operator
+from vcsqse.operators import (FermionOperator, PauliOperator, apply_pauli,
+                              fermion_to_dense, pauli_action, symmetry_operator)
 from vcsqse.qse import (approximate_lr, build_lr_from_rdms, build_subspace_direct,
                         fermionic_basis, project_symmetry, qubit_basis,
                         solve_subspace, subspace_expectation)
-from vcsqse.rdm import _apply_pauli_word, compute_rdms, cumulants_from_rdms, \
-    reconstruct_rdms, wedge
+from vcsqse.rdm import compute_rdms, cumulants_from_rdms, reconstruct_rdms, wedge
 from vcsqse.vcs import no_variation_baseline, solve_vcs
 
 RATIO_GRID = (0.0, 0.01, 0.05, 0.2, 1.0)
@@ -232,8 +232,8 @@ def test_criterion_6_qubit_error_correction(dense_by_r):
         psi0 = v[:, 0]
         for q in range(4):
             for letter in "XYZ":
-                word = "".join(letter if i == q else "I" for i in range(4))
-                err = _apply_pauli_word(word, psi0)
+                error = PauliOperator.from_letter(letter, q, 4)
+                err = apply_pauli(pauli_action(error), psi0)
                 prob = build_subspace_direct(basis, h, err)
                 spec = solve_subspace(prob)
                 worst = max(worst, abs(spec.eigenvalues[0] - w[0]))

@@ -1,5 +1,6 @@
 import pytest
 
+from vcsqse import experiments
 from vcsqse.cli import main
 from vcsqse.config import (ConfigError, ExperimentConfig, config_to_text,
                            load_config, parse_config)
@@ -92,6 +93,15 @@ class TestExperiments:
             by_point.setdefault(r, []).append(energy)
         for r, _, level, energy in sector:
             assert abs(sorted(by_point[r])[level] - energy) < 1e-8
+
+    def test_symmetry_matrices_built_once_per_sweep(self, mini_sweep, monkeypatch):
+        built = []
+        real = experiments.fermion_to_dense
+        monkeypatch.setattr(experiments, "fermion_to_dense",
+                            lambda op: built.append(op) or real(op))
+        cfg = parse_config(config_text(mini_sweep, experiment="spectrum"))
+        run_experiment(cfg)
+        assert len(built) == 3 + 2  # one Hamiltonian per point, N and S^2 once
 
     def test_run_experiment_rejects_single_point(self, sto3g_path):
         cfg = ExperimentConfig(experiment="single-point",

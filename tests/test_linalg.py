@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from vcsqse.linalg import (generalized_eigensolve, hermitian_eigensolve,
-                           is_hermitian, is_psd)
+from vcsqse.linalg import generalized_eigensolve, hermitian_eigensolve
 
 
 def random_hermitian(rng, n):
@@ -124,14 +123,3 @@ class TestGeneralizedEigensolve:
         with pytest.raises(ValueError, match="differ"):
             generalized_eigensolve(np.eye(2), np.eye(3))
 
-
-class TestPredicates:
-    def test_is_hermitian(self):
-        assert is_hermitian(np.eye(3))
-        a = np.eye(3, dtype=complex)
-        a[0, 1] = 1e-3
-        assert not is_hermitian(a)
-
-    def test_is_psd(self):
-        assert is_psd(np.diag([0.0, 1.0]))
-        assert not is_psd(np.diag([-1.0, 1.0]))

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pauli_oracle import kron_dense
+from vcsqse.molecule import assemble_hamiltonian
 from vcsqse.operators import (FermionOperator, PauliOperator, add_penalty,
-                              commutator, fermion_to_dense, jordan_wigner,
-                              normal_order, parse_ladder, pauli_to_dense,
+                              apply_pauli, apply_pauli_right, commutator,
+                              fermion_to_dense, jordan_wigner, normal_order,
+                              parse_ladder, pauli_action, pauli_to_dense,
                               symmetry_operator)
 
 
@@ -19,6 +24,25 @@ def random_fermion(rng, m, n_terms=6, max_len=4):
 
 def jw_dense(op):
     return pauli_to_dense(jordan_wigner(op))
+
+
+def ladder_loop_dense(op):
+    """fermion_to_dense as one Python loop over terms and basis states."""
+    dim = 1 << op.mode_count
+    out = np.zeros((dim, dim), dtype=complex)
+    for seq, coeff in op.terms.items():
+        for b in range(dim):
+            state, phase, alive = b, 1.0, True
+            for mode, dagger in reversed(seq):
+                if dagger == bool((state >> mode) & 1):
+                    alive = False
+                    break
+                if (state & ((1 << mode) - 1)).bit_count() & 1:
+                    phase = -phase
+                state ^= 1 << mode
+            if alive:
+                out[state, b] += coeff * phase
+    return out
 
 
 class TestFermionAlgebra:
@@ -162,6 +186,15 @@ class TestJordanWigner:
             op = random_fermion(rng, 4)
             assert np.abs(jw_dense(op) - fermion_to_dense(op)).max() < 1e-12
 
+    def test_direct_dense_equals_loop_bit_for_bit(self, sweep_points):
+        """Same arithmetic in the same order as the per-state loop."""
+        rng = np.random.default_rng(8)
+        ops = [random_fermion(rng, 3) for _ in range(20)]
+        ops += [assemble_hamiltonian(sweep_points[5].integrals),
+                symmetry_operator("s_squared", 4)]
+        for op in ops:
+            assert np.array_equal(fermion_to_dense(op), ladder_loop_dense(op))
+
 
 class TestPauliOperator:
     def test_identity_dense(self):
@@ -191,6 +224,14 @@ class TestPauliOperator:
     def test_dense_guard(self):
         with pytest.raises(ValueError, match="exceeds"):
             pauli_to_dense(PauliOperator.identity(13))
+        with pytest.raises(ValueError, match="exceeds"):
+            pauli_action(PauliOperator.identity(13))
+
+    def test_action_masks_and_phases(self):
+        # Y0 Z1 on |j>: x = 0b01, z = 0b11, one Y
+        src, phase = pauli_action(PauliOperator(2, {"YZ": 2.0}))
+        assert src.tolist() == [[1, 0, 3, 2]]
+        assert phase.tolist() == [[-2j, 2j, 2j, -2j]]
 
     def test_render_golden(self):
         op = PauliOperator(2, {"ZX": 0.25})
@@ -281,3 +322,30 @@ class TestPenalty:
         with pytest.raises(ValueError, match="non-negative"):
             add_penalty(FermionOperator.zero(2), symmetry_operator("number", 2),
                         0.0, -1.0)
+
+
+pauli_words = st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.text("IXYZ", min_size=n, max_size=n), min_size=1, max_size=4))
+complex_coeffs = st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                                    allow_infinity=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(words=pauli_words, coeffs=st.lists(complex_coeffs, min_size=4, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pauli_action_matches_kron_oracle(words, coeffs, seed):
+    """Left and right actions and the dense form agree with Kronecker chains."""
+    n = len(words[0])
+    op = PauliOperator(n, {})
+    for word, coeff in zip(words, coeffs):
+        op = op + PauliOperator(n, {word: coeff})
+    dense = kron_dense(op)
+    rng = np.random.default_rng(seed)
+    vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    mat = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+    scale = max(1.0, np.abs(dense).max())
+    assert np.abs(pauli_to_dense(op) - dense).max() <= 1e-14 * scale
+    act = pauli_action(op)
+    assert np.abs(apply_pauli(act, vec) - dense @ vec).max() <= 1e-12 * scale
+    assert np.abs(apply_pauli(act, mat) - dense @ mat).max() <= 1e-12 * scale
+    assert np.abs(apply_pauli_right(mat, act) - mat @ dense).max() <= 1e-12 * scale

@@ -1,15 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pauli_oracle import dense_subspace
 from vcsqse.channels import ChannelSpec, lift_to_register, single_qubit_channel
 from vcsqse.molecule import hamiltonian_from_tensors, spin_orbital_tensors
-from vcsqse.operators import (PauliOperator, fermion_to_dense, pauli_to_dense,
-                              symmetry_operator)
-from vcsqse.qse import (ExpansionBasis, approximate_lr, build_lr_from_rdms,
-                        build_subspace_direct, fermionic_basis, operator_to_tensors,
-                        project_symmetry, qubit_basis, solve_subspace,
-                        subspace_expectation)
-from vcsqse.rdm import _apply_pauli_word, compute_rdms
+from vcsqse.operators import (PauliOperator, apply_pauli, fermion_to_dense,
+                              pauli_action, pauli_to_dense, symmetry_operator)
+from vcsqse.qse import (SUBSPACE_BYTE_LIMIT, ExpansionBasis, approximate_lr,
+                        build_lr_from_rdms, build_subspace_direct, fermionic_basis,
+                        operator_to_tensors, project_symmetry, qubit_basis,
+                        solve_subspace, subspace_expectation)
+from vcsqse.rdm import compute_rdms
 from vcsqse.vcs import solve_vcs
 
 
@@ -102,6 +105,63 @@ class TestDirectBuild:
         prob = build_subspace_direct(basis, stretched["h"], rho)
         spec = solve_subspace(prob)
         assert spec.eigenvalues[0] <= np.real(np.trace(rho @ stretched["h"])) + 1e-10
+
+    @pytest.mark.parametrize("kind, order", [("fermionic", 1), ("fermionic", 2),
+                                             ("qubit", 1), ("qubit", 2)])
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_matches_dense_trace_oracle(self, stretched, kind, order, mixed):
+        rng = np.random.default_rng(11)
+        basis = (fermionic_basis if kind == "fermionic" else qubit_basis)(4, order)
+        if mixed:
+            ref = random_density(rng, 16)
+        else:
+            ref = rng.normal(size=16) + 1j * rng.normal(size=16)
+            ref /= np.linalg.norm(ref)
+        prob = build_subspace_direct(basis, stretched["h"], ref, stretched["sym"])
+        h_sub, s_sub, sym = dense_subspace(basis, stretched["h"], ref,
+                                           stretched["sym"])
+        assert np.abs(prob.h_sub - h_sub).max() <= 1e-12
+        assert np.abs(prob.s_sub - s_sub).max() <= 1e-12
+        for name, mat in sym.items():
+            assert np.abs(prob.symmetry_subs[name] - mat).max() <= 1e-12
+
+    def test_byte_guard_rejects_before_allocating(self):
+        basis = fermionic_basis(8, 2)
+        rho = np.eye(256) / 256
+        need = 2 * len(basis) * 256 * 256 * 16
+        assert need > SUBSPACE_BYTE_LIMIT
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"needs {need} bytes"):
+                build_subspace_direct(basis, np.eye(256), rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        # the same basis around a state vector needs n_b * 2^M per stack
+        psi = np.zeros(256)
+        psi[0b1111] = 1.0
+        prob = build_subspace_direct(basis, np.eye(256), psi)
+        assert prob.dim == len(basis)
+
+    def test_m8_pure_build_memory(self):
+        """The spectrum_m8-sized build holds n_b * 2^M stacks, not dense E_b."""
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+        h = a + a.conj().T
+        psi = rng.normal(size=256) + 1j * rng.normal(size=256)
+        psi /= np.linalg.norm(psi)
+        sym = {name: fermion_to_dense(symmetry_operator(name, 8))
+               for name in ("number", "s_squared")}
+        basis = fermionic_basis(8, 1)
+        tracemalloc.start()
+        try:
+            prob = build_subspace_direct(basis, h, psi, sym)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prob.dim == 65 and set(prob.symmetry_subs) == set(sym)
+        assert peak < 32 << 20
 
 
 class TestRdmRoute:
@@ -214,7 +274,7 @@ class TestSolveAndProject:
 
     def test_qubit_error_correction_single_case(self, stretched):
         psi0 = stretched["v"][:, 0]
-        err = _apply_pauli_word("IXII", psi0)
+        err = apply_pauli(pauli_action(PauliOperator(4, {"IXII": 1.0})), psi0)
         prob = build_subspace_direct(qubit_basis(4, 1), stretched["h"], err)
         spec = solve_subspace(prob)
         assert abs(spec.eigenvalues[0] - stretched["w"][0]) < 1e-10

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pauli_oracle import kron_dense
 from vcsqse import experiments, rdm
 from vcsqse.molecule import assemble_hamiltonian, spin_orbital_tensors
 from vcsqse.operators import (FermionOperator, PauliOperator, fermion_to_dense,
@@ -282,8 +283,7 @@ class TestEstimatePauli:
             if word == "III":
                 word = "ZII"
             p = PauliOperator(3, {word: 1.0})
-            from vcsqse.rdm import _apply_pauli_word
-            exact = float(np.real(state.conj() @ _apply_pauli_word(word, state)))
+            exact = float(np.real(state.conj() @ kron_dense(p) @ state))
             est, _ = estimate_pauli(state, p, shots, seed=case)
             assert abs(est - exact) <= 5.0 / np.sqrt(shots)
 
