@@ -17,8 +17,8 @@ from .channels import ChannelSpec, channel_kind_from_token, lift_to_register, \
 from .config import ConfigError, ExperimentConfig
 from .molecule import assemble_hamiltonian, load_sweep, parse_fcidump, \
     spin_orbital_tensors
-from .operators import PauliOperator, fermion_to_dense, jordan_wigner, \
-    symmetry_operator
+from .operators import PauliOperator, dense_symmetry, fermion_to_dense, \
+    jordan_wigner
 from .qse import approximate_lr, build_subspace_direct, fermionic_basis, \
     project_symmetry, qubit_basis, solve_subspace, subspace_expectation
 from .rdm import compute_rdms, estimate_pauli
@@ -81,22 +81,18 @@ class _Point:
         return self.eigh
 
 
-def _point(integrals, bond_length=None, symmetry_by_modes=None) -> _Point:
-    """One prepared point; symmetry_by_modes caches the symmetry matrices per M."""
+def _point(integrals, bond_length=None) -> _Point:
+    """One prepared point with its dense Hamiltonian and symmetry matrices."""
     h_op = assemble_hamiltonian(integrals)
     m = h_op.mode_count
-    cache = {} if symmetry_by_modes is None else symmetry_by_modes
-    if m not in cache:
-        cache[m] = {name: fermion_to_dense(symmetry_operator(name, m))
-                    for name in ("number", "s_squared")}
     return _Point(bond_length=bond_length, integrals=integrals, h_op=h_op,
                   h_dense=fermion_to_dense(h_op), mode_count=m,
-                  symmetry_dense=cache[m])
+                  symmetry_dense={name: dense_symmetry(name, m)
+                                  for name in ("number", "s_squared")})
 
 
 def _prepare(points):
-    shared = {}
-    return [_point(pt.integrals, pt.bond_length, shared) for pt in points]
+    return [_point(pt.integrals, pt.bond_length) for pt in points]
 
 
 def _channel_for(point: _Point, kind: str, ratios):
@@ -290,7 +286,7 @@ def _approx_spectrum(cfg: ExperimentConfig, levels: int = 3):
             w, v = point.exact()
             psi0 = v[:, 0]
             h1, h2, core = spin_orbital_tensors(point.integrals)
-            rdms = compute_rdms(psi0, 4)
+            rdms = compute_rdms(psi0, 3)
             e_g = float(np.real(psi0.conj() @ point.h_dense @ psi0))
             basis = fermionic_basis(point.mode_count, 1)
             direct = build_subspace_direct(basis, point.h_dense, psi0)

@@ -493,6 +493,17 @@ def symmetry_operator(kind: str, mode_count: int) -> FermionOperator:
     raise ValueError(f"unknown symmetry operator kind {kind!r}")
 
 
+@lru_cache(maxsize=None)
+def dense_symmetry(kind: str, mode_count: int) -> np.ndarray:
+    """Read-only dense matrix of symmetry_operator(kind, mode_count).
+
+    Built once per (kind, mode_count) and shared by every caller.
+    """
+    mat = fermion_to_dense(symmetry_operator(kind, mode_count))
+    mat.setflags(write=False)
+    return mat
+
+
 def add_penalty(h: FermionOperator, o: FermionOperator, target: float,
                 weight: float) -> FermionOperator:
     """Return H + weight * (O - target)^2, normal-ordered."""

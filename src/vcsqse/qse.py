@@ -13,16 +13,16 @@ mask of its X/Y letters and z that of its Z/Y letters
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
 
 from .linalg import Spectrum, generalized_eigensolve
-from .molecule import hamiltonian_from_tensors
 from .operators import (FermionOperator, PauliOperator, apply_pauli,
-                        apply_pauli_right, commutator, jordan_wigner,
-                        normal_order, pauli_action)
-from .rdm import RdmSet, cumulants_from_rdms, expectation_from_rdms, reconstruct_rdms
+                        apply_pauli_right, jordan_wigner, normal_order,
+                        pauli_action)
+from .rdm import RdmSet, cumulants_from_rdms, reconstruct_rdms
 
 # Looser than the linalg default: RDM-contracted matrices carry accumulated
 # contraction noise in their null directions.
@@ -35,13 +35,13 @@ QUBIT_LIMIT = 12
 SUBSPACE_BYTE_LIMIT = 1 << 30
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExpansionBasis:
     kind: str                       # "fermionic" or "qubit"
     order: int
-    operators: list                 # PauliOperator per element; index 0 = identity
+    operators: tuple                # PauliOperator per element; index 0 = identity
     includes_reference: bool
-    labels: list = field(default_factory=list)
+    labels: tuple = ()
 
     def __len__(self):
         return len(self.operators)
@@ -72,15 +72,17 @@ def _dedup(ops, labels):
         seen.add(key)
         out_ops.append(op)
         out_labels.append(label)
-    return out_ops, out_labels
+    return tuple(out_ops), tuple(out_labels)
 
 
+@lru_cache(maxsize=None)
 def fermionic_basis(mode_count: int, order: int,
                     includes_reference: bool = True) -> ExpansionBasis:
     """Excitation products (a_i^ a_j)^order, Jordan-Wigner mapped.
 
     Order 1 is the linear-response set {a_i^ a_j} over all index pairs; the
-    identity is prepended (index 0) when the reference is included.
+    identity is prepended (index 0) when the reference is included. Built
+    once per argument set and shared, so the basis is immutable.
     """
     if not 1 <= order <= 2:
         raise ValueError("fermionic expansion order must be 1 or 2")
@@ -105,8 +107,9 @@ def fermionic_basis(mode_count: int, order: int,
                           includes_reference=includes_reference, labels=labels)
 
 
+@lru_cache(maxsize=None)
 def qubit_basis(qubit_count: int, order: int) -> ExpansionBasis:
-    """Low-Hamming-weight Pauli expansion: identity, single Paulis, pairs."""
+    """Identity, single Paulis and pairs; built once and shared, immutable."""
     if not 1 <= order <= 2:
         raise ValueError("qubit expansion order must be 1 or 2")
     n = qubit_count
@@ -198,52 +201,65 @@ def _overlap_lr(rdms: RdmSet) -> np.ndarray:
     return _symmetrized(s)
 
 
-def _one_body_lr(t1: np.ndarray, rdms: RdmSet) -> np.ndarray:
-    """LR matrix of sum_pr t1[p,r] a_p^ a_r from D1..D3."""
-    m = rdms.mode_count
-    d1, d2, d3 = rdms.d(1), rdms.d(2), rdms.d(3)
-    dim = m * m + 1
-    out = np.zeros((dim, dim), dtype=complex)
-    out[0, 0] = np.einsum("pr,pr->", t1, d1)
-    f_g = (np.einsum("ir,jr->ij", t1, d1)
-           - 2.0 * np.einsum("pr,jpri->ij", t1, d2))
-    out[1:, 0] = f_g.reshape(m * m)
-    f4 = (-2.0 * np.einsum("ik,pr,jprl->ijkl", np.eye(m), t1, d2)
-          + np.einsum("ik,jl->ijkl", t1, d1)
-          + 2.0 * np.einsum("ir,jkrl->ijkl", t1, d2)
-          - 2.0 * np.einsum("pk,jpli->ijkl", t1, d2)
-          - 6.0 * np.einsum("pr,jkprli->ijkl", t1, d3))
-    out[1:, 1:] = f4.reshape(m * m, m * m)
-    # g-row from Hermiticity (the coefficient tensors used here are Hermitian)
-    out[0, 1:] = np.conj(out[1:, 0])
-    return out
+def _g_column(t1: np.ndarray, v: np.ndarray, d1: np.ndarray, d2: np.ndarray,
+              d3: np.ndarray) -> np.ndarray:
+    """<O>, then <a_j^ a_i O> flattened over (i, j), from D1..D3.
+
+    O = sum t1[p,r] a_p^ a_r + sum v[p,q,r,s] a_p^ a_q^ a_r a_s; leading axes
+    of t1 and v index a batch of operators.
+    """
+    value = (np.einsum("...pr,pr->...", t1, d1)
+             + 2.0 * np.einsum("...pqrs,pqsr->...", v, d2))
+    rows = (np.einsum("...ir,jr->...ij", t1, d1)
+            - 2.0 * np.einsum("...pr,jpri->...ij", t1, d2)
+            + 2.0 * np.einsum("...iqrs,jqsr->...ij", v, d2)
+            - 2.0 * np.einsum("...pirs,jpsr->...ij", v, d2)
+            + 6.0 * np.einsum("...pqrs,jpqsri->...ij", v, d3))
+    flat = rows.reshape(rows.shape[:-2] + (-1,))
+    return np.concatenate([value[..., None], flat], axis=-1)
 
 
-def _two_body_lr(v: np.ndarray, rdms: RdmSet) -> np.ndarray:
-    """LR matrix of sum_pqrs v[p,q,r,s] a_p^ a_q^ a_r a_s from D2..D4."""
+def _lr_matrix(t1: np.ndarray, v: np.ndarray, rdms: RdmSet) -> np.ndarray:
+    """LR matrix of the Hermitian O = sum t1 a^ a + sum v a^ a^ a a from D1..D4."""
     m = rdms.mode_count
-    d2, d3, d4 = rdms.d(2), rdms.d(3), rdms.d(4)
-    dim = m * m + 1
+    d1, d2, d3, d4 = (rdms.d(k) for k in range(1, 5))
     eye = np.eye(m)
-    out = np.zeros((dim, dim), dtype=complex)
-    out[0, 0] = 2.0 * np.einsum("pqrs,pqsr->", v, d2)
-    v_g = (2.0 * np.einsum("iqrs,jqsr->ij", v, d2)
-           - 2.0 * np.einsum("pirs,jpsr->ij", v, d2)
-           + 6.0 * np.einsum("pqrs,jpqsri->ij", v, d3))
-    out[1:, 0] = v_g.reshape(m * m)
-    v4 = (6.0 * np.einsum("ik,pqrs,jpqsrl->ijkl", eye, v, d3)
-          + 2.0 * np.einsum("iqks,jqsl->ijkl", v, d2)
-          - 2.0 * np.einsum("iqrk,jqrl->ijkl", v, d2)
-          - 6.0 * np.einsum("iqrs,jkqsrl->ijkl", v, d3)
-          - 2.0 * np.einsum("piks,jpsl->ijkl", v, d2)
-          + 2.0 * np.einsum("pirk,jprl->ijkl", v, d2)
-          + 6.0 * np.einsum("pirs,jkpsrl->ijkl", v, d3)
-          + 6.0 * np.einsum("pqks,jpqsli->ijkl", v, d3)
-          - 6.0 * np.einsum("pqrk,jpqrli->ijkl", v, d3)
-          - 24.0 * np.einsum("pqrs,jkpqsrli->ijkl", v, d4))
-    out[1:, 1:] = v4.reshape(m * m, m * m)
+    four = (-2.0 * np.einsum("ik,pr,jprl->ijkl", eye, t1, d2)
+            + np.einsum("ik,jl->ijkl", t1, d1)
+            + 2.0 * np.einsum("ir,jkrl->ijkl", t1, d2)
+            - 2.0 * np.einsum("pk,jpli->ijkl", t1, d2)
+            - 6.0 * np.einsum("pr,jkprli->ijkl", t1, d3)
+            + 6.0 * np.einsum("ik,pqrs,jpqsrl->ijkl", eye, v, d3)
+            + 2.0 * np.einsum("iqks,jqsl->ijkl", v, d2)
+            - 2.0 * np.einsum("iqrk,jqrl->ijkl", v, d2)
+            - 6.0 * np.einsum("iqrs,jkqsrl->ijkl", v, d3)
+            - 2.0 * np.einsum("piks,jpsl->ijkl", v, d2)
+            + 2.0 * np.einsum("pirk,jprl->ijkl", v, d2)
+            + 6.0 * np.einsum("pirs,jkpsrl->ijkl", v, d3)
+            + 6.0 * np.einsum("pqks,jpqsli->ijkl", v, d3)
+            - 6.0 * np.einsum("pqrk,jpqrli->ijkl", v, d3)
+            - 24.0 * np.einsum("pqrs,jkpqsrli->ijkl", v, d4))
+    out = np.empty((m * m + 1,) * 2, dtype=complex)
+    out[:, 0] = _g_column(t1, v, d1, d2, d3)
+    # g-row from Hermiticity of O
     out[0, 1:] = np.conj(out[1:, 0])
+    out[1:, 1:] = four.reshape(m * m, m * m)
     return out
+
+
+def _zc_columns(h1: np.ndarray, v: np.ndarray, rdms: RdmSet) -> np.ndarray:
+    """<E_a^ [H0, a_k^ a_l]> for every LR row a, one column per (k, l).
+
+    For H0 = sum h1 a^ a + sum v a^ a^ a a each commutator is a one- plus
+    two-body operator with index-shifted copies of h1 and v as its tensors.
+    """
+    m = h1.shape[0]
+    eye = np.eye(m)
+    t1 = np.einsum("pk,rl->klpr", h1, eye) - np.einsum("pk,lr->klpr", eye, h1)
+    w = (np.einsum("rl,pqks->klpqrs", eye, v) + np.einsum("sl,pqrk->klpqrs", eye, v)
+         - np.einsum("pk,lqrs->klpqrs", eye, v) - np.einsum("qk,plrs->klpqrs", eye, v))
+    cols = _g_column(t1, w, rdms.d(1), rdms.d(2), rdms.d(3))
+    return cols.reshape(m * m, m * m + 1).T
 
 
 def operator_to_tensors(op: FermionOperator):
@@ -286,15 +302,12 @@ def build_lr_from_rdms(h1: np.ndarray, h2: np.ndarray, rdms: RdmSet,
         raise ValueError("the RDM route requires tensors through the 4-RDM")
     m = rdms.mode_count
     s_sub = _overlap_lr(rdms)
-    h_sub = (core_energy * s_sub + _one_body_lr(np.asarray(h1, dtype=complex), rdms)
-             + _two_body_lr(0.5 * np.asarray(h2, dtype=complex), rdms))
-    h_sub = _symmetrized(h_sub)
+    h_sub = _symmetrized(core_energy * s_sub + _lr_matrix(
+        np.asarray(h1, dtype=complex), 0.5 * np.asarray(h2, dtype=complex), rdms))
     sym = {}
     for name, op in (symmetry_ops or {}).items():
         c0, t1, t2 = operator_to_tensors(op)
-        mat = (c0 * s_sub + _one_body_lr(t1, rdms)
-               + _two_body_lr(0.5 * t2, rdms))
-        sym[name] = _symmetrized(mat)
+        sym[name] = _symmetrized(c0 * s_sub + _lr_matrix(t1, 0.5 * t2, rdms))
     basis = fermionic_basis(m, 1)
     return SubspaceProblem(basis=basis, h_sub=h_sub, s_sub=s_sub, symmetry_subs=sym)
 
@@ -337,22 +350,14 @@ def project_symmetry(prob: SubspaceProblem, name: str, target: float,
                            symmetry_subs=sym, combo=combo)
 
 
-def _excitation_terms(m: int):
-    """FermionOperator per LR row, ordered as _lr_index."""
-    ops = [FermionOperator.identity(m)]
-    for i in range(m):
-        for j in range(m):
-            ops.append(FermionOperator(m, {((i, True), (j, False)): 1.0}))
-    return ops
-
-
 def approximate_lr(method: str, h1: np.ndarray, h2: np.ndarray, rdms: RdmSet,
                    e_g: float, truncate: bool = False, core_energy: float = 0.0,
                    reconstruct_d3: bool = True) -> SubspaceProblem:
     """ZC / ZA approximations to the linear-response Hamiltonian matrix.
 
-    ZC uses <(a_i^ a_j)^ [H, a_k^ a_l]> + e_g * S, whose normal-ordered form
-    needs at most the 3-RDM; with truncate=True the 3-RDM is itself
+    ZC uses <(a_i^ a_j)^ [H, a_k^ a_l]> + e_g * S, contracted in closed form
+    from the commutators' one- and two-body tensors, which needs at most the
+    3-RDM; with truncate=True the 3-RDM is itself
     reconstructed from cumulant truncation (order-3 cumulant zeroed). ZA
     evaluates the plain product expression with the 3- and 4-RDMs
     reconstructed from lower orders (reconstruct_d3=False keeps an exact
@@ -367,9 +372,7 @@ def approximate_lr(method: str, h1: np.ndarray, h2: np.ndarray, rdms: RdmSet,
         zero_above = 2 if reconstruct_d3 else 3
         if rdms.max_k < zero_above:
             raise ValueError(f"ZA needs RDMs through order {zero_above}")
-        trimmed = RdmSet(mode_count=m, d1=rdms.d1, d2=rdms.d2,
-                         d3=None if reconstruct_d3 else rdms.d3, d4=None)
-        rec = reconstruct_rdms(cumulants_from_rdms(trimmed), zero_above)
+        rec = reconstruct_rdms(cumulants_from_rdms(rdms), zero_above)
         prob = build_lr_from_rdms(h1, h2, rec, core_energy=core_energy)
         # overlap from the exact tensors, not the reconstruction
         prob.s_sub = _overlap_lr(rdms)
@@ -379,29 +382,14 @@ def approximate_lr(method: str, h1: np.ndarray, h2: np.ndarray, rdms: RdmSet,
     if truncate:
         if rdms.max_k < 2:
             raise ValueError("ZC with truncation needs RDMs through order 2")
-        base = RdmSet(mode_count=m, d1=rdms.d1, d2=rdms.d2)
-        work = reconstruct_rdms(cumulants_from_rdms(base), 2)
+        work = reconstruct_rdms(cumulants_from_rdms(rdms), 2)
     else:
         if rdms.max_k < 3:
             raise ValueError("ZC needs RDMs through the 3-RDM (or truncate=True)")
         work = rdms
-    h_op = hamiltonian_from_tensors(np.asarray(h1, dtype=float),
-                                    np.asarray(h2, dtype=float), 0.0)
-    rows = _excitation_terms(m)
-    adjoints = [op.adjoint() for op in rows]
-    dim = len(rows)
     s_sub = _overlap_lr(rdms)
-    h_sub = np.zeros((dim, dim), dtype=complex)
-    comms = [normal_order(commutator(h_op, op)) for op in rows]
-    for b, comm in enumerate(comms):
-        if comm.rank() > 2:
-            raise AssertionError("commutator with an excitation exceeded rank 2")
-        for a, row_adj in enumerate(adjoints):
-            expr = normal_order(row_adj * comm)
-            if expr.rank() > 3:
-                raise AssertionError("ZC expression exceeded rank 3 after "
-                                     "normal ordering")
-            h_sub[a, b] = expectation_from_rdms(expr, work)
+    h_sub = np.zeros_like(s_sub)
+    h_sub[:, 1:] = _zc_columns(np.asarray(h1), 0.5 * np.asarray(h2), work)
     # e_g is the full <H> including any constant, so no separate core term:
     # <E_a^ H E_b> = <E_a^ [H0, E_b]> + e_g S for an eigenstate reference.
     h_sub += e_g * s_sub

@@ -4,11 +4,20 @@ Index convention: D(k)[i1..ik, j1..jk] = (1/k!) <a_i1^ ... a_ik^ a_jk ... a_j1>,
 so the 2-RDM element D2[i,j,k,l] equals (1/2) <a_i^ a_j^ a_l a_k>. Tensors are
 Hermitian under conjugate exchange of the upper and lower index groups and
 antisymmetric within each group.
+
+Storage: an order-k RDM or cumulant is kept only as its packed block, the
+C(M,k) x C(M,k) Hermitian matrix over increasing index tuples in
+itertools.combinations order, with packed[I, J] = D[I, J] at sorted I, J.
+All other elements follow by antisymmetry. compute_rdms, sample_rdms,
+cumulants_from_rdms, reconstruct_rdms and the wedge kernel never build a
+full tensor; d(k), c(k) and d1..d4, c1..c4 build a new M^(2k) one on each
+read, by one gather through a cached position-and-sign table per (M, k).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
@@ -18,43 +27,138 @@ from .operators import (FermionOperator, PauliOperator, apply_pauli, jordan_wign
 RDM_MODE_LIMIT = 8
 _WEIGHT_TOL = 1e-14
 
+# D_n - C_n as wedge products of lower-order cumulants: (coefficient, orders)
+# per shape of partition of the n index pairs into two or more blocks; the
+# coefficient is the number of set partitions of that shape.
+_DISCONNECTED = {
+    2: ((1.0, (1, 1)),),
+    3: ((3.0, (2, 1)), (1.0, (1, 1, 1))),
+    4: ((4.0, (3, 1)), (3.0, (2, 2)), (6.0, (2, 1, 1)), (1.0, (1, 1, 1, 1))),
+}
 
-@dataclass
-class RdmSet:
+
+def _parity(seq) -> float:
+    """(-1) to the number of inversions of seq."""
+    inv = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:])
+    return -1.0 if inv & 1 else 1.0
+
+
+def _frozen(*arrays):
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+def _combos(m: int, k: int) -> np.ndarray:
+    """Increasing k-tuples of range(m), one per row, in combinations order."""
+    return np.array(list(combinations(range(m), k)), dtype=np.intp).reshape(-1, k)
+
+
+def _flat(idx: np.ndarray, m: int) -> np.ndarray:
+    """Row-major flat index in range(m)^k of index tuples along the last axis."""
+    return idx @ m ** np.arange(idx.shape[-1] - 1, -1, -1)
+
+
+@lru_cache(maxsize=None)
+def _gather_table(m: int, k: int):
+    """Packed position and sign of every index tuple in range(m)^k, flattened.
+
+    A tuple with a repeated index gets position 0 and sign 0.
+    """
+    perms = list(permutations(range(k)))
+    flat = _flat(_combos(m, k)[:, perms], m)
+    pos = np.zeros(m ** k, dtype=np.intp)
+    sign = np.zeros(m ** k)
+    pos[flat] = np.arange(len(flat))[:, None]
+    sign[flat] = [_parity(p) for p in perms]
+    return _frozen(pos, sign)
+
+
+@lru_cache(maxsize=None)
+def _split_table(m: int, k: int, j: int):
+    """Packed positions, each (C(m,k), C(k,j)), of the two parts of every split
+    of each sorted k-tuple into sorted j- and (k-j)-tuples, and per split the
+    sign of the shuffle that merges the parts back into increasing order."""
+    combos = _combos(m, k)
+    picks = list(combinations(range(k), j))
+    rests = [tuple(p for p in range(k) if p not in pick) for pick in picks]
+    ia = _gather_table(m, j)[0][_flat(combos[:, picks], m)]
+    ib = _gather_table(m, k - j)[0][_flat(combos[:, rests], m)]
+    return _frozen(ia, ib, np.array([_parity(p + r) for p, r in zip(picks, rests)]))
+
+
+def _expand(block: np.ndarray, m: int, k: int) -> np.ndarray:
+    """Full (m,)*2k tensor of a packed order-k block."""
+    if not block.size:
+        return np.zeros((m,) * (2 * k), dtype=complex)
+    pos, sign = _gather_table(m, k)
+    full = block[np.ix_(pos, pos)]
+    full *= sign[:, None]
+    full *= sign
+    return full.reshape((m,) * (2 * k))
+
+
+def _pack(t: np.ndarray, k: int) -> np.ndarray:
+    """Packed block of the antisymmetric part of a (k, k)-index tensor."""
+    m = t.shape[0]
+    pos, sign = _gather_table(m, k)
+    rows = np.flatnonzero(sign)
+    basis = np.zeros((m ** k, comb(m, k)))
+    basis[rows, pos[rows]] = sign[rows]
+    return basis.T @ t.reshape(m ** k, m ** k) @ basis / factorial(k) ** 2
+
+
+def _wedge_packed(a: np.ndarray, b: np.ndarray, m: int, ka: int, kb: int) -> np.ndarray:
+    """Packed a ^ b of packed blocks of orders ka and kb over m modes.
+
+    (a ^ b)[I, J] = (ka! kb! / k!)^2 sum over splits I = Ia + Ib, J = Ja + Jb
+    of sign(I split) sign(J split) a[Ia, Ja] b[Ib, Jb].
+    """
+    ia, ib, sign = _split_table(m, ka + kb, ka)
+    ga = a[ia[:, :, None, None], ia[None, None]]
+    gb = b[ib[:, :, None, None], ib[None, None]]
+    scale = (factorial(ka) * factorial(kb) / factorial(ka + kb)) ** 2
+    return scale * np.einsum("isjt,isjt,st->ij", ga, gb, np.outer(sign, sign))
+
+
+def _disconnected(c, n: int, m: int) -> np.ndarray:
+    """D_n - C_n from the packed cumulant blocks c[0..n-2]."""
+    total = 0.0
+    for coeff, orders in _DISCONNECTED[n]:
+        prod, k = c[orders[0] - 1], orders[0]
+        for j in orders[1:]:
+            prod = _wedge_packed(prod, c[j - 1], m, k, j)
+            k += j
+        total = total + coeff * prod
+    return total
+
+
+@dataclass(frozen=True, eq=False)
+class _PackedSet:
     mode_count: int
-    d1: np.ndarray
-    d2: np.ndarray | None = None
-    d3: np.ndarray | None = None
-    d4: np.ndarray | None = None
+    blocks: tuple  # packed block of order k at index k - 1
+    max_k = property(lambda self: len(self.blocks), doc="Highest stored order.")
 
-    def d(self, k: int) -> np.ndarray:
-        t = (self.d1, self.d2, self.d3, self.d4)[k - 1]
-        if t is None:
-            raise ValueError(f"{k}-RDM not populated")
-        return t
-
-    @property
-    def max_k(self) -> int:
-        return sum(t is not None for t in (self.d1, self.d2, self.d3, self.d4))
+    def _full(self, k: int) -> np.ndarray:
+        """Full order-k tensor, built on each call."""
+        if not 1 <= k <= self.max_k:
+            raise ValueError(f"order {k} not populated (max_k = {self.max_k})")
+        return _expand(self.blocks[k - 1], self.mode_count, k)
 
 
-@dataclass
-class CumulantSet:
-    mode_count: int
-    c1: np.ndarray
-    c2: np.ndarray | None = None
-    c3: np.ndarray | None = None
-    c4: np.ndarray | None = None
+_ORDERS = tuple(property(lambda self, k=k: self._full(k)) for k in range(1, 5))
 
-    def c(self, k: int) -> np.ndarray:
-        t = (self.c1, self.c2, self.c3, self.c4)[k - 1]
-        if t is None:
-            raise ValueError(f"order-{k} cumulant not populated")
-        return t
 
-    @property
-    def max_k(self) -> int:
-        return sum(t is not None for t in (self.c1, self.c2, self.c3, self.c4))
+class RdmSet(_PackedSet):
+    """k-RDMs of orders 1..max_k, stored as packed blocks."""
+    d = _PackedSet._full
+    d1, d2, d3, d4 = _ORDERS
+
+
+class CumulantSet(_PackedSet):
+    """Cumulants of orders 1..max_k, stored as packed blocks."""
+    c = _PackedSet._full
+    c1, c2, c3, c4 = _ORDERS
 
 
 def _annihilate(vec: np.ndarray, mode: int, m: int) -> np.ndarray:
@@ -69,37 +173,17 @@ def _annihilate(vec: np.ndarray, mode: int, m: int) -> np.ndarray:
     return out
 
 
-def _perms_with_parity(k: int):
-    out = []
-    for perm in permutations(range(k)):
-        inv = sum(1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b])
-        out.append((perm, -1.0 if inv & 1 else 1.0))
-    return out
-
-
-def _pure_rdms(psi: np.ndarray, m: int, max_k: int) -> list:
-    """RDM tensors of a normalized pure state, orders 1..max_k."""
-    tensors = []
-    level = {(): psi}
+def _pure_blocks(psi: np.ndarray, m: int, max_k: int) -> list:
+    """Packed RDM blocks of a normalized pure state, orders 1..max_k."""
+    blocks, level = [], [(-1, psi)]
     for k in range(1, max_k + 1):
-        nxt = {}
-        for combo, vec in level.items():
-            start = combo[-1] + 1 if combo else 0
-            for j in range(start, m):
-                nxt[combo + (j,)] = _annihilate(vec, j, m)
-        level = nxt
-        combos = sorted(level)
-        mat = np.stack([level[c] for c in combos], axis=1)
-        gram = (mat.conj().T @ mat) / factorial(k)
-        d = np.zeros((m,) * (2 * k), dtype=complex)
-        carr = np.array(combos)
-        for pu, su in _perms_with_parity(k):
-            upper = [carr[:, pu[a]].reshape(-1, 1) for a in range(k)]
-            for pl, sl in _perms_with_parity(k):
-                lower = [carr[:, pl[a]].reshape(1, -1) for a in range(k)]
-                d[tuple(upper + lower)] = (su * sl) * gram
-        tensors.append(d)
-    return tensors
+        # a_jk ... a_j1 psi for every increasing (j1..jk), in combinations order
+        level = [(j, _annihilate(vec, j, m)) for last, vec in level
+                 for j in range(last + 1, m)]
+        vecs = [vec for _, vec in level]
+        mat = np.stack(vecs, axis=1) if vecs else np.zeros((psi.size, 0), dtype=complex)
+        blocks.append((mat.conj().T @ mat) / factorial(k))
+    return blocks
 
 
 def compute_rdms(state: np.ndarray, max_k: int) -> RdmSet:
@@ -119,143 +203,80 @@ def compute_rdms(state: np.ndarray, max_k: int) -> RdmSet:
     if state.ndim == 1:
         if abs(np.linalg.norm(state) - 1.0) > 1e-10:
             raise ValueError("state vector is not normalized")
-        tensors = _pure_rdms(state, m, max_k)
+        blocks = _pure_blocks(state, m, max_k)
     elif state.ndim == 2 and state.shape == (dim, dim):
         if abs(np.trace(state) - 1.0) > 1e-10:
             raise ValueError("density matrix is not trace-one")
         w, v = np.linalg.eigh(0.5 * (state + state.conj().T))
         if w[0] < -1e-10:
             raise ValueError("density matrix is not positive semidefinite")
-        tensors = None
-        for weight, col in zip(w, v.T):
-            if weight <= _WEIGHT_TOL:
-                continue
-            part = _pure_rdms(col, m, max_k)
-            if tensors is None:
-                tensors = [weight * t for t in part]
-            else:
-                tensors = [acc + weight * t for acc, t in zip(tensors, part)]
-        if tensors is None:
+        if w[-1] <= _WEIGHT_TOL:
             raise ValueError("density matrix has no significant eigenvalues")
+        blocks = [0.0] * max_k
+        for weight, col in zip(w, v.T):
+            if weight > _WEIGHT_TOL:
+                part = _pure_blocks(col, m, max_k)
+                blocks = [acc + weight * t for acc, t in zip(blocks, part)]
     else:
         raise ValueError("state must be a vector or a square matrix")
-    padded = tensors + [None] * (4 - len(tensors))
-    return RdmSet(mode_count=m, d1=padded[0], d2=padded[1], d3=padded[2], d4=padded[3])
-
-
-def _antisymmetrize(t: np.ndarray, k: int) -> np.ndarray:
-    """Project onto the antisymmetric part of upper and lower index groups."""
-    if k == 1:
-        return t
-    out = np.zeros_like(t)
-    perms = _perms_with_parity(k)
-    for pu, su in perms:
-        axes_u = list(pu)
-        for pl, sl in perms:
-            axes = axes_u + [k + a for a in pl]
-            out += (su * sl) * np.transpose(t, axes)
-    return out / factorial(k) ** 2
-
-
-def _shuffles(m: int, n: int):
-    """(m,n)-riffle positions with parity and new-to-old axis maps."""
-    total = m + n
-    out = []
-    for pos in combinations(range(total), m):
-        comp = [x for x in range(total) if x not in pos]
-        src = [0] * total
-        for r, p in enumerate(pos):
-            src[p] = r
-        for l, p in enumerate(comp):
-            src[p] = m + l
-        sign = -1.0 if sum(p - r for r, p in enumerate(pos)) & 1 else 1.0
-        out.append((src, sign))
-    return out
+    return RdmSet(mode_count=m, blocks=tuple(blocks))
 
 
 def wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Grassmann wedge product of (m,m)- and (n,n)-index tensors.
 
     Antisymmetrizes the tensor product over upper and lower index groups with
-    the (1/N!)^2 normalization; bilinear and associative.
+    the (1/N!)^2 normalization; bilinear and associative. Both factors are
+    packed first, which keeps only their antisymmetric parts, so inputs that
+    are not antisymmetric give the same result as their antisymmetrizations.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.ndim % 2 or b.ndim % 2:
         raise ValueError("wedge factors must have even rank")
-    m, n = a.ndim // 2, b.ndim // 2
     dims = set(a.shape) | set(b.shape)
     if len(dims) != 1:
         raise ValueError("wedge factors must share one mode dimension")
-    at = _antisymmetrize(a, m)
-    bt = _antisymmetrize(b, n)
-    total = m + n
-    t = np.multiply.outer(at, bt)
-    # outer axes [a-up, a-low, b-up, b-low] -> [upper group, lower group]
-    t = np.transpose(t, list(range(m)) + list(range(2 * m, 2 * m + n))
-                     + list(range(m, 2 * m)) + list(range(2 * m + n, 2 * (m + n))))
-    out = np.zeros_like(t)
-    shuf = _shuffles(m, n)
-    for src_u, sign_u in shuf:
-        for src_l, sign_l in shuf:
-            axes = src_u + [total + s for s in src_l]
-            out += (sign_u * sign_l) * np.transpose(t, axes)
-    scale = (factorial(m) * factorial(n) / factorial(total)) ** 2
-    return scale * out
+    (m,) = dims
+    ka, kb = a.ndim // 2, b.ndim // 2
+    return _expand(_wedge_packed(_pack(a, ka), _pack(b, kb), m, ka, kb), m, ka + kb)
 
 
 def cumulants_from_rdms(rdms: RdmSet) -> CumulantSet:
     """Invert the cumulant expansion order by order (through the 4-RDM)."""
-    c1 = np.array(rdms.d1)
-    c2 = c3 = c4 = None
-    if rdms.d2 is not None:
-        c2 = rdms.d2 - wedge(c1, c1)
-    if rdms.d3 is not None:
-        if c2 is None:
-            raise ValueError("3-RDM present but 2-RDM missing")
-        c3 = rdms.d3 - 3.0 * wedge(c2, c1) - wedge(wedge(c1, c1), c1)
-    if rdms.d4 is not None:
-        if c3 is None:
-            raise ValueError("4-RDM present but 3-RDM missing")
-        c4 = (rdms.d4 - 4.0 * wedge(c3, c1) - 3.0 * wedge(c2, c2)
-              - 6.0 * wedge(wedge(c2, c1), c1)
-              - wedge(wedge(wedge(c1, c1), c1), c1))
-    return CumulantSet(mode_count=rdms.mode_count, c1=c1, c2=c2, c3=c3, c4=c4)
+    c = [rdms.blocks[0]]
+    for n in range(2, rdms.max_k + 1):
+        c.append(rdms.blocks[n - 1] - _disconnected(c, n, rdms.mode_count))
+    return CumulantSet(mode_count=rdms.mode_count, blocks=tuple(c))
 
 
 def reconstruct_rdms(cumulants: CumulantSet, zero_above: int) -> RdmSet:
-    """Re-expand RDMs with every cumulant above `zero_above` set to zero."""
+    """Re-expand RDMs 1..4 with every cumulant above `zero_above` set to zero."""
     if zero_above not in (2, 3, 4):
         raise ValueError("zero_above must be 2, 3 or 4")
     if cumulants.max_k < zero_above:
         raise ValueError(f"cumulants populated to order {cumulants.max_k}, "
                          f"need {zero_above}")
     m = cumulants.mode_count
-    zero = {k: np.zeros((m,) * (2 * k), dtype=complex) for k in (3, 4)}
-    c1 = cumulants.c1
-    c2 = cumulants.c2
-    c3 = cumulants.c3 if zero_above >= 3 else zero[3]
-    c4 = cumulants.c4 if zero_above >= 4 else zero[4]
-    d1 = np.array(c1)
-    w11 = wedge(c1, c1)
-    d2 = c2 + w11
-    d3 = c3 + 3.0 * wedge(c2, c1) + wedge(w11, c1)
-    d4 = (c4 + 4.0 * wedge(c3, c1) + 3.0 * wedge(c2, c2)
-          + 6.0 * wedge(wedge(c2, c1), c1) + wedge(wedge(w11, c1), c1))
-    return RdmSet(mode_count=m, d1=d1, d2=d2, d3=d3, d4=d4)
+    c = list(cumulants.blocks[:zero_above])
+    c += [np.zeros((comb(m, k),) * 2, dtype=complex) for k in range(zero_above + 1, 5)]
+    d = [c[0]] + [c[n - 1] + _disconnected(c, n, m) for n in range(2, 5)]
+    return RdmSet(mode_count=m, blocks=tuple(d))
 
 
 def contract_energy(h1: np.ndarray, h2: np.ndarray, rdms: RdmSet,
                     core_energy: float = 0.0) -> float:
     """<H> = sum h1[i,k] D1[i,k] + sum h2[i,j,k,l] D2[i,j,l,k] + core."""
-    if h1.shape != rdms.d1.shape:
+    d1 = rdms.d(1)
+    if h1.shape != d1.shape:
         raise ValueError("one-body tensor shape does not match the 1-RDM")
-    value = np.einsum("ik,ik->", h1, rdms.d1)
-    if rdms.d2 is None:
+    value = np.einsum("ik,ik->", h1, d1)
+    if rdms.max_k < 2:
         raise ValueError("2-RDM required for the energy contraction")
-    if h2.shape != rdms.d2.shape:
+    d2 = rdms.d(2)
+    if h2.shape != d2.shape:
         raise ValueError("two-body tensor shape does not match the 2-RDM")
-    value += np.einsum("ijkl,ijlk->", h2, rdms.d2)
+    value += np.einsum("ijkl,ijlk->", h2, d2)
     return float(np.real(value)) + core_energy
 
 
@@ -280,12 +301,12 @@ def sample_rdms(state: np.ndarray, max_k: int, shots: int, seed: int) -> RdmSet:
     """RDMs through the measurement pathway instead of exact traces.
 
     Every distinct Pauli string appearing in the Jordan-Wigner form of the
-    required ladder products is estimated once with `shots` samples; RDM
-    elements are then assembled classically from the shared estimates, which
-    keeps upper/lower Hermiticity exact by construction. The i-th distinct
-    word draws from default_rng((seed, i)), so the streams of different
-    seeds never coincide. Expect per-element noise of a few coefficient sums
-    times 1/sqrt(shots).
+    required ladder products is estimated once with `shots` samples; the
+    packed RDM blocks are then assembled classically from the shared
+    estimates, which keeps upper/lower Hermiticity exact by construction. The
+    i-th distinct word draws from default_rng((seed, i)), so the streams of
+    different seeds never coincide. Expect per-element noise of a few
+    coefficient sums times 1/sqrt(shots).
     """
     state = np.asarray(state, dtype=complex)
     dim = state.shape[0]
@@ -306,12 +327,9 @@ def sample_rdms(state: np.ndarray, max_k: int, shots: int, seed: int) -> RdmSet:
             estimates[word] = est
         return estimates[word]
 
-    tensors = []
+    blocks = []
     for k in range(1, max_k + 1):
         combos = list(combinations(range(m), k))
-        if not combos:
-            tensors.append(np.zeros((m,) * (2 * k), dtype=complex))
-            continue
         vals = np.zeros((len(combos), len(combos)), dtype=complex)
         for a, upper in enumerate(combos):
             for b, lower in enumerate(combos):
@@ -322,17 +340,8 @@ def sample_rdms(state: np.ndarray, max_k: int, shots: int, seed: int) -> RdmSet:
                 for word, coeff in pauli_form.terms.items():
                     total += coeff if word == identity else coeff * word_value(word)
                 vals[a, b] = total / factorial(k)
-        d = np.zeros((m,) * (2 * k), dtype=complex)
-        carr = np.array(combos)
-        for pu, su in _perms_with_parity(k):
-            upper_ix = [carr[:, pu[a]].reshape(-1, 1) for a in range(k)]
-            for pl, sl in _perms_with_parity(k):
-                lower_ix = [carr[:, pl[a]].reshape(1, -1) for a in range(k)]
-                d[tuple(upper_ix + lower_ix)] = (su * sl) * vals
-        tensors.append(d)
-    padded = tensors + [None] * (4 - len(tensors))
-    return RdmSet(mode_count=m, d1=padded[0], d2=padded[1], d3=padded[2],
-                  d4=padded[3])
+        blocks.append(vals)
+    return RdmSet(mode_count=m, blocks=tuple(blocks))
 
 
 def estimate_pauli(state: np.ndarray, pauli: PauliOperator, shots: int,
@@ -340,10 +349,12 @@ def estimate_pauli(state: np.ndarray, pauli: PauliOperator, shots: int,
     """Simulated projective estimate of a single Pauli string.
 
     Draws `shots` Bernoulli samples at probability (1 + <P>)/2 from the
-    seeded generator; returns the sample mean (scaled by the term's real
-    coefficient) and its standard error. `seed` is anything
-    np.random.default_rng accepts, e.g. an int or an (int, word index) pair;
-    the result is deterministic for a fixed seed.
+    seeded generator and counts the +1 outcomes; returns the sample mean
+    (scaled by the term's real coefficient) and its standard error
+    sqrt((1 - mean^2) / (shots - 1)), the ddof=1 standard deviation of the
+    +-1 outcomes over sqrt(shots). `seed` is anything np.random.default_rng
+    accepts, e.g. an int or an (int, word index) pair; the result is
+    deterministic for a fixed seed.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
@@ -361,8 +372,8 @@ def estimate_pauli(state: np.ndarray, pauli: PauliOperator, shots: int,
         exact = float(np.real(np.trace(acted)))
     p = min(max((1.0 + exact) / 2.0, 0.0), 1.0)
     rng = np.random.default_rng(seed)
-    samples = np.where(rng.random(shots) < p, 1.0, -1.0)
-    mean = float(samples.mean())
-    stderr = float(samples.std(ddof=1) / np.sqrt(shots)) if shots > 1 else 0.0
+    ups = int(np.count_nonzero(rng.random(shots) < p))
+    mean = (2 * ups - shots) / shots
+    stderr = float(np.sqrt((1.0 - mean * mean) / (shots - 1))) if shots > 1 else 0.0
     scale = float(np.real(coeff))
     return scale * mean, abs(scale) * stderr

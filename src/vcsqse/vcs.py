@@ -17,7 +17,7 @@ import numpy as np
 
 from .channels import KrausChannel, _kraus_sweep, apply_channel
 from .linalg import hermitian_eigensolve
-from .operators import FermionOperator, fermion_to_dense, symmetry_operator
+from .operators import FermionOperator, dense_symmetry, fermion_to_dense
 
 # Eigenvalues within this distance of the bottom count as one degenerate block.
 DEGENERACY_TOL = 1e-9
@@ -81,7 +81,7 @@ def _penalized(h_dense, penalties, mode_count):
         elif isinstance(op, str):
             if mode_count is None:
                 raise ValueError("named penalty operators need a fermionic H")
-            od = fermion_to_dense(symmetry_operator(op, mode_count))
+            od = dense_symmetry(op, mode_count)
         else:
             od = np.asarray(op, dtype=complex)
         shifted = od - target * np.eye(out.shape[0])
@@ -112,7 +112,7 @@ def _diagnostics(h_dense, ch, psi, mode_count):
     sym = {}
     if mode_count is not None:
         for name in ("number", "s_squared"):
-            od = fermion_to_dense(symmetry_operator(name, mode_count))
+            od = dense_symmetry(name, mode_count)
             sym[name] = float(np.real(psi.conj() @ od @ psi))
     return rho_out, energy, fid, sym
 

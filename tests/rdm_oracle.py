@@ -1,0 +1,112 @@
+"""Reference full-tensor RDM constructions, for the tests only.
+
+wedge antisymmetrizes the tensor product of two full (k, k)-index tensors
+by summing transposed copies over every riffle shuffle of the index groups,
+and zc_h_sub builds the ZC matrix by normal-ordering every product
+(a_i^ a_j)^ [H0, a_k^ a_l] symbolically and contracting it term by term.
+These are the textbook definitions the package's packed wedge kernel and
+closed-form ZC contraction must reproduce. Each wedge holds (k!)^2
+transposed M^(2k) tensors and ZC needs (M^2 + 1)^2 symbolic products, so
+keep M small.
+"""
+
+from itertools import combinations, permutations
+from math import factorial
+
+import numpy as np
+
+from vcsqse.molecule import hamiltonian_from_tensors
+from vcsqse.operators import FermionOperator, commutator, normal_order
+from vcsqse.qse import _overlap_lr
+from vcsqse.rdm import RdmSet, cumulants_from_rdms, expectation_from_rdms, reconstruct_rdms
+
+
+def _perms_with_parity(k: int):
+    out = []
+    for perm in permutations(range(k)):
+        inv = sum(1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b])
+        out.append((perm, -1.0 if inv & 1 else 1.0))
+    return out
+
+
+def antisymmetrize(t: np.ndarray, k: int) -> np.ndarray:
+    """Project onto the antisymmetric part of upper and lower index groups."""
+    if k == 1:
+        return t
+    out = np.zeros_like(t)
+    perms = _perms_with_parity(k)
+    for pu, su in perms:
+        axes_u = list(pu)
+        for pl, sl in perms:
+            axes = axes_u + [k + a for a in pl]
+            out += (su * sl) * np.transpose(t, axes)
+    return out / factorial(k) ** 2
+
+
+def _shuffles(m: int, n: int):
+    """(m,n)-riffle positions with parity and new-to-old axis maps."""
+    total = m + n
+    out = []
+    for pos in combinations(range(total), m):
+        comp = [x for x in range(total) if x not in pos]
+        src = [0] * total
+        for r, p in enumerate(pos):
+            src[p] = r
+        for l, p in enumerate(comp):
+            src[p] = m + l
+        sign = -1.0 if sum(p - r for r, p in enumerate(pos)) & 1 else 1.0
+        out.append((src, sign))
+    return out
+
+
+def wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Grassmann wedge product of full (m,m)- and (n,n)-index tensors."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    m, n = a.ndim // 2, b.ndim // 2
+    at = antisymmetrize(a, m)
+    bt = antisymmetrize(b, n)
+    total = m + n
+    t = np.multiply.outer(at, bt)
+    # outer axes [a-up, a-low, b-up, b-low] -> [upper group, lower group]
+    t = np.transpose(t, list(range(m)) + list(range(2 * m, 2 * m + n))
+                     + list(range(m, 2 * m)) + list(range(2 * m + n, 2 * (m + n))))
+    out = np.zeros_like(t)
+    shuf = _shuffles(m, n)
+    for src_u, sign_u in shuf:
+        for src_l, sign_l in shuf:
+            axes = src_u + [total + s for s in src_l]
+            out += (sign_u * sign_l) * np.transpose(t, axes)
+    scale = (factorial(m) * factorial(n) / factorial(total)) ** 2
+    return scale * out
+
+
+def _excitation_terms(m: int):
+    """Identity, then a_i^ a_j in row-major (i, j) order: the LR rows."""
+    ops = [FermionOperator.identity(m)]
+    for i in range(m):
+        for j in range(m):
+            ops.append(FermionOperator(m, {((i, True), (j, False)): 1.0}))
+    return ops
+
+
+def zc_h_sub(h1, h2, rdms: RdmSet, e_g: float, truncate: bool = False) -> np.ndarray:
+    """ZC Hamiltonian matrix <E_a^ [H0, E_b]> + e_g S by symbolic products.
+
+    The overlap S comes from the exact 1- and 2-RDMs of `rdms`; with
+    truncate=True the products are contracted with RDMs reconstructed from
+    the 1- and 2-cumulants.
+    """
+    m = rdms.mode_count
+    work = reconstruct_rdms(cumulants_from_rdms(rdms), 2) if truncate else rdms
+    h_op = hamiltonian_from_tensors(np.asarray(h1, dtype=float),
+                                    np.asarray(h2, dtype=float), 0.0)
+    rows = _excitation_terms(m)
+    s_sub = _overlap_lr(rdms)
+    h_sub = np.zeros((len(rows), len(rows)), dtype=complex)
+    for b, op in enumerate(rows):
+        comm = normal_order(commutator(h_op, op))
+        for a, row in enumerate(rows):
+            h_sub[a, b] = expectation_from_rdms(normal_order(row.adjoint() * comm), work)
+    h_sub += e_g * s_sub
+    return 0.5 * (h_sub + h_sub.conj().T)

@@ -1,6 +1,6 @@
 import pytest
 
-from vcsqse import experiments
+from vcsqse import experiments, operators, qse, vcs
 from vcsqse.cli import main
 from vcsqse.config import (ConfigError, ExperimentConfig, config_to_text,
                            load_config, parse_config)
@@ -94,14 +94,41 @@ class TestExperiments:
         for r, _, level, energy in sector:
             assert abs(sorted(by_point[r])[level] - energy) < 1e-8
 
-    def test_symmetry_matrices_built_once_per_sweep(self, mini_sweep, monkeypatch):
+    @staticmethod
+    def spy_dense_builds(monkeypatch):
+        """Record every fermion_to_dense call, with the symmetry cache cold."""
         built = []
-        real = experiments.fermion_to_dense
-        monkeypatch.setattr(experiments, "fermion_to_dense",
-                            lambda op: built.append(op) or real(op))
+        real = operators.fermion_to_dense
+        for module in (experiments, operators, vcs):
+            monkeypatch.setattr(module, "fermion_to_dense",
+                                lambda op: built.append(op) or real(op))
+        operators.dense_symmetry.cache_clear()
+        return built
+
+    def test_symmetry_matrices_built_once_per_sweep(self, mini_sweep, monkeypatch):
+        built = self.spy_dense_builds(monkeypatch)
         cfg = parse_config(config_text(mini_sweep, experiment="spectrum"))
         run_experiment(cfg)
         assert len(built) == 3 + 2  # one Hamiltonian per point, N and S^2 once
+
+    def test_channel_solves_share_the_symmetry_matrices(self, mini_sweep, monkeypatch):
+        """3 points x 3 channels x 2 solves read N and S^2, built once."""
+        built = self.spy_dense_builds(monkeypatch)
+        run_experiment(parse_config(config_text(mini_sweep)))
+        assert len(built) == 3 + 2
+        assert not operators.dense_symmetry("number", 4).flags.writeable
+
+    def test_expansion_basis_built_once_per_process(self, mini_sweep, monkeypatch):
+        """Both RDM-route sweeps map the 16 a_i^ a_j of M = 4 once in all."""
+        calls = []
+        real = qse.jordan_wigner
+        monkeypatch.setattr(qse, "jordan_wigner", lambda op: calls.append(op) or real(op))
+        qse.fermionic_basis.cache_clear()
+        for experiment in ("spectrum", "approx-spectrum"):
+            run_experiment(parse_config(config_text(mini_sweep, experiment=experiment)))
+        assert len(calls) == 16
+        assert qse.fermionic_basis(4, 1) is qse.fermionic_basis(4, 1)
+        assert isinstance(qse.fermionic_basis(4, 1).operators, tuple)
 
     def test_run_experiment_rejects_single_point(self, sto3g_path):
         cfg = ExperimentConfig(experiment="single-point",

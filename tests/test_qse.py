@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pauli_oracle import dense_subspace
+from rdm_oracle import zc_h_sub
 from vcsqse.channels import ChannelSpec, lift_to_register, single_qubit_channel
 from vcsqse.molecule import hamiltonian_from_tensors, spin_orbital_tensors
 from vcsqse.operators import (PauliOperator, apply_pauli, fermion_to_dense,
@@ -36,7 +37,7 @@ def stretched(sweep_dense, sym_dense):
 class TestBases:
     def test_fermionic_m2_enumeration(self):
         basis = fermionic_basis(2, 1)
-        assert basis.labels == ["g", "0^ 0", "0^ 1", "1^ 0", "1^ 1"]
+        assert basis.labels == ("g", "0^ 0", "0^ 1", "1^ 0", "1^ 1")
         assert pauli_to_dense(basis.operators[0]).trace() == 4.0  # identity first
 
     def test_fermionic_m4_k1_count(self):
@@ -359,6 +360,23 @@ class TestApproximations:
         rdms = compute_rdms(stretched["v"][:, 0], 4)
         with pytest.raises(ValueError, match="method"):
             approximate_lr("XY", h1, h2, rdms, 0.0)
+
+    @pytest.mark.parametrize("truncate", [False, True])
+    @pytest.mark.parametrize("source", ["fixture", "random"])
+    def test_zc_matches_symbolic_oracle(self, stretched, source, truncate):
+        """Closed-form ZC equals the normal-ordered symbolic products."""
+        rng = np.random.default_rng(40 + truncate)
+        h1, h2, _ = spin_orbital_tensors(stretched["ints"])
+        if source == "random":
+            h1 = rng.normal(size=(4, 4))
+            h2 = rng.normal(size=(4, 4, 4, 4))
+        for _ in range(2):
+            psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+            rdms = compute_rdms(psi / np.linalg.norm(psi), 3)
+            e_g = float(rng.normal())
+            zc = approximate_lr("ZC", h1, h2, rdms, e_g, truncate=truncate)
+            oracle = zc_h_sub(h1, h2, rdms, e_g, truncate=truncate)
+            assert np.abs(zc.h_sub - oracle).max() < 1e-12
 
     def test_zc_beats_za_on_correlated_sweep_point(self, stretched):
         psi0 = stretched["v"][:, 0]

@@ -1,6 +1,12 @@
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rdm_oracle
 from pauli_oracle import kron_dense
 from vcsqse import experiments, rdm
 from vcsqse.molecule import assemble_hamiltonian, spin_orbital_tensors
@@ -155,6 +161,38 @@ class TestWedge:
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 5), ka=st.integers(1, 3), kb=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_packed_wedge_matches_full_tensor_oracle(m, ka, kb, seed):
+    """Random factors that are not antisymmetric, m + n <= 4, M <= 5."""
+    kb = min(kb, 4 - ka)
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m,) * (2 * ka)) + 1j * rng.normal(size=(m,) * (2 * ka))
+    b = rng.normal(size=(m,) * (2 * kb)) + 1j * rng.normal(size=(m,) * (2 * kb))
+    assert np.abs(wedge(a, b) - rdm_oracle.wedge(a, b)).max() < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(1, 5), k=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_pack_then_expand_returns_antisymmetric_input(m, k, seed):
+    rng = np.random.default_rng(seed)
+    t = rng.normal(size=(m,) * (2 * k)) + 1j * rng.normal(size=(m,) * (2 * k))
+    anti = rdm_oracle.antisymmetrize(t, k)
+    back = rdm._expand(rdm._pack(anti, k), m, k)
+    assert np.abs(back - anti).max() < 1e-12
+
+
+def test_packed_block_holds_the_sorted_tuple_elements():
+    """packed[I, J] = D[I, J] at sorted tuples, with no extra factor."""
+    rdms = compute_rdms(random_state(np.random.default_rng(30), 5), 3)
+    combos = list(combinations(range(5), 3))
+    d3 = rdms.d(3)
+    for a, upper in enumerate(combos):
+        for b, lower in enumerate(combos):
+            assert rdms.blocks[2][a, b] == d3[upper + lower]
+
+
 class TestCumulants:
     def test_slater_determinant_cumulants_vanish(self):
         rng = np.random.default_rng(11)
@@ -200,6 +238,23 @@ class TestCumulants:
         rdms = compute_rdms(v[:, 0], 4)
         rec = reconstruct_rdms(cumulants_from_rdms(rdms), 2)
         assert np.abs(rec.d3 - rdms.d3).max() > 1e-4
+
+    def test_m8_cumulants_and_reconstruction_stay_packed(self, monkeypatch):
+        """M = 8 through the 4-RDM: no block is expanded to a full tensor."""
+        expanded = []
+        real = rdm._expand
+        monkeypatch.setattr(rdm, "_expand",
+                            lambda block, m, k: expanded.append(k) or real(block, m, k))
+        state = random_sector_state(np.random.default_rng(31), 8, 4)
+        tracemalloc.start()
+        try:
+            rec = reconstruct_rdms(cumulants_from_rdms(compute_rdms(state, 4)), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert expanded == []
+        assert [b.shape for b in rec.blocks] == [(8, 8), (28, 28), (56, 56), (70, 70)]
+        assert peak < 200 << 20
 
     def test_zero_above_validation(self):
         rng = np.random.default_rng(15)
@@ -264,6 +319,21 @@ class TestEstimatePauli:
         state[0] = 1.0  # Z0 eigenstate, eigenvalue +1
         est, err = estimate_pauli(state, PauliOperator(2, {"ZI": 1.0}), 500, 3)
         assert est == 1.0 and err == 0.0
+
+    def test_counting_matches_the_plus_minus_one_samples(self):
+        """Same mean bit for bit; stderr to a few ulps of the ddof=1 form."""
+        rng = np.random.default_rng(26)
+        for case in range(20):
+            state = random_state(rng, 2)
+            p = PauliOperator(2, {"XZ": 1.0})
+            exact = float(np.real(state.conj() @ kron_dense(p) @ state))
+            shots = int(rng.integers(2, 5000))
+            draws = np.random.default_rng(case).random(shots)
+            samples = np.where(draws < (1.0 + exact) / 2.0, 1.0, -1.0)
+            est, err = estimate_pauli(state, p, shots, case)
+            assert est == float(samples.mean())
+            ref = float(samples.std(ddof=1) / np.sqrt(shots))
+            assert abs(err - ref) <= 1e-14 * ref
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(19)
