@@ -4,11 +4,19 @@ A KrausChannel holds one completeness-checked Kraus set {K} on a d-level
 factor and the number n of identical tensor factors it acts on, so its
 dimension is d^n. An explicit channel has one factor; lift_to_register
 records n factors of a single-qubit set. The |K|^n product operators of the
-register are never formed: the private kernel reshapes a d^n x d^n matrix so
-each factor's row and column index is an axis of its own and applies
-X -> sum_K K X K^dag to one factor after another. With one factor that is
-the dense Kraus sum. apply_channel uses it for rho -> sum K rho K^dag and
-vcs.transform_hamiltonian, with the adjoint set, for H -> sum K^dag H K.
+register are never formed. The channel instead holds the set's d^2 x d^2
+transfer matrix S = sum_K K (x) conj(K), which maps the row-major pair
+(i, j) of a factor's row and column index as vec(K X K^dag) = S vec(X). The
+private kernel reshapes a d^n x d^n matrix so that each factor's row and
+column index pair is one axis of length d^2 and multiplies it by S, one
+factor after another: one matrix product per factor, whatever |K|.
+apply_channel uses S for rho -> sum K rho K^dag, and
+vcs.transform_hamiltonian uses S^dag, the transfer matrix of the adjoint
+set, for H -> sum K^dag H K.
+
+S holds d^4 complex entries, 64 GiB for a one-factor 8-qubit set (d = 256).
+The constructor refuses a set whose transfer matrix would exceed
+TRANSFER_BYTE_LIMIT before it allocates anything.
 
 Single-qubit channels are parameterized by the dimensionless ratios
 tp_over_t1 and tp_over_t2 (state-preparation time over decay and coherence
@@ -25,11 +33,14 @@ constant is tied to tp_over_t2 so a single ratio controls each channel.
 
 from dataclasses import dataclass
 from itertools import product
-from math import exp, sqrt
+from math import exp, isqrt, sqrt
 
 import numpy as np
 
 COMPLETENESS_TOL = 1e-12
+# Bound on a channel's transfer matrix, d^4 complex entries: 64 MiB admits
+# every explicit set on up to 5 qubits (d <= 32); d = 256 would need 64 GiB.
+TRANSFER_BYTE_LIMIT = 1 << 26
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -56,16 +67,22 @@ class ChannelSpec:
 
 class KrausChannel:
     """CPTP map: one completeness-checked Kraus set on each of `factors`
-    identical tensor factors."""
+    identical tensor factors, with the set's transfer matrix."""
 
     def __init__(self, kraus_ops, label: str = "", factors: int = 1):
-        ops = [np.asarray(k, dtype=complex) for k in kraus_ops]
+        ops = [np.asarray(k) for k in kraus_ops]
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
         dim = ops[0].shape[0]
         for k in ops:
             if k.shape != (dim, dim):
                 raise ValueError("all Kraus operators must be square with equal dims")
+        need = dim ** 4 * np.dtype(complex).itemsize
+        if need > TRANSFER_BYTE_LIMIT:
+            raise ValueError(f"the transfer matrix of a {dim}-level Kraus set needs "
+                             f"{need} bytes, above the limit of {TRANSFER_BYTE_LIMIT}")
+        # complex copies only once the set's size is accepted
+        ops = [np.asarray(k, dtype=complex) for k in ops]
         total = sum(k.conj().T @ k for k in ops)
         if np.abs(total - np.eye(dim)).max() > COMPLETENESS_TOL:
             raise ValueError("Kraus completeness sum K^dag K = I violated")
@@ -75,6 +92,8 @@ class KrausChannel:
         self.label = label
         self.factors = factors
         self.dim = dim ** factors
+        # row (i, j) and column (k, l) of the factor's index pairs
+        self.transfer = sum(np.kron(k, k.conj()) for k in ops)
 
     def __repr__(self):
         return (f"KrausChannel({self.label or 'unnamed'}, dim={self.dim}, "
@@ -141,22 +160,22 @@ def lift_to_register(per_qubit: KrausChannel, n: int) -> KrausChannel:
                         factors=n)
 
 
-def _kraus_sweep(ops, mat: np.ndarray, factors: int) -> np.ndarray:
-    """X -> sum_K K X K^dag on each of `factors` tensor factors in turn.
+def _transfer_sweep(transfer: np.ndarray, mat: np.ndarray, factors: int) -> np.ndarray:
+    """vec(X) -> S vec(X) on each of `factors` tensor factors in turn.
 
-    Factor q is bit q of the index: the row index splits as (outer, d, inner)
-    with inner = d^q, so K acts on the middle axis of the rows, and K^dag on
-    the middle axis of the columns.
+    Factor q is digit q of the index in base d: the row index splits as
+    (outer, d, inner) with inner = d^q, and so does the column index. The
+    factor's row and column digits move next to each other as one axis of
+    length d^2, which S multiplies, and move back.
     """
-    d = ops[0].shape[0]
+    d = isqrt(transfer.shape[0])
     dim = mat.shape[0]
     for q in range(factors):
         outer, inner = d ** (factors - q - 1), d ** q
-        out = np.zeros_like(mat)
-        for k in ops:
-            kx = k @ mat.reshape(outer, d, inner * dim)
-            out += (k.conj() @ kx.reshape(dim * outer, d, inner)).reshape(dim, dim)
-        mat = out
+        split = mat.reshape(outer, d, inner * outer, d, inner)
+        pairs = split.transpose(1, 3, 0, 2, 4).reshape(d * d, -1)
+        mixed = (transfer @ pairs).reshape(d, d, outer, inner * outer, inner)
+        mat = mixed.transpose(2, 0, 3, 1, 4).reshape(dim, dim)
     return mat
 
 
@@ -176,7 +195,7 @@ def apply_channel(ch: KrausChannel, rho: np.ndarray, check: bool = True) -> np.n
         raise ValueError(f"state dim {rho.shape} does not match channel dim {ch.dim}")
     if check:
         _check_density(rho)
-    return _kraus_sweep(ch.kraus_ops, rho, ch.factors)
+    return _transfer_sweep(ch.transfer, rho, ch.factors)
 
 
 def channel_spec_tokens(spec: ChannelSpec) -> dict:

@@ -95,9 +95,16 @@ def _prepare(points):
     return [_point(pt.integrals, pt.bond_length) for pt in points]
 
 
-def _channel_for(point: _Point, kind: str, ratios):
-    spec = ChannelSpec(kind=kind, tp_over_t1=ratios[0], tp_over_t2=ratios[1])
-    return lift_to_register(single_qubit_channel(spec), point.mode_count)
+def _channel_for(built: dict, point: _Point, kind: str, ratios):
+    """The lifted channel on point's register, built once per curve.
+
+    `built` maps a mode count to its channel; each curve passes its own.
+    """
+    m = point.mode_count
+    if m not in built:
+        spec = ChannelSpec(kind=kind, tp_over_t1=ratios[0], tp_over_t2=ratios[1])
+        built[m] = lift_to_register(single_qubit_channel(spec), m)
+    return built[m]
 
 
 def _ratios(cfg: ExperimentConfig):
@@ -127,10 +134,11 @@ def _fidelity_sweep(cfg: ExperimentConfig):
     ratios = _ratios(cfg)
 
     def one_channel(token):
-        rows, events, prev = [], 0, None
+        rows, events, prev, built = [], 0, None, {}
         for point in points:
             def step():
-                ch = _channel_for(point, channel_kind_from_token(token), ratios)
+                ch = _channel_for(built, point, channel_kind_from_token(token),
+                                  ratios)
                 sol = solve_vcs(point.h_dense, ch, penalties=cfg.penalties,
                                 continuation=prev)
                 base = no_variation_baseline(point.h_dense, ch,
@@ -195,11 +203,11 @@ def _qse_repair(cfg: ExperimentConfig):
     proj = cfg.projection or ("s_squared", 0.0, 0.5)
 
     def one_reference(ref_name):
-        rows, events, prev = [], 0, None
+        rows, events, prev, built = [], 0, None, {}
         solver = solve_vcs if ref_name == "vcs" else no_variation_baseline
         for point in points:
             def step():
-                ch = _channel_for(point, kind, ratios)
+                ch = _channel_for(built, point, kind, ratios)
                 sol = solver(point.h_dense, ch, penalties=cfg.penalties,
                              continuation=prev)
                 basis = fermionic_basis(point.mode_count, 1)
@@ -244,7 +252,7 @@ def _ground_channels(cfg: ExperimentConfig):
     ratios = _ratios(cfg)
 
     def one_curve(curve):
-        rows, events, prev = [], 0, None
+        rows, events, prev, built = [], 0, None, {}
         for point in points:
             def step():
                 s2d = point.symmetry_dense["s_squared"]
@@ -260,7 +268,7 @@ def _ground_channels(cfg: ExperimentConfig):
                 if curve == "ph_s2pen":
                     penalties = [("s_squared", 0.0, S2_PENALTY_WEIGHT)]
                 kind = channel_kind_from_token(curve.removesuffix("_s2pen"))
-                ch = _channel_for(point, kind, ratios)
+                ch = _channel_for(built, point, kind, ratios)
                 sol = solve_vcs(point.h_dense, ch, penalties=penalties,
                                 continuation=prev)
                 return (sol, sol.energy,

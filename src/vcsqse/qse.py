@@ -9,19 +9,24 @@ The direct route never forms a basis operator as a dense matrix. Every
 Pauli word of a basis element acts as a signed permutation,
 (c P v)[j] = c * i^#Y * (-1)^popcount((j ^ x) & z) * v[j ^ x], with x the
 mask of its X/Y letters and z that of its Z/Y letters
-(operators.pauli_action).
+(operators.pauli_action). An ExpansionBasis pads those forms once to a slot
+stack, src and phase of shape (slots, n_b, 2^M) with slots its largest word
+count (operators.stack_actions). A build then applies all elements at once,
+one gather per word slot, to the state vector, to rho from the left and to
+each weight from the right. A padded slot adds zero, so each element still
+sums its words in order and the result equals the per-element loop bit for
+bit.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 
 import numpy as np
 
 from .linalg import Spectrum, generalized_eigensolve
-from .operators import (FermionOperator, PauliOperator, apply_pauli,
-                        apply_pauli_right, jordan_wigner, normal_order,
-                        pauli_action)
+from .operators import (FermionOperator, PauliOperator, apply_stacked,
+                        jordan_wigner, normal_order, stack_actions)
 from .rdm import RdmSet, cumulants_from_rdms, reconstruct_rdms
 
 # Looser than the linalg default: RDM-contracted matrices carry accumulated
@@ -29,9 +34,11 @@ from .rdm import RdmSet, cumulants_from_rdms, reconstruct_rdms
 QSE_METRIC_CUTOFF = 1e-8
 FERMIONIC_MODE_LIMIT = 8
 QUBIT_LIMIT = 12
-# Bound on the two stacks build_subspace_direct holds: E_b rho and W E_b
-# for every basis element b (n_b * 2^M * 2^M complex each for a density
-# matrix, n_b * 2^M for a state vector).
+# Bound on every stack build_subspace_direct holds: the basis's slot stack
+# (an index and a complex phase per slot, element and basis state), for a
+# density matrix the phases of the right action, and the two action stacks, E_b rho
+# and W E_b (n_b * 2^M * 2^M complex each for a density matrix, E_b psi and
+# W E_b psi, n_b * 2^M each, for a state vector).
 SUBSPACE_BYTE_LIMIT = 1 << 30
 
 
@@ -45,6 +52,11 @@ class ExpansionBasis:
 
     def __len__(self):
         return len(self.operators)
+
+    @cached_property
+    def action_stack(self) -> tuple[np.ndarray, np.ndarray]:
+        """operators.stack_actions of the elements, built on first use."""
+        return stack_actions(self.operators)
 
 
 @dataclass
@@ -143,8 +155,9 @@ def build_subspace_direct(basis: ExpansionBasis, h: np.ndarray, rho: np.ndarray,
 
     A state vector psi gives Phi = [E_b psi] and each block Phi^ (W Phi). A
     density matrix gives h[a,b] = sum_ij conj(E_a rho)_ij (W E_b)_ij, with
-    E_a rho a row action on rho and W E_b a column action on W, gathered
-    one basis element at a time.
+    E_a rho a row action on rho and W E_b a column action on W. Every stack
+    is gathered for all elements at once, one word slot at a time
+    (operators.apply_stacked on basis.action_stack).
     """
     h = np.asarray(h, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
@@ -154,27 +167,27 @@ def build_subspace_direct(basis: ExpansionBasis, h: np.ndarray, rho: np.ndarray,
     if basis.operators and 1 << basis.operators[0].qubit_count != dim:
         raise ValueError("basis operator dimension does not match H")
     n_b = len(basis)
-    need = 2 * n_b * rho.size * np.dtype(complex).itemsize
+    complex_size = np.dtype(complex).itemsize
+    slots = max((len(op.terms) for op in basis.operators), default=0)
+    phase_stacks = 1 if rho.ndim == 1 else 2
+    need = (2 * n_b * rho.size * complex_size + slots * n_b * dim
+            * (np.dtype(np.intp).itemsize + phase_stacks * complex_size))
     if need > SUBSPACE_BYTE_LIMIT:
         raise ValueError(f"subspace build needs {need} bytes for {n_b} basis "
                          f"elements, above the limit of {SUBSPACE_BYTE_LIMIT}")
+    stack = basis.action_stack
     if rho.ndim == 1:
-        phi = np.stack([apply_pauli(pauli_action(op), rho)
-                        for op in basis.operators], axis=1)
+        phi = np.ascontiguousarray(apply_stacked(stack, rho).T)
 
         def block(weight):
             return _symmetrized(phi.conj().T @ (weight @ phi))
     else:
-        actions = [pauli_action(op) for op in basis.operators]
-        rows = np.empty((n_b, dim, dim), dtype=complex)
-        cols = np.empty_like(rows)
-        for b, act in enumerate(actions):
-            rows[b] = apply_pauli(act, rho)
+        rows = apply_stacked(stack, rho)
         np.conj(rows, out=rows)
+        cols = np.empty_like(rows)
 
         def block(weight):
-            for b, act in enumerate(actions):
-                cols[b] = apply_pauli_right(weight, act)
+            apply_stacked(stack, weight, out=cols, right=True)
             return _symmetrized(rows.reshape(n_b, -1) @ cols.reshape(n_b, -1).T)
 
     s_sub = block(np.eye(dim))

@@ -329,19 +329,35 @@ def sample_rdms(state: np.ndarray, max_k: int, shots: int, seed: int) -> RdmSet:
 
     blocks = []
     for k in range(1, max_k + 1):
-        combos = list(combinations(range(m), k))
-        vals = np.zeros((len(combos), len(combos)), dtype=complex)
-        for a, upper in enumerate(combos):
-            for b, lower in enumerate(combos):
-                seq = (tuple((i, True) for i in upper)
-                       + tuple((j, False) for j in reversed(lower)))
-                pauli_form = jordan_wigner(FermionOperator(m, {seq: 1.0}))
-                total = 0.0 + 0.0j
-                for word, coeff in pauli_form.terms.items():
-                    total += coeff if word == identity else coeff * word_value(word)
-                vals[a, b] = total / factorial(k)
+        forms = _ladder_pauli_forms(m, k)
+        n = comb(m, k)
+        vals = np.zeros((n, n), dtype=complex)
+        for (a, b), terms in zip(np.ndindex(n, n), forms):
+            total = 0.0 + 0.0j
+            for word, coeff in terms:
+                total += coeff if word == identity else coeff * word_value(word)
+            vals[a, b] = total / factorial(k)
         blocks.append(vals)
     return RdmSet(mode_count=m, blocks=tuple(blocks))
+
+
+@lru_cache(maxsize=None)
+def _ladder_pauli_forms(m: int, k: int) -> tuple:
+    """Jordan-Wigner (word, coefficient) pairs of every a_I^ a_J, |I| = |J| = k.
+
+    One tuple per (I, J) over sorted index tuples, row-major, each in
+    jordan_wigner's term order, so a caller walking them meets the words in
+    the order they first appear.
+    """
+    combos = list(combinations(range(m), k))
+    forms = []
+    for upper in combos:
+        for lower in combos:
+            seq = (tuple((i, True) for i in upper)
+                   + tuple((j, False) for j in reversed(lower)))
+            forms.append(tuple(jordan_wigner(FermionOperator(m, {seq: 1.0}))
+                               .terms.items()))
+    return tuple(forms)
 
 
 def estimate_pauli(state: np.ndarray, pauli: PauliOperator, shots: int,

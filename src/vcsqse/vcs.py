@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import KrausChannel, _kraus_sweep, apply_channel
+from .channels import KrausChannel, _transfer_sweep, apply_channel
 from .linalg import hermitian_eigensolve
 from .operators import FermionOperator, dense_symmetry, fermion_to_dense
 
@@ -35,11 +35,14 @@ class VcsSolution:
 
 
 def transform_hamiltonian(h: np.ndarray, ch: KrausChannel) -> np.ndarray:
-    """H' = sum_i K_i^dag H K_i (Hermitian for Hermitian H), factor by factor."""
+    """H' = sum_i K_i^dag H K_i (Hermitian for Hermitian H), factor by factor.
+
+    The adjoint set's transfer matrix is S^dag, S that of the channel.
+    """
     h = np.asarray(h, dtype=complex)
     if h.shape != (ch.dim, ch.dim):
         raise ValueError(f"H dim {h.shape} does not match channel dim {ch.dim}")
-    return _kraus_sweep([k.conj().T for k in ch.kraus_ops], h, ch.factors)
+    return _transfer_sweep(ch.transfer.conj().T, h, ch.factors)
 
 
 def fidelity(rho: np.ndarray, phi: np.ndarray) -> float:

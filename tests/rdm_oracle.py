@@ -8,17 +8,23 @@ These are the textbook definitions the package's packed wedge kernel and
 closed-form ZC contraction must reproduce. Each wedge holds (k!)^2
 transposed M^(2k) tensors and ZC needs (M^2 + 1)^2 symbolic products, so
 keep M small.
+
+loop_sample_rdms Jordan-Wigner maps every ladder product a_I^ a_J afresh
+and estimates its words as it meets them, which the package's sample_rdms
+must match bit for bit with its cached Pauli forms.
 """
 
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
 from vcsqse.molecule import hamiltonian_from_tensors
-from vcsqse.operators import FermionOperator, commutator, normal_order
+from vcsqse.operators import (FermionOperator, PauliOperator, commutator,
+                              jordan_wigner, normal_order)
 from vcsqse.qse import _overlap_lr
-from vcsqse.rdm import RdmSet, cumulants_from_rdms, expectation_from_rdms, reconstruct_rdms
+from vcsqse.rdm import (RdmSet, cumulants_from_rdms, estimate_pauli,
+                        expectation_from_rdms, reconstruct_rdms)
 
 
 def _perms_with_parity(k: int):
@@ -110,3 +116,33 @@ def zc_h_sub(h1, h2, rdms: RdmSet, e_g: float, truncate: bool = False) -> np.nda
             h_sub[a, b] = expectation_from_rdms(normal_order(row.adjoint() * comm), work)
     h_sub += e_g * s_sub
     return 0.5 * (h_sub + h_sub.conj().T)
+
+
+def loop_sample_rdms(state, max_k, shots, seed):
+    """Packed sampled RDM blocks, one Jordan-Wigner map per (I, J) pair."""
+    state = np.asarray(state, dtype=complex)
+    m = state.shape[0].bit_length() - 1
+    identity = "I" * m
+    estimates = {}
+    blocks = []
+    for k in range(1, max_k + 1):
+        combos = list(combinations(range(m), k))
+        vals = np.zeros((comb(m, k),) * 2, dtype=complex)
+        for a, upper in enumerate(combos):
+            for b, lower in enumerate(combos):
+                seq = (tuple((i, True) for i in upper)
+                       + tuple((j, False) for j in reversed(lower)))
+                pauli_form = jordan_wigner(FermionOperator(m, {seq: 1.0}))
+                total = 0.0 + 0.0j
+                for word, coeff in pauli_form.terms.items():
+                    if word == identity:
+                        total += coeff
+                        continue
+                    if word not in estimates:
+                        estimates[word] = estimate_pauli(
+                            state, PauliOperator(m, {word: 1.0}), shots,
+                            (seed, len(estimates)))[0]
+                    total += coeff * estimates[word]
+                vals[a, b] = total / factorial(k)
+        blocks.append(vals)
+    return blocks

@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kraus_oracle import kron_lift
-from vcsqse.channels import (CHANNEL_KINDS, ChannelSpec, KrausChannel,
-                             apply_channel, channel_kind_from_token, compose,
-                             identity_channel, lift_to_register,
+from vcsqse.channels import (CHANNEL_KINDS, TRANSFER_BYTE_LIMIT, ChannelSpec,
+                             KrausChannel, apply_channel, channel_kind_from_token,
+                             compose, identity_channel, lift_to_register,
                              single_qubit_channel)
 from vcsqse.vcs import transform_hamiltonian
 
@@ -126,6 +128,22 @@ class TestKrausChannel:
     def test_dims_must_agree(self):
         with pytest.raises(ValueError, match="equal dims"):
             KrausChannel([np.eye(2), np.eye(4)])
+
+    def test_transfer_guard_rejects_before_allocating(self):
+        """A one-factor 8-qubit set would need a 64 GiB transfer matrix."""
+        ops = [np.eye(256, dtype=complex)]
+        need = 256 ** 4 * 16
+        assert need > TRANSFER_BYTE_LIMIT
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"needs {need} bytes"):
+                KrausChannel(ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # the 4-qubit Kronecker oracle's size stays accepted
+        assert KrausChannel([np.eye(16)]).transfer.shape == (256, 256)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="unknown channel kind"):
@@ -282,3 +300,45 @@ def test_lazy_lift_matches_kronecker_oracle(kind, n, r1, dephasing_excess, seed)
     assert np.abs(apply_channel(lazy, rho) - apply_channel(oracle, rho)).max() <= 1e-12
     assert np.abs(transform_hamiltonian(h, lazy)
                   - transform_hamiltonian(h, oracle)).max() <= 1e-12
+
+
+def random_kraus_set(rng, dim, count):
+    """count Kraus operators cut from a random (count * dim) x dim isometry."""
+    a = (rng.normal(size=(count * dim, dim))
+         + 1j * rng.normal(size=(count * dim, dim)))
+    iso, _ = np.linalg.qr(a)
+    return [iso[i * dim:(i + 1) * dim] for i in range(count)]
+
+
+def dense_kraus_sums(ops, rho, h):
+    """sum K rho K^dag and sum K^dag H K, one Kraus operator at a time."""
+    return (sum(k @ rho @ k.conj().T for k in ops),
+            sum(k.conj().T @ h @ k for k in ops))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([2, 4, 8]), count=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_transfer_kernel_matches_dense_kraus_sum(dim, count, seed):
+    """Both directions of a random explicit channel agree with the Kraus sums."""
+    rng = np.random.default_rng(seed)
+    ch = KrausChannel(random_kraus_set(rng, dim, count))
+    rho, h = random_density(rng, dim), random_hermitian(rng, dim)
+    want_rho, want_h = dense_kraus_sums(ch.kraus_ops, rho, h)
+    assert np.abs(apply_channel(ch, rho) - want_rho).max() <= 1e-12
+    assert np.abs(transform_hamiltonian(h, ch) - want_h).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(count=st.integers(1, 3), n=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_lifted_transfer_kernel_matches_dense_kraus_sum(count, n, seed):
+    """A random single-qubit set on n factors agrees with the Kraus sums over
+    all count^n Kronecker products."""
+    rng = np.random.default_rng(seed)
+    single = KrausChannel(random_kraus_set(rng, 2, count))
+    rho, h = random_density(rng, 1 << n), random_hermitian(rng, 1 << n)
+    want_rho, want_h = dense_kraus_sums(kron_lift(single, n).kraus_ops, rho, h)
+    lazy = lift_to_register(single, n)
+    assert np.abs(apply_channel(lazy, rho) - want_rho).max() <= 1e-12
+    assert np.abs(transform_hamiltonian(h, lazy) - want_h).max() <= 1e-12

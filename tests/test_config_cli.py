@@ -130,6 +130,23 @@ class TestExperiments:
         assert qse.fermionic_basis(4, 1) is qse.fermionic_basis(4, 1)
         assert isinstance(qse.fermionic_basis(4, 1).operators, tuple)
 
+    @pytest.mark.parametrize("experiment,curves", [
+        ("fidelity-sweep", 3), ("qse-repair", 2), ("ground-channels", 4)])
+    def test_channel_built_once_per_curve(self, mini_sweep, monkeypatch,
+                                          experiment, curves):
+        lifts = []
+        real = experiments.lift_to_register
+        monkeypatch.setattr(experiments, "lift_to_register",
+                            lambda ch, n: lifts.append(n) or real(ch, n))
+        run_experiment(parse_config(config_text(mini_sweep, experiment=experiment)))
+        assert lifts == [4] * curves
+
+    def test_unphysical_sweep_channel_is_a_numerical_failure(self, mini_sweep):
+        text = config_text(mini_sweep, experiment="qse-repair").replace(
+            "tp_over_t2 = 0.05", "tp_over_t2 = 0.01")
+        with pytest.raises(experiments.ExperimentError, match="R=0.7.*T2 <= 2 T1"):
+            run_experiment(parse_config(text))
+
     def test_run_experiment_rejects_single_point(self, sto3g_path):
         cfg = ExperimentConfig(experiment="single-point",
                                fcidump=str(sto3g_path))

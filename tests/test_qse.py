@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pauli_oracle import dense_subspace
+from pauli_oracle import dense_subspace, loop_subspace
 from rdm_oracle import zc_h_sub
 from vcsqse.channels import ChannelSpec, lift_to_register, single_qubit_channel
 from vcsqse.molecule import hamiltonian_from_tensors, spin_orbital_tensors
@@ -129,7 +129,11 @@ class TestDirectBuild:
     def test_byte_guard_rejects_before_allocating(self):
         basis = fermionic_basis(8, 2)
         rho = np.eye(256) / 256
-        need = 2 * len(basis) * 256 * 256 * 16
+        slots = max(len(op.terms) for op in basis.operators)
+        # the two action stacks, then the slot stack: an index and a phase
+        # per entry, and the right action's phase
+        need = (2 * len(basis) * 256 * 256 * 16
+                + slots * len(basis) * 256 * (8 + 2 * 16))
         assert need > SUBSPACE_BYTE_LIMIT
         tracemalloc.start()
         try:
@@ -144,6 +148,49 @@ class TestDirectBuild:
         psi[0b1111] = 1.0
         prob = build_subspace_direct(basis, np.eye(256), psi)
         assert prob.dim == len(basis)
+
+    @pytest.mark.parametrize("kind,order", [("fermionic", 1), ("fermionic", 2),
+                                            ("qubit", 1), ("qubit", 2)])
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_stacked_build_equals_per_element_loop(self, stretched, kind, order,
+                                                   mixed):
+        """Bit for bit: the slot-stacked gathers add the same terms in the same
+        order as gathering one element and one word at a time."""
+        rng = np.random.default_rng(order + 2 * mixed)
+        basis = (fermionic_basis if kind == "fermionic" else qubit_basis)(4, order)
+        if mixed:
+            ref = random_density(rng, 16)
+        else:
+            ref = rng.normal(size=16) + 1j * rng.normal(size=16)
+            ref /= np.linalg.norm(ref)
+        prob = build_subspace_direct(basis, stretched["h"], ref, stretched["sym"])
+        h_sub, s_sub, sym = loop_subspace(basis, stretched["h"], ref,
+                                          stretched["sym"])
+        assert np.array_equal(prob.h_sub, h_sub)
+        assert np.array_equal(prob.s_sub, s_sub)
+        assert prob.symmetry_subs.keys() == sym.keys()
+        for name, mat in sym.items():
+            assert np.array_equal(prob.symmetry_subs[name], mat)
+
+    def test_m8_mixed_build_memory(self):
+        """A mixed M = 8 build holds its two n_b x 4^M stacks (130 MiB for
+        fermionic k = 1) and gathers into one reused chunk buffer beside them."""
+        rng = np.random.default_rng(13)
+        a = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+        h = a + a.conj().T
+        rho = random_density(rng, 256)
+        sym = {name: fermion_to_dense(symmetry_operator(name, 8))
+               for name in ("number", "s_squared")}
+        basis = fermionic_basis(8, 1)
+        stacks = 2 * len(basis) * rho.nbytes
+        tracemalloc.start()
+        try:
+            prob = build_subspace_direct(basis, h, rho, sym)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prob.dim == 65 and set(prob.symmetry_subs) == set(sym)
+        assert peak < stacks + (16 << 20)
 
     def test_m8_pure_build_memory(self):
         """The spectrum_m8-sized build holds n_b * 2^M stacks, not dense E_b."""

@@ -397,6 +397,18 @@ class TestSampledRdms:
         with pytest.raises(ValueError, match="max_k"):
             sample_rdms(np.array([1.0, 0.0]), 5, 10, 0)
 
+    def test_cached_pauli_forms_match_per_pair_loop(self):
+        """The cached ladder-product forms draw every word from the same
+        stream and add the same terms in the same order, bit for bit."""
+        rng = np.random.default_rng(26)
+        for m, max_k in ((3, 3), (4, 4)):
+            state = random_state(rng, m)
+            got = sample_rdms(state, max_k, shots=200, seed=9)
+            want = rdm_oracle.loop_sample_rdms(state, max_k, 200, 9)
+            assert len(got.blocks) == len(want)
+            for a, b in zip(got.blocks, want):
+                assert np.array_equal(a, b)
+
 
 class TestSeedStreams:
     """Each Pauli word of a seeded run draws from its own generator, and no
