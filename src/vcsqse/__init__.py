@@ -20,8 +20,8 @@ from .qse import (ExpansionBasis, SubspaceProblem, approximate_lr,
                   project_symmetry, qubit_basis, solve_subspace,
                   subspace_expectation)
 from .rdm import (CumulantSet, RdmSet, compute_rdms, contract_energy,
-                  cumulants_from_rdms, estimate_pauli, expectation_from_rdms,
-                  reconstruct_rdms, sample_rdms, wedge)
+                  cumulants_from_rdms, estimate_pauli, reconstruct_rdms,
+                  sample_rdms, wedge)
 from .vcs import (VcsSolution, fidelity, no_variation_baseline, solve_vcs,
                   transform_hamiltonian)
 

@@ -5,6 +5,11 @@ against a dense reference state, or purely from stored reduced density
 matrices via the linear-response matrix-element formulas. Both routes agree
 for consistent inputs and are kept independent so one can check the other.
 
+The linear-response (LR) route (build_lr_from_rdms; ZC and ZA in
+approximate_lr) reads D1 and D2 as full tensors, at most M^4 entries, and
+each D3 and D4 term as one split contraction of the packed block
+(rdm._split_contract), O(C(M,k)^2) products instead of an M^(2k) einsum.
+
 The direct route never forms a basis operator as a dense matrix. Every
 Pauli word of a basis element acts as a signed permutation,
 (c P v)[j] = c * i^#Y * (-1)^popcount((j ^ x) & z) * v[j ^ x], with x the
@@ -27,7 +32,7 @@ import numpy as np
 from .linalg import Spectrum, generalized_eigensolve
 from .operators import (FermionOperator, PauliOperator, apply_stacked,
                         jordan_wigner, normal_order, stack_actions)
-from .rdm import RdmSet, cumulants_from_rdms, reconstruct_rdms
+from .rdm import RdmSet, _split_contract, cumulants_from_rdms, reconstruct_rdms
 
 # Looser than the linalg default: RDM-contracted matrices carry accumulated
 # contraction noise in their null directions.
@@ -199,80 +204,72 @@ def build_subspace_direct(basis: ExpansionBasis, h: np.ndarray, rho: np.ndarray,
 
 
 def _overlap_lr(rdms: RdmSet) -> np.ndarray:
+    """S[a, b] = <E_a^ E_b> over rows [g] + [(i, j)] from the packed D1, D2."""
     m = rdms.mode_count
-    d1, d2 = rdms.d(1), rdms.d(2)
-    dim = m * m + 1
-    s = np.zeros((dim, dim), dtype=complex)
+    d1 = rdms.blocks[0]
+    s = np.empty((m * m + 1,) * 2, dtype=complex)
     s[0, 0] = 1.0
     # S^{ij}_g = D1[j, i], rows flattened over (i, j)
     s[1:, 0] = d1.T.reshape(m * m)
-    # S^{ij}_{kl} = delta_ik D1[j,l] - 2 D2[j,k,l,i]
-    s4 = (np.einsum("ik,jl->ijkl", np.eye(m), d1)
-          - 2.0 * np.einsum("jkli->ijkl", d2))
-    s[1:, 1:] = s4.reshape(m * m, m * m)
     s[0, 1:] = s[1:, 0].conj()
+    # S^{ij}_{kl} = delta_ik D1[j,l] - 2 D2[j,k,l,i]
+    s4 = np.einsum("ik,jl->ijkl", np.eye(m), d1) - 2.0 * rdms.d(2).transpose(3, 0, 1, 2)
+    s[1:, 1:] = s4.reshape(m * m, m * m)
     return _symmetrized(s)
 
 
-def _g_column(t1: np.ndarray, v: np.ndarray, d1: np.ndarray, d2: np.ndarray,
-              d3: np.ndarray) -> np.ndarray:
-    """<O>, then <a_j^ a_i O> flattened over (i, j), from D1..D3.
+def _lr_matrix(t1: np.ndarray, v: np.ndarray, rdms: RdmSet,
+               commutator: bool = False) -> np.ndarray:
+    """<E_a^ O E_b>, or <E_a^ [O, E_b]> with commutator=True, over the LR rows
+    of O = sum t1[p,r] a_p^ a_r + sum v[p,q,r,s] a_p^ a_q^ a_r a_s.
 
-    O = sum t1[p,r] a_p^ a_r + sum v[p,q,r,s] a_p^ a_q^ a_r a_s; leading axes
-    of t1 and v index a batch of operators.
+    D1 and D2 enter as full tensors, D3 and D4 only through split
+    contractions of their packed blocks. The commutator form needs no D4 and
+    leaves the g-column zero.
     """
-    value = (np.einsum("...pr,pr->...", t1, d1)
-             + 2.0 * np.einsum("...pqrs,pqsr->...", v, d2))
-    rows = (np.einsum("...ir,jr->...ij", t1, d1)
-            - 2.0 * np.einsum("...pr,jpri->...ij", t1, d2)
-            + 2.0 * np.einsum("...iqrs,jqsr->...ij", v, d2)
-            - 2.0 * np.einsum("...pirs,jpsr->...ij", v, d2)
-            + 6.0 * np.einsum("...pqrs,jpqsri->...ij", v, d3))
-    flat = rows.reshape(rows.shape[:-2] + (-1,))
-    return np.concatenate([value[..., None], flat], axis=-1)
-
-
-def _lr_matrix(t1: np.ndarray, v: np.ndarray, rdms: RdmSet) -> np.ndarray:
-    """LR matrix of the Hermitian O = sum t1 a^ a + sum v a^ a^ a a from D1..D4."""
     m = rdms.mode_count
-    d1, d2, d3, d4 = (rdms.d(k) for k in range(1, 5))
-    eye = np.eye(m)
-    four = (-2.0 * np.einsum("ik,pr,jprl->ijkl", eye, t1, d2)
-            + np.einsum("ik,jl->ijkl", t1, d1)
-            + 2.0 * np.einsum("ir,jkrl->ijkl", t1, d2)
-            - 2.0 * np.einsum("pk,jpli->ijkl", t1, d2)
-            - 6.0 * np.einsum("pr,jkprli->ijkl", t1, d3)
-            + 6.0 * np.einsum("ik,pqrs,jpqsrl->ijkl", eye, v, d3)
-            + 2.0 * np.einsum("iqks,jqsl->ijkl", v, d2)
-            - 2.0 * np.einsum("iqrk,jqrl->ijkl", v, d2)
-            - 6.0 * np.einsum("iqrs,jkqsrl->ijkl", v, d3)
-            - 2.0 * np.einsum("piks,jpsl->ijkl", v, d2)
-            + 2.0 * np.einsum("pirk,jprl->ijkl", v, d2)
-            + 6.0 * np.einsum("pirs,jkpsrl->ijkl", v, d3)
-            + 6.0 * np.einsum("pqks,jpqsli->ijkl", v, d3)
-            - 6.0 * np.einsum("pqrk,jpqrli->ijkl", v, d3)
-            - 24.0 * np.einsum("pqrs,jkpqsrli->ijkl", v, d4))
-    out = np.empty((m * m + 1,) * 2, dtype=complex)
-    out[:, 0] = _g_column(t1, v, d1, d2, d3)
-    # g-row from Hermiticity of O
-    out[0, 1:] = np.conj(out[1:, 0])
+    d1, d2, p3 = rdms.blocks[0], rdms.d(2), rdms.blocks[2]
+    # only the part of v antisymmetric in each index pair enters O
+    v = v - v.transpose(1, 0, 2, 3)
+    v = 0.25 * (v - v.transpose(0, 1, 3, 2))
+    vx = v.transpose(0, 1, 3, 2)
+    four_d = (m,) * 4
+    # u1[k,j,l,i] = sum v[p,q,k,s] D3[j,p,q,s,l,i] and u2[a,j,k,b] =
+    # sum v[a,q,r,s] D3[j,k,q,s,r,b]; each summed pair counts both its orders
+    u1 = 2.0 * _split_contract(p3, v.transpose(2, 0, 1, 3), m, 3, 2, 1).reshape(four_d)
+    u2 = 2.0 * _split_contract(p3, vx, m, 3, 1, 2).reshape(four_d)
+    # gl[i,j] = <a_j^ a_i O> without its D3 term
+    gl = t1 @ d1.T + 4.0 * vx.reshape(m, -1) @ d2.reshape(m, -1).T
+    y = 2.0 * np.einsum("ar,jkrb->ajkb", t1, d2) - 12.0 * u2
+    # sum v[i,q,k,s] D2[j,q,s,l] at [i,k,j,l]
+    vd2 = (v.transpose(0, 2, 1, 3).reshape(m * m, -1)
+           @ d2.transpose(1, 2, 0, 3).reshape(m * m, -1)).reshape(four_d)
+    four = (np.einsum("ik,jl->ijkl", t1, d1) - 2.0 * np.einsum("pk,jpli->ijkl", t1, d2)
+            + 8.0 * vd2.transpose(0, 2, 1, 3) + 12.0 * u1.transpose(3, 1, 0, 2))
+    out = np.zeros((m * m + 1,) * 2, dtype=complex)
+    if commutator:
+        # sum v[i,l,r,s] D2[j,k,s,r] at [i,l,j,k]
+        vrs = (vx.reshape(m * m, -1) @ d2.reshape(m * m, -1).T).reshape(four_d)
+        four += (y.transpose(3, 1, 2, 0) - np.einsum("ik,jl->ijkl", np.eye(m), gl.T)
+                 - 4.0 * vrs.transpose(0, 2, 3, 1))
+        # <[O, a_k^ a_l]> at g-row column (k, l)
+        value = t1.T @ d1 - gl.T + 4.0 * vx.reshape(-1, m).T @ d2.reshape(-1, m)
+        out[0, 1:] = value.reshape(m * m)
+    else:
+        # c[j,l] = -2 sum t1[p,r] D2[j,p,r,l] + 6 sum v[p,q,r,s] D3[j,p,q,s,r,l]
+        c = (-2.0 * np.einsum("pr,jprl->jl", t1, d2)
+             + 24.0 * _split_contract(p3, vx, m, 3, 2, 2))
+        # far[j,k,l,i] = -6 sum t1[p,r] D3[j,k,p,r,l,i]
+        #                - 24 sum v[p,q,r,s] D4[j,k,p,q,s,r,l,i]
+        far = (-6.0 * _split_contract(p3, t1, m, 3, 1, 1)
+               - 96.0 * _split_contract(rdms.blocks[3], vx, m, 4, 2, 2)).reshape(four_d)
+        four += np.einsum("ik,jl->ijkl", np.eye(m), c) + y + far.transpose(3, 0, 1, 2)
+        out[0, 0] = np.einsum("pr,pr->", t1, d1) + 2.0 * np.einsum("pqsr,pqsr->", vx, d2)
+        # g-column <a_j^ a_i O> flattened over (i, j); g-row from Hermiticity
+        out[1:, 0] = (gl + c.T).reshape(m * m)
+        out[0, 1:] = np.conj(out[1:, 0])
     out[1:, 1:] = four.reshape(m * m, m * m)
     return out
-
-
-def _zc_columns(h1: np.ndarray, v: np.ndarray, rdms: RdmSet) -> np.ndarray:
-    """<E_a^ [H0, a_k^ a_l]> for every LR row a, one column per (k, l).
-
-    For H0 = sum h1 a^ a + sum v a^ a^ a a each commutator is a one- plus
-    two-body operator with index-shifted copies of h1 and v as its tensors.
-    """
-    m = h1.shape[0]
-    eye = np.eye(m)
-    t1 = np.einsum("pk,rl->klpr", h1, eye) - np.einsum("pk,lr->klpr", eye, h1)
-    w = (np.einsum("rl,pqks->klpqrs", eye, v) + np.einsum("sl,pqrk->klpqrs", eye, v)
-         - np.einsum("pk,lqrs->klpqrs", eye, v) - np.einsum("qk,plrs->klpqrs", eye, v))
-    cols = _g_column(t1, w, rdms.d(1), rdms.d(2), rdms.d(3))
-    return cols.reshape(m * m, m * m + 1).T
 
 
 def operator_to_tensors(op: FermionOperator):
@@ -313,15 +310,20 @@ def build_lr_from_rdms(h1: np.ndarray, h2: np.ndarray, rdms: RdmSet,
     """
     if rdms.max_k < 4:
         raise ValueError("the RDM route requires tensors through the 4-RDM")
-    m = rdms.mode_count
-    s_sub = _overlap_lr(rdms)
-    h_sub = _symmetrized(core_energy * s_sub + _lr_matrix(
-        np.asarray(h1, dtype=complex), 0.5 * np.asarray(h2, dtype=complex), rdms))
+    return _lr_problem(h1, h2, rdms, _overlap_lr(rdms), core_energy, symmetry_ops)
+
+
+def _lr_problem(h1, h2, rdms: RdmSet, s_sub: np.ndarray, shift: float,
+                symmetry_ops: dict | None, commutator: bool = False) -> SubspaceProblem:
+    """LR (or commutator-form) matrices from rdms, shifted by shift * s_sub."""
+    h_sub = _symmetrized(shift * s_sub + _lr_matrix(
+        np.asarray(h1, dtype=complex), 0.5 * np.asarray(h2, dtype=complex), rdms,
+        commutator))
     sym = {}
     for name, op in (symmetry_ops or {}).items():
         c0, t1, t2 = operator_to_tensors(op)
         sym[name] = _symmetrized(c0 * s_sub + _lr_matrix(t1, 0.5 * t2, rdms))
-    basis = fermionic_basis(m, 1)
+    basis = fermionic_basis(rdms.mode_count, 1)
     return SubspaceProblem(basis=basis, h_sub=h_sub, s_sub=s_sub, symmetry_subs=sym)
 
 
@@ -368,44 +370,28 @@ def approximate_lr(method: str, h1: np.ndarray, h2: np.ndarray, rdms: RdmSet,
                    reconstruct_d3: bool = True) -> SubspaceProblem:
     """ZC / ZA approximations to the linear-response Hamiltonian matrix.
 
-    ZC uses <(a_i^ a_j)^ [H, a_k^ a_l]> + e_g * S, contracted in closed form
-    from the commutators' one- and two-body tensors, which needs at most the
-    3-RDM; with truncate=True the 3-RDM is itself
-    reconstructed from cumulant truncation (order-3 cumulant zeroed). ZA
-    evaluates the plain product expression with the 3- and 4-RDMs
-    reconstructed from lower orders (reconstruct_d3=False keeps an exact
-    3-RDM and reconstructs only the 4-RDM). The overlap matrix always comes
-    from the exact 1- and 2-RDMs.
+    ZC uses <(a_i^ a_j)^ [H, a_k^ a_l]> + e_g * S in closed form, which needs
+    at most the 3-RDM; truncate=True rebuilds that from the 1- and 2-cumulants.
+    ZA evaluates the plain LR expression with the 3- and 4-RDMs rebuilt from
+    lower cumulants (reconstruct_d3=False keeps the exact 3-RDM). The overlap,
+    and with it ZA's core shift, always comes from the exact 1- and 2-RDMs.
     """
     method = method.upper()
     if method not in ("ZC", "ZA"):
         raise ValueError("method must be 'ZC' or 'ZA'")
-    m = rdms.mode_count
     if method == "ZA":
         zero_above = 2 if reconstruct_d3 else 3
         if rdms.max_k < zero_above:
             raise ValueError(f"ZA needs RDMs through order {zero_above}")
-        rec = reconstruct_rdms(cumulants_from_rdms(rdms), zero_above)
-        prob = build_lr_from_rdms(h1, h2, rec, core_energy=core_energy)
-        # overlap from the exact tensors, not the reconstruction
-        prob.s_sub = _overlap_lr(rdms)
-        return prob
-
-    # ZC
-    if truncate:
-        if rdms.max_k < 2:
-            raise ValueError("ZC with truncation needs RDMs through order 2")
-        work = reconstruct_rdms(cumulants_from_rdms(rdms), 2)
+        # overlap and core shift from the exact D1, D2, not the reconstruction
+        work, shift = reconstruct_rdms(cumulants_from_rdms(rdms), zero_above), core_energy
     else:
-        if rdms.max_k < 3:
-            raise ValueError("ZC needs RDMs through the 3-RDM (or truncate=True)")
-        work = rdms
-    s_sub = _overlap_lr(rdms)
-    h_sub = np.zeros_like(s_sub)
-    h_sub[:, 1:] = _zc_columns(np.asarray(h1), 0.5 * np.asarray(h2), work)
-    # e_g is the full <H> including any constant, so no separate core term:
-    # <E_a^ H E_b> = <E_a^ [H0, E_b]> + e_g S for an eigenstate reference.
-    h_sub += e_g * s_sub
-    basis = fermionic_basis(m, 1)
-    return SubspaceProblem(basis=basis, h_sub=_symmetrized(h_sub), s_sub=s_sub,
-                           symmetry_subs={})
+        if rdms.max_k < (2 if truncate else 3):
+            raise ValueError("ZC with truncation needs RDMs through order 2" if truncate
+                             else "ZC needs RDMs through the 3-RDM (or truncate=True)")
+        work = reconstruct_rdms(cumulants_from_rdms(rdms), 2) if truncate else rdms
+        # e_g is the full <H> including any constant, so no separate core term:
+        # <E_a^ H E_b> = <E_a^ [H0, E_b]> + e_g S for an eigenstate reference.
+        shift = e_g
+    return _lr_problem(h1, h2, work, _overlap_lr(rdms), shift, None,
+                       commutator=method == "ZC")

@@ -12,6 +12,11 @@ All other elements follow by antisymmetry. compute_rdms, sample_rdms,
 cumulants_from_rdms, reconstruct_rdms and the wedge kernel never build a
 full tensor; d(k), c(k) and d1..d4, c1..c4 build a new M^(2k) one on each
 read, by one gather through a cached position-and-sign table per (M, k).
+
+The linear-response route in qse reads every 3- and 4-RDM term through one
+split contraction (_split_contract) of the packed block. Like the wedge
+kernel it walks the cached split tables, which split each sorted tuple
+every way into two sorted parts with the sign of the merging shuffle.
 """
 
 from dataclasses import dataclass
@@ -22,7 +27,7 @@ from math import comb, factorial
 import numpy as np
 
 from .operators import (FermionOperator, PauliOperator, apply_pauli, jordan_wigner,
-                        normal_order, pauli_action)
+                        pauli_action)
 
 RDM_MODE_LIMIT = 8
 _WEIGHT_TOL = 1e-14
@@ -85,6 +90,32 @@ def _split_table(m: int, k: int, j: int):
     ia = _gather_table(m, j)[0][_flat(combos[:, picks], m)]
     ib = _gather_table(m, k - j)[0][_flat(combos[:, rests], m)]
     return _frozen(ia, ib, np.array([_parity(p + r) for p, r in zip(picks, rests)]))
+
+
+@lru_cache(maxsize=None)
+def _split_rows(m: int, k: int, j: int):
+    """Per split of each sorted k-tuple I into sorted free A and summed B,
+    |B| = j: the packed position of I, the flat index of B in range(m)^j, and
+    a (m^(k-j), splits) map to every ordering f of A, signed by f and by the
+    shuffle A + B -> I."""
+    free, summed, shuffle = _split_table(m, k, k - j)
+    rows = np.repeat(np.arange(free.shape[0]), free.shape[1])
+    pos, sign = _gather_table(m, k - j)
+    scatter = (pos[:, None] == free.ravel()) * sign[:, None] * np.tile(shuffle, len(free))
+    return _frozen(rows, _flat(_combos(m, j), m)[summed.ravel()], scatter.astype(complex))
+
+
+def _split_contract(block: np.ndarray, x: np.ndarray, m: int, k: int,
+                    ju: int, jl: int) -> np.ndarray:
+    """sum over increasing B, E of D[A + B, C + E] x[..., B, E], D the order-k
+    tensor of the packed block, |B| = ju, |E| = jl. x holds the ju then jl
+    summed axes after any batch axes; the result holds all free A and C,
+    each flattened row-major, and costs C(k,ju) C(k,jl) C(m,k)^2 products."""
+    rows_u, flat_u, scatter_u = _split_rows(m, k, ju)
+    rows_l, flat_l, scatter_l = _split_rows(m, k, jl)
+    x = x.reshape(x.shape[:x.ndim - ju - jl] + (m ** ju, m ** jl))
+    terms = x[..., flat_u[:, None], flat_l] * block[rows_u[:, None], rows_l]
+    return scatter_u @ terms @ scatter_l.T
 
 
 def _expand(block: np.ndarray, m: int, k: int) -> np.ndarray:
@@ -278,23 +309,6 @@ def contract_energy(h1: np.ndarray, h2: np.ndarray, rdms: RdmSet,
         raise ValueError("two-body tensor shape does not match the 2-RDM")
     value += np.einsum("ijkl,ijlk->", h2, d2)
     return float(np.real(value)) + core_energy
-
-
-def expectation_from_rdms(op, rdms: RdmSet) -> complex:
-    """Contract a (normal-orderable) fermionic operator with stored RDMs."""
-    value = 0.0 + 0.0j
-    for seq, coeff in normal_order(op).terms.items():
-        k = sum(1 for _, dag in seq if dag)
-        if 2 * k != len(seq):
-            raise ValueError("operator does not conserve particle number; "
-                             "its expectation is not an RDM contraction")
-        if k == 0:
-            value += coeff
-            continue
-        upper = tuple(mode for mode, dag in seq if dag)
-        lower = tuple(mode for mode, dag in reversed(seq) if not dag)
-        value += coeff * factorial(k) * rdms.d(k)[upper + lower]
-    return complex(value)
 
 
 def sample_rdms(state: np.ndarray, max_k: int, shots: int, seed: int) -> RdmSet:

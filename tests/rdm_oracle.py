@@ -5,9 +5,13 @@ by summing transposed copies over every riffle shuffle of the index groups,
 and zc_h_sub builds the ZC matrix by normal-ordering every product
 (a_i^ a_j)^ [H0, a_k^ a_l] symbolically and contracting it term by term.
 These are the textbook definitions the package's packed wedge kernel and
-closed-form ZC contraction must reproduce. Each wedge holds (k!)^2
-transposed M^(2k) tensors and ZC needs (M^2 + 1)^2 symbolic products, so
-keep M small.
+closed-form ZC contraction must reproduce. expectation_from_rdms
+contracts a normal-ordered operator term by term with full RDM tensors.
+_lr_matrix, _g_column and _zc_columns are the linear-response and ZC
+formulas as einsums over full D1..D4 tensors, which the package's packed
+split contractions must reproduce. Each wedge holds (k!)^2 transposed
+M^(2k) tensors, ZC needs (M^2 + 1)^2 symbolic products and _lr_matrix
+holds the full M^8 4-RDM, so keep M small.
 
 loop_sample_rdms Jordan-Wigner maps every ladder product a_I^ a_J afresh
 and estimates its words as it meets them, which the package's sample_rdms
@@ -22,9 +26,8 @@ import numpy as np
 from vcsqse.molecule import hamiltonian_from_tensors
 from vcsqse.operators import (FermionOperator, PauliOperator, commutator,
                               jordan_wigner, normal_order)
-from vcsqse.qse import _overlap_lr
-from vcsqse.rdm import (RdmSet, cumulants_from_rdms, estimate_pauli,
-                        expectation_from_rdms, reconstruct_rdms)
+from vcsqse.qse import _overlap_lr, _symmetrized, operator_to_tensors
+from vcsqse.rdm import RdmSet, cumulants_from_rdms, estimate_pauli, reconstruct_rdms
 
 
 def _perms_with_parity(k: int):
@@ -116,6 +119,111 @@ def zc_h_sub(h1, h2, rdms: RdmSet, e_g: float, truncate: bool = False) -> np.nda
             h_sub[a, b] = expectation_from_rdms(normal_order(row.adjoint() * comm), work)
     h_sub += e_g * s_sub
     return 0.5 * (h_sub + h_sub.conj().T)
+
+
+def expectation_from_rdms(op, rdms: RdmSet) -> complex:
+    """Contract a (normal-orderable) fermionic operator with stored RDMs."""
+    value = 0.0 + 0.0j
+    for seq, coeff in normal_order(op).terms.items():
+        k = sum(1 for _, dag in seq if dag)
+        if 2 * k != len(seq):
+            raise ValueError("operator does not conserve particle number; "
+                             "its expectation is not an RDM contraction")
+        if k == 0:
+            value += coeff
+            continue
+        upper = tuple(mode for mode, dag in seq if dag)
+        lower = tuple(mode for mode, dag in reversed(seq) if not dag)
+        value += coeff * factorial(k) * rdms.d(k)[upper + lower]
+    return complex(value)
+
+
+def _g_column(t1: np.ndarray, v: np.ndarray, d1: np.ndarray, d2: np.ndarray,
+              d3: np.ndarray) -> np.ndarray:
+    """<O>, then <a_j^ a_i O> flattened over (i, j), from D1..D3.
+
+    O = sum t1[p,r] a_p^ a_r + sum v[p,q,r,s] a_p^ a_q^ a_r a_s; leading axes
+    of t1 and v index a batch of operators.
+    """
+    value = (np.einsum("...pr,pr->...", t1, d1)
+             + 2.0 * np.einsum("...pqrs,pqsr->...", v, d2))
+    rows = (np.einsum("...ir,jr->...ij", t1, d1)
+            - 2.0 * np.einsum("...pr,jpri->...ij", t1, d2)
+            + 2.0 * np.einsum("...iqrs,jqsr->...ij", v, d2)
+            - 2.0 * np.einsum("...pirs,jpsr->...ij", v, d2)
+            + 6.0 * np.einsum("...pqrs,jpqsri->...ij", v, d3))
+    flat = rows.reshape(rows.shape[:-2] + (-1,))
+    return np.concatenate([value[..., None], flat], axis=-1)
+
+
+def _lr_matrix(t1: np.ndarray, v: np.ndarray, rdms: RdmSet) -> np.ndarray:
+    """LR matrix of the Hermitian O = sum t1 a^ a + sum v a^ a^ a a from D1..D4."""
+    m = rdms.mode_count
+    d1, d2, d3, d4 = (rdms.d(k) for k in range(1, 5))
+    eye = np.eye(m)
+    four = (-2.0 * np.einsum("ik,pr,jprl->ijkl", eye, t1, d2)
+            + np.einsum("ik,jl->ijkl", t1, d1)
+            + 2.0 * np.einsum("ir,jkrl->ijkl", t1, d2)
+            - 2.0 * np.einsum("pk,jpli->ijkl", t1, d2)
+            - 6.0 * np.einsum("pr,jkprli->ijkl", t1, d3)
+            + 6.0 * np.einsum("ik,pqrs,jpqsrl->ijkl", eye, v, d3)
+            + 2.0 * np.einsum("iqks,jqsl->ijkl", v, d2)
+            - 2.0 * np.einsum("iqrk,jqrl->ijkl", v, d2)
+            - 6.0 * np.einsum("iqrs,jkqsrl->ijkl", v, d3)
+            - 2.0 * np.einsum("piks,jpsl->ijkl", v, d2)
+            + 2.0 * np.einsum("pirk,jprl->ijkl", v, d2)
+            + 6.0 * np.einsum("pirs,jkpsrl->ijkl", v, d3)
+            + 6.0 * np.einsum("pqks,jpqsli->ijkl", v, d3)
+            - 6.0 * np.einsum("pqrk,jpqrli->ijkl", v, d3)
+            - 24.0 * np.einsum("pqrs,jkpqsrli->ijkl", v, d4))
+    out = np.empty((m * m + 1,) * 2, dtype=complex)
+    out[:, 0] = _g_column(t1, v, d1, d2, d3)
+    # g-row from Hermiticity of O
+    out[0, 1:] = np.conj(out[1:, 0])
+    out[1:, 1:] = four.reshape(m * m, m * m)
+    return out
+
+
+def _zc_columns(h1: np.ndarray, v: np.ndarray, rdms: RdmSet) -> np.ndarray:
+    """<E_a^ [H0, a_k^ a_l]> for every LR row a, one column per (k, l).
+
+    For H0 = sum h1 a^ a + sum v a^ a^ a a each commutator is a one- plus
+    two-body operator with index-shifted copies of h1 and v as its tensors.
+    """
+    m = h1.shape[0]
+    eye = np.eye(m)
+    t1 = np.einsum("pk,rl->klpr", h1, eye) - np.einsum("pk,lr->klpr", eye, h1)
+    w = (np.einsum("rl,pqks->klpqrs", eye, v) + np.einsum("sl,pqrk->klpqrs", eye, v)
+         - np.einsum("pk,lqrs->klpqrs", eye, v) - np.einsum("qk,plrs->klpqrs", eye, v))
+    cols = _g_column(t1, w, rdms.d(1), rdms.d(2), rdms.d(3))
+    return cols.reshape(m * m, m * m + 1).T
+
+
+def lr_matrices(h1, h2, rdms: RdmSet, core_energy=0.0, symmetry_ops=None):
+    """(h_sub, s_sub, symmetry matrices) of build_lr_from_rdms by _lr_matrix."""
+    s_sub = _overlap_lr(rdms)
+    h_sub = _symmetrized(core_energy * s_sub + _lr_matrix(
+        np.asarray(h1, dtype=complex), 0.5 * np.asarray(h2, dtype=complex), rdms))
+    sym = {}
+    for name, op in (symmetry_ops or {}).items():
+        c0, t1, t2 = operator_to_tensors(op)
+        sym[name] = _symmetrized(c0 * s_sub + _lr_matrix(t1, 0.5 * t2, rdms))
+    return h_sub, s_sub, sym
+
+
+def za_h_sub(h1, h2, rdms: RdmSet, core_energy=0.0, reconstruct_d3=True):
+    """ZA Hamiltonian matrix: _lr_matrix on RDMs rebuilt from low cumulants."""
+    rec = reconstruct_rdms(cumulants_from_rdms(rdms), 2 if reconstruct_d3 else 3)
+    return lr_matrices(h1, h2, rec, core_energy)[0]
+
+
+def zc_columns_h_sub(h1, h2, rdms: RdmSet, e_g: float, truncate=False):
+    """ZC Hamiltonian matrix from the batched full-tensor _zc_columns."""
+    work = reconstruct_rdms(cumulants_from_rdms(rdms), 2) if truncate else rdms
+    s_sub = _overlap_lr(rdms)
+    h_sub = np.zeros_like(s_sub)
+    h_sub[:, 1:] = _zc_columns(np.asarray(h1), 0.5 * np.asarray(h2), work)
+    return _symmetrized(h_sub + e_g * s_sub)
 
 
 def loop_sample_rdms(state, max_k, shots, seed):

@@ -2,9 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import rdm_oracle
 from pauli_oracle import dense_subspace, loop_subspace
 from rdm_oracle import zc_h_sub
+from vcsqse import rdm
 from vcsqse.channels import ChannelSpec, lift_to_register, single_qubit_channel
 from vcsqse.molecule import hamiltonian_from_tensors, spin_orbital_tensors
 from vcsqse.operators import (PauliOperator, apply_pauli, fermion_to_dense,
@@ -439,6 +443,92 @@ class TestApproximations:
         err_zc = np.abs(zc[:3] - sector[:3]).max()
         err_za = np.abs(za[:3] - sector[:3]).max()
         assert err_zc < err_za
+
+
+def random_lr_tensors(rng, m):
+    """Random Hermitian t1 and a random v with the symmetries of h2 / 2:
+    v[p,q,r,s] = v[q,p,s,r] = conj(v[s,r,q,p])."""
+    t1 = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    g = rng.normal(size=(m,) * 4) + 1j * rng.normal(size=(m,) * 4)
+    v = g + g.transpose(1, 0, 3, 2)
+    return t1 + t1.conj().T, v + v.transpose(3, 2, 1, 0).conj()
+
+
+def random_reference(rng, m, n_e, mixed):
+    """A pure state or a rank-3 density matrix, in the n_e sector or generic."""
+    dim = 1 << m
+    idx = list(range(dim)) if n_e is None else sector_indices(dim, n_e)
+    cols = np.zeros((dim, 3 if mixed else 1), dtype=complex)
+    cols[idx] = rng.normal(size=(len(idx), cols.shape[1])) + 1j * rng.normal(
+        size=(len(idx), cols.shape[1]))
+    if not mixed:
+        return cols[:, 0] / np.linalg.norm(cols[:, 0])
+    rho = (cols * rng.uniform(0.1, 1.0, size=3)) @ cols.conj().T
+    return rho / np.trace(rho)
+
+
+@settings(max_examples=12, deadline=None)
+@given(m=st.integers(2, 6), n_e=st.one_of(st.none(), st.integers(0, 6)),
+       mixed=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(m=6, n_e=4, mixed=False, seed=1)
+@example(m=6, n_e=4, mixed=True, seed=2)
+@example(m=6, n_e=5, mixed=False, seed=3)
+@example(m=5, n_e=None, mixed=True, seed=4)
+def test_packed_lr_matches_full_tensor_oracle(m, n_e, mixed, seed):
+    """The split contractions against the full-tensor einsums of rdm_oracle.
+
+    An N-conserving state has a nonzero 4-RDM only for N >= 4, so the pinned
+    examples run the D4 term on such states at M = 6.
+    """
+    rng = np.random.default_rng(seed)
+    state = random_reference(rng, m, None if n_e is None else min(n_e, m), mixed)
+    rdms = compute_rdms(state, 4)
+    h1, h2 = random_lr_tensors(rng, m)
+    t1, v = random_lr_tensors(rng, m)
+    sym_ops = {"number": symmetry_operator("number", m),
+               "random": hamiltonian_from_tensors(t1, 2.0 * v, 0.3)}
+    core, e_g = rng.normal(size=2)
+
+    for ops in (None, sym_ops):
+        prob = build_lr_from_rdms(h1, h2, rdms, core_energy=core, symmetry_ops=ops)
+        h_sub, s_sub, sym = rdm_oracle.lr_matrices(h1, h2, rdms, core, ops)
+        assert np.abs(prob.h_sub - h_sub).max() < 1e-12
+        assert np.abs(prob.s_sub - s_sub).max() < 1e-12
+        assert set(prob.symmetry_subs) == set(sym)
+        for name, mat in sym.items():
+            assert np.abs(prob.symmetry_subs[name] - mat).max() < 1e-12
+    for truncate in (False, True):
+        zc = approximate_lr("ZC", h1, h2, rdms, e_g, truncate=truncate)
+        want = rdm_oracle.zc_columns_h_sub(h1, h2, rdms, e_g, truncate)
+        assert np.abs(zc.h_sub - want).max() < 1e-12
+    for reconstruct_d3 in (True, False):
+        za = approximate_lr("ZA", h1, h2, rdms, e_g, core_energy=core,
+                            reconstruct_d3=reconstruct_d3)
+        want = rdm_oracle.za_h_sub(h1, h2, rdms, core, reconstruct_d3)
+        assert np.abs(za.h_sub - want).max() < 1e-12
+        assert np.abs(za.s_sub - s_sub).max() < 1e-12
+
+
+def test_m8_lr_stays_packed(monkeypatch):
+    """ZA and the RDM route at M = 8 never expand the 4-RDM to a full tensor."""
+    expanded = []
+    real = rdm._expand
+    monkeypatch.setattr(rdm, "_expand",
+                        lambda block, m, k: expanded.append(k) or real(block, m, k))
+    rng = np.random.default_rng(8)
+    rdms = compute_rdms(random_reference(rng, 8, 4, False), 4)
+    h1, h2 = (x.real for x in random_lr_tensors(rng, 8))
+    for build in (lambda: approximate_lr("ZA", h1, h2, rdms, 0.0, core_energy=0.5),
+                  lambda: build_lr_from_rdms(h1, h2, rdms, core_energy=0.5)):
+        tracemalloc.start()
+        try:
+            prob = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prob.h_sub.shape == (65, 65)
+        assert peak < 20 << 20
+    assert expanded and 4 not in expanded
 
 
 class TestQseOverChannelOutput:

@@ -14,8 +14,7 @@ from vcsqse.operators import (FermionOperator, PauliOperator, fermion_to_dense,
                               jordan_wigner, normal_order, parse_ladder,
                               symmetry_operator)
 from vcsqse.rdm import (compute_rdms, contract_energy, cumulants_from_rdms,
-                        estimate_pauli, expectation_from_rdms, reconstruct_rdms,
-                        sample_rdms, wedge)
+                        estimate_pauli, reconstruct_rdms, sample_rdms, wedge)
 
 
 def random_state(rng, m):
@@ -295,22 +294,6 @@ class TestContraction:
         state[0b11] = 1.0
         rdms = compute_rdms(state, 2)
         assert abs(contract_energy(h1, h2, rdms) - (2 * eps + u)) < 1e-12
-
-    def test_expectation_from_rdms_matches_dense(self, sweep_points):
-        rng = np.random.default_rng(17)
-        ints = sweep_points[8].integrals
-        op = assemble_hamiltonian(ints)
-        dense = fermion_to_dense(op)
-        state = random_state(rng, 4)
-        rdms = compute_rdms(state, 4)
-        value = expectation_from_rdms(op, rdms)
-        assert abs(value - state.conj() @ dense @ state) < 1e-10
-
-    def test_expectation_rejects_unbalanced(self):
-        rng = np.random.default_rng(18)
-        rdms = compute_rdms(random_state(rng, 3), 2)
-        with pytest.raises(ValueError, match="conserve"):
-            expectation_from_rdms(FermionOperator.from_term("0^", 1.0, 3), rdms)
 
 
 class TestEstimatePauli:
