@@ -15,6 +15,7 @@ import numpy as np
 from .channels import ChannelSpec, channel_kind_from_token, lift_to_register, \
     single_qubit_channel
 from .config import ConfigError, ExperimentConfig
+from .linalg import _sector_eigh
 from .molecule import assemble_hamiltonian, load_sweep, parse_fcidump, \
     spin_orbital_tensors
 from .operators import PauliOperator, dense_symmetry, fermion_to_dense, \
@@ -76,8 +77,10 @@ class _Point:
     eigh: tuple = None
 
     def exact(self):
+        """FCI levels, their full-length eigenvectors and particle numbers."""
         if self.eigh is None:
-            self.eigh = np.linalg.eigh(self.h_dense)
+            dim = self.h_dense.shape[0]
+            self.eigh = _sector_eigh(self.h_dense, np.bitwise_count(np.arange(dim)))
         return self.eigh
 
 
@@ -89,10 +92,6 @@ def _point(integrals, bond_length=None) -> _Point:
                   h_dense=fermion_to_dense(h_op), mode_count=m,
                   symmetry_dense={name: dense_symmetry(name, m)
                                   for name in ("number", "s_squared")})
-
-
-def _prepare(points):
-    return [_point(pt.integrals, pt.bond_length) for pt in points]
 
 
 def _channel_for(built: dict, point: _Point, kind: str, ratios):
@@ -113,11 +112,6 @@ def _ratios(cfg: ExperimentConfig):
     return (cfg.channel.tp_over_t1, cfg.channel.tp_over_t2)
 
 
-def _sector_indices(point: _Point):
-    n_e = point.integrals.nelec
-    return [b for b in range(point.h_dense.shape[0]) if bin(b).count("1") == n_e]
-
-
 def _guarded(fn, point, experiment):
     try:
         return fn()
@@ -129,32 +123,41 @@ def _guarded(fn, point, experiment):
         ) from exc
 
 
+def _sweep(cfg: ExperimentConfig, curves, step):
+    """Rows of every curve over the configured sweep, and the continuation events.
+
+    step(point, curve, built, prev) returns (VCS solution or None, rows). Each
+    curve walks the points in order with its own channel cache `built` and
+    continues from `prev`, the input state of its last solution.
+    """
+    points = [_point(pt.integrals, pt.bond_length)
+              for pt in load_sweep(cfg.sweep_manifest)]
+    rows, events = [], 0
+    for curve in curves:
+        prev, built = None, {}
+        for point in points:
+            sol, new = _guarded(lambda: step(point, curve, built, prev), point,
+                                cfg.experiment)
+            rows += new
+            if sol is not None:
+                prev = sol.input_state
+                events += int(sol.continuation_used)
+    return rows, events
+
+
 def _fidelity_sweep(cfg: ExperimentConfig):
-    points = _prepare(load_sweep(cfg.sweep_manifest))
     ratios = _ratios(cfg)
 
-    def one_channel(token):
-        rows, events, prev, built = [], 0, None, {}
-        for point in points:
-            def step():
-                ch = _channel_for(built, point, channel_kind_from_token(token),
-                                  ratios)
-                sol = solve_vcs(point.h_dense, ch, penalties=cfg.penalties,
-                                continuation=prev)
-                base = no_variation_baseline(point.h_dense, ch,
-                                             penalties=cfg.penalties)
-                exact_vec = point.exact()[1][:, 0]
-                return sol, base, fidelity(sol.output_rho, exact_vec)
-            sol, base, fid_exact = _guarded(step, point, "fidelity-sweep")
-            prev = sol.input_state
-            events += int(sol.continuation_used)
-            rows.append((point.bond_length, token, sol.fidelity_io,
-                         base.fidelity_io, fid_exact, sol.energy))
-        return rows, events
+    def step(point, token, built, prev):
+        ch = _channel_for(built, point, channel_kind_from_token(token), ratios)
+        sol = solve_vcs(point.h_dense, ch, penalties=cfg.penalties,
+                        continuation=prev)
+        base = no_variation_baseline(point.h_dense, ch, penalties=cfg.penalties)
+        fid_exact = fidelity(sol.output_rho, point.exact()[1][:, 0])
+        return sol, [(point.bond_length, token, sol.fidelity_io,
+                      base.fidelity_io, fid_exact, sol.energy)]
 
-    results = [one_channel(token) for token in CHANNEL_TOKENS]
-    rows = [row for chunk, _ in results for row in chunk]
-    events = sum(ev for _, ev in results)
+    rows, events = _sweep(cfg, CHANNEL_TOKENS, step)
     header = ["R", "channel", "fidelity_vcs", "fidelity_novar",
               "fidelity_vs_exact", "energy_vcs"]
     return header, rows, events
@@ -167,150 +170,106 @@ def _basis_for(cfg: ExperimentConfig, point: _Point):
 
 
 def _spectrum(cfg: ExperimentConfig):
-    points = _prepare(load_sweep(cfg.sweep_manifest))
+    def step(point, *_):
+        w_full, v, n = point.exact()
+        prob = build_subspace_direct(_basis_for(cfg, point), point.h_dense,
+                                     v[:, 0], point.symmetry_dense)
+        if cfg.projection is not None:
+            name, target, window = cfg.projection
+            prob = project_symmetry(prob, name, target, window, cfg.metric_cutoff)
+        spec = solve_subspace(prob, cfg.metric_cutoff)
+        return None, [(point.bond_length, method, i, float(e))
+                      for method, levels in (("qse", spec.eigenvalues),
+                                             ("fci_sector", w_full[n == point.integrals.nelec]),
+                                             ("fci_full", w_full))
+                      for i, e in enumerate(levels)]
 
-    def one_point(point):
-        def step():
-            w_full, v = point.exact()
-            psi0 = v[:, 0]
-            prob = build_subspace_direct(_basis_for(cfg, point), point.h_dense,
-                                         psi0, point.symmetry_dense)
-            if cfg.projection is not None:
-                name, target, window = cfg.projection
-                prob = project_symmetry(prob, name, target, window,
-                                        cfg.metric_cutoff)
-            spec = solve_subspace(prob, cfg.metric_cutoff)
-            sector = _sector_indices(point)
-            w_sector = np.linalg.eigvalsh(point.h_dense[np.ix_(sector, sector)])
-            rows = [(point.bond_length, "qse", i, float(e))
-                    for i, e in enumerate(spec.eigenvalues)]
-            rows += [(point.bond_length, "fci_sector", i, float(e))
-                     for i, e in enumerate(w_sector)]
-            rows += [(point.bond_length, "fci_full", i, float(e))
-                     for i, e in enumerate(w_full)]
-            return rows
-        return _guarded(step, point, "spectrum")
-
-    results = [one_point(point) for point in points]
-    rows = [row for chunk in results for row in chunk]
+    rows, _ = _sweep(cfg, (None,), step)
     return ["R", "method", "level", "energy"], rows, 0
 
 
 def _qse_repair(cfg: ExperimentConfig):
-    points = _prepare(load_sweep(cfg.sweep_manifest))
     ratios = _ratios(cfg)
     kind = cfg.channel.kind if cfg.channel is not None else "amplitude_phase"
     proj = cfg.projection or ("s_squared", 0.0, 0.5)
 
-    def one_reference(ref_name):
-        rows, events, prev, built = [], 0, None, {}
+    def step(point, ref_name, built, prev):
         solver = solve_vcs if ref_name == "vcs" else no_variation_baseline
-        for point in points:
-            def step():
-                ch = _channel_for(built, point, kind, ratios)
-                sol = solver(point.h_dense, ch, penalties=cfg.penalties,
-                             continuation=prev)
-                basis = fermionic_basis(point.mode_count, 1)
-                e_exact = float(point.exact()[0][0])
-                # unconstrained expansion around the mixed channel output
-                prob_out = build_subspace_direct(basis, point.h_dense,
-                                                 sol.output_rho,
-                                                 point.symmetry_dense)
-                spec_out = solve_subspace(prob_out, cfg.metric_cutoff)
-                s2_qse = subspace_expectation(prob_out, "s_squared",
-                                              spec_out.eigenvectors[:, 0])
-                # symmetry-projected expansion around the pure input state
-                prob_in = build_subspace_direct(basis, point.h_dense,
-                                                sol.input_state,
-                                                point.symmetry_dense)
-                projected = project_symmetry(prob_in, proj[0], proj[1], proj[2],
-                                             cfg.metric_cutoff)
-                spec_in = solve_subspace(projected, cfg.metric_cutoff)
-                s2_proj = subspace_expectation(projected, "s_squared",
-                                               spec_in.eigenvectors[:, 0])
-                return (sol, e_exact, float(spec_out.eigenvalues[0]), s2_qse,
-                        float(spec_in.eigenvalues[0]), s2_proj)
-            sol, e_exact, e_qse, s2_qse, e_proj, s2_proj = _guarded(
-                step, point, "qse-repair")
-            prev = sol.input_state
-            events += int(sol.continuation_used)
-            rows.append((point.bond_length, ref_name, e_exact, sol.energy,
-                         e_qse, e_proj,
-                         sol.symmetry_expectations["s_squared"], s2_qse, s2_proj))
-        return rows, events
+        ch = _channel_for(built, point, kind, ratios)
+        sol = solver(point.h_dense, ch, penalties=cfg.penalties, continuation=prev)
+        basis = fermionic_basis(point.mode_count, 1)
+        # unconstrained expansion around the mixed channel output
+        prob_out = build_subspace_direct(basis, point.h_dense, sol.output_rho,
+                                         point.symmetry_dense)
+        spec_out = solve_subspace(prob_out, cfg.metric_cutoff)
+        s2_qse = subspace_expectation(prob_out, "s_squared",
+                                      spec_out.eigenvectors[:, 0])
+        # symmetry-projected expansion around the pure input state
+        prob_in = build_subspace_direct(basis, point.h_dense, sol.input_state,
+                                        point.symmetry_dense)
+        projected = project_symmetry(prob_in, proj[0], proj[1], proj[2],
+                                     cfg.metric_cutoff)
+        spec_in = solve_subspace(projected, cfg.metric_cutoff)
+        s2_proj = subspace_expectation(projected, "s_squared",
+                                       spec_in.eigenvectors[:, 0])
+        return sol, [(point.bond_length, ref_name, float(point.exact()[0][0]),
+                      sol.energy, float(spec_out.eigenvalues[0]),
+                      float(spec_in.eigenvalues[0]),
+                      sol.symmetry_expectations["s_squared"], s2_qse, s2_proj)]
 
-    results = [one_reference(ref) for ref in ("vcs", "novar")]
-    rows = [row for chunk, _ in results for row in chunk]
-    events = sum(ev for _, ev in results)
+    rows, events = _sweep(cfg, ("vcs", "novar"), step)
     header = ["R", "reference", "energy_exact", "energy_ref", "energy_qse",
               "energy_qse_s2proj", "s2_ref", "s2_qse", "s2_qse_s2proj"]
     return header, rows, events
 
 
 def _ground_channels(cfg: ExperimentConfig):
-    points = _prepare(load_sweep(cfg.sweep_manifest))
     ratios = _ratios(cfg)
 
-    def one_curve(curve):
-        rows, events, prev, built = [], 0, None, {}
-        for point in points:
-            def step():
-                s2d = point.symmetry_dense["s_squared"]
-                if curve == "exact":
-                    w, v = point.exact()
-                    vec = v[:, 0]
-                    return None, float(w[0]), float(np.real(vec.conj() @ s2d @ vec))
-                if curve == "rhf":
-                    det = (1 << point.integrals.nelec) - 1
-                    return (None, float(np.real(point.h_dense[det, det])),
-                            float(np.real(s2d[det, det])))
-                penalties = list(cfg.penalties)
-                if curve == "ph_s2pen":
-                    penalties = [("s_squared", 0.0, S2_PENALTY_WEIGHT)]
-                kind = channel_kind_from_token(curve.removesuffix("_s2pen"))
-                ch = _channel_for(built, point, kind, ratios)
-                sol = solve_vcs(point.h_dense, ch, penalties=penalties,
-                                continuation=prev)
-                return (sol, sol.energy,
-                        sol.symmetry_expectations["s_squared"])
-            sol, energy, s2 = _guarded(step, point, "ground-channels")
-            if sol is not None:
-                prev = sol.input_state
-                events += int(sol.continuation_used)
-            rows.append((point.bond_length, curve, energy, s2))
-        return rows, events
+    def step(point, curve, built, prev):
+        s2d = point.symmetry_dense["s_squared"]
+        if curve == "exact":
+            w, v, _ = point.exact()
+            vec = v[:, 0]
+            return None, [(point.bond_length, curve, float(w[0]),
+                           float(np.real(vec.conj() @ s2d @ vec)))]
+        if curve == "rhf":
+            det = (1 << point.integrals.nelec) - 1
+            return None, [(point.bond_length, curve,
+                           float(np.real(point.h_dense[det, det])),
+                           float(np.real(s2d[det, det])))]
+        penalties = list(cfg.penalties)
+        if curve == "ph_s2pen":
+            penalties = [("s_squared", 0.0, S2_PENALTY_WEIGHT)]
+        kind = channel_kind_from_token(curve.removesuffix("_s2pen"))
+        ch = _channel_for(built, point, kind, ratios)
+        sol = solve_vcs(point.h_dense, ch, penalties=penalties, continuation=prev)
+        return sol, [(point.bond_length, curve, sol.energy,
+                      sol.symmetry_expectations["s_squared"])]
 
-    results = [one_curve(curve) for curve in GROUND_CURVES]
-    rows = [row for chunk, _ in results for row in chunk]
-    events = sum(ev for _, ev in results)
+    rows, events = _sweep(cfg, GROUND_CURVES, step)
     return ["R", "curve", "energy", "s2"], rows, events
 
 
 def _approx_spectrum(cfg: ExperimentConfig, levels: int = 3):
-    points = _prepare(load_sweep(cfg.sweep_manifest))
+    def step(point, *_):
+        psi0 = point.exact()[1][:, 0]
+        h1, h2, core = spin_orbital_tensors(point.integrals)
+        rdms = compute_rdms(psi0, 3)
+        e_g = float(np.real(psi0.conj() @ point.h_dense @ psi0))
+        basis = fermionic_basis(point.mode_count, 1)
+        direct = build_subspace_direct(basis, point.h_dense, psi0)
+        zc = approximate_lr("ZC", h1, h2, rdms, e_g, core_energy=core)
+        za = approximate_lr("ZA", h1, h2, rdms, e_g, core_energy=core)
+        rows = []
+        for method, prob in (("exact", direct), ("zc", zc), ("za", za)):
+            spec = solve_subspace(prob, cfg.metric_cutoff)
+            for i in range(min(levels, spec.retained_dim)):
+                rows.append((point.bond_length, method, i,
+                             float(spec.eigenvalues[i])))
+        return None, rows
 
-    def one_point(point):
-        def step():
-            w, v = point.exact()
-            psi0 = v[:, 0]
-            h1, h2, core = spin_orbital_tensors(point.integrals)
-            rdms = compute_rdms(psi0, 3)
-            e_g = float(np.real(psi0.conj() @ point.h_dense @ psi0))
-            basis = fermionic_basis(point.mode_count, 1)
-            direct = build_subspace_direct(basis, point.h_dense, psi0)
-            zc = approximate_lr("ZC", h1, h2, rdms, e_g, core_energy=core)
-            za = approximate_lr("ZA", h1, h2, rdms, e_g, core_energy=core)
-            rows = []
-            for method, prob in (("exact", direct), ("zc", zc), ("za", za)):
-                spec = solve_subspace(prob, cfg.metric_cutoff)
-                for i in range(min(levels, spec.retained_dim)):
-                    rows.append((point.bond_length, method, i,
-                                 float(spec.eigenvalues[i])))
-            return rows
-        return _guarded(step, point, "approx-spectrum")
-
-    results = [one_point(point) for point in points]
-    rows = [row for chunk in results for row in chunk]
+    rows, _ = _sweep(cfg, (None,), step)
     return ["R", "method", "level", "energy"], rows, 0
 
 
@@ -365,9 +324,8 @@ def single_point(cfg: ExperimentConfig) -> str:
     ints = parse_fcidump(Path(cfg.fcidump).read_text())
     point = _point(ints)
     m, h_dense = point.mode_count, point.h_dense
-    w, v = point.exact()
-    sector = _sector_indices(point)
-    w_sector = np.linalg.eigvalsh(h_dense[np.ix_(sector, sector)])
+    w, v, n = point.exact()
+    w_sector = w[n == ints.nelec]
 
     lines = [f"fixture: {cfg.fcidump}",
              f"norb={ints.norb} nelec={ints.nelec} ms2={ints.ms2} "

@@ -383,8 +383,9 @@ def approximate_lr(method: str, h1: np.ndarray, h2: np.ndarray, rdms: RdmSet,
         zero_above = 2 if reconstruct_d3 else 3
         if rdms.max_k < zero_above:
             raise ValueError(f"ZA needs RDMs through order {zero_above}")
-        # overlap and core shift from the exact D1, D2, not the reconstruction
-        work, shift = reconstruct_rdms(cumulants_from_rdms(rdms), zero_above), core_energy
+        # overlap and core shift from the exact D1, D2; cumulants only as far as kept
+        kept = RdmSet(mode_count=rdms.mode_count, blocks=rdms.blocks[:zero_above])
+        work, shift = reconstruct_rdms(cumulants_from_rdms(kept), zero_above), core_energy
     else:
         if rdms.max_k < (2 if truncate else 3):
             raise ValueError("ZC with truncation needs RDMs through order 2" if truncate

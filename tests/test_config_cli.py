@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from vcsqse import experiments, operators, qse, vcs
@@ -5,6 +6,7 @@ from vcsqse.cli import main
 from vcsqse.config import (ConfigError, ExperimentConfig, config_to_text,
                            load_config, parse_config)
 from vcsqse.experiments import run_experiment, single_point
+from vcsqse.molecule import MolecularIntegrals, render_fcidump
 
 MINI_MANIFEST = "mini.manifest"
 
@@ -93,6 +95,36 @@ class TestExperiments:
             by_point.setdefault(r, []).append(energy)
         for r, _, level, energy in sector:
             assert abs(sorted(by_point[r])[level] - energy) < 1e-8
+
+    def test_m8_spectrum_diagonalizes_by_sector(self, tmp_path, monkeypatch):
+        """FCI levels at M = 8 come from the N blocks, the largest C(8, 4) = 70."""
+        rng = np.random.default_rng(21)
+        h1 = rng.normal(size=(4, 4))
+        g = rng.normal(size=(4,) * 4)
+        for perm in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
+            g = g + g.transpose(perm)
+        ints = MolecularIntegrals(norb=4, nelec=4, ms2=0, core_energy=0.5,
+                                  one_body=h1 + h1.T, two_body=0.05 * g)
+        (tmp_path / "h4.fcidump").write_text(render_fcidump(ints))
+        (tmp_path / "h4.manifest").write_text("1.0 h4.fcidump\n")
+        cfg = parse_config("[run]\nexperiment = spectrum\n"
+                           f"sweep_manifest = {tmp_path / 'h4.manifest'}\n")
+        shapes = {"eigh": [], "eigvalsh": []}
+        for name, calls in shapes.items():
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, *args, real=real, calls=calls:
+                                calls.append(a.shape) or real(a, *args))
+        rows = run_experiment(cfg).rows
+        monkeypatch.undo()
+        assert max(shape[-1] for shape in shapes["eigh"]) <= 70
+        assert shapes["eigvalsh"] == []
+        h = operators.fermion_to_dense(experiments.assemble_hamiltonian(ints))
+        sector = [b for b in range(256) if bin(b).count("1") == 4]
+        want = np.linalg.eigvalsh(h[np.ix_(sector, sector)])
+        got = [energy for _, method, _, energy in rows if method == "fci_sector"]
+        assert np.abs(np.array(got) - want).max() < 1e-10
+        full = [energy for _, method, _, energy in rows if method == "fci_full"]
+        assert np.abs(np.array(full) - np.linalg.eigvalsh(h)).max() < 1e-10
 
     @staticmethod
     def spy_dense_builds(monkeypatch):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from vcsqse.linalg import generalized_eigensolve, hermitian_eigensolve
+from vcsqse.linalg import _sector_eigh, generalized_eigensolve, hermitian_eigensolve
 
 
 def random_hermitian(rng, n):
@@ -123,3 +125,60 @@ class TestGeneralizedEigensolve:
         with pytest.raises(ValueError, match="differ"):
             generalized_eigensolve(np.eye(2), np.eye(3))
 
+
+
+def number_conserving(rng, m, ties):
+    """Random Hermitian H on 2^M states with no entry between N sectors.
+
+    ties="mirror" copies each sector block N onto M - N, so every level of
+    the pair is tied exactly; ties="diagonal" draws a diagonal of fewer
+    distinct integers than states, tying levels also across sectors of
+    different sizes.
+    """
+    dim = 1 << m
+    labels = np.bitwise_count(np.arange(dim))
+    if ties == "diagonal":
+        return np.diag(rng.integers(0, max(dim // 2, 1), size=dim)).astype(complex), labels
+    h = random_hermitian(rng, dim)
+    h[labels[:, None] != labels[None, :]] = 0
+    if ties == "mirror":
+        for n in range(m // 2 + 1):
+            src, dst = np.flatnonzero(labels == n), np.flatnonzero(labels == m - n)
+            h[np.ix_(dst, dst)] = h[np.ix_(src, src)]
+    return h, labels
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 6), ties=st.sampled_from(["none", "mirror", "diagonal"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(m=1, ties="mirror", seed=0)
+def test_sector_eigh_matches_dense_eigh(m, ties, seed):
+    h, labels = number_conserving(np.random.default_rng(seed), m, ties)
+    w, v, sectors = _sector_eigh(h, labels)
+    assert np.abs(w - np.linalg.eigh(h)[0]).max() < 1e-12
+    assert np.abs(h @ v - v * w).max() < 1e-12
+    assert np.abs(v.conj().T @ v - np.eye(1 << m)).max() < 1e-12
+    assert np.all(v[labels[:, None] != sectors[None, :]] == 0)
+    for n in range(m + 1):
+        block = np.flatnonzero(labels == n)
+        want = np.linalg.eigvalsh(h[np.ix_(block, block)])
+        assert np.abs(w[sectors == n] - want).max() < 1e-12
+    tied = np.flatnonzero(w[1:] == w[:-1])
+    assert np.all(sectors[tied] <= sectors[tied + 1])
+    if ties != "none":
+        assert tied.size
+
+
+def test_sector_coupling_rejected_before_any_eigh(monkeypatch):
+    shapes = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a, *args: shapes.append(a.shape) or real(a, *args))
+    h, labels = number_conserving(np.random.default_rng(5), 4, "none")
+    coupled = h.copy()
+    coupled[1, 3] = coupled[3, 1] = 1e-300  # N = 1 to N = 2
+    with pytest.raises(ValueError, match="between sectors"):
+        _sector_eigh(coupled, labels)
+    assert shapes == []
+    _sector_eigh(h, labels)
+    assert shapes == [(2, 4, 4), (1, 6, 6)]

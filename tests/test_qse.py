@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import rdm_oracle
 from pauli_oracle import dense_subspace, loop_subspace
 from rdm_oracle import zc_h_sub
-from vcsqse import rdm
+from vcsqse import qse, rdm
 from vcsqse.channels import ChannelSpec, lift_to_register, single_qubit_channel
 from vcsqse.molecule import hamiltonian_from_tensors, spin_orbital_tensors
 from vcsqse.operators import (PauliOperator, apply_pauli, fermion_to_dense,
@@ -507,6 +507,20 @@ def test_packed_lr_matches_full_tensor_oracle(m, n_e, mixed, seed):
         want = rdm_oracle.za_h_sub(h1, h2, rdms, core, reconstruct_d3)
         assert np.abs(za.h_sub - want).max() < 1e-12
         assert np.abs(za.s_sub - s_sub).max() < 1e-12
+
+
+def test_za_builds_only_the_cumulants_it_keeps(monkeypatch):
+    """ZA passes cumulants_from_rdms only the orders the reconstruction keeps."""
+    orders = []
+    real = qse.cumulants_from_rdms
+    monkeypatch.setattr(qse, "cumulants_from_rdms",
+                        lambda rdms: orders.append(rdms.max_k) or real(rdms))
+    rng = np.random.default_rng(9)
+    rdms = compute_rdms(random_reference(rng, 4, 2, False), 3)
+    h1, h2 = random_lr_tensors(rng, 4)
+    for reconstruct_d3 in (True, False):
+        approximate_lr("ZA", h1, h2, rdms, 0.0, reconstruct_d3=reconstruct_d3)
+    assert orders == [2, 3]
 
 
 def test_m8_lr_stays_packed(monkeypatch):
