@@ -11,13 +11,13 @@ Conventions used throughout the package:
 * Pauli action: every Pauli word is a signed permutation. With x the bit
   mask of its X/Y letters and z that of its Z/Y letters,
   (c P v)[j] = c * i^#Y * (-1)^popcount((j ^ x) & z) * v[j ^ x].
-  pauli_action computes that form for all words of an operator at once,
-  and stack_actions pads the forms of several operators to one
-  (slot, operator, state) stack. apply_stacked, which applies every
-  operator of a stack from the left or the right one word slot at a time,
-  is the only code that multiplies a vector or matrix by a Pauli operator:
-  apply_pauli and apply_pauli_right are its one-operator case, and
-  pauli_to_dense is the action on the identity.
+  _word_masks caches each word's masks, and _signed_permutation turns them
+  into that form: pauli_action for all words of an operator at once,
+  rdm.estimate_pauli for one word. stack_actions pads the forms of several
+  operators to one (slot, operator, state) stack, and apply_stacked applies
+  every operator of a stack from the left or the right one word slot at a
+  time: apply_pauli is its one-operator case, and pauli_to_dense is the
+  action on the identity.
 """
 
 from functools import lru_cache
@@ -380,6 +380,21 @@ def jordan_wigner(op: FermionOperator) -> PauliOperator:
     return out
 
 
+@lru_cache(maxsize=1 << 16)
+def _word_masks(word: str) -> tuple[int, int, int]:
+    """(x, z, #Y mod 4) of a Pauli word: its X/Y and Z/Y bit masks, i^#Y's power."""
+    x = sum(1 << q for q, ch in enumerate(word) if ch in "XY")
+    z = sum(1 << q for q, ch in enumerate(word) if ch in "ZY")
+    return x, z, word.count("Y") % 4
+
+
+def _signed_permutation(x, z, y_pow, c, n: int):
+    """pauli_action's src and phase from _word_masks, as scalars or (words, 1) columns."""
+    src = np.arange(1 << n) ^ x
+    c = c * np.array([1, 1j, -1, -1j])[y_pow]
+    return src, np.where(np.bitwise_count(src & z) & 1, -c, c)
+
+
 def pauli_action(op: PauliOperator) -> tuple[np.ndarray, np.ndarray]:
     """Signed-permutation form of every word of op: arrays src and phase.
 
@@ -390,17 +405,9 @@ def pauli_action(op: PauliOperator) -> tuple[np.ndarray, np.ndarray]:
     n = op.qubit_count
     if n > DENSE_QUBIT_LIMIT:
         raise ValueError(f"qubit_count {n} exceeds dense limit {DENSE_QUBIT_LIMIT}")
-    letters = np.array([list(word) for word in op.terms], dtype="U1")
-    letters = letters.reshape(len(op.terms), n)
-    bits = 1 << np.arange(n, dtype=np.int64)
-    is_y = letters == "Y"
-    x = ((letters == "X") | is_y) @ bits
-    z = ((letters == "Z") | is_y) @ bits
-    i_pow = np.array([1, 1j, -1, -1j])[is_y.sum(axis=1) % 4]
-    c = np.array(list(op.terms.values()), dtype=complex) * i_pow
-    src = np.arange(1 << n) ^ x[:, None]
-    odd = np.bitwise_count(src & z[:, None]) & 1
-    return src, np.where(odd, -c[:, None], c[:, None])
+    masks = np.array([_word_masks(word) for word in op.terms], dtype=np.int64)
+    coeffs = np.array(list(op.terms.values()), dtype=complex)[:, None]
+    return _signed_permutation(*masks.reshape(-1, 3).T[:, :, None], coeffs, n)
 
 
 def stack_actions(ops) -> tuple[np.ndarray, np.ndarray]:
@@ -474,12 +481,6 @@ def apply_pauli(action, arr: np.ndarray) -> np.ndarray:
     """
     src, phase = action
     return apply_stacked((src[:, None], phase[:, None]), arr)[0]
-
-
-def apply_pauli_right(arr: np.ndarray, action) -> np.ndarray:
-    """arr @ P for a matrix arr and P given as pauli_action(P)."""
-    src, phase = action
-    return apply_stacked((src[:, None], phase[:, None]), arr, right=True)[0]
 
 
 def pauli_to_dense(op: PauliOperator) -> np.ndarray:

@@ -32,7 +32,8 @@ import numpy as np
 from .linalg import Spectrum, generalized_eigensolve
 from .operators import (FermionOperator, PauliOperator, apply_stacked,
                         jordan_wigner, normal_order, stack_actions)
-from .rdm import RdmSet, _split_contract, cumulants_from_rdms, reconstruct_rdms
+from .rdm import (RdmSet, _disconnected, _split_contract, cumulants_from_rdms,
+                  reconstruct_rdms)
 
 # Looser than the linalg default: RDM-contracted matrices carry accumulated
 # contraction noise in their null directions.
@@ -390,7 +391,11 @@ def approximate_lr(method: str, h1: np.ndarray, h2: np.ndarray, rdms: RdmSet,
         if rdms.max_k < (2 if truncate else 3):
             raise ValueError("ZC with truncation needs RDMs through order 2" if truncate
                              else "ZC needs RDMs through the 3-RDM (or truncate=True)")
-        work = reconstruct_rdms(cumulants_from_rdms(rdms), 2) if truncate else rdms
+        work, m = rdms, rdms.mode_count
+        if truncate:  # D1..D3 with C3 = 0; the commutator form reads no D4
+            c = cumulants_from_rdms(RdmSet(mode_count=m, blocks=rdms.blocks[:2])).blocks
+            work = RdmSet(mode_count=m, blocks=(c[0], c[1] + _disconnected(c, 2, m),
+                                                _disconnected(c, 3, m)))
         # e_g is the full <H> including any constant, so no separate core term:
         # <E_a^ H E_b> = <E_a^ [H0, E_b]> + e_g S for an eigenstate reference.
         shift = e_g

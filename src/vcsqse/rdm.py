@@ -26,10 +26,11 @@ from math import comb, factorial
 
 import numpy as np
 
-from .operators import (FermionOperator, PauliOperator, apply_pauli, jordan_wigner,
-                        pauli_action)
+from .operators import (FermionOperator, PauliOperator, _signed_permutation,
+                        _word_masks, jordan_wigner)
 
 RDM_MODE_LIMIT = 8
+SHOT_CHUNK = 1 << 16  # uniforms per draw in estimate_pauli, 576 KiB with their mask
 _WEIGHT_TOL = 1e-14
 
 # D_n - C_n as wedge products of lower-order cumulants: (coefficient, orders)
@@ -384,7 +385,8 @@ def estimate_pauli(state: np.ndarray, pauli: PauliOperator, shots: int,
     sqrt((1 - mean^2) / (shots - 1)), the ddof=1 standard deviation of the
     +-1 outcomes over sqrt(shots). `seed` is anything np.random.default_rng
     accepts, e.g. an int or an (int, word index) pair; the result is
-    deterministic for a fixed seed.
+    deterministic for a fixed seed. Uniforms are drawn SHOT_CHUNK at a time,
+    the stream of one rng.random(shots) call, so memory stays bounded.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
@@ -394,15 +396,17 @@ def estimate_pauli(state: np.ndarray, pauli: PauliOperator, shots: int,
     if abs(np.imag(coeff)) > 1e-12:
         raise ValueError("Pauli string coefficient must be real")
     state = np.asarray(state, dtype=complex)
-    acted = apply_pauli(pauli_action(PauliOperator(pauli.qubit_count, {word: 1.0})),
-                        state)
+    if state.shape[0] != 1 << len(word):
+        raise ValueError(f"{len(word)}-qubit word on a dimension-{state.shape[0]} state")
+    src, phase = _signed_permutation(*_word_masks(word), 1.0, len(word))
     if state.ndim == 1:
-        exact = float(np.real(state.conj() @ acted))
+        exact = float(np.real(state.conj() @ (phase * state[src])))
     else:
-        exact = float(np.real(np.trace(acted)))
+        exact = float(np.real(np.sum(phase * state[src, np.arange(src.size)])))
     p = min(max((1.0 + exact) / 2.0, 0.0), 1.0)
     rng = np.random.default_rng(seed)
-    ups = int(np.count_nonzero(rng.random(shots) < p))
+    ups = sum(int(np.count_nonzero(rng.random(min(SHOT_CHUNK, shots - done)) < p))
+              for done in range(0, shots, SHOT_CHUNK))
     mean = (2 * ups - shots) / shots
     stderr = float(np.sqrt((1.0 - mean * mean) / (shots - 1))) if shots > 1 else 0.0
     scale = float(np.real(coeff))

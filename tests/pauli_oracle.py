@@ -9,11 +9,16 @@ Each basis element costs a 4^M matrix and two 8^M products, so keep M small.
 loop_apply, loop_apply_right and loop_subspace are the per-word,
 per-element loops the slot-stacked kernel replaced. They do the same
 arithmetic in the same order, so the package must match them bit for bit.
+
+letter_pauli_action reads the bit masks from a (words, n) array of letters,
+and apply_estimate_pauli takes <P> as the full P @ state by apply_pauli and
+draws all uniforms at once: the forms the mask cache, the one-word gather
+and the chunked draws replaced, which must agree with them exactly.
 """
 
 import numpy as np
 
-from vcsqse.operators import pauli_action
+from vcsqse.operators import DENSE_QUBIT_LIMIT, PauliOperator, apply_pauli, pauli_action
 
 _PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -107,3 +112,39 @@ def loop_subspace(basis, h, rho, symmetry_ops=None):
     sym = {name: block(np.asarray(op, dtype=complex))
            for name, op in (symmetry_ops or {}).items()}
     return block(h), block(np.eye(dim)), sym
+
+
+def letter_pauli_action(op):
+    """pauli_action(op) with the masks read from an array of word letters."""
+    n = op.qubit_count
+    if n > DENSE_QUBIT_LIMIT:
+        raise ValueError(f"qubit_count {n} exceeds dense limit {DENSE_QUBIT_LIMIT}")
+    letters = np.array([list(word) for word in op.terms], dtype="U1")
+    letters = letters.reshape(len(op.terms), n)
+    bits = 1 << np.arange(n, dtype=np.int64)
+    is_y = letters == "Y"
+    x = ((letters == "X") | is_y) @ bits
+    z = ((letters == "Z") | is_y) @ bits
+    i_pow = np.array([1, 1j, -1, -1j])[is_y.sum(axis=1) % 4]
+    c = np.array(list(op.terms.values()), dtype=complex) * i_pow
+    src = np.arange(1 << n) ^ x[:, None]
+    odd = np.bitwise_count(src & z[:, None]) & 1
+    return src, np.where(odd, -c[:, None], c[:, None])
+
+
+def apply_estimate_pauli(state, pauli, shots, seed):
+    """estimate_pauli through apply_pauli and one rng.random(shots) call."""
+    [(word, coeff)] = pauli.terms.items()
+    state = np.asarray(state, dtype=complex)
+    unit = PauliOperator(pauli.qubit_count, {word: 1.0})
+    acted = apply_pauli(letter_pauli_action(unit), state)
+    if state.ndim == 1:
+        exact = float(np.real(state.conj() @ acted))
+    else:
+        exact = float(np.real(np.trace(acted)))
+    p = min(max((1.0 + exact) / 2.0, 0.0), 1.0)
+    ups = int(np.count_nonzero(np.random.default_rng(seed).random(shots) < p))
+    mean = (2 * ups - shots) / shots
+    stderr = float(np.sqrt((1.0 - mean * mean) / (shots - 1))) if shots > 1 else 0.0
+    scale = float(np.real(coeff))
+    return scale * mean, abs(scale) * stderr

@@ -400,6 +400,23 @@ class TestApproximations:
         # still a sensible approximation of the sector ground state
         assert abs(spec.eigenvalues[0] - stretched["w"][0]) < 0.05
 
+    def test_zc_truncated_builds_no_four_rdm(self, stretched, monkeypatch):
+        """Truncated ZC builds C2, then D2 and D3 from C1 and C2: no order-4
+        disconnected part, which the commutator form never reads."""
+        orders = []
+        real = rdm._disconnected
+
+        def spy(c, n, m):
+            orders.append(n)
+            return real(c, n, m)
+
+        monkeypatch.setattr(rdm, "_disconnected", spy)
+        monkeypatch.setattr(qse, "_disconnected", spy)
+        psi0 = stretched["v"][:, 0]
+        h1, h2, _ = spin_orbital_tensors(stretched["ints"])
+        approximate_lr("ZC", h1, h2, compute_rdms(psi0, 3), 0.0, truncate=True)
+        assert sorted(orders) == [2, 2, 3]
+
     def test_zc_needs_d3_without_truncate(self, stretched):
         psi0 = stretched["v"][:, 0]
         h1, h2, _ = spin_orbital_tensors(stretched["ints"])

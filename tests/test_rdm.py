@@ -1,5 +1,5 @@
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdm_oracle
-from pauli_oracle import kron_dense
+from pauli_oracle import apply_estimate_pauli, kron_dense, letter_pauli_action
 from vcsqse import experiments, rdm
 from vcsqse.molecule import assemble_hamiltonian, spin_orbital_tensors
-from vcsqse.operators import (FermionOperator, PauliOperator, fermion_to_dense,
-                              jordan_wigner, normal_order, parse_ladder,
+from vcsqse.operators import (FermionOperator, PauliOperator, _signed_permutation,
+                              _word_masks, fermion_to_dense, jordan_wigner,
+                              normal_order, parse_ladder, pauli_action,
                               symmetry_operator)
 from vcsqse.rdm import (compute_rdms, contract_energy, cumulants_from_rdms,
                         estimate_pauli, reconstruct_rdms, sample_rdms, wedge)
@@ -347,6 +348,8 @@ class TestEstimatePauli:
             estimate_pauli(state, p, 10, 0)
         with pytest.raises(ValueError, match="shots"):
             estimate_pauli(state, PauliOperator(1, {"Z": 1.0}), 0, 0)
+        with pytest.raises(ValueError, match="dimension"):
+            estimate_pauli(np.full(8, 8 ** -0.5), PauliOperator(2, {"ZZ": 1.0}), 10, 0)
 
     def test_density_matrix_input(self):
         rng = np.random.default_rng(21)
@@ -355,6 +358,72 @@ class TestEstimatePauli:
         a, _ = estimate_pauli(state, PauliOperator(2, {"ZZ": 1.0}), 4000, 9)
         b, _ = estimate_pauli(rho, PauliOperator(2, {"ZZ": 1.0}), 4000, 9)
         assert a == b
+
+    def test_chunked_draws_are_one_stream(self):
+        """Draws split at SHOT_CHUNK count the same +1 outcomes as one
+        rng.random(shots) call."""
+        shots = 3 * rdm.SHOT_CHUNK + 17
+        state = random_state(np.random.default_rng(28), 3)
+        p = PauliOperator(3, {"XYZ": 1.0})
+        got = estimate_pauli(state, p, shots, (6, 2))
+        assert got == apply_estimate_pauli(state, p, shots, (6, 2))
+        assert abs(got[0]) < 1.0
+
+    def test_draw_memory_is_bounded_by_a_chunk(self):
+        state = random_state(np.random.default_rng(29), 2)
+        p = PauliOperator(2, {"XZ": 1.0})
+        tracemalloc.start()
+        try:
+            estimate_pauli(state, p, 10**7, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
+    def test_m8_density_matrix_reads_only_the_diagonal(self):
+        """<P> of a 256 x 256 rho gathers one entry per row, not P rho."""
+        rng = np.random.default_rng(30)
+        vecs = [random_state(rng, 8) for _ in range(2)]
+        rho = 0.5 * sum(np.outer(v, v.conj()) for v in vecs)
+        p = PauliOperator(8, {"XYZIZYXI": 1.0})
+        estimate_pauli(rho, p, 1000, 0)
+        tracemalloc.start()
+        try:
+            got = estimate_pauli(rho, p, 1000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 << 10
+        assert got == apply_estimate_pauli(rho, p, 1000, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), mixed=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       shots=st.integers(1, 3000),
+       coeff=st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-3))
+def test_estimate_pauli_matches_apply_oracle_bit_for_bit(n, mixed, seed, shots, coeff):
+    """Every word at n <= 3, random words above: the cached masks give the
+    letter-array src and phase, and the one-word gather and chunked draws
+    give the apply_pauli estimate, all exactly."""
+    rng = np.random.default_rng(seed)
+    state = random_state(rng, n)
+    if mixed:
+        weights = rng.dirichlet(np.ones(3))
+        state = sum(w * np.outer(v, v.conj())
+                    for w, v in zip(weights, [state] + [random_state(rng, n)
+                                                        for _ in range(2)]))
+    words = (["".join(w) for w in product("IXYZ", repeat=n)] if n <= 3
+             else ["".join(rng.choice(list("IXYZ"), n)) for _ in range(8)])
+    for i, word in enumerate(words):
+        src, phase = letter_pauli_action(PauliOperator(n, {word: 1.0}))
+        got_src, got_phase = _signed_permutation(*_word_masks(word), 1.0, n)
+        assert np.array_equal(got_src, src[0]) and np.array_equal(got_phase, phase[0])
+        p = PauliOperator(n, {word: coeff})
+        assert (estimate_pauli(state, p, shots, (seed, i))
+                == apply_estimate_pauli(state, p, shots, (seed, i)))
+    op = PauliOperator(n, {word: coeff * (i + 1) for i, word in enumerate(words)})
+    for got, want in zip(pauli_action(op), letter_pauli_action(op)):
+        assert np.array_equal(got, want)
 
 
 class TestSampledRdms:
