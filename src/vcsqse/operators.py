@@ -13,11 +13,15 @@ Conventions used throughout the package:
   (c P v)[j] = c * i^#Y * (-1)^popcount((j ^ x) & z) * v[j ^ x].
   _word_masks caches each word's masks, and _signed_permutation turns them
   into that form: pauli_action for all words of an operator at once,
-  rdm.estimate_pauli for one word. stack_actions pads the forms of several
-  operators to one (slot, operator, state) stack, and apply_stacked applies
-  every operator of a stack from the left or the right one word slot at a
-  time: apply_pauli is its one-operator case, and pauli_to_dense is the
-  action on the identity.
+  rdm.estimate_pauli for one word. apply_pauli adds the words of one
+  operator one at a time, and pauli_to_dense is its action on the identity.
+* Ladder action: a product of ladder operators sends each occupation state
+  to at most one state, with sign +-1, so it is one masked signed
+  permutation, (E v)[j] = weight[j] * v[j ^ x] with weight in {0, +-1}.
+  _ladder_action computes that pair for a batch of ladder sequences by the
+  occupation-bit rules alone; fermion_to_dense, the expansion bases of qse
+  and the pure-state RDMs of rdm all sit on it, independent of the
+  Jordan-Wigner route.
 """
 
 from functools import lru_cache
@@ -28,10 +32,6 @@ import numpy as np
 PRUNE_TOL = 1e-14
 
 DENSE_QUBIT_LIMIT = 12
-# Output bytes per gather chunk of apply_stacked, so that a chunk's gather,
-# product and sum stay in cache: 1 MiB built the mixed M = 8 subspace
-# fastest of 256 KiB to 16 MiB.
-STACK_CHUNK_BYTES = 1 << 20
 
 # (a, b) -> (phase, a*b) for single-qubit Pauli letters.
 _PAULI_MUL = {
@@ -410,77 +410,21 @@ def pauli_action(op: PauliOperator) -> tuple[np.ndarray, np.ndarray]:
     return _signed_permutation(*masks.reshape(-1, 3).T[:, :, None], coeffs, n)
 
 
-def stack_actions(ops) -> tuple[np.ndarray, np.ndarray]:
-    """pauli_action of every operator in ops, padded to one slot stack.
-
-    src and phase have shape (slots, len(ops), 2^n), slots being the largest
-    word count. Slot w of operator b holds its word w in op.terms order; a
-    slot past its last word is the identity permutation with phase 0, which
-    adds zero, so summing slot by slot adds each operator's words in order.
-    """
-    actions = [pauli_action(op) for op in ops]
-    slots = max(len(src) for src, _ in actions)
-    dim = actions[0][0].shape[1]
-    src = np.empty((slots, len(actions), dim), dtype=np.intp)
-    src[:] = np.arange(dim)
-    phase = np.zeros(src.shape, dtype=complex)
-    for b, (s, ph) in enumerate(actions):
-        src[:len(s), b] = s
-        phase[:len(s), b] = ph
-    return src, phase
-
-
-def apply_stacked(stack, arr: np.ndarray, out: np.ndarray | None = None,
-                  right: bool = False) -> np.ndarray:
-    """E_b @ arr, or arr @ E_b with right=True, for every operator b of a stack.
-
-    stack is stack_actions(ops); the result has shape (len(ops),) + arr.shape
-    and is written to `out` when given. The left action gathers along axis 0
-    of a vector or matrix. The right action gathers along the last axis of a
-    matrix, each phase moved to the entry it reads, since column j of arr P
-    is phase[j ^ x] times column j ^ x of arr. Each slot is one gather for a
-    chunk of operators into one reused buffer, chunks of about
-    STACK_CHUNK_BYTES, so the working set stays a chunk or two whatever the
-    stack size and no temporary is allocated per slot.
-    """
-    src, phase = stack
-    if right:
-        phase = np.take_along_axis(phase, src, axis=-1)
-    arr = np.asarray(arr, dtype=complex)
-    axis = arr.ndim - 1 if right else 0
-    if arr.shape[axis] != src.shape[-1]:
-        raise ValueError(f"operand axis of length {arr.shape[axis]} does not "
-                         f"match the operator dimension {src.shape[-1]}")
-    n_ops = src.shape[1]
-    if out is None:
-        out = np.empty((n_ops,) + arr.shape, dtype=complex)
-    step = max(1, STACK_CHUNK_BYTES // (arr.nbytes or 1))
-    # the chunk's operator axis sits just before the gathered axis
-    buf = np.empty(arr.shape[:axis] + (min(step, n_ops),) + arr.shape[axis:],
-                   dtype=complex)
-    tail = (1,) * (arr.ndim - 1 - axis)
-    for lo in range(0, n_ops, step):
-        part = np.moveaxis(out[lo:lo + step], 0, axis)
-        part[...] = 0
-        taken = buf[(slice(None),) * axis + (slice(0, part.shape[axis]),)]
-        for s, ph in zip(src[:, lo:lo + step], phase[:, lo:lo + step]):
-            # src is always in range; "clip" skips the bounds-check copy
-            np.take(arr, s, axis=axis, out=taken, mode="clip")
-            # phase first, as in phase * v[src]: complex products rounded
-            # with fused multiply-adds depend on the operand order
-            np.multiply(ph.reshape(ph.shape + tail), taken, out=taken)
-            part += taken
-    return out
-
-
 def apply_pauli(action, arr: np.ndarray) -> np.ndarray:
     """P @ arr for P given as pauli_action(P), along axis 0 of a vector or matrix.
 
-    The one-operator case of apply_stacked: adds one word at a time, so the
-    working set is a few copies of arr whatever the number of words.
+    Adds one word at a time, so the working set is a few copies of arr
+    whatever the number of words.
     """
     src, phase = action
-    return apply_stacked((src[:, None], phase[:, None]), arr)[0]
+    arr = np.asarray(arr, dtype=complex)
+    tail = (1,) * (arr.ndim - 1)
+    out = np.zeros(arr.shape, dtype=complex)
+    for s, ph in zip(src, phase):
+        # phase first, as in phase * v[src]: complex products rounded with
+        # fused multiply-adds depend on the operand order
+        out += ph.reshape(ph.shape + tail) * arr[s]
+    return out
 
 
 def pauli_to_dense(op: PauliOperator) -> np.ndarray:
@@ -491,26 +435,25 @@ def pauli_to_dense(op: PauliOperator) -> np.ndarray:
     return apply_pauli(pauli_action(op), np.eye(1 << op.qubit_count))
 
 
-def fermion_to_dense(op: FermionOperator) -> np.ndarray:
-    """Dense matrix by direct ladder-operator action on occupation states.
+def _ladder_action(seqs, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masked signed permutation of every ladder sequence in seqs, on m modes.
 
-    Independent of the Jordan-Wigner route but uses the same phase
-    convention: a_p picks up (-1)^(number of occupied modes below p). All
-    terms act on all 2^M basis states at once, shorter ladder sequences
-    padded with no-op slots, and contributions are added in term order.
+    src and weight have shape (len(seqs), 2^m): sequence t sends v to
+    weight[t] * v[src[t]], where src[t, j] = j ^ x_t, x_t holds the modes the
+    sequence flips an odd number of times, and weight[t, j] in {0, +-1} is
+    indexed by the output state j. The operators act right to left on the
+    input state j ^ x_t, a_p^dag needing mode p empty and a_p occupied, each
+    picking up (-1)^(number of occupied modes below p); shorter sequences are
+    padded with no-op slots.
     """
-    m = op.mode_count
-    if m > DENSE_QUBIT_LIMIT:
-        raise ValueError(f"mode_count {m} exceeds dense limit {DENSE_QUBIT_LIMIT}")
-    dim = 1 << m
-    longest = max(map(len, op.terms), default=0)
-    # per term and slot: mode, dagger, 1 if the slot holds a ladder operator
-    ladder = np.zeros((len(op.terms), longest, 3), dtype=np.int64)
-    for t, seq in enumerate(op.terms):
+    longest = max(map(len, seqs), default=0)
+    # per sequence and slot: mode, dagger, 1 if the slot holds a ladder operator
+    ladder = np.zeros((len(seqs), longest, 3), dtype=np.int64)
+    for t, seq in enumerate(seqs):
         for pos, (mode, dagger) in enumerate(seq):
             ladder[t, pos] = mode, dagger, 1
-    source = np.broadcast_to(np.arange(dim), (len(op.terms), dim))
-    state = source.copy()
+    x = np.bitwise_xor.reduce(ladder[:, :, 2] << ladder[:, :, 0], axis=1, initial=0)
+    state = np.arange(1 << m) ^ x[:, None]
     odd = np.zeros(state.shape, dtype=np.uint8)
     alive = np.ones(state.shape, dtype=bool)
     for pos in reversed(range(longest)):
@@ -518,10 +461,29 @@ def fermion_to_dense(op: FermionOperator) -> np.ndarray:
         alive &= (((state >> mode) & 1) != dagger) | (used == 0)
         odd ^= np.bitwise_count(state & ((1 << mode) - 1)) & used.astype(np.uint8)
         state ^= used << mode
-    coeffs = np.array(list(op.terms.values()), dtype=complex)[:, None]
-    vals = coeffs * np.where(odd & 1, -1.0, 1.0)
-    out = np.zeros((dim, dim), dtype=complex)
-    np.add.at(out, (state[alive], source[alive]), vals[alive])
+    # the loop leaves each state at its output j, so x turns it back into src
+    state ^= x[:, None]
+    weight = np.where(odd & 1, -1.0, 1.0)
+    weight[~alive] = 0.0
+    return state, weight
+
+
+def fermion_to_dense(op: FermionOperator) -> np.ndarray:
+    """Dense matrix by direct ladder-operator action on occupation states.
+
+    Independent of the Jordan-Wigner route but uses the same phase
+    convention: a_p picks up (-1)^(number of occupied modes below p). Every
+    term is one _ladder_action permutation, and contributions are added in
+    term order.
+    """
+    m = op.mode_count
+    if m > DENSE_QUBIT_LIMIT:
+        raise ValueError(f"mode_count {m} exceeds dense limit {DENSE_QUBIT_LIMIT}")
+    src, weight = _ladder_action(tuple(op.terms), m)
+    coeffs = np.array(list(op.terms.values()), dtype=complex)
+    term, row = np.nonzero(weight)
+    out = np.zeros((1 << m, 1 << m), dtype=complex)
+    np.add.at(out, (row, src[term, row]), coeffs[term] * weight[term, row])
     return out
 
 

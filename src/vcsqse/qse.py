@@ -11,27 +11,24 @@ each D3 and D4 term as one split contraction of the packed block
 (rdm._split_contract), O(C(M,k)^2) products instead of an M^(2k) einsum.
 
 The direct route never forms a basis operator as a dense matrix. Every
-Pauli word of a basis element acts as a signed permutation,
-(c P v)[j] = c * i^#Y * (-1)^popcount((j ^ x) & z) * v[j ^ x], with x the
-mask of its X/Y letters and z that of its Z/Y letters
-(operators.pauli_action). An ExpansionBasis pads those forms once to a slot
-stack, src and phase of shape (slots, n_b, 2^M) with slots its largest word
-count (operators.stack_actions). A build then applies all elements at once,
-one gather per word slot, to the state vector, to rho from the left and to
-each weight from the right. A padded slot adds zero, so each element still
-sums its words in order and the result equals the per-element loop bit for
-bit.
+element E_b of an ExpansionBasis is one masked signed permutation,
+(E_b v)[j] = weight[b, j] * v[src[b, j]] with src[b, j] = j ^ x_b: a
+fermionic product of ladder operators by operators._ladder_action, a qubit
+Pauli word by operators._signed_permutation. A build is then one gather
+per block for all elements at once: E_b psi, E_b rho as a row gather of
+rho, and W E_b as a column gather of W, each column j reading column
+src[b, j], since src is an involution.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
 
 from .linalg import Spectrum, generalized_eigensolve
-from .operators import (FermionOperator, PauliOperator, apply_stacked,
-                        jordan_wigner, normal_order, stack_actions)
+from .operators import (FermionOperator, _ladder_action, _signed_permutation,
+                        _word_masks, normal_order)
 from .rdm import (RdmSet, _disconnected, _split_contract, cumulants_from_rdms,
                   reconstruct_rdms)
 
@@ -40,29 +37,31 @@ from .rdm import (RdmSet, _disconnected, _split_contract, cumulants_from_rdms,
 QSE_METRIC_CUTOFF = 1e-8
 FERMIONIC_MODE_LIMIT = 8
 QUBIT_LIMIT = 12
-# Bound on every stack build_subspace_direct holds: the basis's slot stack
-# (an index and a complex phase per slot, element and basis state), for a
-# density matrix the phases of the right action, and the two action stacks, E_b rho
-# and W E_b (n_b * 2^M * 2^M complex each for a density matrix, E_b psi and
-# W E_b psi, n_b * 2^M each, for a state vector).
+# Bound on every array build_subspace_direct holds: the basis's src and
+# weight, for a density matrix the weights moved to the entries the right
+# action reads, and the two action stacks, E_b rho and W E_b (n_b * 2^M * 2^M
+# complex each for a density matrix, E_b psi and W E_b psi, n_b * 2^M each,
+# for a state vector).
 SUBSPACE_BYTE_LIMIT = 1 << 30
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpansionBasis:
+    """Expansion operators E_b as read-only masked signed permutations.
+
+    src and weight have shape (n_b, 2^n): element b sends v to
+    weight[b] * v[src[b]], with src[b, j] = j ^ x_b. Element 0 is the
+    identity when the reference is included.
+    """
     kind: str                       # "fermionic" or "qubit"
     order: int
-    operators: tuple                # PauliOperator per element; index 0 = identity
+    src: np.ndarray
+    weight: np.ndarray
     includes_reference: bool
     labels: tuple = ()
 
     def __len__(self):
-        return len(self.operators)
-
-    @cached_property
-    def action_stack(self) -> tuple[np.ndarray, np.ndarray]:
-        """operators.stack_actions of the elements, built on first use."""
-        return stack_actions(self.operators)
+        return len(self.src)
 
 
 @dataclass
@@ -78,51 +77,48 @@ class SubspaceProblem:
         return self.h_sub.shape[0]
 
 
-def _dedup(ops, labels):
-    seen = set()
-    out_ops, out_labels = [], []
-    for op, label in zip(ops, labels):
-        if op.is_zero():
-            continue
-        key = op.render()
-        if key in seen:
-            continue
-        seen.add(key)
-        out_ops.append(op)
-        out_labels.append(label)
-    return tuple(out_ops), tuple(out_labels)
+def _distinct(kind: str, order: int, includes_reference: bool, src: np.ndarray,
+              weight: np.ndarray, labels) -> ExpansionBasis:
+    """ExpansionBasis of the nonzero elements, each distinct one where it first appears."""
+    seen, keep = set(), []
+    for b, (x, w) in enumerate(zip(src[:, 0], weight)):
+        key = (int(x), w.tobytes())
+        if w.any() and key not in seen:
+            seen.add(key)
+            keep.append(b)
+    src, weight = src[keep], weight[keep]
+    src.setflags(write=False)
+    weight.setflags(write=False)
+    return ExpansionBasis(kind=kind, order=order, src=src, weight=weight,
+                          includes_reference=includes_reference,
+                          labels=tuple(labels[b] for b in keep))
 
 
 @lru_cache(maxsize=None)
 def fermionic_basis(mode_count: int, order: int,
                     includes_reference: bool = True) -> ExpansionBasis:
-    """Excitation products (a_i^ a_j)^order, Jordan-Wigner mapped.
+    """Excitation products (a_i^ a_j)^order as ladder-operator permutations.
 
     Order 1 is the linear-response set {a_i^ a_j} over all index pairs; the
-    identity is prepended (index 0) when the reference is included. Built
-    once per argument set and shared, so the basis is immutable.
+    identity is prepended (index 0) when the reference is included. Products
+    that vanish or repeat an earlier element are dropped. Built once per
+    argument set and shared, so the basis is immutable.
     """
     if not 1 <= order <= 2:
         raise ValueError("fermionic expansion order must be 1 or 2")
     if mode_count > FERMIONIC_MODE_LIMIT:
         raise ValueError(f"mode_count {mode_count} exceeds {FERMIONIC_MODE_LIMIT}")
     m = mode_count
-    ops, labels = [], []
+    seqs, labels = [], []
     if includes_reference:
-        ops.append(PauliOperator.identity(m))
+        seqs.append(())
         labels.append("g")
     for indices in product(range(m), repeat=2 * order):
-        terms = {}
-        seq = []
-        for f in range(order):
-            seq.extend([(indices[2 * f], True), (indices[2 * f + 1], False)])
-        terms[tuple(seq)] = 1.0
-        fop = FermionOperator(m, terms)
-        ops.append(jordan_wigner(normal_order(fop)))
-        labels.append(" ".join(f"{i}^ {j}" for i, j in zip(indices[0::2], indices[1::2])))
-    ops, labels = _dedup(ops, labels)
-    return ExpansionBasis(kind="fermionic", order=order, operators=ops,
-                          includes_reference=includes_reference, labels=labels)
+        pairs = list(zip(indices[0::2], indices[1::2]))
+        seqs.append(tuple(op for i, j in pairs for op in ((i, True), (j, False))))
+        labels.append(" ".join(f"{i}^ {j}" for i, j in pairs))
+    return _distinct("fermionic", order, includes_reference,
+                     *_ladder_action(seqs, m), labels)
 
 
 @lru_cache(maxsize=None)
@@ -133,22 +129,22 @@ def qubit_basis(qubit_count: int, order: int) -> ExpansionBasis:
     n = qubit_count
     if n > QUBIT_LIMIT:
         raise ValueError(f"qubit_count {n} exceeds {QUBIT_LIMIT}")
-    ops = [PauliOperator.identity(n)]
+    words = ["I" * n]
     labels = ["g"]
     for q in range(n):
         for letter in "XYZ":
-            ops.append(PauliOperator.from_letter(letter, q, n))
+            words.append("".join(letter if p == q else "I" for p in range(n)))
             labels.append(f"{letter}{q}")
     if order == 2:
         for q1, q2 in combinations(range(n), 2):
             for l1, l2 in product("XYZ", repeat=2):
                 word = ["I"] * n
                 word[q1], word[q2] = l1, l2
-                ops.append(PauliOperator(n, {"".join(word): 1.0}))
+                words.append("".join(word))
                 labels.append(f"{l1}{q1} {l2}{q2}")
-    ops, labels = _dedup(ops, labels)
-    return ExpansionBasis(kind="qubit", order=order, operators=ops,
-                          includes_reference=True, labels=labels)
+    masks = np.array([_word_masks(word) for word in words], dtype=np.int64)
+    return _distinct("qubit", order, True,
+                     *_signed_permutation(*masks.T[:, :, None], 1.0, n), labels)
 
 
 def _symmetrized(mat: np.ndarray) -> np.ndarray:
@@ -161,42 +157,42 @@ def build_subspace_direct(basis: ExpansionBasis, h: np.ndarray, rho: np.ndarray,
 
     A state vector psi gives Phi = [E_b psi] and each block Phi^ (W Phi). A
     density matrix gives h[a,b] = sum_ij conj(E_a rho)_ij (W E_b)_ij, with
-    E_a rho a row action on rho and W E_b a column action on W. Every stack
-    is gathered for all elements at once, one word slot at a time
-    (operators.apply_stacked on basis.action_stack).
+    E_a rho = weight[a] * rho[src[a]] a row gather of rho and W E_b a column
+    gather of W, column j being weight[b, src[b, j]] * W[:, src[b, j]].
     """
     h = np.asarray(h, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
     dim = h.shape[0]
     if rho.shape not in ((dim,), (dim, dim)):
         raise ValueError("H and rho dimensions differ")
-    if basis.operators and 1 << basis.operators[0].qubit_count != dim:
+    src, weight = basis.src, basis.weight
+    if src.shape[1] != dim:
         raise ValueError("basis operator dimension does not match H")
     n_b = len(basis)
-    complex_size = np.dtype(complex).itemsize
-    slots = max((len(op.terms) for op in basis.operators), default=0)
-    phase_stacks = 1 if rho.ndim == 1 else 2
-    need = (2 * n_b * rho.size * complex_size + slots * n_b * dim
-            * (np.dtype(np.intp).itemsize + phase_stacks * complex_size))
+    weights = 1 if rho.ndim == 1 else 2
+    need = (2 * n_b * rho.size * np.dtype(complex).itemsize + src.nbytes
+            + weights * weight.nbytes)
     if need > SUBSPACE_BYTE_LIMIT:
         raise ValueError(f"subspace build needs {need} bytes for {n_b} basis "
                          f"elements, above the limit of {SUBSPACE_BYTE_LIMIT}")
-    stack = basis.action_stack
     if rho.ndim == 1:
-        phi = np.ascontiguousarray(apply_stacked(stack, rho).T)
+        phi = np.ascontiguousarray((weight * rho[src]).T)
 
-        def block(weight):
-            return _symmetrized(phi.conj().T @ (weight @ phi))
+        def block(op):
+            return _symmetrized(phi.conj().T @ (op @ phi))
     else:
-        rows = apply_stacked(stack, rho)
+        rows = rho[src]
+        np.multiply(weight[:, :, None], rows, out=rows)
         np.conj(rows, out=rows)
-        cols = np.empty_like(rows)
+        moved = np.take_along_axis(weight, src, axis=1)[:, None, :]
+        columns = (np.arange(dim)[:, None], src[:, None, :])
 
-        def block(weight):
-            apply_stacked(stack, weight, out=cols, right=True)
+        def block(op):
+            cols = op[columns]
+            np.multiply(moved, cols, out=cols)
             return _symmetrized(rows.reshape(n_b, -1) @ cols.reshape(n_b, -1).T)
 
-    s_sub = block(np.eye(dim))
+    s_sub = block(np.eye(dim, dtype=complex))
     h_sub = block(h)
     sym = {}
     for name, op in (symmetry_ops or {}).items():

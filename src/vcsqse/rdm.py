@@ -26,8 +26,8 @@ from math import comb, factorial
 
 import numpy as np
 
-from .operators import (FermionOperator, PauliOperator, _signed_permutation,
-                        _word_masks, jordan_wigner)
+from .operators import (FermionOperator, PauliOperator, _ladder_action,
+                        _signed_permutation, _word_masks, jordan_wigner)
 
 RDM_MODE_LIMIT = 8
 SHOT_CHUNK = 1 << 16  # uniforms per draw in estimate_pauli, 576 KiB with their mask
@@ -193,27 +193,20 @@ class CumulantSet(_PackedSet):
     c1, c2, c3, c4 = _ORDERS
 
 
-def _annihilate(vec: np.ndarray, mode: int, m: int) -> np.ndarray:
-    """Apply a_mode to a state vector with Jordan-Wigner parity phases."""
-    dim = vec.shape[0]
-    idx = np.arange(dim)
-    occupied = (idx >> mode) & 1 == 1
-    src = idx[occupied]
-    par = np.bitwise_count(src & ((1 << mode) - 1)).astype(np.int64)
-    out = np.zeros_like(vec)
-    out[src ^ (1 << mode)] = np.where(par & 1, -1.0, 1.0) * vec[src]
-    return out
+@lru_cache(maxsize=None)
+def _annihilators(m: int, k: int):
+    """_ladder_action of a_jk ... a_j1 for every increasing (j1..jk), in
+    combinations order."""
+    seqs = [tuple((j, False) for j in reversed(c)) for c in combinations(range(m), k)]
+    return _frozen(*_ladder_action(seqs, m))
 
 
 def _pure_blocks(psi: np.ndarray, m: int, max_k: int) -> list:
     """Packed RDM blocks of a normalized pure state, orders 1..max_k."""
-    blocks, level = [], [(-1, psi)]
+    blocks = []
     for k in range(1, max_k + 1):
-        # a_jk ... a_j1 psi for every increasing (j1..jk), in combinations order
-        level = [(j, _annihilate(vec, j, m)) for last, vec in level
-                 for j in range(last + 1, m)]
-        vecs = [vec for _, vec in level]
-        mat = np.stack(vecs, axis=1) if vecs else np.zeros((psi.size, 0), dtype=complex)
+        src, weight = _annihilators(m, k)
+        mat = np.ascontiguousarray((weight * psi[src]).T)
         blocks.append((mat.conj().T @ mat) / factorial(k))
     return blocks
 

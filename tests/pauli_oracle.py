@@ -3,12 +3,16 @@
 kron_dense builds a Pauli sum as a Kronecker chain of 2x2 matrices per
 word, and dense_subspace assembles Tr[E_a^ W E_b rho] from those dense basis
 operators by plain matrix products. Both are the textbook definitions the
-package's signed-permutation kernel must reproduce, for the tests only.
+package's signed-permutation kernels must reproduce, for the tests only.
 Each basis element costs a 4^M matrix and two 8^M products, so keep M small.
 
-loop_apply, loop_apply_right and loop_subspace are the per-word,
-per-element loops the slot-stacked kernel replaced. They do the same
-arithmetic in the same order, so the package must match them bit for bit.
+pauli_basis is the symbolic expansion basis the one-permutation form
+replaced: each fermionic product normal-ordered and Jordan-Wigner mapped to
+4 or 16 Pauli words, each qubit element one word, duplicates found by their
+rendered text. loop_apply, loop_apply_right and loop_subspace act with
+those Pauli forms one word and one element at a time. Where every word sum
+is exact (qubit elements, fermionic order 1) the package's single gather
+per element must match them bit for bit, and to rounding elsewhere.
 
 letter_pauli_action reads the bit masks from a (words, n) array of letters,
 and apply_estimate_pauli takes <P> as the full P @ state by apply_pauli and
@@ -16,9 +20,12 @@ draws all uniforms at once: the forms the mask cache, the one-word gather
 and the chunked draws replaced, which must agree with them exactly.
 """
 
+from itertools import combinations, product
+
 import numpy as np
 
-from vcsqse.operators import DENSE_QUBIT_LIMIT, PauliOperator, apply_pauli, pauli_action
+from vcsqse.operators import (DENSE_QUBIT_LIMIT, FermionOperator, PauliOperator,
+                              apply_pauli, jordan_wigner, normal_order, pauli_action)
 
 _PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -41,13 +48,56 @@ def kron_dense(op) -> np.ndarray:
     return out
 
 
-def dense_subspace(basis, h, rho, symmetry_ops=None):
-    """(h_sub, s_sub, {name: sym_sub}) by dense traces Tr[E_a^ W E_b rho]."""
+def pauli_basis(kind, m, order, includes_reference=True):
+    """(operators, labels) of the expansion basis built symbolically.
+
+    Fermionic: identity (label "g") when the reference is included, then
+    each (a_i^ a_j)^order normal-ordered and Jordan-Wigner mapped. Qubit:
+    identity, then single Pauli words and for order 2 pairs. Zero elements
+    and repeats of an earlier rendered form are dropped.
+    """
+    ops, labels = [], []
+    if kind == "fermionic":
+        if includes_reference:
+            ops.append(PauliOperator.identity(m))
+            labels.append("g")
+        for indices in product(range(m), repeat=2 * order):
+            pairs = list(zip(indices[0::2], indices[1::2]))
+            seq = tuple(op for i, j in pairs for op in ((i, True), (j, False)))
+            ops.append(jordan_wigner(normal_order(FermionOperator(m, {seq: 1.0}))))
+            labels.append(" ".join(f"{i}^ {j}" for i, j in pairs))
+    else:
+        ops.append(PauliOperator.identity(m))
+        labels.append("g")
+        for q in range(m):
+            for letter in "XYZ":
+                ops.append(PauliOperator.from_letter(letter, q, m))
+                labels.append(f"{letter}{q}")
+        if order == 2:
+            for q1, q2 in combinations(range(m), 2):
+                for l1, l2 in product("XYZ", repeat=2):
+                    word = ["I"] * m
+                    word[q1], word[q2] = l1, l2
+                    ops.append(PauliOperator(m, {"".join(word): 1.0}))
+                    labels.append(f"{l1}{q1} {l2}{q2}")
+    seen, out_ops, out_labels = set(), [], []
+    for op, label in zip(ops, labels):
+        key = op.render()
+        if not op.is_zero() and key not in seen:
+            seen.add(key)
+            out_ops.append(op)
+            out_labels.append(label)
+    return out_ops, out_labels
+
+
+def dense_subspace(ops, h, rho, symmetry_ops=None):
+    """(h_sub, s_sub, {name: sym_sub}) by dense traces Tr[E_a^ W E_b rho],
+    E_b the Pauli operators ops."""
     h = np.asarray(h, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim == 1:
         rho = np.outer(rho, rho.conj())
-    dense_ops = [kron_dense(op) for op in basis.operators]
+    dense_ops = [kron_dense(op) for op in ops]
     evec = np.stack([e.ravel() for e in dense_ops], axis=1)
 
     def block(weight):
@@ -79,8 +129,9 @@ def loop_apply_right(arr, action):
     return loop_apply((src, moved), np.asarray(arr).T).T
 
 
-def loop_subspace(basis, h, rho, symmetry_ops=None):
-    """(h_sub, s_sub, {name: sym_sub}) gathered one basis element at a time.
+def loop_subspace(ops, h, rho, symmetry_ops=None):
+    """(h_sub, s_sub, {name: sym_sub}) gathered one Pauli operator of ops and
+    one of its words at a time.
 
     A state vector gives Phi = [E_b psi] and each block Phi^ (W Phi); a
     density matrix gives sum_ij conj(E_a rho)_ij (W E_b)_ij.
@@ -88,7 +139,7 @@ def loop_subspace(basis, h, rho, symmetry_ops=None):
     h = np.asarray(h, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
     dim = h.shape[0]
-    actions = [pauli_action(op) for op in basis.operators]
+    actions = [pauli_action(op) for op in ops]
     if rho.ndim == 1:
         phi = np.stack([loop_apply(act, rho) for act in actions], axis=1)
 

@@ -151,16 +151,18 @@ class TestExperiments:
         assert not operators.dense_symmetry("number", 4).flags.writeable
 
     def test_expansion_basis_built_once_per_process(self, mini_sweep, monkeypatch):
-        """Both RDM-route sweeps map the 16 a_i^ a_j of M = 4 once in all."""
+        """Both RDM-route sweeps build the g + 16 a_i^ a_j of M = 4 once in
+        all, one ladder-kernel call."""
         calls = []
-        real = qse.jordan_wigner
-        monkeypatch.setattr(qse, "jordan_wigner", lambda op: calls.append(op) or real(op))
+        real = qse._ladder_action
+        monkeypatch.setattr(qse, "_ladder_action",
+                            lambda seqs, m: calls.append(len(seqs)) or real(seqs, m))
         qse.fermionic_basis.cache_clear()
         for experiment in ("spectrum", "approx-spectrum"):
             run_experiment(parse_config(config_text(mini_sweep, experiment=experiment)))
-        assert len(calls) == 16
+        assert calls == [17]
         assert qse.fermionic_basis(4, 1) is qse.fermionic_basis(4, 1)
-        assert isinstance(qse.fermionic_basis(4, 1).operators, tuple)
+        assert not qse.fermionic_basis(4, 1).src.flags.writeable
 
     @pytest.mark.parametrize("experiment,curves", [
         ("fidelity-sweep", 3), ("qse-repair", 2), ("ground-channels", 4)])

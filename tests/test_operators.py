@@ -5,13 +5,10 @@ from hypothesis import strategies as st
 
 from pauli_oracle import kron_dense, loop_apply, loop_apply_right
 from vcsqse.molecule import assemble_hamiltonian
-from vcsqse import operators
 from vcsqse.operators import (FermionOperator, PauliOperator, add_penalty,
-                              apply_pauli, apply_stacked,
-                              commutator, fermion_to_dense, jordan_wigner,
-                              normal_order, parse_ladder, pauli_action,
-                              pauli_to_dense, stack_actions, symmetry_operator)
-from vcsqse.qse import fermionic_basis
+                              apply_pauli, commutator, fermion_to_dense,
+                              jordan_wigner, normal_order, parse_ladder,
+                              pauli_action, pauli_to_dense, symmetry_operator)
 
 
 def random_fermion(rng, m, n_terms=6, max_len=4):
@@ -336,7 +333,8 @@ complex_coeffs = st.complex_numbers(max_magnitude=10.0, allow_nan=False,
 @given(words=pauli_words, coeffs=st.lists(complex_coeffs, min_size=4, max_size=4),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_pauli_action_matches_kron_oracle(words, coeffs, seed):
-    """Left and right actions and the dense form agree with Kronecker chains."""
+    """apply_pauli, the oracle's right action and the dense form agree with
+    Kronecker chains."""
     n = len(words[0])
     op = PauliOperator(n, {})
     for word, coeff in zip(words, coeffs):
@@ -348,42 +346,10 @@ def test_pauli_action_matches_kron_oracle(words, coeffs, seed):
     scale = max(1.0, np.abs(dense).max())
     assert np.abs(pauli_to_dense(op) - dense).max() <= 1e-14 * scale
     act = pauli_action(op)
-    right = apply_stacked((act[0][:, None], act[1][:, None]), mat, right=True)[0]
     assert np.abs(apply_pauli(act, vec) - dense @ vec).max() <= 1e-12 * scale
     assert np.abs(apply_pauli(act, mat) - dense @ mat).max() <= 1e-12 * scale
-    assert np.abs(right - mat @ dense).max() <= 1e-12 * scale
+    assert np.abs(loop_apply_right(mat, act) - mat @ dense).max() <= 1e-12 * scale
     # the same sums in the same order as the per-word loop
     assert np.array_equal(apply_pauli(act, vec), loop_apply(act, vec))
     assert np.array_equal(apply_pauli(act, mat), loop_apply(act, mat))
-    assert np.array_equal(right, loop_apply_right(mat, act))
 
-
-@pytest.mark.parametrize("chunk_bytes", [3 * 16 * 16 * 16, 1 << 20])
-def test_stacked_action_matches_per_word_loop(monkeypatch, chunk_bytes):
-    """A padded stack (1 to 16 words per operator), left and right, in chunks
-    of three operators or all at once, equals each operator's own loop."""
-    monkeypatch.setattr(operators, "STACK_CHUNK_BYTES", chunk_bytes)
-    ops = fermionic_basis(4, 2).operators
-    stack = stack_actions(ops)
-    assert stack[0].shape == (16, len(ops), 16)
-    rng = np.random.default_rng(8)
-    vec = rng.normal(size=16) + 1j * rng.normal(size=16)
-    mat = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-    left_vec = apply_stacked(stack, vec)
-    left_mat = apply_stacked(stack, mat)
-    right_mat = apply_stacked(stack, mat, right=True)
-    right_eye = apply_stacked(stack, np.eye(16), right=True)
-    for b, op in enumerate(ops):
-        act = pauli_action(op)
-        assert np.array_equal(left_vec[b], loop_apply(act, vec))
-        assert np.array_equal(left_mat[b], loop_apply(act, mat))
-        assert np.array_equal(right_mat[b], loop_apply_right(mat, act))
-        assert np.array_equal(right_eye[b], loop_apply_right(np.eye(16), act))
-
-
-def test_stacked_action_rejects_mismatched_operand():
-    stack = stack_actions([PauliOperator(2, {"XY": 1.0})])
-    with pytest.raises(ValueError, match="length 8 does not match"):
-        apply_stacked(stack, np.ones(8))
-    with pytest.raises(ValueError, match="length 2 does not match"):
-        apply_stacked(stack, np.ones((4, 2)), right=True)

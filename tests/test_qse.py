@@ -2,17 +2,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rdm_oracle
-from pauli_oracle import dense_subspace, loop_subspace
+from pauli_oracle import dense_subspace, kron_dense, loop_subspace, pauli_basis
 from rdm_oracle import zc_h_sub
 from vcsqse import qse, rdm
 from vcsqse.channels import ChannelSpec, lift_to_register, single_qubit_channel
 from vcsqse.molecule import hamiltonian_from_tensors, spin_orbital_tensors
 from vcsqse.operators import (PauliOperator, apply_pauli, fermion_to_dense,
-                              pauli_action, pauli_to_dense, symmetry_operator)
+                              pauli_action, symmetry_operator)
 from vcsqse.qse import (SUBSPACE_BYTE_LIMIT, ExpansionBasis, approximate_lr,
                         build_lr_from_rdms, build_subspace_direct, fermionic_basis,
                         operator_to_tensors, project_symmetry, qubit_basis,
@@ -42,7 +42,9 @@ class TestBases:
     def test_fermionic_m2_enumeration(self):
         basis = fermionic_basis(2, 1)
         assert basis.labels == ("g", "0^ 0", "0^ 1", "1^ 0", "1^ 1")
-        assert pauli_to_dense(basis.operators[0]).trace() == 4.0  # identity first
+        # identity first
+        assert np.array_equal(basis.src[0], np.arange(4))
+        assert np.array_equal(basis.weight[0], np.ones(4))
 
     def test_fermionic_m4_k1_count(self):
         assert len(fermionic_basis(4, 1)) == 17
@@ -52,14 +54,39 @@ class TestBases:
 
     def test_fermionic_k2_contains_no_duplicates(self):
         basis = fermionic_basis(4, 2)
-        keys = [op.render() for op in basis.operators]
-        assert len(keys) == len(set(keys))
+        keys = {(x, w.tobytes()) for x, w in zip(basis.src[:, 0], basis.weight)}
+        assert len(keys) == len(basis)
+        assert basis.weight.any(axis=1).all()
         assert basis.labels[0] == "g"
 
     def test_qubit_counts(self):
         assert len(qubit_basis(4, 1)) == 13
         assert len(qubit_basis(2, 2)) == 16
         assert qubit_basis(3, 1).labels[0] == "g"
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["fermionic", "qubit"]), m=st.integers(2, 6),
+           order=st.sampled_from([1, 2]), includes_reference=st.booleans())
+    @example(kind="fermionic", m=6, order=2, includes_reference=True)
+    def test_matches_symbolic_pauli_basis(self, kind, m, order, includes_reference):
+        """The same labels in the same order as the symbolic Jordan-Wigner
+        build, each element that Pauli operator; qubit words exactly."""
+        assume(kind == "fermionic" or (m <= 5 and includes_reference))
+        ops, labels = pauli_basis(kind, m, order, includes_reference)
+        if kind == "fermionic":
+            basis = fermionic_basis(m, order, includes_reference)
+        else:
+            basis = qubit_basis(m, order)
+        assert basis.labels == tuple(labels)
+        assert not basis.src.flags.writeable and not basis.weight.flags.writeable
+        eye = np.eye(1 << m)
+        for src, weight, op in zip(basis.src, basis.weight, ops):
+            dense = weight[:, None] * eye[src]
+            assert np.abs(dense - kron_dense(op)).max() <= 1e-12
+            if kind == "qubit":
+                [word_src], [word_phase] = pauli_action(op)
+                assert np.array_equal(word_src, src)
+                assert np.array_equal(word_phase, weight)
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -73,8 +100,8 @@ class TestBases:
 class TestDirectBuild:
     def test_reference_only_basis(self, stretched):
         basis = ExpansionBasis(kind="fermionic", order=0,
-                               operators=[PauliOperator.identity(4)],
-                               includes_reference=True, labels=["g"])
+                               src=np.arange(16)[None], weight=np.ones((1, 16)),
+                               includes_reference=True, labels=("g",))
         psi = stretched["v"][:, 0]
         prob = build_subspace_direct(basis, stretched["h"], psi)
         assert abs(prob.s_sub[0, 0] - 1.0) < 1e-12
@@ -123,8 +150,8 @@ class TestDirectBuild:
             ref = rng.normal(size=16) + 1j * rng.normal(size=16)
             ref /= np.linalg.norm(ref)
         prob = build_subspace_direct(basis, stretched["h"], ref, stretched["sym"])
-        h_sub, s_sub, sym = dense_subspace(basis, stretched["h"], ref,
-                                           stretched["sym"])
+        ops, _ = pauli_basis(kind, 4, order)
+        h_sub, s_sub, sym = dense_subspace(ops, stretched["h"], ref, stretched["sym"])
         assert np.abs(prob.h_sub - h_sub).max() <= 1e-12
         assert np.abs(prob.s_sub - s_sub).max() <= 1e-12
         for name, mat in sym.items():
@@ -133,11 +160,10 @@ class TestDirectBuild:
     def test_byte_guard_rejects_before_allocating(self):
         basis = fermionic_basis(8, 2)
         rho = np.eye(256) / 256
-        slots = max(len(op.terms) for op in basis.operators)
-        # the two action stacks, then the slot stack: an index and a phase
-        # per entry, and the right action's phase
-        need = (2 * len(basis) * 256 * 256 * 16
-                + slots * len(basis) * 256 * (8 + 2 * 16))
+        # the two action stacks, the basis's src and weight, and the weights
+        # the right action reads
+        n_b = len(basis)
+        need = 2 * n_b * 256 * 256 * 16 + n_b * 256 * (8 + 2 * 8)
         assert need > SUBSPACE_BYTE_LIMIT
         tracemalloc.start()
         try:
@@ -153,13 +179,31 @@ class TestDirectBuild:
         prob = build_subspace_direct(basis, np.eye(256), psi)
         assert prob.dim == len(basis)
 
+    def test_mismatched_shapes_rejected_before_allocating(self):
+        basis = fermionic_basis(8, 2)
+        h4, h8 = np.eye(16, dtype=complex), np.eye(256, dtype=complex)
+        psi = np.zeros(16, dtype=complex)
+        psi[0b11] = 1.0
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="basis operator dimension"):
+                build_subspace_direct(basis, h4, psi)
+            with pytest.raises(ValueError, match="H and rho dimensions"):
+                build_subspace_direct(basis, h8, h4 / 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("kind,order", [("fermionic", 1), ("fermionic", 2),
                                             ("qubit", 1), ("qubit", 2)])
     @pytest.mark.parametrize("mixed", [False, True])
     def test_stacked_build_equals_per_element_loop(self, stretched, kind, order,
                                                    mixed):
-        """Bit for bit: the slot-stacked gathers add the same terms in the same
-        order as gathering one element and one word at a time."""
+        """One gather per element equals summing each element's Pauli words
+        one at a time: bit for bit where every word sum is exact (qubit
+        words, a_i^ a_j), to rounding for the up to 16 words, weighted 1/2
+        to 1/16, of a fermionic pair product."""
         rng = np.random.default_rng(order + 2 * mixed)
         basis = (fermionic_basis if kind == "fermionic" else qubit_basis)(4, order)
         if mixed:
@@ -168,13 +212,14 @@ class TestDirectBuild:
             ref = rng.normal(size=16) + 1j * rng.normal(size=16)
             ref /= np.linalg.norm(ref)
         prob = build_subspace_direct(basis, stretched["h"], ref, stretched["sym"])
-        h_sub, s_sub, sym = loop_subspace(basis, stretched["h"], ref,
-                                          stretched["sym"])
-        assert np.array_equal(prob.h_sub, h_sub)
-        assert np.array_equal(prob.s_sub, s_sub)
+        ops, _ = pauli_basis(kind, 4, order)
+        h_sub, s_sub, sym = loop_subspace(ops, stretched["h"], ref, stretched["sym"])
+        tol = 1e-12 if (kind, order) == ("fermionic", 2) else 0.0
+        assert np.abs(prob.h_sub - h_sub).max() <= tol
+        assert np.abs(prob.s_sub - s_sub).max() <= tol
         assert prob.symmetry_subs.keys() == sym.keys()
         for name, mat in sym.items():
-            assert np.array_equal(prob.symmetry_subs[name], mat)
+            assert np.abs(prob.symmetry_subs[name] - mat).max() <= tol
 
     def test_m8_mixed_build_memory(self):
         """A mixed M = 8 build holds its two n_b x 4^M stacks (130 MiB for
@@ -215,6 +260,29 @@ class TestDirectBuild:
         assert prob.dim == 65 and set(prob.symmetry_subs) == set(sym)
         assert peak < 32 << 20
 
+
+    def test_m8_k2_basis_holds_only_its_permutations(self):
+        """fermionic_basis(8, 2) holds its src and weight, 7.8 MiB, also after
+        a pure build has read them. Basis and build together stay within
+        40 MiB beyond the n_b x n_b matrices the build returns and
+        symmetrizes (four of 61 MiB each at n_b = 1997)."""
+        rng = np.random.default_rng(14)
+        a = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+        h = a + a.conj().T
+        psi = rng.normal(size=256) + 1j * rng.normal(size=256)
+        psi /= np.linalg.norm(psi)
+        tracemalloc.start()
+        try:
+            basis = fermionic_basis.__wrapped__(8, 2)
+            prob = build_subspace_direct(basis, h, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(arr.nbytes for value in vars(basis).values()
+                   for arr in (value if isinstance(value, tuple) else (value,))
+                   if isinstance(arr, np.ndarray))
+        assert held < 16 << 20
+        assert peak < 4 * prob.h_sub.nbytes + (40 << 20)
 
 class TestRdmRoute:
     def test_overlap_g_column_is_d1(self, stretched):
