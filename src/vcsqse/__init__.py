@@ -7,14 +7,12 @@ subspace expansions built out of reduced density matrices.
 """
 
 from .channels import (ChannelSpec, KrausChannel, apply_channel, compose,
-                       identity_channel, lift_to_register, single_qubit_channel)
+                       lift_to_register, single_qubit_channel)
 from .linalg import Spectrum, generalized_eigensolve, hermitian_eigensolve
 from .molecule import (MolecularIntegrals, SweepPoint, assemble_hamiltonian,
-                       load_sweep, parse_fcidump, render_fcidump,
-                       spin_orbital_tensors)
-from .operators import (FermionOperator, PauliOperator, add_penalty, commutator,
-                        fermion_to_dense, jordan_wigner, normal_order,
-                        pauli_to_dense, symmetry_operator)
+                       load_sweep, parse_fcidump, spin_orbital_tensors)
+from .operators import (FermionOperator, PauliOperator, fermion_to_dense,
+                        jordan_wigner, normal_order, symmetry_operator)
 from .qse import (ExpansionBasis, SubspaceProblem, approximate_lr,
                   build_lr_from_rdms, build_subspace_direct, fermionic_basis,
                   project_symmetry, qubit_basis, solve_subspace,

@@ -100,10 +100,6 @@ class KrausChannel:
                 f"{len(self.kraus_ops)} ops x {self.factors} factors)")
 
 
-def identity_channel(dim: int = 2) -> KrausChannel:
-    return KrausChannel([np.eye(dim, dtype=complex)], label="identity")
-
-
 def _dephasing(p_tilde: float, label: str) -> KrausChannel:
     return KrausChannel(
         [sqrt(1.0 - p_tilde / 2.0) * _I2, sqrt(p_tilde / 2.0) * _Z], label=label)

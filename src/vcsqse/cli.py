@@ -4,7 +4,8 @@
     vcsqse point --fcidump FILE [--channel ap --tp-over-t1 0.05 ...]
     vcsqse --version
 
-Exit codes: 0 success, 2 configuration problems, 3 numerical failure.
+Exit codes: 0 success, 2 bad input (configuration, manifest or FCIDUMP),
+3 numerical failure.
 """
 
 import argparse
@@ -15,6 +16,7 @@ from . import __version__
 from .channels import ChannelSpec, channel_kind_from_token
 from .config import ConfigError, ExperimentConfig, config_to_text, load_config
 from .experiments import ExperimentError, run_experiment, single_point
+from .molecule import FcidumpError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,33 +61,37 @@ def _build_parser():
     return parser
 
 
-def _run_command(args) -> int:
+def _exit_code(action) -> int:
+    """action()'s code, or the exit code of the input or numerical error it raises."""
     try:
-        cfg = load_config(args.config)
-        if args.output:
-            cfg.output = str(Path(args.output).resolve())
-        cfg.validate()
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.validate_config:
-        print(config_to_text(cfg), end="")
-        return EXIT_OK
-    try:
-        if cfg.experiment == "single-point":
-            report = single_point(cfg)
-            if cfg.output:
-                Path(cfg.output).write_text(report)
-            print(report, end="")
-            return EXIT_OK
-        result = run_experiment(cfg)
-    except ConfigError as exc:
+        return action()
+    except (ConfigError, FcidumpError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ExperimentError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    print(result.summary())
+
+
+def _print_report(cfg) -> int:
+    report = single_point(cfg)
+    if cfg.output:
+        Path(cfg.output).write_text(report)
+    print(report, end="")
+    return EXIT_OK
+
+
+def _run_command(args) -> int:
+    cfg = load_config(args.config)
+    if args.output:
+        cfg.output = str(Path(args.output).resolve())
+    cfg.validate()
+    if args.validate_config:
+        print(config_to_text(cfg), end="")
+    elif cfg.experiment == "single-point":
+        _print_report(cfg)
+    else:
+        print(run_experiment(cfg).summary())
     return EXIT_OK
 
 
@@ -117,18 +123,13 @@ def _point_command(args) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        print(single_point(cfg), end="")
-    except ExperimentError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return _exit_code(lambda: _print_report(cfg))
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "run":
-        return _run_command(args)
+        return _exit_code(lambda: _run_command(args))
     return _point_command(args)
 
 

@@ -112,15 +112,14 @@ def _ratios(cfg: ExperimentConfig):
     return (cfg.channel.tp_over_t1, cfg.channel.tp_over_t2)
 
 
-def _guarded(fn, point, experiment):
+def _guarded(fn, where: str, experiment):
+    """fn(), with any failure but an ExperimentError raised as one naming `where`."""
     try:
         return fn()
     except ExperimentError:
         raise
     except Exception as exc:
-        raise ExperimentError(
-            f"{experiment}: failure at sweep point R={point.bond_length}: {exc}"
-        ) from exc
+        raise ExperimentError(f"{experiment}: failure at {where}: {exc}") from exc
 
 
 def _sweep(cfg: ExperimentConfig, curves, step):
@@ -136,8 +135,8 @@ def _sweep(cfg: ExperimentConfig, curves, step):
     for curve in curves:
         prev, built = None, {}
         for point in points:
-            sol, new = _guarded(lambda: step(point, curve, built, prev), point,
-                                cfg.experiment)
+            sol, new = _guarded(lambda: step(point, curve, built, prev),
+                                f"sweep point R={point.bond_length}", cfg.experiment)
             rows += new
             if sol is not None:
                 prev = sol.input_state
@@ -317,11 +316,16 @@ def _sampled_energy(h_pauli: PauliOperator, psi: np.ndarray, shots: int, seed: i
 
 
 def single_point(cfg: ExperimentConfig) -> str:
-    """Human-readable report for one fixture."""
+    """Human-readable report for one fixture; numerical failures raise ExperimentError."""
     cfg.validate()
     if cfg.experiment != "single-point":
         raise ConfigError(f"single_point() got experiment {cfg.experiment!r}")
     ints = parse_fcidump(Path(cfg.fcidump).read_text())
+    return _guarded(lambda: _point_report(cfg, ints), f"fixture {cfg.fcidump}",
+                    cfg.experiment)
+
+
+def _point_report(cfg: ExperimentConfig, ints) -> str:
     point = _point(ints)
     m, h_dense = point.mode_count, point.h_dense
     w, v, n = point.exact()

@@ -7,14 +7,16 @@ Conventions used throughout the package:
 * Occupation encoding: basis index b has mode i occupied iff bit i of b is
   set, so qubit 0 is the least significant bit and qubit |1> means occupied.
 * Jordan-Wigner: a_p^dag -> (prod_{m<p} Z_m) (X_p - i Y_p)/2, which sends
-  the creation operator to |1><0| on qubit p.
+  the creation operator to |1><0| on qubit p. jordan_wigner multiplies
+  words on their bit masks (_mask_product) and returns letter strings.
 * Pauli action: every Pauli word is a signed permutation. With x the bit
-  mask of its X/Y letters and z that of its Z/Y letters,
+  mask of its X/Y letters and z that of its Z/Y letters, the word is
+  W(x, z) = i^|x&z| X^x Z^z and
   (c P v)[j] = c * i^#Y * (-1)^popcount((j ^ x) & z) * v[j ^ x].
   _word_masks caches each word's masks, and _signed_permutation turns them
   into that form: pauli_action for all words of an operator at once,
   rdm.estimate_pauli for one word. apply_pauli adds the words of one
-  operator one at a time, and pauli_to_dense is its action on the identity.
+  operator one at a time.
 * Ladder action: a product of ladder operators sends each occupation state
   to at most one state, with sign +-1, so it is one masked signed
   permutation, (E v)[j] = weight[j] * v[j ^ x] with weight in {0, +-1}.
@@ -33,13 +35,12 @@ PRUNE_TOL = 1e-14
 
 DENSE_QUBIT_LIMIT = 12
 
-# (a, b) -> (phase, a*b) for single-qubit Pauli letters.
-_PAULI_MUL = {
-    ("I", "I"): (1, "I"), ("I", "X"): (1, "X"), ("I", "Y"): (1, "Y"), ("I", "Z"): (1, "Z"),
-    ("X", "I"): (1, "X"), ("X", "X"): (1, "I"), ("X", "Y"): (1j, "Z"), ("X", "Z"): (-1j, "Y"),
-    ("Y", "I"): (1, "Y"), ("Y", "X"): (-1j, "Z"), ("Y", "Y"): (1, "I"), ("Y", "Z"): (1j, "X"),
-    ("Z", "I"): (1, "Z"), ("Z", "X"): (1j, "Y"), ("Z", "Y"): (-1j, "X"), ("Z", "Z"): (1, "I"),
-}
+# i^k for k mod 4.
+_I_POW = (1, 1j, -1, -1j)
+
+
+def _pruned(terms: dict) -> dict:
+    return {key: c for key, c in terms.items() if abs(c) >= PRUNE_TOL}
 
 
 def _format_coeff(c: complex) -> str:
@@ -83,10 +84,6 @@ class FermionOperator:
             self._prune()
 
     @classmethod
-    def zero(cls, mode_count):
-        return cls(mode_count)
-
-    @classmethod
     def identity(cls, mode_count, coeff=1.0):
         return cls(mode_count, {(): coeff})
 
@@ -95,7 +92,7 @@ class FermionOperator:
         return cls(mode_count, {parse_ladder(text): coeff})
 
     def _prune(self):
-        self.terms = {s: c for s, c in self.terms.items() if abs(c) >= PRUNE_TOL}
+        self.terms = _pruned(self.terms)
         return self
 
     def _check_compatible(self, other):
@@ -119,8 +116,6 @@ class FermionOperator:
             out.terms[seq] = out.terms.get(seq, 0.0) + c
         return out._prune()
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return self + (other * -1.0)
 
@@ -136,11 +131,6 @@ class FermionOperator:
                 seq = s1 + s2
                 out.terms[seq] = out.terms.get(seq, 0.0) + c1 * c2
         return out._prune()
-
-    def __rmul__(self, other):
-        if np.isscalar(other):
-            return self * other
-        return NotImplemented
 
     def adjoint(self):
         """Reverse every ladder sequence, flip daggers, conjugate coefficients."""
@@ -179,10 +169,6 @@ class FermionOperator:
 
 def _ladder_sort_key(seq):
     return tuple((m, 0 if d else 1) for m, d in seq)
-
-
-def commutator(a: FermionOperator, b: FermionOperator) -> FermionOperator:
-    return a * b - b * a
 
 
 @lru_cache(maxsize=1 << 20)
@@ -254,11 +240,6 @@ class PauliOperator:
                     raise ValueError(f"bad Pauli word {word!r} for n={self.qubit_count}")
                 if abs(coeff) >= PRUNE_TOL:
                     self.terms[word] = self.terms.get(word, 0.0) + complex(coeff)
-            self._prune()
-
-    @classmethod
-    def zero(cls, qubit_count):
-        return cls(qubit_count)
 
     @classmethod
     def identity(cls, qubit_count, coeff=1.0):
@@ -268,60 +249,6 @@ class PauliOperator:
     def from_letter(cls, letter, qubit, qubit_count, coeff=1.0):
         word = "".join(letter if q == qubit else "I" for q in range(qubit_count))
         return cls(qubit_count, {word: coeff})
-
-    def _prune(self):
-        self.terms = {w: c for w, c in self.terms.items() if abs(c) >= PRUNE_TOL}
-        return self
-
-    def _check_compatible(self, other):
-        if not isinstance(other, PauliOperator):
-            raise TypeError("expected a PauliOperator")
-        if other.qubit_count != self.qubit_count:
-            raise ValueError(
-                f"qubit_count mismatch: {self.qubit_count} vs {other.qubit_count}")
-
-    def copy(self):
-        out = PauliOperator(self.qubit_count)
-        out.terms = dict(self.terms)
-        return out
-
-    def __add__(self, other):
-        if np.isscalar(other):
-            other = PauliOperator.identity(self.qubit_count, other)
-        self._check_compatible(other)
-        out = self.copy()
-        for w, c in other.terms.items():
-            out.terms[w] = out.terms.get(w, 0.0) + c
-        return out._prune()
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (other * -1.0)
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            out = PauliOperator(self.qubit_count)
-            out.terms = {w: c * other for w, c in self.terms.items()}
-            return out._prune()
-        self._check_compatible(other)
-        out = PauliOperator(self.qubit_count)
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                phase, word = _word_product(w1, w2)
-                coeff = c1 * c2 * phase
-                out.terms[word] = out.terms.get(word, 0.0) + coeff
-        return out._prune()
-
-    def __rmul__(self, other):
-        if np.isscalar(other):
-            return self * other
-        return NotImplemented
-
-    def adjoint(self):
-        out = PauliOperator(self.qubit_count)
-        out.terms = {w: np.conj(c) for w, c in self.terms.items()}
-        return out._prune()
 
     def is_zero(self):
         return not self.terms
@@ -345,39 +272,44 @@ def _pauli_sort_key(word):
     return tuple((q, ch) for q, ch in enumerate(word) if ch != "I")
 
 
-@lru_cache(maxsize=1 << 18)
-def _word_product(w1, w2):
-    phase = 1.0 + 0.0j
-    letters = []
-    for a, b in zip(w1, w2):
-        ph, c = _PAULI_MUL[(a, b)]
-        phase *= ph
-        letters.append(c)
-    return phase, "".join(letters)
+def _mask_product(acc: dict, factor) -> dict:
+    """acc times factor, both sums of words W(x, z) = i^|x&z| X^x Z^z keyed by (x, z).
 
-
-@lru_cache(maxsize=4096)
-def _jw_ladder(mode, dagger, n):
-    """Pauli form of a single ladder operator: (prod_{m<p} Z_m) sigma_p^{+/-}."""
-    zs = "Z" * mode
-    tail = "I" * (n - mode - 1)
-    x_word = zs + "X" + tail
-    y_word = zs + "Y" + tail
-    y_coeff = -0.5j if dagger else 0.5j
-    return ((x_word, 0.5), (y_word, y_coeff))
+    W1 W2 = i^k W(x1^x2, z1^z2) with k = |x1&z1| + |x2&z2| + 2|z1&x2|
+    - |(x1^x2)&(z1^z2)|; equal words are summed in product order.
+    """
+    out = {}
+    for (x1, z1), c1 in acc.items():
+        k1 = (x1 & z1).bit_count()
+        for (x2, z2), c2 in factor:
+            x, z = x1 ^ x2, z1 ^ z2
+            k = k1 + (x2 & z2).bit_count() + 2 * (z1 & x2).bit_count() - (x & z).bit_count()
+            out[x, z] = out.get((x, z), 0.0) + c1 * c2 * _I_POW[k % 4]
+    return _pruned(out)
 
 
 def jordan_wigner(op: FermionOperator) -> PauliOperator:
-    """Map a fermionic operator to Pauli strings (algebra homomorphism)."""
+    """Map a fermionic operator to Pauli strings (algebra homomorphism).
+
+    Terms are multiplied out ladder by ladder (the X word before the Y word)
+    and summed in term order, pruning small entries after every step.
+    """
     n = op.mode_count
-    out = PauliOperator.zero(n)
+    out = {}
     for seq, coeff in op.terms.items():
-        acc = PauliOperator.identity(n, coeff)
+        acc = _pruned({(0, 0): complex(coeff)})
         for mode, dagger in seq:
-            factor = PauliOperator(n, dict(_jw_ladder(mode, dagger, n)))
-            acc = acc * factor
-        out = out + acc
-    return out
+            below = (1 << mode) - 1
+            acc = _mask_product(acc, (((1 << mode, below), 0.5),
+                                      ((1 << mode, below | 1 << mode),
+                                       -0.5j if dagger else 0.5j)))
+        for key, c in acc.items():  # a term can only shrink the entries it touches
+            out[key] = out.get(key, 0.0) + c
+            if abs(out[key]) < PRUNE_TOL:
+                del out[key]
+    return PauliOperator(n, {"".join("IXZY"[(x >> q & 1) | (z >> q & 1) << 1]
+                                     for q in range(n)): c
+                             for (x, z), c in out.items()})
 
 
 @lru_cache(maxsize=1 << 16)
@@ -425,14 +357,6 @@ def apply_pauli(action, arr: np.ndarray) -> np.ndarray:
         # fused multiply-adds depend on the operand order
         out += ph.reshape(ph.shape + tail) * arr[s]
     return out
-
-
-def pauli_to_dense(op: PauliOperator) -> np.ndarray:
-    """Dense 2^n x 2^n matrix, the Pauli action on the identity.
-
-    Qubit 0 is the least significant bit of the index.
-    """
-    return apply_pauli(pauli_action(op), np.eye(1 << op.qubit_count))
 
 
 def _ladder_action(seqs, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -524,11 +448,3 @@ def dense_symmetry(kind: str, mode_count: int) -> np.ndarray:
     mat.setflags(write=False)
     return mat
 
-
-def add_penalty(h: FermionOperator, o: FermionOperator, target: float,
-                weight: float) -> FermionOperator:
-    """Return H + weight * (O - target)^2, normal-ordered."""
-    if weight < 0:
-        raise ValueError("penalty weight must be non-negative")
-    shifted = o - FermionOperator.identity(o.mode_count, target)
-    return normal_order(h + weight * (shifted * shifted))

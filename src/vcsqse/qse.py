@@ -148,7 +148,10 @@ def qubit_basis(qubit_count: int, order: int) -> ExpansionBasis:
 
 
 def _symmetrized(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.conj().T)
+    """(mat + mat^)/2 in place; every caller passes a freshly computed matrix."""
+    mat += mat.conj().T
+    mat *= 0.5
+    return mat
 
 
 def build_subspace_direct(basis: ExpansionBasis, h: np.ndarray, rho: np.ndarray,
@@ -180,6 +183,7 @@ def build_subspace_direct(basis: ExpansionBasis, h: np.ndarray, rho: np.ndarray,
 
         def block(op):
             return _symmetrized(phi.conj().T @ (op @ phi))
+        s_sub = _symmetrized(phi.conj().T @ phi)
     else:
         rows = rho[src]
         np.multiply(weight[:, :, None], rows, out=rows)
@@ -191,8 +195,7 @@ def build_subspace_direct(basis: ExpansionBasis, h: np.ndarray, rho: np.ndarray,
             cols = op[columns]
             np.multiply(moved, cols, out=cols)
             return _symmetrized(rows.reshape(n_b, -1) @ cols.reshape(n_b, -1).T)
-
-    s_sub = block(np.eye(dim, dtype=complex))
+        s_sub = block(np.eye(dim, dtype=complex))
     h_sub = block(h)
     sym = {}
     for name, op in (symmetry_ops or {}).items():

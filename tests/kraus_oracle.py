@@ -4,6 +4,9 @@ kron_lift forms all |K|^n Kronecker products of a single-qubit Kraus set
 as one explicit channel on the 2^n-dimensional register, which is the
 textbook definition the package's factor-by-factor kernel must reproduce.
 Its size grows as 4^n matrices of 2^n x 2^n, so keep n <= 4.
+
+identity_channel is the trivial channel {I} that the tests compose, lift
+and transform with.
 """
 
 from itertools import product
@@ -13,6 +16,11 @@ import numpy as np
 from vcsqse.channels import KrausChannel
 
 ORACLE_QUBIT_LIMIT = 4
+
+
+def identity_channel(dim: int = 2) -> KrausChannel:
+    """The one-operator channel {I} on a dim-dimensional system."""
+    return KrausChannel([np.eye(dim, dtype=complex)], label="identity")
 
 
 def kron_lift(per_qubit: KrausChannel, n: int) -> KrausChannel:

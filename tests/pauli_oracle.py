@@ -1,5 +1,10 @@
 """Reference constructions of Pauli operators and subspace matrices.
 
+letter_jordan_wigner maps a fermionic operator to Pauli words by
+multiplying letter strings through the 16-entry single-qubit product table,
+ladder operator by ladder operator: the form the package's bit-mask product
+replaced, which must match it word for word and bit for bit.
+
 kron_dense builds a Pauli sum as a Kronecker chain of 2x2 matrices per
 word, and dense_subspace assembles Tr[E_a^ W E_b rho] from those dense basis
 operators by plain matrix products. Both are the textbook definitions the
@@ -7,12 +12,13 @@ package's signed-permutation kernels must reproduce, for the tests only.
 Each basis element costs a 4^M matrix and two 8^M products, so keep M small.
 
 pauli_basis is the symbolic expansion basis the one-permutation form
-replaced: each fermionic product normal-ordered and Jordan-Wigner mapped to
-4 or 16 Pauli words, each qubit element one word, duplicates found by their
-rendered text. loop_apply, loop_apply_right and loop_subspace act with
-those Pauli forms one word and one element at a time. Where every word sum
-is exact (qubit elements, fermionic order 1) the package's single gather
-per element must match them bit for bit, and to rounding elsewhere.
+replaced: each fermionic product normal-ordered and mapped by
+letter_jordan_wigner to 4 or 16 Pauli words, each qubit element one word,
+duplicates found by their rendered text. loop_apply, loop_apply_right and
+loop_subspace act with those Pauli forms one word and one element at a
+time. Where every word sum is exact (qubit elements, fermionic order 1)
+the package's single gather per element must match them bit for bit, and
+to rounding elsewhere.
 
 letter_pauli_action reads the bit masks from a (words, n) array of letters,
 and apply_estimate_pauli takes <P> as the full P @ state by apply_pauli and
@@ -24,8 +30,16 @@ from itertools import combinations, product
 
 import numpy as np
 
-from vcsqse.operators import (DENSE_QUBIT_LIMIT, FermionOperator, PauliOperator,
-                              apply_pauli, jordan_wigner, normal_order, pauli_action)
+from vcsqse.operators import (DENSE_QUBIT_LIMIT, PRUNE_TOL, FermionOperator,
+                              PauliOperator, apply_pauli, normal_order, pauli_action)
+
+# (a, b) -> (phase, a*b) for single-qubit Pauli letters.
+_PAULI_MUL = {
+    ("I", "I"): (1, "I"), ("I", "X"): (1, "X"), ("I", "Y"): (1, "Y"), ("I", "Z"): (1, "Z"),
+    ("X", "I"): (1, "X"), ("X", "X"): (1, "I"), ("X", "Y"): (1j, "Z"), ("X", "Z"): (-1j, "Y"),
+    ("Y", "I"): (1, "Y"), ("Y", "X"): (-1j, "Z"), ("Y", "Y"): (1, "I"), ("Y", "Z"): (1j, "X"),
+    ("Z", "I"): (1, "Z"), ("Z", "X"): (1j, "Y"), ("Z", "Y"): (-1j, "X"), ("Z", "Z"): (1, "I"),
+}
 
 _PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -33,6 +47,45 @@ _PAULI_MATS = {
     "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
+
+
+def letter_product(w1, w2):
+    """(phase, word) of the product of two Pauli words, letter by letter."""
+    phase = 1.0 + 0.0j
+    letters = []
+    for a, b in zip(w1, w2):
+        ph, c = _PAULI_MUL[(a, b)]
+        phase *= ph
+        letters.append(c)
+    return phase, "".join(letters)
+
+
+def _pruned(terms):
+    return {w: c for w, c in terms.items() if abs(c) >= PRUNE_TOL}
+
+
+def letter_jordan_wigner(op: FermionOperator) -> PauliOperator:
+    """jordan_wigner(op) by letter-string products, pruned after every step."""
+    n = op.mode_count
+    out = {}
+    for seq, coeff in op.terms.items():
+        acc = PauliOperator.identity(n, coeff).terms
+        for mode, dagger in seq:
+            zs, tail = "Z" * mode, "I" * (n - mode - 1)
+            factor = PauliOperator(n, {zs + "X" + tail: 0.5,
+                                       zs + "Y" + tail: -0.5j if dagger else 0.5j})
+            product_terms = {}
+            for w1, c1 in acc.items():
+                for w2, c2 in factor.terms.items():
+                    phase, word = letter_product(w1, w2)
+                    product_terms[word] = product_terms.get(word, 0.0) + c1 * c2 * phase
+            acc = _pruned(product_terms)
+        for word, c in acc.items():
+            out[word] = out.get(word, 0.0) + c
+        out = _pruned(out)
+    result = PauliOperator(n)
+    result.terms = out
+    return result
 
 
 def kron_dense(op) -> np.ndarray:
@@ -64,7 +117,7 @@ def pauli_basis(kind, m, order, includes_reference=True):
         for indices in product(range(m), repeat=2 * order):
             pairs = list(zip(indices[0::2], indices[1::2]))
             seq = tuple(op for i, j in pairs for op in ((i, True), (j, False)))
-            ops.append(jordan_wigner(normal_order(FermionOperator(m, {seq: 1.0}))))
+            ops.append(letter_jordan_wigner(normal_order(FermionOperator(m, {seq: 1.0}))))
             labels.append(" ".join(f"{i}^ {j}" for i, j in pairs))
     else:
         ops.append(PauliOperator.identity(m))

@@ -13,9 +13,13 @@ split contractions must reproduce. Each wedge holds (k!)^2 transposed
 M^(2k) tensors, ZC needs (M^2 + 1)^2 symbolic products and _lr_matrix
 holds the full M^8 4-RDM, so keep M small.
 
-loop_sample_rdms Jordan-Wigner maps every ladder product a_I^ a_J afresh
-and estimates its words as it meets them, which the package's sample_rdms
-must match bit for bit with its cached Pauli forms.
+commutator is [a, b] = ab - ba of two fermionic operators, which
+zc_h_sub and the operator tests normal-order.
+
+loop_sample_rdms maps every ladder product a_I^ a_J afresh with
+letter_jordan_wigner and estimates its words as it meets them, which the
+package's sample_rdms must match bit for bit with its cached mask-product
+Pauli forms.
 """
 
 from itertools import combinations, permutations
@@ -23,11 +27,15 @@ from math import comb, factorial
 
 import numpy as np
 
+from pauli_oracle import letter_jordan_wigner
 from vcsqse.molecule import hamiltonian_from_tensors
-from vcsqse.operators import (FermionOperator, PauliOperator, commutator,
-                              jordan_wigner, normal_order)
+from vcsqse.operators import FermionOperator, PauliOperator, normal_order
 from vcsqse.qse import _overlap_lr, _symmetrized, operator_to_tensors
 from vcsqse.rdm import RdmSet, cumulants_from_rdms, estimate_pauli, reconstruct_rdms
+
+
+def commutator(a: FermionOperator, b: FermionOperator) -> FermionOperator:
+    return a * b - b * a
 
 
 def _perms_with_parity(k: int):
@@ -240,7 +248,7 @@ def loop_sample_rdms(state, max_k, shots, seed):
             for b, lower in enumerate(combos):
                 seq = (tuple((i, True) for i in upper)
                        + tuple((j, False) for j in reversed(lower)))
-                pauli_form = jordan_wigner(FermionOperator(m, {seq: 1.0}))
+                pauli_form = letter_jordan_wigner(FermionOperator(m, {seq: 1.0}))
                 total = 0.0 + 0.0j
                 for word, coeff in pauli_form.terms.items():
                     if word == identity:

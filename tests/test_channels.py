@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kraus_oracle import kron_lift
+from kraus_oracle import identity_channel, kron_lift
 from vcsqse.channels import (CHANNEL_KINDS, TRANSFER_BYTE_LIMIT, ChannelSpec,
                              KrausChannel, apply_channel, channel_kind_from_token,
-                             compose, identity_channel, lift_to_register,
-                             single_qubit_channel)
+                             compose, lift_to_register, single_qubit_channel)
 from vcsqse.vcs import transform_hamiltonian
 
 RATIO_GRID = (0.0, 0.01, 0.05, 0.2, 1.0)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from fcidump_writer import render_fcidump
 from vcsqse import experiments, operators, qse, vcs
 from vcsqse.cli import main
 from vcsqse.config import (ConfigError, ExperimentConfig, config_to_text,
                            load_config, parse_config)
 from vcsqse.experiments import run_experiment, single_point
-from vcsqse.molecule import MolecularIntegrals, render_fcidump
+from vcsqse.molecule import MolecularIntegrals
 
 MINI_MANIFEST = "mini.manifest"
 
@@ -202,6 +203,16 @@ class TestExperiments:
         assert (tmp_path / "out.csv").read_text() == result.csv_text
 
 
+@pytest.mark.parametrize("name", ["fig2_fidelity", "fig3_spectrum", "fig4_repair",
+                                  "ground_channels", "zero_approx"])
+def test_shipped_csv_reproduces_byte_for_byte(configs_dir, name):
+    """Each shipped config rewrites its tracked out/*.csv exactly."""
+    cfg = load_config(configs_dir / f"{name}.cfg")
+    cfg.output = None
+    golden = (configs_dir.parent / "out" / f"{name}.csv").read_bytes()
+    assert run_experiment(cfg).csv_text.encode() == golden
+
+
 class TestCli:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -258,3 +269,32 @@ class TestCli:
                      "--project", "number", "2", "0.5"])
         assert code == 0
         assert "retained_dim" in capsys.readouterr().out
+
+    def test_point_numerical_failure_exits_3(self, sto3g_path, capsys):
+        # no subspace state has <N> near 7 in a four-mode register
+        assert main(["point", "--fcidump", str(sto3g_path),
+                     "--project", "number", "7", "0.1"]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and sto3g_path.name in err
+
+    def test_run_missing_fixture_exits_2(self, tmp_path, capsys):
+        (tmp_path / "sweep.manifest").write_text("0.7 gone.fcidump\n")
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("[run]\nexperiment = spectrum\n"
+                            f"sweep_manifest = {tmp_path / 'sweep.manifest'}\n")
+        assert main(["run", "--config", str(cfg_file)]) == 2
+        assert "no such fixture" in capsys.readouterr().err
+
+    def test_malformed_fcidump_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.fcidump"
+        bad.write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\n0.5 1 1 0\n")
+        assert main(["point", "--fcidump", str(bad)]) == 2
+        assert "line 3" in capsys.readouterr().err
+        (tmp_path / "sweep.manifest").write_text("0.7 bad.fcidump\n")
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("[run]\nexperiment = spectrum\n"
+                            f"sweep_manifest = {tmp_path / 'sweep.manifest'}\n")
+        assert main(["run", "--config", str(cfg_file)]) == 2
+        cfg_file.write_text(f"[run]\nexperiment = single-point\nfcidump = {bad}\n")
+        assert main(["run", "--config", str(cfg_file)]) == 2
+        assert capsys.readouterr().err.count("config error") == 2

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from fcidump_writer import render_fcidump
 from vcsqse.molecule import (FcidumpError, MolecularIntegrals, assemble_hamiltonian,
-                             load_sweep, parse_fcidump, render_fcidump,
-                             spin_orbital_tensors)
+                             load_sweep, parse_fcidump, spin_orbital_tensors)
 from vcsqse.operators import fermion_to_dense
 
 HEADER = "&FCI NORB=2,NELEC=2,MS2=0,\n&END\n"

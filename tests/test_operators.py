@@ -1,14 +1,20 @@
+import struct
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pauli_oracle import kron_dense, loop_apply, loop_apply_right
+from pauli_oracle import (kron_dense, letter_jordan_wigner, letter_product, loop_apply,
+                          loop_apply_right)
+from rdm_oracle import commutator
 from vcsqse.molecule import assemble_hamiltonian
-from vcsqse.operators import (FermionOperator, PauliOperator, add_penalty,
-                              apply_pauli, commutator, fermion_to_dense,
+from vcsqse.operators import (FermionOperator, PauliOperator, _mask_product,
+                              _word_masks, apply_pauli, fermion_to_dense,
                               jordan_wigner, normal_order, parse_ladder,
-                              pauli_action, pauli_to_dense, symmetry_operator)
+                              pauli_action, symmetry_operator)
+from vcsqse.vcs import _penalized
 
 
 def random_fermion(rng, m, n_terms=6, max_len=4):
@@ -21,8 +27,13 @@ def random_fermion(rng, m, n_terms=6, max_len=4):
     return op._prune()
 
 
+def pauli_dense(op):
+    """Dense matrix of a PauliOperator: its action on the identity."""
+    return apply_pauli(pauli_action(op), np.eye(1 << op.qubit_count))
+
+
 def jw_dense(op):
-    return pauli_to_dense(jordan_wigner(op))
+    return pauli_dense(jordan_wigner(op))
 
 
 def ladder_loop_dense(op):
@@ -154,7 +165,7 @@ class TestJordanWigner:
     def test_number_operator_single_mode(self):
         op = jordan_wigner(FermionOperator.from_term("0^ 0", 1.0, 1))
         # (I - Z)/2, checked against a 2x2 multiplication oracle
-        dense = pauli_to_dense(op)
+        dense = pauli_dense(op)
         assert np.abs(dense - np.diag([0.0, 1.0])).max() < 1e-14
 
     def test_homomorphism_on_random_operators(self):
@@ -197,32 +208,34 @@ class TestJordanWigner:
 
 class TestPauliOperator:
     def test_identity_dense(self):
-        assert np.abs(pauli_to_dense(PauliOperator.identity(2)) - np.eye(4)).max() == 0
+        assert np.abs(pauli_dense(PauliOperator.identity(2)) - np.eye(4)).max() == 0
 
     def test_z_on_single_qubit(self):
         op = PauliOperator.from_letter("Z", 0, 1)
-        assert np.abs(pauli_to_dense(op) - np.diag([1.0, -1.0])).max() == 0
+        assert np.abs(pauli_dense(op) - np.diag([1.0, -1.0])).max() == 0
 
     def test_number_operator_occupation_ordering(self):
         n_op = jordan_wigner(symmetry_operator("number", 2))
-        dense = pauli_to_dense(n_op)
+        dense = pauli_dense(n_op)
         occupations = np.array([bin(b).count("1") for b in range(4)], dtype=float)
         assert np.abs(dense - np.diag(occupations)).max() < 1e-14
 
     def test_products_match_dense(self):
+        """The mask product of two words, its phase and word as the letter table's."""
         rng = np.random.default_rng(7)
         letters = "IXYZ"
         for _ in range(30):
             w1 = "".join(rng.choice(list(letters)) for _ in range(3))
             w2 = "".join(rng.choice(list(letters)) for _ in range(3))
-            p1 = PauliOperator(3, {w1: 1.0})
-            p2 = PauliOperator(3, {w2: 1.0})
-            assert np.abs(pauli_to_dense(p1 * p2)
-                          - pauli_to_dense(p1) @ pauli_to_dense(p2)).max() < 1e-13
+            [((x, z), c)] = _mask_product({_word_masks(w1)[:2]: 1.0},
+                                          ((_word_masks(w2)[:2], 1.0),)).items()
+            word = "".join("IXZY"[(x >> q & 1) | (z >> q & 1) << 1] for q in range(3))
+            assert (c, word) == letter_product(w1, w2)
+            product = pauli_dense(PauliOperator(3, {word: c}))
+            assert np.abs(product - kron_dense(PauliOperator(3, {w1: 1.0}))
+                          @ kron_dense(PauliOperator(3, {w2: 1.0}))).max() < 1e-13
 
     def test_dense_guard(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            pauli_to_dense(PauliOperator.identity(13))
         with pytest.raises(ValueError, match="exceeds"):
             pauli_action(PauliOperator.identity(13))
 
@@ -282,45 +295,40 @@ class TestSymmetryOperators:
 
 
 class TestPenalty:
+    """H + weight (O - target)^2 with O named, as configs give penalties."""
+
     def test_zero_weight_is_identity(self):
         h = FermionOperator.from_term("0^ 1", 1.0, 2)
-        h = h + h.adjoint()
-        out = add_penalty(h, symmetry_operator("number", 2), 1.0, 0.0)
-        assert np.abs(fermion_to_dense(out) - fermion_to_dense(h)).max() < 1e-14
+        hd = fermion_to_dense(h + h.adjoint())
+        assert np.abs(_penalized(hd, [("number", 1.0, 0.0)], 2) - hd).max() < 1e-14
 
     def test_eigenstate_energy_unchanged(self):
-        h = FermionOperator.from_term("0^ 0", -1.0, 2)
-        n_op = symmetry_operator("number", 2)
-        pen = add_penalty(h, n_op, 1.0, 50.0)
+        hd = fermion_to_dense(FermionOperator.from_term("0^ 0", -1.0, 2))
+        pd = _penalized(hd, [("number", 1.0, 50.0)], 2)
         state = np.zeros(4)
         state[0b01] = 1.0  # one electron: N eigenvalue 1 = target
-        hd, pd = fermion_to_dense(h), fermion_to_dense(pen)
         assert abs(state @ hd @ state - state @ pd @ state) < 1e-12
 
     def test_number_penalty_shift(self):
         # (N - 2)^2 = 1 on a one-electron state -> energy shift +10
-        h = FermionOperator.zero(4)
-        pen = add_penalty(h, symmetry_operator("number", 4), 2.0, 10.0)
+        dense = _penalized(np.zeros((16, 16)), [("number", 2.0, 10.0)], 4)
         state = np.zeros(16)
         state[0b0001] = 1.0
-        dense = fermion_to_dense(pen)
         assert abs(np.real(state @ dense @ state) - 10.0) < 1e-12
         # independent dense oracle for (N-2)^2
-        nd = fermion_to_dense(symmetry_operator("number", 4))
+        nd = np.diag([float(bin(b).count("1")) for b in range(16)])
         oracle = 10.0 * (nd - 2 * np.eye(16)) @ (nd - 2 * np.eye(16))
         assert np.abs(dense - oracle).max() < 1e-12
 
     def test_penalized_operator_stays_hermitian(self):
         h = FermionOperator.from_term("0^ 1", 0.3 + 0.1j, 4)
-        h = h + h.adjoint()
-        pen = add_penalty(h, symmetry_operator("s_squared", 4), 0.0, 3.0)
-        dense = fermion_to_dense(pen)
+        dense = _penalized(fermion_to_dense(h + h.adjoint()),
+                           [("s_squared", 0.0, 3.0)], 4)
         assert np.abs(dense - dense.conj().T).max() < 1e-12
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            add_penalty(FermionOperator.zero(2), symmetry_operator("number", 2),
-                        0.0, -1.0)
+            _penalized(np.zeros((4, 4)), [("number", 0.0, -1.0)], 2)
 
 
 pauli_words = st.integers(1, 5).flatmap(lambda n: st.lists(
@@ -336,15 +344,16 @@ def test_pauli_action_matches_kron_oracle(words, coeffs, seed):
     """apply_pauli, the oracle's right action and the dense form agree with
     Kronecker chains."""
     n = len(words[0])
-    op = PauliOperator(n, {})
+    terms = {}
     for word, coeff in zip(words, coeffs):
-        op = op + PauliOperator(n, {word: coeff})
+        terms[word] = terms.get(word, 0.0) + coeff
+    op = PauliOperator(n, terms)
     dense = kron_dense(op)
     rng = np.random.default_rng(seed)
     vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     mat = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
     scale = max(1.0, np.abs(dense).max())
-    assert np.abs(pauli_to_dense(op) - dense).max() <= 1e-14 * scale
+    assert np.abs(pauli_dense(op) - dense).max() <= 1e-14 * scale
     act = pauli_action(op)
     assert np.abs(apply_pauli(act, vec) - dense @ vec).max() <= 1e-12 * scale
     assert np.abs(apply_pauli(act, mat) - dense @ mat).max() <= 1e-12 * scale
@@ -353,3 +362,52 @@ def test_pauli_action_matches_kron_oracle(words, coeffs, seed):
     assert np.array_equal(apply_pauli(act, vec), loop_apply(act, vec))
     assert np.array_equal(apply_pauli(act, mat), loop_apply(act, mat))
 
+
+
+def coefficient_bits(op):
+    """Words in order, each with the bytes of its coefficient's two parts."""
+    return [(word, struct.pack("dd", c.real, c.imag)) for word, c in op.terms.items()]
+
+
+@st.composite
+def fermion_operators(draw):
+    """Random operators on M <= 6 modes: any ladder order, modes repeated."""
+    m = draw(st.integers(1, 6))
+    ladders = st.tuples(st.integers(0, m - 1), st.booleans())
+    seqs = st.lists(ladders, max_size=6).map(tuple)
+    return FermionOperator(m, draw(st.dictionaries(seqs, complex_coeffs, max_size=6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(op=fermion_operators())
+def test_jordan_wigner_matches_letter_oracle(op):
+    """The mask product gives the letter table's words, order and coefficient bits."""
+    assert coefficient_bits(jordan_wigner(op)) == coefficient_bits(letter_jordan_wigner(op))
+
+
+class TestJordanWignerOracle:
+    def test_every_excitation_up_to_m6(self):
+        for m in range(1, 7):
+            for k in range(1, min(m, 4) + 1):
+                combos = list(combinations(range(m), k))
+                for upper, lower in product(combos, repeat=2):
+                    seq = (tuple((i, True) for i in upper)
+                           + tuple((j, False) for j in reversed(lower)))
+                    op = FermionOperator(m, {seq: 1.0})
+                    assert (coefficient_bits(jordan_wigner(op))
+                            == coefficient_bits(letter_jordan_wigner(op)))
+
+    def test_fixture_hamiltonians(self, sweep_points, sto3g_ints):
+        for ints in [pt.integrals for pt in sweep_points] + [sto3g_ints]:
+            h = assemble_hamiltonian(ints)
+            assert (coefficient_bits(jordan_wigner(h))
+                    == coefficient_bits(letter_jordan_wigner(h)))
+
+    def test_cancelled_word_returns_at_the_end(self):
+        # Z0 cancels after the second term and comes back with the fourth
+        op = FermionOperator(2, {parse_ladder("0^ 0"): 1.0, parse_ladder("0 0^"): 1.0,
+                                 parse_ladder("1^ 1"): 1.0,
+                                 parse_ladder("0^ 0 0^ 0"): 1.0})
+        assert list(jordan_wigner(op).terms) == ["II", "IZ", "ZI"]
+        assert (coefficient_bits(jordan_wigner(op))
+                == coefficient_bits(letter_jordan_wigner(op)))

@@ -3,10 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kraus_oracle import kron_lift
+from kraus_oracle import identity_channel, kron_lift
 from vcsqse.channels import (ChannelSpec, KrausChannel, apply_channel,
-                             identity_channel, lift_to_register,
-                             single_qubit_channel)
+                             lift_to_register, single_qubit_channel)
 from vcsqse.molecule import assemble_hamiltonian
 from vcsqse.vcs import (fidelity, no_variation_baseline, solve_vcs,
                         transform_hamiltonian)
