@@ -12,7 +12,7 @@ from .linalg import Spectrum, generalized_eigensolve, hermitian_eigensolve
 from .molecule import (MolecularIntegrals, SweepPoint, assemble_hamiltonian,
                        load_sweep, parse_fcidump, spin_orbital_tensors)
 from .operators import (FermionOperator, PauliOperator, fermion_to_dense,
-                        jordan_wigner, normal_order, symmetry_operator)
+                        jordan_wigner, symmetry_operator)
 from .qse import (ExpansionBasis, SubspaceProblem, approximate_lr,
                   build_lr_from_rdms, build_subspace_direct, fermionic_basis,
                   project_symmetry, qubit_basis, solve_subspace,

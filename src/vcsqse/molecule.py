@@ -189,7 +189,10 @@ def assemble_hamiltonian(ints: MolecularIntegrals) -> FermionOperator:
 
 
 def load_sweep(manifest_path) -> list[SweepPoint]:
-    """Read a `bond_length fcidump-path` manifest, sorted by bond length."""
+    """Read a `bond_length fcidump-path` manifest, sorted by bond length.
+
+    A malformed line or fixture raises FcidumpError naming `manifest:line`.
+    """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     points = []
@@ -198,17 +201,26 @@ def load_sweep(manifest_path) -> list[SweepPoint]:
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
+        where = f"{manifest_path}:{ln}"
         fields = stripped.split()
         if len(fields) != 2:
-            raise ValueError(f"{manifest_path}:{ln}: expected `bond_length path`")
-        r = float(fields[0])
+            raise FcidumpError(f"{where}: expected `bond_length path`")
+        try:
+            r = float(fields[0])
+        except ValueError:
+            raise FcidumpError(f"{where}: bond_length {fields[0]!r} is not a number") from None
+        if not 0 < r < np.inf:
+            raise FcidumpError(f"{where}: bond_length {r} is not positive and finite")
         if r in seen:
-            raise ValueError(f"{manifest_path}:{ln}: duplicate bond_length {r}")
+            raise FcidumpError(f"{where}: duplicate bond_length {r}")
         seen[r] = ln
         path = (base / fields[1]).resolve()
         if not path.is_file():
-            raise FileNotFoundError(f"{manifest_path}:{ln}: no such fixture {path}")
-        ints = parse_fcidump(path.read_text())
+            raise FileNotFoundError(f"{where}: no such fixture {path}")
+        try:
+            ints = parse_fcidump(path.read_text())
+        except ValueError as exc:
+            raise FcidumpError(f"{where}: fixture {path}: {exc}") from None
         points.append(SweepPoint(bond_length=r, integrals=ints, label=path.stem))
     points.sort(key=lambda p: p.bond_length)
     return points

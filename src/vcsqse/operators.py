@@ -1,4 +1,7 @@
-"""Symbolic fermionic and Pauli-string operators with a Jordan-Wigner bridge.
+"""Fermionic and Pauli-string operators as term dictionaries, with a
+Jordan-Wigner bridge. Nothing here multiplies operators symbolically: the
+package writes its fermionic operators in normal order, and only
+_ladder_action evaluates ladder products.
 
 Conventions used throughout the package:
 
@@ -61,6 +64,11 @@ def parse_ladder(text: str) -> tuple:
     return tuple(seq)
 
 
+def ladder_text(seq) -> str:
+    """A ladder sequence in the form parse_ladder reads, like ``"0^ 1"``."""
+    return " ".join(f"{m}^" if d else f"{m}" for m, d in seq)
+
+
 class FermionOperator:
     """Weighted sum of products of fermionic ladder operators on M modes.
 
@@ -95,59 +103,6 @@ class FermionOperator:
         self.terms = _pruned(self.terms)
         return self
 
-    def _check_compatible(self, other):
-        if not isinstance(other, FermionOperator):
-            raise TypeError("expected a FermionOperator")
-        if other.mode_count != self.mode_count:
-            raise ValueError(
-                f"mode_count mismatch: {self.mode_count} vs {other.mode_count}")
-
-    def copy(self):
-        out = FermionOperator(self.mode_count)
-        out.terms = dict(self.terms)
-        return out
-
-    def __add__(self, other):
-        if np.isscalar(other):
-            other = FermionOperator.identity(self.mode_count, other)
-        self._check_compatible(other)
-        out = self.copy()
-        for seq, c in other.terms.items():
-            out.terms[seq] = out.terms.get(seq, 0.0) + c
-        return out._prune()
-
-    def __sub__(self, other):
-        return self + (other * -1.0)
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            out = FermionOperator(self.mode_count)
-            out.terms = {s: c * other for s, c in self.terms.items()}
-            return out._prune()
-        self._check_compatible(other)
-        out = FermionOperator(self.mode_count)
-        for s1, c1 in self.terms.items():
-            for s2, c2 in other.terms.items():
-                seq = s1 + s2
-                out.terms[seq] = out.terms.get(seq, 0.0) + c1 * c2
-        return out._prune()
-
-    def adjoint(self):
-        """Reverse every ladder sequence, flip daggers, conjugate coefficients."""
-        out = FermionOperator(self.mode_count)
-        for seq, c in self.terms.items():
-            rev = tuple((m, not d) for m, d in reversed(seq))
-            out.terms[rev] = out.terms.get(rev, 0.0) + np.conj(c)
-        return out._prune()
-
-    def rank(self) -> int:
-        """max over terms of max(#creations, #annihilations)."""
-        best = 0
-        for seq in self.terms:
-            ncr = sum(1 for _, d in seq if d)
-            best = max(best, ncr, len(seq) - ncr)
-        return best
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -157,8 +112,7 @@ class FermionOperator:
             return "(0+0i) []"
         parts = []
         for seq in sorted(self.terms, key=_ladder_sort_key):
-            body = " ".join(f"{m}^" if d else f"{m}" for m, d in seq)
-            parts.append(f"{_format_coeff(self.terms[seq])} [{body}]")
+            parts.append(f"{_format_coeff(self.terms[seq])} [{ladder_text(seq)}]")
         return "\n".join(parts)
 
     __str__ = render
@@ -169,59 +123,6 @@ class FermionOperator:
 
 def _ladder_sort_key(seq):
     return tuple((m, 0 if d else 1) for m, d in seq)
-
-
-@lru_cache(maxsize=1 << 20)
-def _normal_order_seq(seq):
-    """Normal-order one ladder sequence.
-
-    Returns a tuple of (coeff, sequence) pairs equivalent to the input as an
-    operator, with all creations left of annihilations, creations ascending
-    and annihilations descending in mode index.
-    """
-    out = {}
-    stack = [(1.0, list(seq))]
-    while stack:
-        coeff, ops = stack.pop()
-        pos = 0
-        dead = False
-        while pos < len(ops) - 1:
-            (m1, d1), (m2, d2) = ops[pos], ops[pos + 1]
-            if not d1 and d2:
-                # a_m a_n^dag = delta_mn - a_n^dag a_m
-                swapped = ops[:pos] + [(m2, d2), (m1, d1)] + ops[pos + 2:]
-                if m1 == m2:
-                    stack.append((coeff, ops[:pos] + ops[pos + 2:]))
-                stack.append((-coeff, swapped))
-                dead = True
-                break
-            if d1 == d2 and m1 == m2:
-                dead = True  # repeated ladder operator annihilates the term
-                break
-            if d1 and d2 and m1 > m2:
-                ops[pos], ops[pos + 1] = ops[pos + 1], ops[pos]
-                coeff = -coeff
-                pos = max(pos - 1, 0)
-                continue
-            if not d1 and not d2 and m1 < m2:
-                ops[pos], ops[pos + 1] = ops[pos + 1], ops[pos]
-                coeff = -coeff
-                pos = max(pos - 1, 0)
-                continue
-            pos += 1
-        if not dead:
-            key = tuple(ops)
-            out[key] = out.get(key, 0.0) + coeff
-    return tuple((c, s) for s, c in out.items() if c != 0.0)
-
-
-def normal_order(op: FermionOperator) -> FermionOperator:
-    """Rewrite using anticommutation so creations precede annihilations."""
-    out = FermionOperator(op.mode_count)
-    for seq, coeff in op.terms.items():
-        for factor, nseq in _normal_order_seq(seq):
-            out.terms[nseq] = out.terms.get(nseq, 0.0) + coeff * factor
-    return out._prune()
 
 
 class PauliOperator:
@@ -415,8 +316,9 @@ def symmetry_operator(kind: str, mode_count: int) -> FermionOperator:
     """Total number, S_z, or S^2 in second quantization.
 
     Spinful operators assume the interleaved (alpha, beta) mode ordering and
-    therefore need an even mode count. S^2 is realized as
-    S_- S_+ + S_z (S_z + 1), expanded and normal-ordered.
+    therefore need an even mode count. S^2 = S_- S_+ + S_z (S_z + 1) is
+    written out in normal order; its coefficients are multiples of 1/4, so
+    its dense form is exact.
     """
     m = mode_count
     if kind == "number":
@@ -424,17 +326,19 @@ def symmetry_operator(kind: str, mode_count: int) -> FermionOperator:
     if kind in ("sz", "s_squared") and m % 2:
         raise ValueError("spinful symmetry operators need an even mode count")
     if kind == "sz":
-        terms = {}
-        for p in range(m // 2):
-            terms[((2 * p, True), (2 * p, False))] = 0.5
-            terms[((2 * p + 1, True), (2 * p + 1, False))] = -0.5
-        return FermionOperator(m, terms)
+        return FermionOperator(m, {((i, True), (i, False)): 0.5 - i % 2 for i in range(m)})
     if kind == "s_squared":
-        s_plus = FermionOperator(m, {
-            ((2 * p, True), (2 * p + 1, False)): 1.0 for p in range(m // 2)})
-        s_minus = s_plus.adjoint()
-        sz = symmetry_operator("sz", m)
-        return normal_order(s_minus * s_plus + sz * sz + sz)
+        terms = {((i, True), (i, False)): 0.75 for i in range(m)}
+        for p in range(m // 2):
+            a, b = 2 * p, 2 * p + 1  # orbital p's alpha and beta modes
+            terms[parse_ladder(f"{a}^ {b}^ {b} {a}")] = -1.5
+            # density pairs and spin exchange with each later orbital q
+            for c, d in ((2 * q, 2 * q + 1) for q in range(p + 1, m // 2)):
+                for text, coeff in ((f"{a}^ {c}^ {c} {a}", 0.5), (f"{b}^ {d}^ {d} {b}", 0.5),
+                                    (f"{a}^ {d}^ {d} {a}", -0.5), (f"{b}^ {c}^ {c} {b}", -0.5),
+                                    (f"{a}^ {d}^ {c} {b}", 1.0), (f"{b}^ {c}^ {d} {a}", 1.0)):
+                    terms[parse_ladder(text)] = coeff
+        return FermionOperator(m, terms)
     raise ValueError(f"unknown symmetry operator kind {kind!r}")
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .linalg import Spectrum, generalized_eigensolve
 from .operators import (FermionOperator, _ladder_action, _signed_permutation,
-                        _word_masks, normal_order)
+                        _word_masks, ladder_text)
 from .rdm import (RdmSet, _disconnected, _split_contract, cumulants_from_rdms,
                   reconstruct_rdms)
 
@@ -273,29 +273,33 @@ def _lr_matrix(t1: np.ndarray, v: np.ndarray, rdms: RdmSet,
 
 
 def operator_to_tensors(op: FermionOperator):
-    """Split a rank<=2 operator into (core, t1, t2) coefficient tensors.
+    """Split a normal-ordered rank<=2 operator into (core, t1, t2) tensors.
 
-    The tensors satisfy op = core + sum t1[p,q] a_p^ a_q
-    + 1/2 sum t2[p,q,r,s] a_p^ a_q^ a_r a_s after normal ordering.
+    Every term must be k <= 2 creations followed by k annihilations; any
+    other term raises ValueError. The tensors satisfy op = core
+    + sum t1[p,q] a_p^ a_q + 1/2 sum t2[p,q,r,s] a_p^ a_q^ a_r a_s exactly.
     """
     m = op.mode_count
     core = 0.0 + 0.0j
     t1 = np.zeros((m, m), dtype=complex)
     t2 = np.zeros((m, m, m, m), dtype=complex)
-    for seq, coeff in normal_order(op).terms.items():
-        if len(seq) == 0:
+    for seq, coeff in op.terms.items():
+        daggers = tuple(d for _, d in seq)
+        modes = tuple(mode for mode, _ in seq)
+        if daggers == ():
             core += coeff
-        elif len(seq) == 2:
-            t1[seq[0][0], seq[1][0]] += coeff
-        elif len(seq) == 4:
-            p, q, r, s = (mode for mode, _ in seq)
+        elif daggers == (True, False):
+            t1[modes] += coeff
+        elif daggers == (True, True, False, False):
+            p, q, r, s = modes
             half = 0.5 * coeff
             t2[p, q, r, s] += half
             t2[q, p, r, s] -= half
             t2[p, q, s, r] -= half
             t2[q, p, s, r] += half
         else:
-            raise ValueError("operator has rank above 2")
+            raise ValueError(f"term [{ladder_text(seq)}] is not k <= 2 creations "
+                             "followed by k annihilations")
     return core, t1, t2
 
 

@@ -30,8 +30,9 @@ from itertools import combinations, product
 
 import numpy as np
 
+from fermion_oracle import normal_order
 from vcsqse.operators import (DENSE_QUBIT_LIMIT, PRUNE_TOL, FermionOperator,
-                              PauliOperator, apply_pauli, normal_order, pauli_action)
+                              PauliOperator, apply_pauli, pauli_action)
 
 # (a, b) -> (phase, a*b) for single-qubit Pauli letters.
 _PAULI_MUL = {

@@ -3,7 +3,8 @@
 wedge antisymmetrizes the tensor product of two full (k, k)-index tensors
 by summing transposed copies over every riffle shuffle of the index groups,
 and zc_h_sub builds the ZC matrix by normal-ordering every product
-(a_i^ a_j)^ [H0, a_k^ a_l] symbolically and contracting it term by term.
+(a_i^ a_j)^ [H0, a_k^ a_l] with fermion_oracle and contracting it term by
+term.
 These are the textbook definitions the package's packed wedge kernel and
 closed-form ZC contraction must reproduce. expectation_from_rdms
 contracts a normal-ordered operator term by term with full RDM tensors.
@@ -12,9 +13,6 @@ formulas as einsums over full D1..D4 tensors, which the package's packed
 split contractions must reproduce. Each wedge holds (k!)^2 transposed
 M^(2k) tensors, ZC needs (M^2 + 1)^2 symbolic products and _lr_matrix
 holds the full M^8 4-RDM, so keep M small.
-
-commutator is [a, b] = ab - ba of two fermionic operators, which
-zc_h_sub and the operator tests normal-order.
 
 loop_sample_rdms maps every ladder product a_I^ a_J afresh with
 letter_jordan_wigner and estimates its words as it meets them, which the
@@ -27,15 +25,12 @@ from math import comb, factorial
 
 import numpy as np
 
+from fermion_oracle import adjoint, commutator, mul, normal_order
 from pauli_oracle import letter_jordan_wigner
 from vcsqse.molecule import hamiltonian_from_tensors
-from vcsqse.operators import FermionOperator, PauliOperator, normal_order
+from vcsqse.operators import FermionOperator, PauliOperator
 from vcsqse.qse import _overlap_lr, _symmetrized, operator_to_tensors
 from vcsqse.rdm import RdmSet, cumulants_from_rdms, estimate_pauli, reconstruct_rdms
-
-
-def commutator(a: FermionOperator, b: FermionOperator) -> FermionOperator:
-    return a * b - b * a
 
 
 def _perms_with_parity(k: int):
@@ -124,7 +119,7 @@ def zc_h_sub(h1, h2, rdms: RdmSet, e_g: float, truncate: bool = False) -> np.nda
     for b, op in enumerate(rows):
         comm = normal_order(commutator(h_op, op))
         for a, row in enumerate(rows):
-            h_sub[a, b] = expectation_from_rdms(normal_order(row.adjoint() * comm), work)
+            h_sub[a, b] = expectation_from_rdms(normal_order(mul(adjoint(row), comm)), work)
     h_sub += e_g * s_sub
     return 0.5 * (h_sub + h_sub.conj().T)
 

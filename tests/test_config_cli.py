@@ -24,6 +24,15 @@ def mini_sweep(tmp_path, sweep_manifest):
     return mf
 
 
+def run_spectrum(tmp_path, manifest_text):
+    """Exit code of `vcsqse run` on a spectrum sweep over manifest_text."""
+    (tmp_path / "sweep.manifest").write_text(manifest_text)
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("[run]\nexperiment = spectrum\n"
+                        f"sweep_manifest = {tmp_path / 'sweep.manifest'}\n")
+    return main(["run", "--config", str(cfg_file)])
+
+
 def config_text(mini_sweep, experiment="fidelity-sweep", extra=""):
     return (f"[run]\nexperiment = {experiment}\n"
             f"sweep_manifest = {mini_sweep}\n"
@@ -278,12 +287,28 @@ class TestCli:
         assert "numerical failure" in err and sto3g_path.name in err
 
     def test_run_missing_fixture_exits_2(self, tmp_path, capsys):
-        (tmp_path / "sweep.manifest").write_text("0.7 gone.fcidump\n")
-        cfg_file = tmp_path / "exp.cfg"
-        cfg_file.write_text("[run]\nexperiment = spectrum\n"
-                            f"sweep_manifest = {tmp_path / 'sweep.manifest'}\n")
-        assert main(["run", "--config", str(cfg_file)]) == 2
+        assert run_spectrum(tmp_path, "0.7 gone.fcidump\n") == 2
         assert "no such fixture" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines, line, message", [
+        ("0.7 {f}\n0.7 {f}\n", 2, "duplicate bond_length 0.7"),
+        ("0.7 {f} 1.0\n", 1, "expected `bond_length path`"),
+        ("# header\nabc {f}\n", 2, "bond_length 'abc' is not a number"),
+        ("-0.7 {f}\n", 1, "bond_length -0.7 is not positive and finite"),
+    ], ids=["duplicate", "field_count", "not_a_number", "negative"])
+    def test_malformed_manifest_exits_2(self, tmp_path, capsys, sto3g_path,
+                                        lines, line, message):
+        assert run_spectrum(tmp_path, lines.format(f=sto3g_path)) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {tmp_path / 'sweep.manifest'}:{line}: {message}" in err
+
+    def test_malformed_fixture_in_manifest_names_it(self, tmp_path, capsys, sto3g_path):
+        bad = tmp_path / "bad.fcidump"
+        bad.write_text("&FCI NORB=2,NELEC=2,\n&END\n")
+        assert run_spectrum(tmp_path, f"0.7 {sto3g_path}\n1.0 bad.fcidump\n") == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'sweep.manifest'}:2: fixture {bad.resolve()}: " in err
+        assert "missing header key MS2" in err
 
     def test_malformed_fcidump_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.fcidump"

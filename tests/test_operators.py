@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermion_oracle import add, adjoint, commutator, mul, normal_order, rank, s_squared
 from pauli_oracle import (kron_dense, letter_jordan_wigner, letter_product, loop_apply,
                           loop_apply_right)
-from rdm_oracle import commutator
 from vcsqse.molecule import assemble_hamiltonian
 from vcsqse.operators import (FermionOperator, PauliOperator, _mask_product,
                               _word_masks, apply_pauli, fermion_to_dense,
-                              jordan_wigner, normal_order, parse_ladder,
+                              dense_symmetry, jordan_wigner, parse_ladder,
                               pauli_action, symmetry_operator)
 from vcsqse.vcs import _penalized
 
@@ -58,18 +58,18 @@ def ladder_loop_dense(op):
 class TestFermionAlgebra:
     def test_adjoint_of_ladder(self):
         a0d = FermionOperator.from_term("0^", 1.0, 2)
-        assert a0d.adjoint().render() == "(1+0i) [0]"
+        assert adjoint(a0d).render() == "(1+0i) [0]"
 
     def test_adjoint_involution(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             op = random_fermion(rng, 3)
-            assert np.abs(fermion_to_dense(op.adjoint().adjoint())
+            assert np.abs(fermion_to_dense(adjoint(adjoint(op)))
                           - fermion_to_dense(op)).max() < 1e-12
 
     def test_adjoint_reverses_and_conjugates(self):
         op = FermionOperator.from_term("0^ 1", 2.0 + 1.0j, 2)
-        assert op.adjoint().render() == "(2-1i) [1^ 0]"
+        assert adjoint(op).render() == "(2-1i) [1^ 0]"
 
     def test_commutator_with_self_is_zero(self):
         rng = np.random.default_rng(1)
@@ -80,8 +80,8 @@ class TestFermionAlgebra:
         a = FermionOperator.from_term("0^ 1", 1.0, 2)
         b = FermionOperator.from_term("1^ 0", 1.0, 2)
         comm = normal_order(commutator(a, b))
-        expected = (FermionOperator.from_term("0^ 0", 1.0, 2)
-                    - FermionOperator.from_term("1^ 1", 1.0, 2))
+        expected = add(FermionOperator.from_term("0^ 0", 1.0, 2),
+                       FermionOperator.from_term("1^ 1", -1.0, 2))
         assert comm.render() == normal_order(expected).render()
         # independent dense oracle through the JW route
         assert np.abs(jw_dense(comm)
@@ -92,14 +92,14 @@ class TestFermionAlgebra:
         a = FermionOperator.from_term("0^", 1.0, 2)
         b = FermionOperator.from_term("0^", 1.0, 3)
         with pytest.raises(ValueError, match="mode_count"):
-            _ = a * b
+            mul(a, b)
         with pytest.raises(ValueError, match="mode_count"):
-            _ = a + b
+            add(a, b)
 
     def test_rank(self):
         op = FermionOperator.from_term("0^ 1^ 2 3", 1.0, 4)
-        assert op.rank() == 2
-        assert FermionOperator.identity(4).rank() == 0
+        assert rank(op) == 2
+        assert rank(FermionOperator.identity(4)) == 0
 
 
 class TestNormalOrder:
@@ -144,13 +144,13 @@ class TestNormalOrder:
             p, q, r, s = (int(rng.integers(0, m)) for _ in range(4))
             seq = ((p, True), (q, True), (r, False), (s, False))
             h.terms[seq] = h.terms.get(seq, 0.0) + rng.normal()
-        h = h + h.adjoint()
+        h = add(h, adjoint(h))
         for (i, j, k, l) in [(0, 1, 2, 3), (1, 1, 0, 2), (3, 0, 0, 0)]:
             exc = FermionOperator(m, {((k, True), (l, False)): 1.0})
             row = FermionOperator(m, {((i, True), (j, False)): 1.0})
             comm = normal_order(commutator(h, exc))
-            assert comm.rank() <= 2
-            assert normal_order(row.adjoint() * comm).rank() <= 3
+            assert rank(comm) <= 2
+            assert rank(normal_order(mul(adjoint(row), comm))) <= 3
 
 
 class TestJordanWigner:
@@ -173,7 +173,7 @@ class TestJordanWigner:
         for _ in range(20):
             a = random_fermion(rng, 4, n_terms=4, max_len=3)
             b = random_fermion(rng, 4, n_terms=4, max_len=3)
-            lhs = jw_dense(a * b)
+            lhs = jw_dense(mul(a, b))
             rhs = jw_dense(a) @ jw_dense(b)
             assert np.abs(lhs - rhs).max() < 1e-12
 
@@ -287,6 +287,13 @@ class TestSymmetryOperators:
             od = fermion_to_dense(symmetry_operator(name, 4))
             assert np.abs(s2 @ od - od @ s2).max() < 1e-12
 
+    @pytest.mark.parametrize("m", [2, 4, 6, 8])
+    def test_s_squared_closed_form_matches_oracle(self, m):
+        """The closed-form terms are S_- S_+ + S_z^2 + S_z normal-ordered."""
+        oracle = s_squared(m)
+        assert symmetry_operator("s_squared", m).render() == oracle.render()
+        assert np.array_equal(dense_symmetry("s_squared", m), fermion_to_dense(oracle))
+
     def test_spinful_operators_need_even_modes(self):
         with pytest.raises(ValueError, match="even"):
             symmetry_operator("sz", 3)
@@ -299,7 +306,7 @@ class TestPenalty:
 
     def test_zero_weight_is_identity(self):
         h = FermionOperator.from_term("0^ 1", 1.0, 2)
-        hd = fermion_to_dense(h + h.adjoint())
+        hd = fermion_to_dense(add(h, adjoint(h)))
         assert np.abs(_penalized(hd, [("number", 1.0, 0.0)], 2) - hd).max() < 1e-14
 
     def test_eigenstate_energy_unchanged(self):
@@ -322,7 +329,7 @@ class TestPenalty:
 
     def test_penalized_operator_stays_hermitian(self):
         h = FermionOperator.from_term("0^ 1", 0.3 + 0.1j, 4)
-        dense = _penalized(fermion_to_dense(h + h.adjoint()),
+        dense = _penalized(fermion_to_dense(add(h, adjoint(h))),
                            [("s_squared", 0.0, 3.0)], 4)
         assert np.abs(dense - dense.conj().T).max() < 1e-12
 

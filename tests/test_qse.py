@@ -11,8 +11,8 @@ from rdm_oracle import zc_h_sub
 from vcsqse import qse, rdm
 from vcsqse.channels import ChannelSpec, lift_to_register, single_qubit_channel
 from vcsqse.molecule import hamiltonian_from_tensors, spin_orbital_tensors
-from vcsqse.operators import (PauliOperator, apply_pauli, fermion_to_dense,
-                              pauli_action, symmetry_operator)
+from vcsqse.operators import (FermionOperator, PauliOperator, apply_pauli,
+                              fermion_to_dense, pauli_action, symmetry_operator)
 from vcsqse.qse import (SUBSPACE_BYTE_LIMIT, ExpansionBasis, approximate_lr,
                         build_lr_from_rdms, build_subspace_direct, fermionic_basis,
                         operator_to_tensors, project_symmetry, qubit_basis,
@@ -284,6 +284,33 @@ class TestDirectBuild:
         assert held < 16 << 20
         assert peak < 4 * prob.h_sub.nbytes + (40 << 20)
 
+
+@st.composite
+def normal_ordered_operators(draw, m=4):
+    """Number-conserving rank <= 2 operators on m modes, every term in normal
+    order: k ascending creations, then k descending annihilations."""
+    modes = st.integers(0, 2).flatmap(lambda k: st.tuples(
+        *[st.sets(st.integers(0, m - 1), min_size=k, max_size=k)] * 2))
+    seqs = modes.map(lambda ul: tuple((i, True) for i in sorted(ul[0]))
+                     + tuple((j, False) for j in sorted(ul[1], reverse=True)))
+    coeffs = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+    return FermionOperator(m, draw(st.dictionaries(seqs, coeffs, max_size=8)))
+
+
+def tensors_dense(c0, t1, t2, m):
+    """core + sum t1 a^ a + 1/2 sum t2 a^ a^ a a from dense single-ladder matrices."""
+    low = np.array([fermion_to_dense(FermionOperator.from_term(f"{p}", 1.0, m))
+                    for p in range(m)])
+    up = low.conj().transpose(0, 2, 1)
+    dim = 1 << m
+    # a_p^ a_q^ and a_r a_s, flattened over (p, q) and (r, s)
+    creations = (up[:, None] @ up[None]).reshape(m * m, dim, dim)
+    annihilations = (low[:, None] @ low[None]).reshape(m * m, dim, dim)
+    two_body = np.einsum("xy,yjk->xjk", t2.reshape(m * m, m * m), annihilations)
+    return (c0 * np.eye(dim) + np.einsum("pq,pij,qjk->ik", t1, up, low)
+            + 0.5 * (creations @ two_body).sum(axis=0))
+
+
 class TestRdmRoute:
     def test_overlap_g_column_is_d1(self, stretched):
         rng = np.random.default_rng(2)
@@ -328,11 +355,20 @@ class TestRdmRoute:
         with pytest.raises(ValueError, match="4-RDM"):
             build_lr_from_rdms(h1, h2, compute_rdms(v, 3))
 
-    def test_operator_to_tensors_round_trip(self):
-        op = symmetry_operator("s_squared", 4)
+    @settings(max_examples=60, deadline=None)
+    @given(op=normal_ordered_operators())
+    @example(op=symmetry_operator("s_squared", 4))
+    def test_operator_to_tensors_round_trip(self, op):
         c0, t1, t2 = operator_to_tensors(op)
-        rebuilt = hamiltonian_from_tensors(t1, t2, np.real(c0))
-        assert np.abs(fermion_to_dense(rebuilt) - fermion_to_dense(op)).max() < 1e-12
+        assert np.abs(tensors_dense(c0, t1, t2, 4) - fermion_to_dense(op)).max() < 1e-12
+
+    @pytest.mark.parametrize("text", ["0^", "1", "0^ 1^", "0 1", "1 0^", "0^ 1 2^ 3",
+                                      "0^ 1^ 2^ 3", "0^ 1^ 2^ 3 2 1"])
+    def test_operator_to_tensors_rejects_other_terms(self, text):
+        """Reading the first modes of such a term would file it as another
+        operator (a_0^ a_1^ as a_0^ a_1), so each one raises."""
+        with pytest.raises(ValueError, match="creations followed by"):
+            operator_to_tensors(FermionOperator.from_term(text, 1.0, 4))
 
 
 class TestSolveAndProject:

@@ -12,8 +12,7 @@ from vcsqse import experiments, rdm
 from vcsqse.molecule import assemble_hamiltonian, spin_orbital_tensors
 from vcsqse.operators import (FermionOperator, PauliOperator, _signed_permutation,
                               _word_masks, fermion_to_dense, jordan_wigner,
-                              normal_order, parse_ladder, pauli_action,
-                              symmetry_operator)
+                              pauli_action)
 from vcsqse.rdm import (compute_rdms, contract_energy, cumulants_from_rdms,
                         estimate_pauli, reconstruct_rdms, sample_rdms, wedge)
 
