@@ -16,8 +16,8 @@ from .channels import ChannelSpec, channel_kind_from_token, lift_to_register, \
     single_qubit_channel
 from .config import ConfigError, ExperimentConfig
 from .linalg import _sector_eigh
-from .molecule import assemble_hamiltonian, load_sweep, parse_fcidump, \
-    spin_orbital_tensors
+from .molecule import FcidumpError, assemble_hamiltonian, load_sweep, \
+    parse_fcidump, spin_orbital_tensors
 from .operators import PauliOperator, dense_symmetry, fermion_to_dense, \
     jordan_wigner
 from .qse import approximate_lr, build_subspace_direct, fermionic_basis, \
@@ -300,6 +300,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
 
 def _sampled_energy(h_pauli: PauliOperator, psi: np.ndarray, shots: int, seed: int):
+    """Sum of per-term estimates and its standard error. Term i of the sorted
+    Jordan-Wigner H draws from (seed, 0, i); sample_rdms keys its words
+    (seed, 1, i), so no energy term shares a stream with an RDM word."""
     total, var = 0.0, 0.0
     n = h_pauli.qubit_count
     identity = "I" * n
@@ -309,7 +312,7 @@ def _sampled_energy(h_pauli: PauliOperator, psi: np.ndarray, shots: int, seed: i
             total += c
             continue
         est, err = estimate_pauli(psi, PauliOperator(n, {word: 1.0}), shots,
-                                  (seed, i))
+                                  (seed, 0, i))
         total += c * est
         var += (c * err) ** 2
     return total, var ** 0.5
@@ -320,7 +323,10 @@ def single_point(cfg: ExperimentConfig) -> str:
     cfg.validate()
     if cfg.experiment != "single-point":
         raise ConfigError(f"single_point() got experiment {cfg.experiment!r}")
-    ints = parse_fcidump(Path(cfg.fcidump).read_text())
+    try:
+        ints = parse_fcidump(Path(cfg.fcidump).read_text())
+    except ValueError as exc:  # a malformed record, or bytes that are not UTF-8
+        raise FcidumpError(f"{cfg.fcidump}: {exc}") from None
     return _guarded(lambda: _point_report(cfg, ints), f"fixture {cfg.fcidump}",
                     cfg.experiment)
 

@@ -116,6 +116,8 @@ def parse_fcidump(text: str) -> MolecularIntegrals:
             i, j, k, l = (int(f) for f in fields[1:])
         except ValueError:
             raise FcidumpError(f"line {ln + 1}: malformed numeric field") from None
+        if not np.isfinite(value):
+            raise FcidumpError(f"line {ln + 1}: value {fields[0]} is not finite")
         for idx in (i, j, k, l):
             if not 0 <= idx <= norb:
                 raise FcidumpError(f"line {ln + 1}: index {idx} outside [0, {norb}]")

@@ -18,7 +18,7 @@ Conventions used throughout the package:
   (c P v)[j] = c * i^#Y * (-1)^popcount((j ^ x) & z) * v[j ^ x].
   _word_masks caches each word's masks, and _signed_permutation turns them
   into that form: pauli_action for all words of an operator at once,
-  rdm.estimate_pauli for one word. apply_pauli adds the words of one
+  rdm._exact_paulis for a batch of words. apply_pauli adds the words of one
   operator one at a time.
 * Ladder action: a product of ladder operators sends each occupation state
   to at most one state, with sign +-1, so it is one masked signed
@@ -37,6 +37,10 @@ import numpy as np
 PRUNE_TOL = 1e-14
 
 DENSE_QUBIT_LIMIT = 12
+# Ladder-action entries (terms x 2^M) per chunk of fermion_to_dense, about
+# 5 MiB of temporaries: 1024 terms at M = 8, so every molecular Hamiltonian
+# up to M = 8 (at most 833 spin-conserving terms) is built in one chunk.
+DENSE_CHUNK_ENTRIES = 1 << 18
 
 # i^k for k mod 4.
 _I_POW = (1, 1j, -1, -1j)
@@ -299,16 +303,21 @@ def fermion_to_dense(op: FermionOperator) -> np.ndarray:
     Independent of the Jordan-Wigner route but uses the same phase
     convention: a_p picks up (-1)^(number of occupied modes below p). Every
     term is one _ladder_action permutation, and contributions are added in
-    term order.
+    term order, DENSE_CHUNK_ENTRIES / 2^M terms at a time.
     """
     m = op.mode_count
     if m > DENSE_QUBIT_LIMIT:
         raise ValueError(f"mode_count {m} exceeds dense limit {DENSE_QUBIT_LIMIT}")
-    src, weight = _ladder_action(tuple(op.terms), m)
+    seqs = tuple(op.terms)
     coeffs = np.array(list(op.terms.values()), dtype=complex)
-    term, row = np.nonzero(weight)
     out = np.zeros((1 << m, 1 << m), dtype=complex)
-    np.add.at(out, (row, src[term, row]), coeffs[term] * weight[term, row])
+    step = max(1, DENSE_CHUNK_ENTRIES >> m)
+    for lo in range(0, len(seqs), step):
+        src, weight = _ladder_action(seqs[lo:lo + step], m)
+        term, row = np.nonzero(weight)
+        col, sign = src[term, row], weight[term, row]
+        del src, weight
+        np.add.at(out, (row, col), coeffs[lo + term] * sign)
     return out
 
 

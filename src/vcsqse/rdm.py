@@ -30,7 +30,7 @@ from .operators import (FermionOperator, PauliOperator, _ladder_action,
                         _signed_permutation, _word_masks, jordan_wigner)
 
 RDM_MODE_LIMIT = 8
-SHOT_CHUNK = 1 << 16  # uniforms per draw in estimate_pauli, 576 KiB with their mask
+GATHER_BYTES = 2 << 20  # per (words, 2^M) complex array in _exact_paulis
 _WEIGHT_TOL = 1e-14
 
 # D_n - C_n as wedge products of lower-order cumulants: (coefficient, orders)
@@ -308,13 +308,15 @@ def contract_energy(h1: np.ndarray, h2: np.ndarray, rdms: RdmSet,
 def sample_rdms(state: np.ndarray, max_k: int, shots: int, seed: int) -> RdmSet:
     """RDMs through the measurement pathway instead of exact traces.
 
-    Every distinct Pauli string appearing in the Jordan-Wigner form of the
-    required ladder products is estimated once with `shots` samples; the
-    packed RDM blocks are then assembled classically from the shared
-    estimates, which keeps upper/lower Hermiticity exact by construction. The
-    i-th distinct word draws from default_rng((seed, i)), so the streams of
-    different seeds never coincide. Expect per-element noise of a few
-    coefficient sums times 1/sqrt(shots).
+    Every distinct Pauli word in the Jordan-Wigner forms of the ladder
+    products a_I^ a_J, |I| = |J| <= max_k, is estimated once with `shots`
+    samples, all words through one batched _sampled_means call; the i-th
+    distinct word in order of first appearance draws its count from
+    default_rng((seed, 1, i)). Each packed block is then assembled from the
+    shared estimates by one np.bincount each for its real and imaginary
+    parts, which adds every element's terms in their Jordan-Wigner order and
+    keeps upper/lower Hermiticity exact by construction. Expect per-element
+    noise of a few coefficient sums times 1/sqrt(shots).
     """
     state = np.asarray(state, dtype=complex)
     dim = state.shape[0]
@@ -325,61 +327,117 @@ def sample_rdms(state: np.ndarray, max_k: int, shots: int, seed: int) -> RdmSet:
         raise ValueError("max_k must be in 1..4")
     if m > RDM_MODE_LIMIT:
         raise ValueError(f"sampling limited to {RDM_MODE_LIMIT} modes, got {m}")
-    identity = "I" * m
-    estimates = {}
-
-    def word_value(word):
-        if word not in estimates:
-            est, _ = estimate_pauli(state, PauliOperator(m, {word: 1.0}),
-                                    shots, (seed, len(estimates)))
-            estimates[word] = est
-        return estimates[word]
-
+    if shots < 1:
+        raise ValueError("shots must be at least 1")
+    orders, _, masks = _rdm_words(m, max_k)
+    keys = [(seed, 1, i) for i in range(len(masks))]
+    # the identity, word -1, is exact
+    est = np.append(_sampled_means(state, masks, shots, keys), 1.0)
     blocks = []
-    for k in range(1, max_k + 1):
-        forms = _ladder_pauli_forms(m, k)
+    for k, (pair, word, coeff) in enumerate(orders, start=1):
         n = comb(m, k)
-        vals = np.zeros((n, n), dtype=complex)
-        for (a, b), terms in zip(np.ndindex(n, n), forms):
-            total = 0.0 + 0.0j
-            for word, coeff in terms:
-                total += coeff if word == identity else coeff * word_value(word)
-            vals[a, b] = total / factorial(k)
-        blocks.append(vals)
+        w = est[word]
+        re = np.bincount(pair, coeff.real * w, n * n) / factorial(k)
+        im = np.bincount(pair, coeff.imag * w, n * n) / factorial(k)
+        blocks.append((re + 1j * im).reshape(n, n))
     return RdmSet(mode_count=m, blocks=tuple(blocks))
 
 
-@lru_cache(maxsize=None)
-def _ladder_pauli_forms(m: int, k: int) -> tuple:
+def _ladder_pauli_forms(m: int, k: int):
     """Jordan-Wigner (word, coefficient) pairs of every a_I^ a_J, |I| = |J| = k.
 
-    One tuple per (I, J) over sorted index tuples, row-major, each in
-    jordan_wigner's term order, so a caller walking them meets the words in
-    the order they first appear.
+    Yields one iterable per (I, J) over sorted index tuples, row-major, each
+    in jordan_wigner's term order.
     """
     combos = list(combinations(range(m), k))
-    forms = []
     for upper in combos:
         for lower in combos:
             seq = (tuple((i, True) for i in upper)
                    + tuple((j, False) for j in reversed(lower)))
-            forms.append(tuple(jordan_wigner(FermionOperator(m, {seq: 1.0}))
-                               .terms.items()))
-    return tuple(forms)
+            yield jordan_wigner(FermionOperator(m, {seq: 1.0})).terms.items()
+
+
+@lru_cache(maxsize=None)
+def _rdm_words(m: int, max_k: int):
+    """_ladder_pauli_forms of orders 1..max_k as flat arrays.
+
+    Returns, per order k, the arrays (pair, word, coefficient) of every
+    term: pair the row-major index of (I, J) in the packed block, word the
+    index of the term's Pauli word (-1 for the identity); then the distinct
+    non-identity words in order of first appearance, which fixes their
+    stream keys, and their (words, 3) _word_masks rows.
+    """
+    if max_k == 0:
+        return (), (), np.zeros((0, 3), dtype=np.int64)
+    orders, words, _ = _rdm_words(m, max_k - 1)
+    known = {word: i for i, word in enumerate(words)}
+    known["I" * m] = -1
+    words = list(words)
+    pairs, ids, coeffs = [], [], []
+    for pair, terms in enumerate(_ladder_pauli_forms(m, max_k)):
+        for word, coeff in terms:
+            if word not in known:
+                known[word] = len(words)
+                words.append(word)
+            pairs.append(pair)
+            ids.append(known[word])
+            coeffs.append(coeff)
+    order = _frozen(np.array(pairs, dtype=np.intp), np.array(ids, dtype=np.intp),
+                    np.array(coeffs, dtype=complex))
+    masks = np.array([_word_masks(word) for word in words], dtype=np.int64)
+    _frozen(masks)
+    return orders + (order,), tuple(words), masks
+
+
+def _exact_paulis(state: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Exact <P> of every word given by its (words, 3) _word_masks rows, on
+    a state vector or density matrix.
+
+    Each word is one gather of 2^M entries through _signed_permutation.
+    Words go a chunk at a time, each (words, 2^M) complex array of a chunk
+    at most GATHER_BYTES, and each word's entries are summed on their own,
+    so its value does not depend on the chunk.
+    """
+    dim = state.shape[0]
+    n = dim.bit_length() - 1
+    step = max(1, GATHER_BYTES // (16 * dim))
+    cols = np.arange(dim)
+    exact = np.empty(len(masks))
+    for lo in range(0, len(masks), step):
+        src, phase = _signed_permutation(*masks[lo:lo + step].T[:, :, None], 1.0, n)
+        if state.ndim == 1:
+            terms = state.conj() * (phase * state[src])
+        else:
+            terms = phase * state[src, cols]
+        exact[lo:lo + step] = np.real(terms.sum(axis=1))
+    return exact
+
+
+def _sampled_means(state: np.ndarray, masks: np.ndarray, shots: int, keys) -> np.ndarray:
+    """Mean of `shots` simulated +-1 outcomes of every word of masks.
+
+    Word w's +1 count is one Binomial(shots, (1 + <P_w>)/2) draw from
+    np.random.default_rng(keys[w]), the law of counting shots Bernoulli
+    samples, at constant cost and memory in shots.
+    """
+    p = np.clip((1.0 + _exact_paulis(state, masks)) / 2.0, 0.0, 1.0)
+    ups = np.array([np.random.default_rng(key).binomial(shots, q)
+                    for key, q in zip(keys, p)], dtype=np.int64)
+    return (2 * ups - shots) / shots
 
 
 def estimate_pauli(state: np.ndarray, pauli: PauliOperator, shots: int,
                    seed) -> tuple[float, float]:
     """Simulated projective estimate of a single Pauli string.
 
-    Draws `shots` Bernoulli samples at probability (1 + <P>)/2 from the
-    seeded generator and counts the +1 outcomes; returns the sample mean
-    (scaled by the term's real coefficient) and its standard error
+    The one-word case of the estimator sample_rdms runs in batch: the +1
+    count of `shots` outcomes at probability (1 + <P>)/2 is one binomial
+    draw from np.random.default_rng(seed). Returns the sample mean (scaled
+    by the term's real coefficient) and its standard error
     sqrt((1 - mean^2) / (shots - 1)), the ddof=1 standard deviation of the
-    +-1 outcomes over sqrt(shots). `seed` is anything np.random.default_rng
-    accepts, e.g. an int or an (int, word index) pair; the result is
-    deterministic for a fixed seed. Uniforms are drawn SHOT_CHUNK at a time,
-    the stream of one rng.random(shots) call, so memory stays bounded.
+    +-1 outcomes over sqrt(shots). `seed` is anything default_rng accepts,
+    e.g. an int or a tuple of ints; the result is deterministic for a fixed
+    seed, and its cost and memory do not grow with shots.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
@@ -391,16 +449,8 @@ def estimate_pauli(state: np.ndarray, pauli: PauliOperator, shots: int,
     state = np.asarray(state, dtype=complex)
     if state.shape[0] != 1 << len(word):
         raise ValueError(f"{len(word)}-qubit word on a dimension-{state.shape[0]} state")
-    src, phase = _signed_permutation(*_word_masks(word), 1.0, len(word))
-    if state.ndim == 1:
-        exact = float(np.real(state.conj() @ (phase * state[src])))
-    else:
-        exact = float(np.real(np.sum(phase * state[src, np.arange(src.size)])))
-    p = min(max((1.0 + exact) / 2.0, 0.0), 1.0)
-    rng = np.random.default_rng(seed)
-    ups = sum(int(np.count_nonzero(rng.random(min(SHOT_CHUNK, shots - done)) < p))
-              for done in range(0, shots, SHOT_CHUNK))
-    mean = (2 * ups - shots) / shots
+    masks = np.array([_word_masks(word)], dtype=np.int64)
+    mean = float(_sampled_means(state, masks, shots, [seed])[0])
     stderr = float(np.sqrt((1.0 - mean * mean) / (shots - 1))) if shots > 1 else 0.0
     scale = float(np.real(coeff))
     return scale * mean, abs(scale) * stderr

@@ -21,9 +21,11 @@ the package's single gather per element must match them bit for bit, and
 to rounding elsewhere.
 
 letter_pauli_action reads the bit masks from a (words, n) array of letters,
-and apply_estimate_pauli takes <P> as the full P @ state by apply_pauli and
-draws all uniforms at once: the forms the mask cache, the one-word gather
-and the chunked draws replaced, which must agree with them exactly.
+and apply_estimate_pauli takes <P> as the full P @ state by apply_pauli: the
+forms the mask cache and the one-word gather replaced, which must agree
+with them exactly. uniform_estimate_pauli counts the +1 outcomes of shots
+uniform draws, the estimator the one binomial draw per word replaced; the
+two follow the same law but draw different numbers.
 """
 
 from itertools import combinations, product
@@ -238,7 +240,20 @@ def letter_pauli_action(op):
 
 
 def apply_estimate_pauli(state, pauli, shots, seed):
-    """estimate_pauli through apply_pauli and one rng.random(shots) call."""
+    """estimate_pauli through apply_pauli and one rng.binomial call."""
+    return _estimate(state, pauli, shots,
+                     lambda p: int(np.random.default_rng(seed).binomial(shots, p)))
+
+
+def uniform_estimate_pauli(state, pauli, shots, seed):
+    """estimate_pauli's law by counting rng.random(shots) draws below p."""
+    return _estimate(state, pauli, shots, lambda p: int(np.count_nonzero(
+        np.random.default_rng(seed).random(shots) < p)))
+
+
+def _estimate(state, pauli, shots, count_ups):
+    """Mean and stderr of shots +-1 outcomes whose +1 count count_ups(p)
+    draws at p = (1 + <P>)/2, <P> taken through apply_pauli."""
     [(word, coeff)] = pauli.terms.items()
     state = np.asarray(state, dtype=complex)
     unit = PauliOperator(pauli.qubit_count, {word: 1.0})
@@ -247,8 +262,7 @@ def apply_estimate_pauli(state, pauli, shots, seed):
         exact = float(np.real(state.conj() @ acted))
     else:
         exact = float(np.real(np.trace(acted)))
-    p = min(max((1.0 + exact) / 2.0, 0.0), 1.0)
-    ups = int(np.count_nonzero(np.random.default_rng(seed).random(shots) < p))
+    ups = count_ups(min(max((1.0 + exact) / 2.0, 0.0), 1.0))
     mean = (2 * ups - shots) / shots
     stderr = float(np.sqrt((1.0 - mean * mean) / (shots - 1))) if shots > 1 else 0.0
     scale = float(np.real(coeff))

@@ -15,9 +15,11 @@ M^(2k) tensors, ZC needs (M^2 + 1)^2 symbolic products and _lr_matrix
 holds the full M^8 4-RDM, so keep M small.
 
 loop_sample_rdms maps every ladder product a_I^ a_J afresh with
-letter_jordan_wigner and estimates its words as it meets them, which the
-package's sample_rdms must match bit for bit with its cached mask-product
-Pauli forms.
+letter_jordan_wigner and estimates its words one estimate_pauli call at a
+time as it meets them, the i-th distinct word from (seed, 1, i), and adds
+each element's terms in a Python loop. The package's sample_rdms must match
+it bit for bit with its cached flat forms, one batched draw over all words
+and one bincount per block part.
 """
 
 from itertools import combinations, permutations
@@ -252,7 +254,7 @@ def loop_sample_rdms(state, max_k, shots, seed):
                     if word not in estimates:
                         estimates[word] = estimate_pauli(
                             state, PauliOperator(m, {word: 1.0}), shots,
-                            (seed, len(estimates)))[0]
+                            (seed, 1, len(estimates)))[0]
                     total += coeff * estimates[word]
                 vals[a, b] = total / factorial(k)
         blocks.append(vals)

@@ -323,3 +323,17 @@ class TestCli:
         cfg_file.write_text(f"[run]\nexperiment = single-point\nfcidump = {bad}\n")
         assert main(["run", "--config", str(cfg_file)]) == 2
         assert capsys.readouterr().err.count("config error") == 2
+
+    def test_non_utf8_fcidump_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.fcidump"
+        bad.write_bytes(b"\xff\xfe" + "&FCI NORB=1,NELEC=1,MS2=1,\n&END\n".encode("utf-16-le"))
+        assert main(["point", "--fcidump", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(bad) in err and "utf-8" in err
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_fcidump_value_exits_2(self, tmp_path, capsys, value):
+        bad = tmp_path / "bad.fcidump"
+        bad.write_text(f"&FCI NORB=1,NELEC=1,MS2=1,\n&END\n{value} 1 1 0 0\n")
+        assert main(["point", "--fcidump", str(bad)]) == 2
+        assert f"{bad}: line 3: value {value} is not finite" in capsys.readouterr().err

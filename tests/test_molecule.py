@@ -58,6 +58,11 @@ class TestParse:
         with pytest.raises(FcidumpError, match="line 3"):
             parse_fcidump(dump("abc 1 1 1 1\n"))
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_value_names_line(self, value):
+        with pytest.raises(FcidumpError, match="line 3: value .* is not finite"):
+            parse_fcidump(dump(f"{value} 1 1 1 1\n"))
+
     def test_wrong_field_count(self):
         with pytest.raises(FcidumpError, match="expected"):
             parse_fcidump(dump("0.5 1 1 1\n"))

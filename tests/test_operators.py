@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from fermion_oracle import add, adjoint, commutator, mul, normal_order, rank, s_squared
 from pauli_oracle import (kron_dense, letter_jordan_wigner, letter_product, loop_apply,
                           loop_apply_right)
+from vcsqse import operators
 from vcsqse.molecule import assemble_hamiltonian
 from vcsqse.operators import (FermionOperator, PauliOperator, _mask_product,
                               _word_masks, apply_pauli, fermion_to_dense,
@@ -204,6 +206,21 @@ class TestJordanWigner:
                 symmetry_operator("s_squared", 4)]
         for op in ops:
             assert np.array_equal(fermion_to_dense(op), ladder_loop_dense(op))
+
+    def test_chunked_dense_build_is_bit_identical_and_small(self, monkeypatch):
+        """At M = 10 the terms go in several chunks: the peak stays within
+        1.5x the 16 MiB output, and the matrix equals the one-chunk build."""
+        op = random_fermion(np.random.default_rng(40), 10, n_terms=1500)
+        assert len(op.terms) > 2 * (operators.DENSE_CHUNK_ENTRIES >> 10)
+        tracemalloc.start()
+        try:
+            got = fermion_to_dense(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * got.nbytes
+        monkeypatch.setattr(operators, "DENSE_CHUNK_ENTRIES", len(op.terms) << 10)
+        assert np.array_equal(got, fermion_to_dense(op))
 
 
 class TestPauliOperator:

@@ -1,5 +1,6 @@
 import tracemalloc
 from itertools import combinations, product
+from math import comb
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdm_oracle
-from pauli_oracle import apply_estimate_pauli, kron_dense, letter_pauli_action
+from pauli_oracle import (apply_estimate_pauli, kron_dense, letter_pauli_action,
+                          uniform_estimate_pauli)
 from vcsqse import experiments, rdm
 from vcsqse.molecule import assemble_hamiltonian, spin_orbital_tensors
 from vcsqse.operators import (FermionOperator, PauliOperator, _signed_permutation,
@@ -303,21 +305,6 @@ class TestEstimatePauli:
         est, err = estimate_pauli(state, PauliOperator(2, {"ZI": 1.0}), 500, 3)
         assert est == 1.0 and err == 0.0
 
-    def test_counting_matches_the_plus_minus_one_samples(self):
-        """Same mean bit for bit; stderr to a few ulps of the ddof=1 form."""
-        rng = np.random.default_rng(26)
-        for case in range(20):
-            state = random_state(rng, 2)
-            p = PauliOperator(2, {"XZ": 1.0})
-            exact = float(np.real(state.conj() @ kron_dense(p) @ state))
-            shots = int(rng.integers(2, 5000))
-            draws = np.random.default_rng(case).random(shots)
-            samples = np.where(draws < (1.0 + exact) / 2.0, 1.0, -1.0)
-            est, err = estimate_pauli(state, p, shots, case)
-            assert est == float(samples.mean())
-            ref = float(samples.std(ddof=1) / np.sqrt(shots))
-            assert abs(err - ref) <= 1e-14 * ref
-
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(19)
         state = random_state(rng, 2)
@@ -358,17 +345,8 @@ class TestEstimatePauli:
         b, _ = estimate_pauli(rho, PauliOperator(2, {"ZZ": 1.0}), 4000, 9)
         assert a == b
 
-    def test_chunked_draws_are_one_stream(self):
-        """Draws split at SHOT_CHUNK count the same +1 outcomes as one
-        rng.random(shots) call."""
-        shots = 3 * rdm.SHOT_CHUNK + 17
-        state = random_state(np.random.default_rng(28), 3)
-        p = PauliOperator(3, {"XYZ": 1.0})
-        got = estimate_pauli(state, p, shots, (6, 2))
-        assert got == apply_estimate_pauli(state, p, shots, (6, 2))
-        assert abs(got[0]) < 1.0
-
     def test_draw_memory_is_bounded_by_a_chunk(self):
+        """One binomial draw per word: 10^7 shots hold no per-shot array."""
         state = random_state(np.random.default_rng(29), 2)
         p = PauliOperator(2, {"XZ": 1.0})
         tracemalloc.start()
@@ -377,7 +355,64 @@ class TestEstimatePauli:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 << 20
+        assert peak < 64 << 10
+
+    @pytest.mark.parametrize("p_up", [0.3, 0.85])
+    @pytest.mark.parametrize("shots", [1, 5, 20])
+    def test_binomial_and_uniform_counts_follow_the_binomial_law(self, shots, p_up):
+        """Over 2000 seeds the +1 counts of the binomial draw and of the
+        uniform-count oracle both pass a chi-square test against the exact
+        Binomial(shots, p) pmf, tail bins pooled to >= 5 expected. Each
+        stderr is the ddof=1 one of the +-1 outcomes to a few ulps."""
+        seeds = 2000
+        theta = np.arccos(np.sqrt(p_up))  # <Z> = cos 2 theta, so p = cos^2 theta
+        state = np.array([np.cos(theta), np.sin(theta)])
+        z = PauliOperator(1, {"Z": 1.0})
+        pmf = np.array([comb(shots, k) * p_up ** k * (1 - p_up) ** (shots - k)
+                        for k in range(shots + 1)])
+        for route in (estimate_pauli, uniform_estimate_pauli):
+            counts = np.zeros(shots + 1)
+            for seed in range(seeds):
+                mean, err = route(state, z, shots, (seed, 3))
+                ups = round((1 + mean) * shots / 2)
+                counts[ups] += 1
+                if shots > 1 and seed < 50:
+                    outcomes = np.repeat([1.0, -1.0], [ups, shots - ups])
+                    assert outcomes.mean() == mean
+                    ref = outcomes.std(ddof=1) / np.sqrt(shots)
+                    assert abs(err - ref) <= 1e-14 * ref
+            observed, expected = self.pooled(counts, seeds * pmf)
+            chi2 = float(np.sum((observed - expected) ** 2 / expected))
+            df = len(expected) - 1
+            # Wilson-Hilferty chi-square quantile at z = 4.75, p ~ 1e-6
+            bound = df * (1 - 2 / (9 * df) + 4.75 * np.sqrt(2 / (9 * df))) ** 3
+            assert chi2 < bound, (route.__name__, chi2, bound)
+
+    @staticmethod
+    def pooled(observed, expected):
+        """Adjacent bins merged until each expects at least 5."""
+        obs, exp, acc_o, acc_e = [], [], 0.0, 0.0
+        for o, e in zip(observed, expected):
+            acc_o, acc_e = acc_o + o, acc_e + e
+            if acc_e >= 5:
+                obs.append(acc_o)
+                exp.append(acc_e)
+                acc_o = acc_e = 0.0
+        obs[-1] += acc_o
+        exp[-1] += acc_e
+        return np.array(obs), np.array(exp)
+
+    @pytest.mark.parametrize("route", [estimate_pauli, uniform_estimate_pauli])
+    def test_certain_outcomes_and_single_shots(self, route):
+        """p = 0 gives -1 and p = 1 gives +1, both with stderr 0; a single
+        shot gives +-1 with stderr 0."""
+        z = PauliOperator(1, {"Z": 1.0})
+        plus = np.array([1.0, 1.0]) / np.sqrt(2)
+        for seed in range(20):
+            assert route(np.array([0.0, 1.0]), z, 1000, seed) == (-1.0, 0.0)
+            assert route(np.array([1.0, 0.0]), z, 1000, seed) == (1.0, 0.0)
+            mean, err = route(plus, z, 1, seed)
+            assert mean in (-1.0, 1.0) and err == 0.0
 
     def test_m8_density_matrix_reads_only_the_diagonal(self):
         """<P> of a 256 x 256 rho gathers one entry per row, not P rho."""
@@ -402,7 +437,7 @@ class TestEstimatePauli:
        coeff=st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-3))
 def test_estimate_pauli_matches_apply_oracle_bit_for_bit(n, mixed, seed, shots, coeff):
     """Every word at n <= 3, random words above: the cached masks give the
-    letter-array src and phase, and the one-word gather and chunked draws
+    letter-array src and phase, and the one-word gather and binomial draw
     give the apply_pauli estimate, all exactly."""
     rng = np.random.default_rng(seed)
     state = random_state(rng, n)
@@ -447,6 +482,22 @@ class TestSampledRdms:
     def test_guards(self):
         with pytest.raises(ValueError, match="max_k"):
             sample_rdms(np.array([1.0, 0.0]), 5, 10, 0)
+        with pytest.raises(ValueError, match="shots"):
+            sample_rdms(np.array([1.0, 0.0]), 1, 0, 0)
+
+    def test_word_chunks_do_not_change_the_estimates(self, monkeypatch):
+        """Exact <P> gathered three words at a time gives the same blocks
+        as one gather of all words, for a vector and a density matrix."""
+        rng = np.random.default_rng(27)
+        vec = random_state(rng, 4)
+        rho = 0.5 * (np.outer(vec, vec.conj()) + np.eye(16) / 16)
+        for state in (vec, rho):
+            whole = sample_rdms(state, 3, shots=300, seed=4)
+            monkeypatch.setattr(rdm, "GATHER_BYTES", 3 * 16 * 16)
+            chunked = sample_rdms(state, 3, shots=300, seed=4)
+            monkeypatch.undo()
+            for a, b in zip(whole.blocks, chunked.blocks):
+                assert np.array_equal(a, b)
 
     def test_cached_pauli_forms_match_per_pair_loop(self):
         """The cached ladder-product forms draw every word from the same
@@ -462,38 +513,54 @@ class TestSampledRdms:
 
 
 class TestSeedStreams:
-    """Each Pauli word of a seeded run draws from its own generator, and no
-    word at seed s shares its uniforms with any word at seed s + 1."""
+    """Each Pauli word of a seeded run draws from its own generator: energy
+    term i from (seed, 0, i), the i-th distinct RDM word from (seed, 1, i).
+    At one seed no energy term shares a key or a stream with an RDM word,
+    and no key or stream of seed s is one of seed s + 1."""
 
     @staticmethod
-    def word_draws(monkeypatch, module, call):
-        seeds = []
-        real = rdm.estimate_pauli
+    def keys(monkeypatch, call):
+        """The seed of every generator call() builds, all distinct."""
+        keys = []
+        real = np.random.default_rng
 
-        def spy(state, pauli, shots, seed):
-            seeds.append(seed)
-            return real(state, pauli, shots, seed)
+        def spy(seed=None):
+            keys.append(seed)
+            return real(seed)
 
-        monkeypatch.setattr(module, "estimate_pauli", spy)
+        monkeypatch.setattr(np.random, "default_rng", spy)
         call()
         monkeypatch.undo()
-        draws = {tuple(np.random.default_rng(s).random(4)) for s in seeds}
-        assert len(draws) == len(seeds) > 1
-        return draws
+        assert len(set(keys)) == len(keys) > 1
+        return set(keys)
 
-    def test_sample_rdms_adjacent_seeds_are_disjoint(self, monkeypatch):
-        state = random_state(np.random.default_rng(24), 3)
-        runs = [self.word_draws(monkeypatch, rdm,
-                                lambda s=seed: sample_rdms(state, 1, 10, s))
-                for seed in (5, 6)]
-        assert not runs[0] & runs[1]
+    @staticmethod
+    def assert_disjoint(a, b):
+        assert not a & b
+        streams = [{tuple(np.random.default_rng(k).random(4)) for k in keys}
+                   for keys in (a, b)]
+        assert len(streams[0]) == len(a) and len(streams[1]) == len(b)
+        assert not streams[0] & streams[1]
 
-    def test_sampled_energy_adjacent_seeds_are_disjoint(self, monkeypatch,
-                                                        sto3g_ints):
+    @pytest.fixture
+    def runs(self, monkeypatch, sto3g_ints):
         h_pauli = jordan_wigner(assemble_hamiltonian(sto3g_ints))
         psi = random_state(np.random.default_rng(25), 4)
-        runs = [self.word_draws(
-                    monkeypatch, experiments,
-                    lambda s=seed: experiments._sampled_energy(h_pauli, psi, 10, s))
-                for seed in (5, 6)]
-        assert not runs[0] & runs[1]
+
+        def run(kind, seed):
+            if kind == "energy":
+                return self.keys(monkeypatch, lambda: experiments._sampled_energy(
+                    h_pauli, psi, 10, seed))
+            return self.keys(monkeypatch, lambda: sample_rdms(psi, 4, 10, seed))
+        return run
+
+    def test_sample_rdms_adjacent_seeds_are_disjoint(self, runs):
+        self.assert_disjoint(runs("rdm", 5), runs("rdm", 6))
+
+    def test_sampled_energy_adjacent_seeds_are_disjoint(self, runs):
+        self.assert_disjoint(runs("energy", 5), runs("energy", 6))
+
+    def test_energy_and_rdm_words_never_share_a_stream(self, runs):
+        self.assert_disjoint(runs("energy", 5), runs("rdm", 5))
+        self.assert_disjoint(runs("energy", 5) | runs("rdm", 5),
+                             runs("energy", 6) | runs("rdm", 6))
