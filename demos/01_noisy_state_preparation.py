@@ -33,9 +33,10 @@ for kind, token in (("dephasing", "Ph"), ("amplitude_phase", "AP"),
     prev = None
     for pt in points[::6]:
         h = fermion_to_dense(assemble_hamiltonian(pt.integrals))
-        exact = np.linalg.eigvalsh(h)[0]
+        w, v = np.linalg.eigh(h)
+        exact = w[0]
         sol = solve_vcs(h, channel, continuation=prev)
-        base = no_variation_baseline(h, channel)
+        base = no_variation_baseline(h, channel, v[:, 0])
         prev = sol.input_state
         print(f"{pt.bond_length:5.2f} {exact:12.6f} {base.energy:12.6f} "
               f"{sol.energy:12.6f} {base.fidelity_io:10.6f} "

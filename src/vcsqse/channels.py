@@ -48,13 +48,15 @@ _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 CHANNEL_KINDS = ("dephasing", "amplitude_phase", "depolarizing")
+# (tp_over_t1, tp_over_t2) wherever a channel is named without its ratios.
+DEFAULT_RATIOS = (0.05, 0.05)
 
 
 @dataclass(frozen=True)
 class ChannelSpec:
     kind: str
-    tp_over_t1: float = 0.0
-    tp_over_t2: float = 0.0
+    tp_over_t1: float = DEFAULT_RATIOS[0]
+    tp_over_t2: float = DEFAULT_RATIOS[1]
 
     def __post_init__(self):
         if self.kind not in CHANNEL_KINDS:

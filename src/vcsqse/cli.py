@@ -13,10 +13,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .channels import ChannelSpec, channel_kind_from_token
+from .channels import DEFAULT_RATIOS, ChannelSpec, channel_kind_from_token
 from .config import ConfigError, ExperimentConfig, config_to_text, load_config
 from .experiments import ExperimentError, run_experiment, single_point
 from .molecule import FcidumpError
+from .qse import QSE_METRIC_CUTOFF
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,12 +42,12 @@ def _build_parser():
     point = sub.add_parser("point", help="ad-hoc report for one fixture")
     point.add_argument("--fcidump", required=True)
     point.add_argument("--channel", help="dephasing | ap | depol")
-    point.add_argument("--tp-over-t1", type=float, default=0.05)
-    point.add_argument("--tp-over-t2", type=float, default=0.05)
+    point.add_argument("--tp-over-t1", type=float, default=DEFAULT_RATIOS[0])
+    point.add_argument("--tp-over-t2", type=float, default=DEFAULT_RATIOS[1])
     point.add_argument("--kind", default="fermionic",
                        choices=("fermionic", "qubit"))
     point.add_argument("--k", type=int, default=1, choices=(1, 2))
-    point.add_argument("--metric-cutoff", type=float, default=1e-8)
+    point.add_argument("--metric-cutoff", type=float, default=QSE_METRIC_CUTOFF)
     point.add_argument("--penalty", nargs=3, action="append", default=[],
                        metavar=("NAME", "TARGET", "WEIGHT"),
                        help="e.g. --penalty s_squared 0 100 (repeatable)")

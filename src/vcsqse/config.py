@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .channels import ChannelSpec, channel_kind_from_token, channel_spec_tokens
+from .qse import QSE_METRIC_CUTOFF
 
 EXPERIMENTS = ("fidelity-sweep", "spectrum", "qse-repair", "ground-channels",
                "approx-spectrum", "single-point")
@@ -22,7 +23,7 @@ class ExperimentConfig:
     sweep_manifest: str | None = None
     fcidump: str | None = None
     output: str | None = None
-    metric_cutoff: float = 1e-8
+    metric_cutoff: float = QSE_METRIC_CUTOFF
     channel: ChannelSpec | None = None
     subspace_kind: str = "fermionic"
     subspace_order: int = 1
@@ -93,7 +94,7 @@ def parse_config(text: str, base_dir=".") -> ExperimentConfig:
     out = run.get("output")
     cfg.output = str((base / out).resolve()) if out else None
     try:
-        cfg.metric_cutoff = run.getfloat("metric_cutoff", fallback=1e-8)
+        cfg.metric_cutoff = run.getfloat("metric_cutoff", fallback=cfg.metric_cutoff)
     except ValueError as exc:
         raise ConfigError(f"bad [run] value: {exc}") from None
 
@@ -101,9 +102,9 @@ def parse_config(text: str, base_dir=".") -> ExperimentConfig:
         sec = parser["channel"]
         try:
             kind = channel_kind_from_token(sec.get("channel", "dephasing"))
-            cfg.channel = ChannelSpec(kind=kind,
-                                      tp_over_t1=sec.getfloat("tp_over_t1", 0.0),
-                                      tp_over_t2=sec.getfloat("tp_over_t2", 0.0))
+            ratios = {key: sec.getfloat(key) for key in ("tp_over_t1", "tp_over_t2")
+                      if key in sec}
+            cfg.channel = ChannelSpec(kind=kind, **ratios)
         except ValueError as exc:
             raise ConfigError(f"bad [channel] section: {exc}") from None
 

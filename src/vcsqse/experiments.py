@@ -7,7 +7,7 @@ docs/experiments.md.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,6 @@ CHANNEL_TOKENS = ("dephasing", "ap", "depol")
 # Channel curves are named by their channel token; ph_s2pen is ph with the
 # spin penalty.
 GROUND_CURVES = ("exact", "rhf", "ph", "ap", "depol", "ph_s2pen")
-DEFAULT_RATIOS = (0.05, 0.05)
 S2_PENALTY_WEIGHT = 100.0
 
 
@@ -94,22 +93,17 @@ def _point(integrals, bond_length=None) -> _Point:
                                   for name in ("number", "s_squared")})
 
 
-def _channel_for(built: dict, point: _Point, kind: str, ratios):
-    """The lifted channel on point's register, built once per curve.
+def _channel_for(built: dict, point: _Point, kind: str, cfg: ExperimentConfig):
+    """The lifted `kind` channel at cfg's ratios (the defaults without a
+    [channel] section) on point's register, built once per curve.
 
     `built` maps a mode count to its channel; each curve passes its own.
     """
     m = point.mode_count
     if m not in built:
-        spec = ChannelSpec(kind=kind, tp_over_t1=ratios[0], tp_over_t2=ratios[1])
+        spec = replace(cfg.channel or ChannelSpec(kind), kind=kind)
         built[m] = lift_to_register(single_qubit_channel(spec), m)
     return built[m]
-
-
-def _ratios(cfg: ExperimentConfig):
-    if cfg.channel is None:
-        return DEFAULT_RATIOS
-    return (cfg.channel.tp_over_t1, cfg.channel.tp_over_t2)
 
 
 def _guarded(fn, where: str, experiment):
@@ -145,16 +139,14 @@ def _sweep(cfg: ExperimentConfig, curves, step):
 
 
 def _fidelity_sweep(cfg: ExperimentConfig):
-    ratios = _ratios(cfg)
-
     def step(point, token, built, prev):
-        ch = _channel_for(built, point, channel_kind_from_token(token), ratios)
+        ch = _channel_for(built, point, channel_kind_from_token(token), cfg)
+        psi0 = point.exact()[1][:, 0]
         sol = solve_vcs(point.h_dense, ch, penalties=cfg.penalties,
                         continuation=prev)
-        base = no_variation_baseline(point.h_dense, ch, penalties=cfg.penalties)
-        fid_exact = fidelity(sol.output_rho, point.exact()[1][:, 0])
-        return sol, [(point.bond_length, token, sol.fidelity_io,
-                      base.fidelity_io, fid_exact, sol.energy)]
+        base = no_variation_baseline(point.h_dense, ch, psi0)
+        return sol, [(point.bond_length, token, sol.fidelity_io, base.fidelity_io,
+                      fidelity(sol.output_rho, psi0), sol.energy)]
 
     rows, events = _sweep(cfg, CHANNEL_TOKENS, step)
     header = ["R", "channel", "fidelity_vcs", "fidelity_novar",
@@ -188,14 +180,16 @@ def _spectrum(cfg: ExperimentConfig):
 
 
 def _qse_repair(cfg: ExperimentConfig):
-    ratios = _ratios(cfg)
     kind = cfg.channel.kind if cfg.channel is not None else "amplitude_phase"
     proj = cfg.projection or ("s_squared", 0.0, 0.5)
 
     def step(point, ref_name, built, prev):
-        solver = solve_vcs if ref_name == "vcs" else no_variation_baseline
-        ch = _channel_for(built, point, kind, ratios)
-        sol = solver(point.h_dense, ch, penalties=cfg.penalties, continuation=prev)
+        ch = _channel_for(built, point, kind, cfg)
+        if ref_name == "vcs":
+            sol = solve_vcs(point.h_dense, ch, penalties=cfg.penalties,
+                            continuation=prev)
+        else:
+            sol = no_variation_baseline(point.h_dense, ch, point.exact()[1][:, 0])
         basis = fermionic_basis(point.mode_count, 1)
         # unconstrained expansion around the mixed channel output
         prob_out = build_subspace_direct(basis, point.h_dense, sol.output_rho,
@@ -223,8 +217,6 @@ def _qse_repair(cfg: ExperimentConfig):
 
 
 def _ground_channels(cfg: ExperimentConfig):
-    ratios = _ratios(cfg)
-
     def step(point, curve, built, prev):
         s2d = point.symmetry_dense["s_squared"]
         if curve == "exact":
@@ -241,7 +233,7 @@ def _ground_channels(cfg: ExperimentConfig):
         if curve == "ph_s2pen":
             penalties = [("s_squared", 0.0, S2_PENALTY_WEIGHT)]
         kind = channel_kind_from_token(curve.removesuffix("_s2pen"))
-        ch = _channel_for(built, point, kind, ratios)
+        ch = _channel_for(built, point, kind, cfg)
         sol = solve_vcs(point.h_dense, ch, penalties=penalties, continuation=prev)
         return sol, [(point.bond_length, curve, sol.energy,
                       sol.symmetry_expectations["s_squared"])]
@@ -349,7 +341,7 @@ def _point_report(cfg: ExperimentConfig, ints) -> str:
     if cfg.channel is not None:
         ch = lift_to_register(single_qubit_channel(cfg.channel), m)
         sol = solve_vcs(h_dense, ch, penalties=cfg.penalties)
-        base = no_variation_baseline(h_dense, ch, penalties=cfg.penalties)
+        base = no_variation_baseline(h_dense, ch, psi0)
         lines += [f"channel: {cfg.channel.kind} tp/t1={_fmt(cfg.channel.tp_over_t1)} "
                   f"tp/t2={_fmt(cfg.channel.tp_over_t2)}",
                   f"  vcs energy={_fmt(sol.energy)} fidelity_io={_fmt(sol.fidelity_io)} "

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .operators import FermionOperator, PRUNE_TOL
+from .operators import DENSE_QUBIT_LIMIT, FermionOperator, PRUNE_TOL
 
 _SYM_TOL = 1e-12
 
@@ -100,6 +100,9 @@ def parse_fcidump(text: str) -> MolecularIntegrals:
         ms2 = int(keys["MS2"][0])
     except ValueError as exc:
         raise FcidumpError(f"non-integer header value: {exc}") from None
+    if 2 * norb > DENSE_QUBIT_LIMIT:  # reject before allocating the integrals
+        raise FcidumpError(f"NORB={norb} gives {2 * norb} spin orbitals, above the "
+                           f"dense limit of {DENSE_QUBIT_LIMIT}")
 
     core = 0.0
     h1 = np.zeros((norb, norb))

@@ -8,7 +8,9 @@ the ground eigenproblem of the transformed Hamiltonian
 
 The solver returns the optimal input, the channel output, and fidelity and
 symmetry diagnostics. Reported energies are always against the bare
-Hamiltonian; penalty terms only shape which input state is selected.
+Hamiltonian; penalty terms only shape which input state is selected. The
+no-variation baseline reports a given input, normally the noiseless ground
+state, in the same way.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +19,7 @@ import numpy as np
 
 from .channels import KrausChannel, _transfer_sweep, apply_channel
 from .linalg import hermitian_eigensolve
-from .operators import FermionOperator, dense_symmetry, fermion_to_dense
+from .operators import dense_symmetry
 
 # Eigenvalues within this distance of the bottom count as one degenerate block.
 DEGENERACY_TOL = 1e-9
@@ -57,37 +59,22 @@ def fidelity(rho: np.ndarray, phi: np.ndarray) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    pivot = int(np.argmax(np.abs(vec)))
-    phase = vec[pivot] / abs(vec[pivot])
-    return vec / phase
-
-
 def _dense_hamiltonian(h):
-    if isinstance(h, FermionOperator):
-        return fermion_to_dense(h), h.mode_count
+    """h as a complex matrix and its mode count M, None unless dim = 2^M."""
     h = np.asarray(h, dtype=complex)
-    m = None
-    if h.shape[0] and (h.shape[0] & (h.shape[0] - 1)) == 0:
-        m = h.shape[0].bit_length() - 1
-    return h, m
+    dim = h.shape[0]
+    return h, (dim.bit_length() - 1 if dim and not dim & (dim - 1) else None)
 
 
 def _penalized(h_dense, penalties, mode_count):
-    """Apply H -> H + sum lambda (O - o)^2 with dense symmetry operators."""
+    """Apply H -> H + sum lambda (O - o)^2 with named dense symmetry operators."""
     out = np.array(h_dense, dtype=complex)
-    for op, target, weight in penalties:
+    for name, target, weight in penalties:
         if weight < 0:
             raise ValueError("penalty weight must be non-negative")
-        if isinstance(op, FermionOperator):
-            od = fermion_to_dense(op)
-        elif isinstance(op, str):
-            if mode_count is None:
-                raise ValueError("named penalty operators need a fermionic H")
-            od = dense_symmetry(op, mode_count)
-        else:
-            od = np.asarray(op, dtype=complex)
-        shifted = od - target * np.eye(out.shape[0])
+        if mode_count is None:
+            raise ValueError("penalty operators need a 2^M-dimensional H")
+        shifted = dense_symmetry(name, mode_count) - target * np.eye(out.shape[0])
         out += weight * (shifted @ shifted)
     return out
 
@@ -96,37 +83,37 @@ def _ground_vector(h_dense, continuation=None):
     spec = hermitian_eigensolve(h_dense)
     w, v = spec.eigenvalues, spec.eigenvectors
     block = np.flatnonzero(w <= w[0] + DEGENERACY_TOL * max(1.0, abs(w[0])))
-    used = False
-    vec = v[:, block[0]]
+    vec, used = v[:, block[0]], False
     if continuation is not None and len(block) > 1:
         proj = v[:, block] @ (v[:, block].conj().T @ np.asarray(continuation, dtype=complex))
         norm = np.linalg.norm(proj)
         if norm > 1e-8:
             vec = proj / norm
             used = True
-    return _fix_phase(vec), float(w[0]), used
+    pivot = vec[np.argmax(np.abs(vec))]
+    return vec / (pivot / abs(pivot)), float(w[0]), used
 
 
-def _diagnostics(h_dense, ch, psi, mode_count):
+def _solution(h_dense, ch, psi, mode_count, eig, used) -> VcsSolution:
+    """psi pushed through ch, with the output's bare energy and psi's diagnostics."""
     rho_out = apply_channel(ch, np.outer(psi, psi.conj()), check=False)
     rho_out = 0.5 * (rho_out + rho_out.conj().T)
-    energy = float(np.real(np.trace(rho_out @ h_dense)))
-    fid = fidelity(rho_out, psi)
-    sym = {}
-    if mode_count is not None:
-        for name in ("number", "s_squared"):
-            od = dense_symmetry(name, mode_count)
-            sym[name] = float(np.real(psi.conj() @ od @ psi))
-    return rho_out, energy, fid, sym
+    sym = {} if mode_count is None else {
+        name: float(np.real(psi.conj() @ dense_symmetry(name, mode_count) @ psi))
+        for name in ("number", "s_squared")}
+    return VcsSolution(energy=float(np.real(np.trace(rho_out @ h_dense))),
+                       input_state=psi, output_rho=rho_out,
+                       fidelity_io=fidelity(rho_out, psi), symmetry_expectations=sym,
+                       hprime_eigenvalue=eig, continuation_used=used)
 
 
 def solve_vcs(h, ch: KrausChannel, penalties=(), continuation=None) -> VcsSolution:
     """Minimize the channel-output energy over pure inputs.
 
-    h may be a FermionOperator or a dense Hermitian matrix whose dimension
-    matches the channel. Penalties are (operator, target, weight) triples
-    applied to H before the channel transformation; `operator` may be a
-    FermionOperator, a dense matrix, or a symmetry-operator name.
+    h is a dense Hermitian matrix whose dimension matches the channel.
+    Penalties are (name, target, weight) triples, name one of the symmetry
+    operators "number", "sz" or "s_squared", applied to H before the channel
+    transformation; they need a 2^M-dimensional H.
 
     With `continuation` (the previous sweep point's input state), a
     degenerate ground block resolves to the vector of maximal overlap, which
@@ -135,19 +122,18 @@ def solve_vcs(h, ch: KrausChannel, penalties=(), continuation=None) -> VcsSoluti
     h_dense, m = _dense_hamiltonian(h)
     h_pen = _penalized(h_dense, penalties, m)
     psi, eig, used = _ground_vector(transform_hamiltonian(h_pen, ch), continuation)
-    rho_out, energy, fid, sym = _diagnostics(h_dense, ch, psi, m)
-    return VcsSolution(energy=energy, input_state=psi, output_rho=rho_out,
-                       fidelity_io=fid, symmetry_expectations=sym,
-                       hprime_eigenvalue=eig, continuation_used=used)
+    return _solution(h_dense, ch, psi, m, eig, used)
 
 
-def no_variation_baseline(h, ch: KrausChannel, penalties=(),
-                          continuation=None) -> VcsSolution:
-    """Feed the ground state of the untransformed H through the channel."""
+def no_variation_baseline(h, ch: KrausChannel, state) -> VcsSolution:
+    """Feed a given pure state, normally the exact ground state of h, through ch.
+
+    Nothing is solved: the input is `state` itself, hprime_eigenvalue is
+    <state|H|state> and continuation_used is False.
+    """
     h_dense, m = _dense_hamiltonian(h)
-    h_pen = _penalized(h_dense, penalties, m)
-    psi, eig, used = _ground_vector(h_pen, continuation)
-    rho_out, energy, fid, sym = _diagnostics(h_dense, ch, psi, m)
-    return VcsSolution(energy=energy, input_state=psi, output_rho=rho_out,
-                       fidelity_io=fid, symmetry_expectations=sym,
-                       hprime_eigenvalue=eig, continuation_used=used)
+    psi = np.asarray(state, dtype=complex).ravel()
+    if psi.size != h_dense.shape[0] or abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+        raise ValueError("state must be a unit vector of H's dimension")
+    return _solution(h_dense, ch, psi, m,
+                     float(np.real(psi.conj() @ h_dense @ psi)), False)

@@ -137,7 +137,7 @@ def test_criterion_3_fidelity_ordering(dense_by_r):
         for r in sorted(dense_by_r):
             h, _ = dense_by_r[r]
             sol = solve_vcs(h, ch, continuation=prev)
-            base = no_variation_baseline(h, ch)
+            base = no_variation_baseline(h, ch, np.linalg.eigh(h)[1][:, 0])
             prev = sol.input_state
             min_margin = min(min_margin, sol.fidelity_io - base.fidelity_io)
             if kind == "dephasing":

@@ -3,6 +3,7 @@ import pytest
 
 from fcidump_writer import render_fcidump
 from vcsqse import experiments, operators, qse, vcs
+from vcsqse.channels import DEFAULT_RATIOS, ChannelSpec
 from vcsqse.cli import main
 from vcsqse.config import (ConfigError, ExperimentConfig, config_to_text,
                            load_config, parse_config)
@@ -141,7 +142,7 @@ class TestExperiments:
         """Record every fermion_to_dense call, with the symmetry cache cold."""
         built = []
         real = operators.fermion_to_dense
-        for module in (experiments, operators, vcs):
+        for module in (experiments, operators):
             monkeypatch.setattr(module, "fermion_to_dense",
                                 lambda op: built.append(op) or real(op))
         operators.dense_symmetry.cache_clear()
@@ -222,6 +223,22 @@ def test_shipped_csv_reproduces_byte_for_byte(configs_dir, name):
     assert run_experiment(cfg).csv_text.encode() == golden
 
 
+@pytest.mark.parametrize("name, calls", [
+    ("fig2_fidelity", 28 * 3), ("fig4_repair", 28), ("ground_channels", 28 * 4)])
+def test_one_eigensolve_per_vcs_solve(configs_dir, monkeypatch, name, calls):
+    """Only VCS solves diagonalize: the no-variation curves take each point's
+    exact ground state, so fig2 solves once per channel and point and fig4's
+    novar curve not at all."""
+    shapes = []
+    real = vcs.hermitian_eigensolve
+    monkeypatch.setattr(vcs, "hermitian_eigensolve",
+                        lambda a: shapes.append(a.shape) or real(a))
+    cfg = load_config(configs_dir / f"{name}.cfg")
+    cfg.output = None
+    run_experiment(cfg)
+    assert shapes == [(16, 16)] * calls
+
+
 class TestCli:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -262,6 +279,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "vcs energy" in out
         assert "retained_dim" in out
+
+    def test_channel_ratios_default_alike_in_config_and_cli(self, sto3g_path,
+                                                            tmp_path, capsys):
+        cfg_file = tmp_path / "point.cfg"
+        cfg_file.write_text("[run]\nexperiment = single-point\n"
+                            f"fcidump = {sto3g_path}\n[channel]\nchannel = ap\n")
+        assert load_config(cfg_file).channel == ChannelSpec("amplitude_phase",
+                                                            *DEFAULT_RATIOS)
+        assert main(["run", "--config", str(cfg_file)]) == 0
+        from_config = capsys.readouterr().out
+        assert main(["point", "--fcidump", str(sto3g_path), "--channel", "ap"]) == 0
+        assert capsys.readouterr().out == from_config
+        assert "channel: amplitude_phase tp/t1=0.05 tp/t2=0.05" in from_config
 
     def test_point_missing_fixture_exits_2(self, capsys):
         assert main(["point", "--fcidump", "/missing.fcidump"]) == 2
@@ -309,6 +339,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{tmp_path / 'sweep.manifest'}:2: fixture {bad.resolve()}: " in err
         assert "missing header key MS2" in err
+
+    def test_oversized_fcidump_exits_2(self, tmp_path, capsys):
+        big = tmp_path / "norb7.fcidump"
+        big.write_text(render_fcidump(MolecularIntegrals(
+            7, 2, 0, 0.0, -np.eye(7), np.zeros((7, 7, 7, 7)))))
+        message = "NORB=7 gives 14 spin orbitals, above the dense limit of 12"
+        assert main(["point", "--fcidump", str(big)]) == 2
+        assert f"config error: {big}: {message}" in capsys.readouterr().err
+        assert run_spectrum(tmp_path, f"0.7 {big}\n") == 2
+        assert (f"config error: {tmp_path / 'sweep.manifest'}:1: fixture {big}: "
+                f"{message}") in capsys.readouterr().err
 
     def test_malformed_fcidump_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.fcidump"

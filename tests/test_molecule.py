@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,19 @@ class TestParse:
     def test_non_finite_value_names_line(self, value):
         with pytest.raises(FcidumpError, match="line 3: value .* is not finite"):
             parse_fcidump(dump(f"{value} 1 1 1 1\n"))
+
+    def test_oversized_norb_rejected_before_allocating(self):
+        # 2 NORB = 12 is the largest register the dense kernels accept
+        assert parse_fcidump("&FCI NORB=6,NELEC=2,MS2=0,\n&END\n").norb == 6
+        tracemalloc.start()
+        try:
+            with pytest.raises(FcidumpError, match="NORB=1000000 gives 2000000 "
+                                                   "spin orbitals, above the dense limit of 12"):
+                parse_fcidump("&FCI NORB=1000000,NELEC=2,MS2=0,\n&END\n0.5 1 1 1 1\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_wrong_field_count(self):
         with pytest.raises(FcidumpError, match="expected"):

@@ -9,8 +9,12 @@ token by token like the demos (test_demos.token_mismatch).
 Regenerate every file from the repository root with
 
     PYTHONPATH=src python3 tests/test_sampled_reports.py
+
+which keeps each committed line whose tokens all still match, so only the
+lines whose numbers changed are rewritten.
 """
 
+import shutil
 import sys
 from pathlib import Path
 
@@ -53,6 +57,28 @@ def report(name: str) -> str:
     return single_point(ExperimentConfig(experiment="single-point", **CASES[name]))
 
 
+def merge_report(committed: str, fresh: str) -> str:
+    """fresh, with each line whose tokens all match the committed line at the
+    same place (token_mismatch) kept as committed."""
+    old = committed.splitlines(keepends=True)
+    out = []
+    for i, line in enumerate(fresh.splitlines(keepends=True)):
+        got, want = line.split(), old[i].split() if i < len(old) else None
+        keep = want is not None and len(got) == len(want) and not any(
+            token_mismatch(g, w) for g, w in zip(got, want))
+        out.append(old[i] if keep else line)
+    return "".join(out)
+
+
+def regenerate(directory: Path):
+    """Write every case's report to directory, keeping unchanged lines."""
+    directory.mkdir(exist_ok=True)
+    for case in sorted(CASES):
+        path = directory / f"{case}.txt"
+        committed = path.read_text() if path.exists() else ""
+        path.write_text(merge_report(committed, report(case)))
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_sampled_report_unchanged(name, monkeypatch):
     monkeypatch.chdir(ROOT)
@@ -67,9 +93,23 @@ def test_every_expected_report_has_a_case():
     assert sorted(p.stem for p in EXPECTED.glob("*.txt")) == sorted(CASES)
 
 
+def test_regeneration_rewrites_only_changed_lines():
+    committed = "ground <S2>=9.20702368553e-31\nsampled -1.1372 +- 0.01\nlevels 1 2\n"
+    fresh = "ground <S2>=9.20702371822e-31\nsampled -1.1391 +- 0.01\nlevels 1 2 3\n"
+    assert merge_report(committed, fresh) == (
+        "ground <S2>=9.20702368553e-31\nsampled -1.1391 +- 0.01\nlevels 1 2 3\n")
+
+
+def test_regeneration_at_an_unchanged_tree_is_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    for path in EXPECTED.glob("*.txt"):
+        shutil.copy(path, tmp_path)
+    regenerate(tmp_path)
+    for path in EXPECTED.glob("*.txt"):
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 if __name__ == "__main__":
     if Path.cwd() != ROOT:
         sys.exit(f"run from the repository root, {ROOT}")
-    EXPECTED.mkdir(exist_ok=True)
-    for case in sorted(CASES):
-        (EXPECTED / f"{case}.txt").write_text(report(case))
+    regenerate(EXPECTED)

@@ -2,11 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kraus_oracle import identity_channel, kron_lift
-from vcsqse.channels import (ChannelSpec, KrausChannel, apply_channel,
-                             lift_to_register, single_qubit_channel)
-from vcsqse.molecule import assemble_hamiltonian
+from vcsqse.channels import (CHANNEL_KINDS, ChannelSpec, KrausChannel,
+                             apply_channel, lift_to_register, single_qubit_channel)
 from vcsqse.vcs import (fidelity, no_variation_baseline, solve_vcs,
                         transform_hamiltonian)
 
@@ -19,6 +20,10 @@ def channel_energy(h, ch, psi):
     """Independent oracle: apply the Kraus map to the pure state, then trace."""
     rho = apply_channel(ch, np.outer(psi, psi.conj()), check=False)
     return float(np.real(np.trace(rho @ h)))
+
+
+def ground_state(h):
+    return np.linalg.eigh(h)[1][:, 0]
 
 
 @pytest.fixture(scope="module")
@@ -100,24 +105,20 @@ class TestSolve:
         assert abs(sol.fidelity_io - 1.0) < 1e-12
         assert abs(sol.energy + 1.0) < 1e-12
 
-    def test_accepts_fermion_operator(self, sweep_points):
-        h_op = assemble_hamiltonian(sweep_points[5].integrals)
-        sol = solve_vcs(h_op, lifted("dephasing"))
-        assert set(sol.symmetry_expectations) == {"number", "s_squared"}
-
     def test_variational_dominance(self, h2_dense):
         for kind in ("dephasing", "amplitude_phase", "depolarizing"):
             ch = lifted(kind)
             for r in (0.5, 1.1, 2.4):
                 h = h2_dense[r]
                 assert (solve_vcs(h, ch).energy
-                        <= no_variation_baseline(h, ch).energy + 1e-12)
+                        <= no_variation_baseline(h, ch, ground_state(h)).energy
+                        + 1e-12)
 
     def test_baseline_identity_channel_matches(self, h2_dense):
         h = h2_dense[1.3]
         ch = identity_channel(16)
         assert abs(solve_vcs(h, ch).energy
-                   - no_variation_baseline(h, ch).energy) < 1e-12
+                   - no_variation_baseline(h, ch, ground_state(h)).energy) < 1e-12
 
     def test_penalty_expectation_monotone(self, h2_dense, sym_dense):
         h = h2_dense[2.7]
@@ -179,6 +180,31 @@ class TestSolve:
         with pytest.raises(ValueError, match="non-negative"):
             solve_vcs(h2_dense[1.0], lifted("dephasing"),
                       penalties=[("number", 2.0, -1.0)])
+
+
+class TestBaseline:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(CHANNEL_KINDS), r=st.sampled_from([0.5, 1.5, 3.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_energy_is_the_channel_output_energy(self, h2_dense, kind, r, seed):
+        """Any unit input goes through as given; the reference energy traces
+        H against the explicit Kronecker-product Kraus sum."""
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+        psi /= np.linalg.norm(psi)
+        h = h2_dense[r]
+        base = no_variation_baseline(h, lifted(kind), psi)
+        oracle = kron_lift(single_qubit_channel(ChannelSpec(kind, 0.05, 0.05)), 4)
+        assert abs(base.energy - channel_energy(h, oracle, psi)) < 1e-12
+        assert np.array_equal(base.input_state, psi)
+        assert abs(base.hprime_eigenvalue - np.real(psi.conj() @ h @ psi)) < 1e-12
+        assert not base.continuation_used
+
+    def test_rejects_a_state_that_is_not_a_unit_vector(self, h2_dense):
+        h, ch = h2_dense[1.0], lifted("dephasing")
+        for state in (2 * ground_state(h), ground_state(h)[:8]):
+            with pytest.raises(ValueError, match="unit vector"):
+                no_variation_baseline(h, ch, state)
 
 
 class TestFidelity:
