@@ -14,7 +14,8 @@ from pathlib import Path
 
 from . import __version__
 from .channels import DEFAULT_RATIOS, ChannelSpec, channel_kind_from_token
-from .config import ConfigError, ExperimentConfig, config_to_text, load_config
+from .config import (DEFAULT_SHOT_COUNT, DEFAULT_SHOT_SEED, ConfigError,
+                     ExperimentConfig, config_to_text, load_config)
 from .experiments import ExperimentError, run_experiment, single_point
 from .molecule import FcidumpError
 from .qse import QSE_METRIC_CUTOFF
@@ -55,10 +56,10 @@ def _build_parser():
                        help="symmetry projection of the subspace problem")
     point.add_argument("--shots", type=int,
                        help="also report a sampled energy with this shot budget")
-    point.add_argument("--seed", type=int, default=0)
+    point.add_argument("--seed", type=int, default=DEFAULT_SHOT_SEED)
     point.add_argument("--sampled-rdms", action="store_true",
                        help="feed measurement-sampled RDMs into the subspace "
-                            "solve (implies --shots, default 10000)")
+                            f"solve (implies --shots, default {DEFAULT_SHOT_COUNT})")
     return parser
 
 
@@ -111,7 +112,7 @@ def _point_command(args) -> int:
                           float(args.project[2]))
         shots = args.shots
         if args.sampled_rdms and shots is None:
-            shots = 10000
+            shots = DEFAULT_SHOT_COUNT
         cfg = ExperimentConfig(
             experiment="single-point",
             fcidump=str(Path(args.fcidump).resolve()),

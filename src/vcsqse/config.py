@@ -11,6 +11,9 @@ from .qse import QSE_METRIC_CUTOFF
 EXPERIMENTS = ("fidelity-sweep", "spectrum", "qse-repair", "ground-channels",
                "approx-spectrum", "single-point")
 PENALTY_OPERATORS = ("number", "sz", "s_squared")
+# shots per Pauli word and seed of a [shots] section, and of `vcsqse point`
+DEFAULT_SHOT_COUNT = 10000
+DEFAULT_SHOT_SEED = 0
 
 
 class ConfigError(ValueError):
@@ -137,8 +140,8 @@ def parse_config(text: str, base_dir=".") -> ExperimentConfig:
     if "shots" in parser:
         sec = parser["shots"]
         try:
-            cfg.shots = (sec.getint("count", fallback=10000),
-                         sec.getint("seed", fallback=0))
+            cfg.shots = (sec.getint("count", fallback=DEFAULT_SHOT_COUNT),
+                         sec.getint("seed", fallback=DEFAULT_SHOT_SEED))
             cfg.sampled_rdms = sec.getboolean("sampled_rdms", fallback=False)
         except ValueError as exc:
             raise ConfigError(f"bad [shots] value: {exc}") from None

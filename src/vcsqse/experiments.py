@@ -22,7 +22,7 @@ from .operators import PauliOperator, dense_symmetry, fermion_to_dense, \
     jordan_wigner
 from .qse import approximate_lr, build_subspace_direct, fermionic_basis, \
     project_symmetry, qubit_basis, solve_subspace, subspace_expectation
-from .rdm import compute_rdms, estimate_pauli
+from .rdm import _streams, compute_rdms, estimate_pauli
 from .vcs import fidelity, no_variation_baseline, solve_vcs
 
 CHANNEL_TOKENS = ("dephasing", "ap", "depol")
@@ -293,18 +293,21 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
 def _sampled_energy(h_pauli: PauliOperator, psi: np.ndarray, shots: int, seed: int):
     """Sum of per-term estimates and its standard error. Term i of the sorted
-    Jordan-Wigner H draws from (seed, 0, i); sample_rdms keys its words
-    (seed, 1, i), so no energy term shares a stream with an RDM word."""
+    Jordan-Wigner H draws from (seed, 0, i), all terms' seeds computed in one
+    batch; sample_rdms keys its words (seed, 1, i), so no energy term shares
+    a stream with an RDM word."""
     total, var = 0.0, 0.0
     n = h_pauli.qubit_count
     identity = "I" * n
-    for i, (word, coeff) in enumerate(sorted(h_pauli.terms.items())):
+    terms = sorted(h_pauli.terms.items())
+    measured = [i for i, (word, _) in enumerate(terms) if word != identity]
+    seeds = dict(zip(measured, _streams(seed, 0, measured)))
+    for i, (word, coeff) in enumerate(terms):
         c = float(np.real(coeff))
         if word == identity:
             total += c
             continue
-        est, err = estimate_pauli(psi, PauliOperator(n, {word: 1.0}), shots,
-                                  (seed, 0, i))
+        est, err = estimate_pauli(psi, PauliOperator(n, {word: 1.0}), shots, seeds[i])
         total += c * est
         var += (c * err) ** 2
     return total, var ** 0.5

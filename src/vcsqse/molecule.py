@@ -100,6 +100,8 @@ def parse_fcidump(text: str) -> MolecularIntegrals:
         ms2 = int(keys["MS2"][0])
     except ValueError as exc:
         raise FcidumpError(f"non-integer header value: {exc}") from None
+    if norb < 1:
+        raise FcidumpError(f"NORB={norb}: a system needs at least one orbital")
     if 2 * norb > DENSE_QUBIT_LIMIT:  # reject before allocating the integrals
         raise FcidumpError(f"NORB={norb} gives {2 * norb} spin orbitals, above the "
                            f"dense limit of {DENSE_QUBIT_LIMIT}")

@@ -26,12 +26,19 @@ from math import comb, factorial
 
 import numpy as np
 
-from .operators import (FermionOperator, PauliOperator, _ladder_action,
-                        _signed_permutation, _word_masks, jordan_wigner)
+from .operators import PauliOperator, _ladder_action, _signed_permutation, _word_masks
 
 RDM_MODE_LIMIT = 8
 GATHER_BYTES = 2 << 20  # per (words, 2^M) complex array in _exact_paulis
 _WEIGHT_TOL = 1e-14
+
+# numpy's SeedSequence: entropy pool size, hash constants (initial value,
+# multiplier) while mixing (A) and while drawing state (B), and mix multipliers
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_HASH_A = (0x43B0D7E5, 0x931E8875)
+_HASH_B = (0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 # D_n - C_n as wedge products of lower-order cumulants: (coefficient, orders)
 # per shape of partition of the n index pairs into two or more blocks; the
@@ -311,12 +318,14 @@ def sample_rdms(state: np.ndarray, max_k: int, shots: int, seed: int) -> RdmSet:
     Every distinct Pauli word in the Jordan-Wigner forms of the ladder
     products a_I^ a_J, |I| = |J| <= max_k, is estimated once with `shots`
     samples, all words through one batched _sampled_means call; the i-th
-    distinct word in order of first appearance draws its count from
-    default_rng((seed, 1, i)). Each packed block is then assembled from the
-    shared estimates by one np.bincount each for its real and imaginary
-    parts, which adds every element's terms in their Jordan-Wigner order and
-    keeps upper/lower Hermiticity exact by construction. Expect per-element
-    noise of a few coefficient sums times 1/sqrt(shots).
+    distinct word in order of first appearance draws its count from the
+    stream of SeedSequence((seed, 1, i)), the generator default_rng((seed,
+    1, i)) builds, with every word's seed computed in one _stream_seeds pass.
+    Each packed block is then assembled from the shared estimates by one
+    np.bincount each for its real and imaginary parts, which adds every
+    element's terms in their Jordan-Wigner order and keeps upper/lower
+    Hermiticity exact by construction. Expect per-element noise of a few
+    coefficient sums times 1/sqrt(shots).
     """
     state = np.asarray(state, dtype=complex)
     dim = state.shape[0]
@@ -329,10 +338,10 @@ def sample_rdms(state: np.ndarray, max_k: int, shots: int, seed: int) -> RdmSet:
         raise ValueError(f"sampling limited to {RDM_MODE_LIMIT} modes, got {m}")
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    orders, _, masks = _rdm_words(m, max_k)
-    keys = [(seed, 1, i) for i in range(len(masks))]
+    orders, masks = _rdm_words(m, max_k)
+    seeds = _streams(seed, 1, np.arange(len(masks)))
     # the identity, word -1, is exact
-    est = np.append(_sampled_means(state, masks, shots, keys), 1.0)
+    est = np.append(_sampled_means(state, masks, shots, seeds), 1.0)
     blocks = []
     for k, (pair, word, coeff) in enumerate(orders, start=1):
         n = comb(m, k)
@@ -343,50 +352,73 @@ def sample_rdms(state: np.ndarray, max_k: int, shots: int, seed: int) -> RdmSet:
     return RdmSet(mode_count=m, blocks=tuple(blocks))
 
 
-def _ladder_pauli_forms(m: int, k: int):
-    """Jordan-Wigner (word, coefficient) pairs of every a_I^ a_J, |I| = |J| = k.
+def _ladder_terms(m: int, k: int):
+    """Jordan-Wigner terms of every a_I^ a_J, |I| = |J| = k, in closed form.
 
-    Yields one iterable per (I, J) over sorted index tuples, row-major, each
-    in jordan_wigner's term order.
+    Returns flat arrays (pair, x, z, coefficient) over all terms: pair the
+    row-major index of (I, J) over sorted index tuples, (x, z) the word's
+    _word_masks bits. Each pair's terms come in jordan_wigner's order.
+
+    The product a_u1^ .. a_uk^ a_lk .. a_l1 takes, per ladder on mode p,
+    (1/2) X_p Z_{<p} or the Y_p word, and jordan_wigner expands the choices
+    in lexicographic order, the first ladder most significant and X first.
+    A mode q in I & J flips no bit: its two ladders give I or Z on q, each
+    from two choice paths of equal coefficient, merged at the place of the
+    path whose creation chose X. So the terms are the choice strings in
+    increasing order with those creation choices fixed to X; each word has
+    X or Y on I ^ J, I or Z on I & J and Z tails from the modes of I ^ J
+    above; and its coefficient is 2^(|I & J| - 2k) (-i)^#Y times the sign
+    of the ladder order, times -1 per Y choice among the annihilators.
     """
-    combos = list(combinations(range(m), k))
-    for upper in combos:
-        for lower in combos:
-            seq = (tuple((i, True) for i in upper)
-                   + tuple((j, False) for j in reversed(lower)))
-            yield jordan_wigner(FermionOperator(m, {seq: 1.0})).terms.items()
+    combos = _combos(m, k)
+    n = len(combos)
+    upper = np.repeat(combos, n, axis=0)
+    lower = np.tile(combos, (n, 1))
+    bits = 1 << np.concatenate([upper, lower[:, ::-1]], axis=1)  # product order
+    i_mask, j_mask = bits[:, :k].sum(axis=1), bits[:, k:].sum(axis=1)
+    x = i_mask ^ j_mask
+    tail = np.bitwise_xor.reduce(bits - 1, axis=1, initial=0)
+    # C(k, 2) inversions among the annihilators, one per lower index below an upper one
+    crossed = comb(k, 2) + (lower[:, None, :] < upper[:, :, None]).sum(axis=(1, 2))
+    choice = np.arange(4 ** k)
+    ys = np.zeros((n * n, 4 ** k), dtype=np.int64)
+    keep = np.ones(ys.shape, dtype=bool)
+    for t in range(2 * k):
+        pick = (choice >> (2 * k - 1 - t)) & 1
+        ys ^= bits[:, t, None] * pick
+        if t < k:
+            keep &= ~((bits[:, t, None] & j_mask[:, None] > 0) & (pick == 1))
+    pair, c = np.nonzero(keep)
+    z = tail[pair] ^ ys[pair, c]
+    flips = crossed[pair] + np.bitwise_count(c & (1 << k) - 1)
+    shared = np.bitwise_count(i_mask & j_mask).astype(np.int64)
+    scale = np.ldexp(1.0 - 2.0 * (flips & 1), shared[pair] - 2 * k)
+    phase = np.array([1, -1j, -1, 1j])[np.bitwise_count(x[pair] & z) % 4]
+    return pair, x[pair], z, phase * scale
 
 
 @lru_cache(maxsize=None)
 def _rdm_words(m: int, max_k: int):
-    """_ladder_pauli_forms of orders 1..max_k as flat arrays.
+    """_ladder_terms of orders 1..max_k as flat arrays.
 
     Returns, per order k, the arrays (pair, word, coefficient) of every
     term: pair the row-major index of (I, J) in the packed block, word the
-    index of the term's Pauli word (-1 for the identity); then the distinct
-    non-identity words in order of first appearance, which fixes their
-    stream keys, and their (words, 3) _word_masks rows.
+    index of the term's Pauli word (-1 for the identity); then the
+    (words, 3) _word_masks rows of the distinct non-identity words in order
+    of first appearance, which fixes their stream keys.
     """
-    if max_k == 0:
-        return (), (), np.zeros((0, 3), dtype=np.int64)
-    orders, words, _ = _rdm_words(m, max_k - 1)
-    known = {word: i for i, word in enumerate(words)}
-    known["I" * m] = -1
-    words = list(words)
-    pairs, ids, coeffs = [], [], []
-    for pair, terms in enumerate(_ladder_pauli_forms(m, max_k)):
-        for word, coeff in terms:
-            if word not in known:
-                known[word] = len(words)
-                words.append(word)
-            pairs.append(pair)
-            ids.append(known[word])
-            coeffs.append(coeff)
-    order = _frozen(np.array(pairs, dtype=np.intp), np.array(ids, dtype=np.intp),
-                    np.array(coeffs, dtype=complex))
-    masks = np.array([_word_masks(word) for word in words], dtype=np.int64)
-    _frozen(masks)
-    return orders + (order,), tuple(words), masks
+    terms = [_ladder_terms(m, k) for k in range(1, max_k + 1)]
+    keys = np.concatenate([x | z << m for _, x, z, _ in terms])
+    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    ranked = np.argsort(first)
+    ranked = ranked[distinct[ranked] != 0]
+    ids = np.full(distinct.size, -1)
+    ids[ranked] = np.arange(ranked.size)
+    words = np.split(ids[inverse], np.cumsum([len(pair) for pair, *_ in terms])[:-1])
+    orders = tuple(_frozen(pair, word, coeff) for (pair, _, _, coeff), word in zip(terms, words))
+    x, z = distinct[ranked] & (1 << m) - 1, distinct[ranked] >> m
+    masks = np.stack([x, z, np.bitwise_count(x & z) % 4], axis=1).astype(np.int64)
+    return orders, _frozen(masks)[0]
 
 
 def _exact_paulis(state: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -413,16 +445,95 @@ def _exact_paulis(state: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return exact
 
 
-def _sampled_means(state: np.ndarray, masks: np.ndarray, shots: int, keys) -> np.ndarray:
+def _hash_steps(init: int, mult: int, count: int) -> np.ndarray:
+    """The first count + 1 values of a SeedSequence hash constant, as a column."""
+    steps = [init]
+    for _ in range(count):
+        steps.append(steps[-1] * mult & _MASK32)
+    return np.array(steps, dtype=np.uint32)[:, None]
+
+
+def _hashmix(value: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of value row by row, row r stepping the hash
+    constant from steps[r] to steps[r + 1]."""
+    value = (value ^ steps[:-1]) * steps[1:]
+    return value ^ value >> np.uint32(16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_L * x - _MIX_R * y
+    return out ^ out >> np.uint32(16)
+
+
+def _stream_seeds(seed: int, stream: int, index) -> np.ndarray:
+    """SeedSequence((seed, stream, i)).generate_state(4, np.uint64) for every
+    i of index at once, shape (len(index), 4).
+
+    numpy's pool-4 entropy mixing and state draw in vectorized uint32
+    arithmetic. seed and stream are non-negative ints of any size, split
+    into 32-bit words as SeedSequence splits them; each i is below 2**32.
+    """
+    words = []
+    for value in (seed, stream):
+        if value < 0:
+            raise ValueError("seed must be non-negative")
+        words += [value >> s & _MASK32 for s in range(0, max(value.bit_length(), 1), 32)]
+    index = np.asarray(index, dtype=np.uint32).reshape(-1)
+    entropy = np.zeros((max(len(words) + 1, _POOL), index.size), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = index
+    steps = _hash_steps(*_HASH_A, _POOL * _POOL + _POOL * (len(entropy) - _POOL))
+    pool = _hashmix(entropy[:_POOL], steps[:_POOL + 1])
+    at = _POOL
+    for src in range(_POOL):  # every pool word into every other
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], steps[at:at + _POOL]))
+        at += _POOL - 1
+    for word in entropy[_POOL:]:  # entropy beyond the pool into every pool word
+        pool = _mix(pool, _hashmix(word, steps[at:at + _POOL + 1]))
+        at += _POOL
+    state = _hashmix(np.tile(pool, (2, 1)), _hash_steps(*_HASH_B, 2 * _POOL))
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+@lru_cache(maxsize=None)
+def _seed_type():
+    """A numpy ISeedSequence that hands PCG64 a precomputed state.
+
+    Built on first use, so that importing the package leaves numpy.random
+    unimported; numpy imports it on first access to np.random.
+    """
+    class StreamSeed(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("state",)
+
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if (n_words, dtype) != (4, np.uint64):
+                raise ValueError("a stream seed holds only PCG64's four 64-bit words")
+            return self.state
+
+    return StreamSeed
+
+
+def _streams(seed: int, stream: int, index) -> list:
+    """Seed objects of the streams SeedSequence((seed, stream, i)), i in index."""
+    return list(map(_seed_type(), _stream_seeds(seed, stream, index)))
+
+
+def _sampled_means(state: np.ndarray, masks: np.ndarray, shots: int, seeds) -> np.ndarray:
     """Mean of `shots` simulated +-1 outcomes of every word of masks.
 
     Word w's +1 count is one Binomial(shots, (1 + <P_w>)/2) draw from
-    np.random.default_rng(keys[w]), the law of counting shots Bernoulli
-    samples, at constant cost and memory in shots.
+    Generator(PCG64(seeds[w])), seeds[w] a SeedSequence or a _streams seed,
+    the law of counting shots Bernoulli samples, at constant cost and
+    memory in shots.
     """
+    generator, pcg64 = np.random.Generator, np.random.PCG64
     p = np.clip((1.0 + _exact_paulis(state, masks)) / 2.0, 0.0, 1.0)
-    ups = np.array([np.random.default_rng(key).binomial(shots, q)
-                    for key, q in zip(keys, p)], dtype=np.int64)
+    ups = np.array([generator(pcg64(s)).binomial(shots, q) for s, q in zip(seeds, p)],
+                   dtype=np.int64)
     return (2 * ups - shots) / shots
 
 
@@ -432,12 +543,13 @@ def estimate_pauli(state: np.ndarray, pauli: PauliOperator, shots: int,
 
     The one-word case of the estimator sample_rdms runs in batch: the +1
     count of `shots` outcomes at probability (1 + <P>)/2 is one binomial
-    draw from np.random.default_rng(seed). Returns the sample mean (scaled
-    by the term's real coefficient) and its standard error
-    sqrt((1 - mean^2) / (shots - 1)), the ddof=1 standard deviation of the
-    +-1 outcomes over sqrt(shots). `seed` is anything default_rng accepts,
-    e.g. an int or a tuple of ints; the result is deterministic for a fixed
-    seed, and its cost and memory do not grow with shots.
+    draw from the generator np.random.default_rng(seed) builds. Returns the
+    sample mean (scaled by the term's real coefficient) and its standard
+    error sqrt((1 - mean^2) / (shots - 1)), the ddof=1 standard deviation of
+    the +-1 outcomes over sqrt(shots). `seed` is an int, a sequence of ints
+    or a numpy ISeedSequence, such as one seed of _streams; the result is
+    deterministic for a fixed seed, and its cost and memory do not grow with
+    shots.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
@@ -449,6 +561,8 @@ def estimate_pauli(state: np.ndarray, pauli: PauliOperator, shots: int,
     state = np.asarray(state, dtype=complex)
     if state.shape[0] != 1 << len(word):
         raise ValueError(f"{len(word)}-qubit word on a dimension-{state.shape[0]} state")
+    if not isinstance(seed, np.random.bit_generator.ISeedSequence):
+        seed = np.random.SeedSequence(seed)
     masks = np.array([_word_masks(word)], dtype=np.int64)
     mean = float(_sampled_means(state, masks, shots, [seed])[0])
     stderr = float(np.sqrt((1.0 - mean * mean) / (shots - 1))) if shots > 1 else 0.0

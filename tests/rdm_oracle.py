@@ -14,6 +14,10 @@ split contractions must reproduce. Each wedge holds (k!)^2 transposed
 M^(2k) tensors, ZC needs (M^2 + 1)^2 symbolic products and _lr_matrix
 holds the full M^8 4-RDM, so keep M small.
 
+loop_rdm_words builds sample_rdms' flat word table by one jordan_wigner
+call per ladder product a_I^ a_J, interning each new word as it meets it;
+the package's closed-form table must equal it array for array.
+
 loop_sample_rdms maps every ladder product a_I^ a_J afresh with
 letter_jordan_wigner and estimates its words one estimate_pauli call at a
 time as it meets them, the i-th distinct word from (seed, 1, i), and adds
@@ -30,7 +34,7 @@ import numpy as np
 from fermion_oracle import adjoint, commutator, mul, normal_order
 from pauli_oracle import letter_jordan_wigner
 from vcsqse.molecule import hamiltonian_from_tensors
-from vcsqse.operators import FermionOperator, PauliOperator
+from vcsqse.operators import FermionOperator, PauliOperator, _word_masks, jordan_wigner
 from vcsqse.qse import _overlap_lr, _symmetrized, operator_to_tensors
 from vcsqse.rdm import RdmSet, cumulants_from_rdms, estimate_pauli, reconstruct_rdms
 
@@ -259,3 +263,34 @@ def loop_sample_rdms(state, max_k, shots, seed):
                 vals[a, b] = total / factorial(k)
         blocks.append(vals)
     return blocks
+
+
+def _ladder_pauli_forms(m, k):
+    """Jordan-Wigner (word, coefficient) pairs of every a_I^ a_J, |I| = |J| = k,
+    one iterable per (I, J) over sorted index tuples, row-major."""
+    combos = list(combinations(range(m), k))
+    for upper in combos:
+        for lower in combos:
+            seq = (tuple((i, True) for i in upper)
+                   + tuple((j, False) for j in reversed(lower)))
+            yield jordan_wigner(FermionOperator(m, {seq: 1.0})).terms.items()
+
+
+def loop_rdm_words(m, max_k):
+    """(orders, masks) of rdm._rdm_words, one jordan_wigner call per pair."""
+    known = {"I" * m: -1}
+    words, orders = [], []
+    for k in range(1, max_k + 1):
+        pairs, ids, coeffs = [], [], []
+        for pair, terms in enumerate(_ladder_pauli_forms(m, k)):
+            for word, coeff in terms:
+                if word not in known:
+                    known[word] = len(words)
+                    words.append(word)
+                pairs.append(pair)
+                ids.append(known[word])
+                coeffs.append(coeff)
+        orders.append((np.array(pairs, dtype=np.intp), np.array(ids, dtype=np.intp),
+                       np.array(coeffs, dtype=complex)))
+    masks = np.array([_word_masks(word) for word in words], dtype=np.int64).reshape(-1, 3)
+    return orders, masks

@@ -5,7 +5,8 @@ from fcidump_writer import render_fcidump
 from vcsqse import experiments, operators, qse, vcs
 from vcsqse.channels import DEFAULT_RATIOS, ChannelSpec
 from vcsqse.cli import main
-from vcsqse.config import (ConfigError, ExperimentConfig, config_to_text,
+from vcsqse.config import (DEFAULT_SHOT_COUNT, DEFAULT_SHOT_SEED, ConfigError,
+                           ExperimentConfig, config_to_text,
                            load_config, parse_config)
 from vcsqse.experiments import run_experiment, single_point
 from vcsqse.molecule import MolecularIntegrals
@@ -293,6 +294,18 @@ class TestCli:
         assert capsys.readouterr().out == from_config
         assert "channel: amplitude_phase tp/t1=0.05 tp/t2=0.05" in from_config
 
+    def test_shot_defaults_alike_in_config_and_cli(self, sto3g_path, tmp_path, capsys):
+        cfg_file = tmp_path / "point.cfg"
+        cfg_file.write_text("[run]\nexperiment = single-point\n"
+                            f"fcidump = {sto3g_path}\n[shots]\nsampled_rdms = true\n")
+        assert load_config(cfg_file).shots == (DEFAULT_SHOT_COUNT, DEFAULT_SHOT_SEED)
+        assert main(["run", "--config", str(cfg_file)]) == 0
+        from_config = capsys.readouterr().out
+        assert main(["point", "--fcidump", str(sto3g_path), "--sampled-rdms"]) == 0
+        assert capsys.readouterr().out == from_config
+        assert (f"({DEFAULT_SHOT_COUNT} shots/word, seed {DEFAULT_SHOT_SEED})"
+                in from_config)
+
     def test_point_missing_fixture_exits_2(self, capsys):
         assert main(["point", "--fcidump", "/missing.fcidump"]) == 2
 
@@ -350,6 +363,14 @@ class TestCli:
         assert run_spectrum(tmp_path, f"0.7 {big}\n") == 2
         assert (f"config error: {tmp_path / 'sweep.manifest'}:1: fixture {big}: "
                 f"{message}") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("norb", [0, -1])
+    def test_norb_below_one_exits_2(self, tmp_path, capsys, norb):
+        bad = tmp_path / "empty.fcidump"
+        bad.write_text(f"&FCI NORB={norb},NELEC=2,MS2=0,\n&END\n0.5 1 1 1 1\n")
+        assert main(["point", "--fcidump", str(bad)]) == 2
+        assert (f"config error: {bad}: NORB={norb}: a system needs at least one "
+                "orbital") in capsys.readouterr().err
 
     def test_malformed_fcidump_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.fcidump"

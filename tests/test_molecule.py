@@ -78,6 +78,13 @@ class TestParse:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    @pytest.mark.parametrize("norb", [0, -1])
+    def test_norb_below_one_rejected(self, norb):
+        for body in ("", "0.5 1 1 1 1\n", "1.0 0 0 0 0\n"):
+            with pytest.raises(FcidumpError, match=f"NORB={norb}: a system needs at "
+                                                   "least one orbital"):
+                parse_fcidump(f"&FCI NORB={norb},NELEC=2,MS2=0,\n&END\n{body}")
+
     def test_wrong_field_count(self):
         with pytest.raises(FcidumpError, match="expected"):
             parse_fcidump(dump("0.5 1 1 1\n"))

@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from itertools import combinations, product
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rdm_oracle
@@ -15,7 +19,7 @@ from vcsqse.molecule import assemble_hamiltonian, spin_orbital_tensors
 from vcsqse.operators import (FermionOperator, PauliOperator, _signed_permutation,
                               _word_masks, fermion_to_dense, jordan_wigner,
                               pauli_action)
-from vcsqse.rdm import (compute_rdms, contract_energy, cumulants_from_rdms,
+from vcsqse.rdm import (RDM_MODE_LIMIT, compute_rdms, contract_energy, cumulants_from_rdms,
                         estimate_pauli, reconstruct_rdms, sample_rdms, wedge)
 
 
@@ -513,32 +517,37 @@ class TestSampledRdms:
 
 
 class TestSeedStreams:
-    """Each Pauli word of a seeded run draws from its own generator: energy
-    term i from (seed, 0, i), the i-th distinct RDM word from (seed, 1, i).
-    At one seed no energy term shares a key or a stream with an RDM word,
-    and no key or stream of seed s is one of seed s + 1."""
+    """Each Pauli word of a seeded run draws from its own stream: energy
+    term i from (seed, 0, i), the i-th distinct RDM word from (seed, 1, i),
+    every batch of keys seeded through rdm._stream_seeds. At one seed no
+    energy term shares a key or a stream with an RDM word, and no key or
+    stream of seed s is one of seed s + 1."""
 
     @staticmethod
     def keys(monkeypatch, call):
-        """The seed of every generator call() builds, all distinct."""
+        """The PCG64 state of every (seed, stream, i) key call() seeds, all
+        keys distinct."""
         keys = []
-        real = np.random.default_rng
+        real = rdm._stream_seeds
 
-        def spy(seed=None):
-            keys.append(seed)
-            return real(seed)
+        def spy(seed, stream, index):
+            states = real(seed, stream, index)
+            keys.extend(((seed, stream, int(i)), tuple(state))
+                        for i, state in zip(index, states))
+            return states
 
-        monkeypatch.setattr(np.random, "default_rng", spy)
+        monkeypatch.setattr(rdm, "_stream_seeds", spy)
         call()
         monkeypatch.undo()
-        assert len(set(keys)) == len(keys) > 1
-        return set(keys)
+        assert len(dict(keys)) == len(keys) > 1
+        return dict(keys)
 
     @staticmethod
     def assert_disjoint(a, b):
-        assert not a & b
-        streams = [{tuple(np.random.default_rng(k).random(4)) for k in keys}
-                   for keys in (a, b)]
+        assert not a.keys() & b.keys()
+        streams = [{tuple(np.random.Generator(np.random.PCG64(
+                        rdm._seed_type()(np.array(state, dtype=np.uint64)))).random(4))
+                    for state in keys.values()} for keys in (a, b)]
         assert len(streams[0]) == len(a) and len(streams[1]) == len(b)
         assert not streams[0] & streams[1]
 
@@ -564,3 +573,66 @@ class TestSeedStreams:
         self.assert_disjoint(runs("energy", 5), runs("rdm", 5))
         self.assert_disjoint(runs("energy", 5) | runs("rdm", 5),
                              runs("energy", 6) | runs("rdm", 6))
+
+    def test_energy_skips_the_identity_key(self, runs, sto3g_ints):
+        terms = sorted(jordan_wigner(assemble_hamiltonian(sto3g_ints)).terms)
+        assert terms[0] == "IIII"
+        assert sorted(runs("energy", 5)) == [(5, 0, i) for i in range(1, len(terms))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 7]),
+                      st.integers(0, 2**200)),
+       stream=st.sampled_from([0, 1]),
+       index=st.one_of(st.lists(st.integers(0, 2**32 - 1), max_size=8, unique=True),
+                       st.integers(1, 40).map(lambda n: list(range(1, n)))))
+@example(seed=2**64, stream=0, index=[1, 2, 3, 5, 2**32 - 1])
+def test_stream_seeds_match_seed_sequence(seed, stream, index):
+    """The vectorized hash gives numpy's SeedSequence state for every key, and
+    a stream seed builds the generator default_rng builds from the key."""
+    got = rdm._stream_seeds(seed, stream, index)
+    want = [np.random.SeedSequence((seed, stream, i)).generate_state(4, np.uint64)
+            for i in index]
+    assert got.dtype == np.uint64 and got.shape == (len(index), 4)
+    assert np.array_equal(got, np.reshape(want, (-1, 4)))
+    for i, s in list(zip(index, rdm._streams(seed, stream, index)))[:2]:
+        assert np.array_equal(np.random.Generator(np.random.PCG64(s)).random(3),
+                              np.random.default_rng((seed, stream, i)).random(3))
+
+
+def test_stream_seeds_reject_negative_seeds():
+    with pytest.raises(ValueError, match="non-negative"):
+        rdm._stream_seeds(-1, 0, [0])
+
+
+def test_estimate_pauli_takes_a_stream_seed():
+    state = random_state(np.random.default_rng(31), 3)
+    p = PauliOperator(3, {"XYZ": 0.5})
+    seed = rdm._streams(7, 0, [4])[0]
+    assert estimate_pauli(state, p, 999, seed) == estimate_pauli(state, p, 999, (7, 0, 4))
+
+
+def test_import_leaves_numpy_random_unloaded():
+    """Seeding is built on first draw, so set-up does not pay for numpy.random."""
+    code = ("import sys, vcsqse, vcsqse.experiments, vcsqse.cli; "
+            "assert 'numpy' in sys.modules and 'numpy.random' not in sys.modules")
+    src = str(Path(rdm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("m", range(RDM_MODE_LIMIT + 1))
+def test_closed_form_word_table_matches_per_pair_jordan_wigner(m):
+    """Every (pair, word, coefficient) array and every mask row of the
+    closed-form table equal one jordan_wigner call per ladder product's."""
+    want_orders, want_masks = rdm_oracle.loop_rdm_words(m, 4)
+    for max_k in range(1, 5):
+        orders, masks = rdm._rdm_words(m, max_k)
+        assert len(orders) == max_k
+        for got, want in zip(orders, want_orders):
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        words = 1 + max(word.max(initial=-1) for _, word, _ in want_orders[:max_k])
+        assert masks.dtype == want_masks.dtype
+        assert np.array_equal(masks, want_masks[:words])
