@@ -119,7 +119,7 @@ def _point_command(args) -> int:
             channel=channel, penalties=penalties, projection=projection,
             subspace_kind=args.kind, subspace_order=args.k,
             metric_cutoff=args.metric_cutoff,
-            shots=(shots, args.seed) if shots else None,
+            shots=None if shots is None else (shots, args.seed),
             sampled_rdms=args.sampled_rdms)
         cfg.validate()
     except (ConfigError, ValueError, OSError) as exc:

@@ -2,6 +2,7 @@
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,15 +56,18 @@ class ExperimentConfig:
             problems.append(f"unknown subspace kind {self.subspace_kind!r}")
         if self.subspace_order not in (1, 2):
             problems.append("subspace k must be 1 or 2")
-        if self.metric_cutoff <= 0 or self.metric_cutoff >= 1:
+        if not 0 < self.metric_cutoff < 1:
             problems.append("metric_cutoff must lie in (0, 1)")
-        for name, _, weight in self.penalties:
+        weighted = [("penalty", "weight", *penalty) for penalty in self.penalties]
+        if self.projection is not None:
+            weighted.append(("projection", "window", *self.projection))
+        for role, scale_name, name, target, scale in weighted:
             if name not in PENALTY_OPERATORS:
-                problems.append(f"unknown penalty operator {name!r}")
-            if weight < 0:
-                problems.append(f"penalty weight for {name} must be non-negative")
-        if self.projection is not None and self.projection[0] not in PENALTY_OPERATORS:
-            problems.append(f"unknown projection operator {self.projection[0]!r}")
+                problems.append(f"unknown {role} operator {name!r}")
+            if not math.isfinite(target):
+                problems.append(f"{role} target for {name} must be finite")
+            if not 0 <= scale < math.inf:
+                problems.append(f"{role} {scale_name} for {name} must be finite and non-negative")
         if self.shots is not None and self.shots[0] < 1:
             problems.append("shots count must be at least 1")
         if self.shots is not None and self.shots[1] < 0:

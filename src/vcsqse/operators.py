@@ -1,7 +1,7 @@
 """Fermionic and Pauli-string operators as term dictionaries, with a
 Jordan-Wigner bridge. Nothing here multiplies operators symbolically: the
 package writes its fermionic operators in normal order, and only
-_ladder_action evaluates ladder products.
+_ladder_action and _ladder_words, on _ladder_slots arrays, evaluate ladder products.
 
 Conventions used throughout the package:
 
@@ -10,8 +10,8 @@ Conventions used throughout the package:
 * Occupation encoding: basis index b has mode i occupied iff bit i of b is
   set, so qubit 0 is the least significant bit and qubit |1> means occupied.
 * Jordan-Wigner: a_p^dag -> (prod_{m<p} Z_m) (X_p - i Y_p)/2, which sends
-  the creation operator to |1><0| on qubit p. jordan_wigner multiplies
-  words on their bit masks (_mask_product) and returns letter strings.
+  the creation operator to |1><0| on qubit p. _ladder_words expands a batch
+  of ladder sequences on bit masks, for jordan_wigner and rdm._rdm_words.
 * Pauli action: every Pauli word is a signed permutation. With x the bit
   mask of its X/Y letters and z that of its Z/Y letters, the word is
   W(x, z) = i^|x&z| X^x Z^z and
@@ -42,12 +42,9 @@ DENSE_QUBIT_LIMIT = 12
 # up to M = 8 (at most 833 spin-conserving terms) is built in one chunk.
 DENSE_CHUNK_ENTRIES = 1 << 18
 
-# i^k for k mod 4.
-_I_POW = (1, 1j, -1, -1j)
-
-
-def _pruned(terms: dict) -> dict:
-    return {key: c for key, c in terms.items() if abs(c) >= PRUNE_TOL}
+# i^k for k mod 4, and a ladder's X, annihilator Y and creator Y factors
+_I_POW = np.array([1, 1j, -1, -1j])
+_JW_FACTOR = np.array([0.5, 0.5j, -0.5j])
 
 
 def _format_coeff(c: complex) -> str:
@@ -59,13 +56,7 @@ def _format_coeff(c: complex) -> str:
 
 def parse_ladder(text: str) -> tuple:
     """Parse a ladder sequence like ``"0^ 1"`` into ((0, True), (1, False))."""
-    seq = []
-    for tok in text.split():
-        if tok.endswith("^"):
-            seq.append((int(tok[:-1]), True))
-        else:
-            seq.append((int(tok), False))
-    return tuple(seq)
+    return tuple((int(tok.removesuffix("^")), tok.endswith("^")) for tok in text.split())
 
 
 def ladder_text(seq) -> str:
@@ -104,7 +95,7 @@ class FermionOperator:
         return cls(mode_count, {parse_ladder(text): coeff})
 
     def _prune(self):
-        self.terms = _pruned(self.terms)
+        self.terms = {seq: c for seq, c in self.terms.items() if abs(c) >= PRUNE_TOL}
         return self
 
     def is_zero(self) -> bool:
@@ -177,41 +168,75 @@ def _pauli_sort_key(word):
     return tuple((q, ch) for q, ch in enumerate(word) if ch != "I")
 
 
-def _mask_product(acc: dict, factor) -> dict:
-    """acc times factor, both sums of words W(x, z) = i^|x&z| X^x Z^z keyed by (x, z).
+def _word_product(x1, z1, x2, z2):
+    """W(x1, z1) W(x2, z2) = i^k W(x, z) for words W(x, z) = i^|x&z| X^x Z^z:
+    returns (x, z, k mod 4), on ints or arrays of masks."""
+    x, z = x1 ^ x2, z1 ^ z2
+    count = np.bitwise_count
+    k = count(x1 & z1).astype(np.int64) + count(x2 & z2) + 2 * count(z1 & x2) - count(x & z)
+    return x, z, k % 4
 
-    W1 W2 = i^k W(x1^x2, z1^z2) with k = |x1&z1| + |x2&z2| + 2|z1&x2|
-    - |(x1^x2)&(z1^z2)|; equal words are summed in product order.
+
+def _ladder_words(ladder: np.ndarray, coeffs: np.ndarray):
+    """Jordan-Wigner words of coeffs[t] times ladder sequence t, for every t at once.
+
+    ladder is a _ladder_slots array and coeffs a complex array. Returns flat
+    arrays (term, x, z, coefficient), each term's words in product order: at
+    every slot, each word of a term with a ladder there becomes its X child,
+    then its Y child, coefficient (c * f) * i^k with f = 1/2 or -+i/2 and k
+    from _word_product; equal words of a term are summed from 0.0 where they
+    first appear, as a dict sum does, and entries below PRUNE_TOL dropped.
+    Two words of a term can only meet at a mode the term touched before, so
+    only those slots search for equal words.
     """
-    out = {}
-    for (x1, z1), c1 in acc.items():
-        k1 = (x1 & z1).bit_count()
-        for (x2, z2), c2 in factor:
-            x, z = x1 ^ x2, z1 ^ z2
-            k = k1 + (x2 & z2).bit_count() + 2 * (z1 & x2).bit_count() - (x & z).bit_count()
-            out[x, z] = out.get((x, z), 0.0) + c1 * c2 * _I_POW[k % 4]
-    return _pruned(out)
+    mode, dagger, used = np.moveaxis(ladder, 2, 0)
+    # slots whose mode the term's ladders at earlier slots touched
+    repeat = ((mode[:, :, None] == mode[:, None, :]) & (used[:, :, None] * used[:, None, :] == 1)
+              & np.tri(ladder.shape[1], k=-1, dtype=bool)).any(axis=2)
+    term = np.flatnonzero(np.abs(coeffs) >= PRUNE_TOL)
+    x = z = np.zeros(len(term), dtype=np.int64)
+    c = coeffs[term]
+    for pos in range(ladder.shape[1]):
+        here = used[term, pos]
+        # two words of a term that differ only in z on this slot's mode, where
+        # the term has been before, have crossed children: X of one is Y of the other
+        zkey = z | 1 << mode[term, pos]
+        pick = np.flatnonzero(repeat[term, pos])
+        pick = pick[np.lexsort((zkey[pick], x[pick], term[pick]))]
+        a, b = pick[:-1], pick[1:]
+        meet = (term[a] == term[b]) & (x[a] == x[b]) & (zkey[a] == zkey[b])
+        start = np.cumsum(1 + here) - 1 - here  # index of each word's X child
+        parent = np.repeat(np.arange(len(term)), 1 + here)
+        is_y = np.arange(len(parent)) - start[parent]
+        first = np.arange(len(parent))  # index of the child each child adds to
+        first[start[b[meet]]], first[start[b[meet]] + 1] = start[a[meet]] + 1, start[a[meet]]
+        term, c = term[parent], c[parent]
+        bit = used[term, pos] << mode[term, pos]
+        x, z, k = _word_product(x[parent], z[parent], bit,
+                                (1 << mode[term, pos]) - 1 | is_y * bit)
+        c = np.where(used[term, pos] == 1,
+                     c * _JW_FACTOR[is_y * (1 + dagger[term, pos])] * _I_POW[k], c)
+        c = np.stack([np.bincount(first, part, len(first)) for part in (c.real, c.imag)],
+                     axis=1).view(complex)[:, 0]
+        keep = np.flatnonzero((first == np.arange(len(first))) & (np.abs(c) >= PRUNE_TOL))
+        term, x, z, c = term[keep], x[keep], z[keep], c[keep]
+    return term, x, z, c
 
 
 def jordan_wigner(op: FermionOperator) -> PauliOperator:
-    """Map a fermionic operator to Pauli strings (algebra homomorphism).
-
-    Terms are multiplied out ladder by ladder (the X word before the Y word)
-    and summed in term order, pruning small entries after every step.
-    """
+    """Map a fermionic operator to Pauli strings (algebra homomorphism): the
+    _ladder_words of every term, summed in term order, an entry that cancels
+    to below PRUNE_TOL leaving the sum."""
     n = op.mode_count
+    if n > 62:
+        raise ValueError(f"mode_count {n} exceeds the 62 modes of a 64-bit word mask")
+    _, xs, zs, coeffs = _ladder_words(_ladder_slots(tuple(op.terms)),
+                                      np.array(list(op.terms.values()), dtype=complex))
     out = {}
-    for seq, coeff in op.terms.items():
-        acc = _pruned({(0, 0): complex(coeff)})
-        for mode, dagger in seq:
-            below = (1 << mode) - 1
-            acc = _mask_product(acc, (((1 << mode, below), 0.5),
-                                      ((1 << mode, below | 1 << mode),
-                                       -0.5j if dagger else 0.5j)))
-        for key, c in acc.items():  # a term can only shrink the entries it touches
-            out[key] = out.get(key, 0.0) + c
-            if abs(out[key]) < PRUNE_TOL:
-                del out[key]
+    for key, c in zip(zip(xs.tolist(), zs.tolist()), coeffs.tolist()):
+        out[key] = out.get(key, 0.0) + c
+        if abs(out[key]) < PRUNE_TOL:
+            del out[key]
     return PauliOperator(n, {"".join("IXZY"[(x >> q & 1) | (z >> q & 1) << 1]
                                      for q in range(n)): c
                              for (x, z), c in out.items()})
@@ -228,7 +253,7 @@ def _word_masks(word: str) -> tuple[int, int, int]:
 def _signed_permutation(x, z, y_pow, c, n: int):
     """pauli_action's src and phase from _word_masks, as scalars or (words, 1) columns."""
     src = np.arange(1 << n) ^ x
-    c = c * np.array([1, 1j, -1, -1j])[y_pow]
+    c = c * _I_POW[y_pow]
     return src, np.where(np.bitwise_count(src & z) & 1, -c, c)
 
 
@@ -264,6 +289,16 @@ def apply_pauli(action, arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _ladder_slots(seqs) -> np.ndarray:
+    """(sequences, longest, 3) int64 array of (mode, dagger, used) per slot,
+    used 1 where the slot holds a ladder operator and 0 in the padding."""
+    ladder = np.zeros((len(seqs), max(map(len, seqs), default=0), 3), dtype=np.int64)
+    for t, seq in enumerate(seqs):
+        for pos, (mode, dagger) in enumerate(seq):
+            ladder[t, pos] = mode, dagger, 1
+    return ladder
+
+
 def _ladder_action(seqs, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Masked signed permutation of every ladder sequence in seqs, on m modes.
 
@@ -275,17 +310,12 @@ def _ladder_action(seqs, m: int) -> tuple[np.ndarray, np.ndarray]:
     picking up (-1)^(number of occupied modes below p); shorter sequences are
     padded with no-op slots.
     """
-    longest = max(map(len, seqs), default=0)
-    # per sequence and slot: mode, dagger, 1 if the slot holds a ladder operator
-    ladder = np.zeros((len(seqs), longest, 3), dtype=np.int64)
-    for t, seq in enumerate(seqs):
-        for pos, (mode, dagger) in enumerate(seq):
-            ladder[t, pos] = mode, dagger, 1
+    ladder = _ladder_slots(seqs)
     x = np.bitwise_xor.reduce(ladder[:, :, 2] << ladder[:, :, 0], axis=1, initial=0)
     state = np.arange(1 << m) ^ x[:, None]
     odd = np.zeros(state.shape, dtype=np.uint8)
     alive = np.ones(state.shape, dtype=bool)
-    for pos in reversed(range(longest)):
+    for pos in reversed(range(ladder.shape[1])):
         mode, dagger, used = (ladder[:, pos, k, None] for k in range(3))
         alive &= (((state >> mode) & 1) != dagger) | (used == 0)
         odd ^= np.bitwise_count(state & ((1 << mode) - 1)) & used.astype(np.uint8)

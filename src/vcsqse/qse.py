@@ -27,8 +27,8 @@ from itertools import combinations, product
 import numpy as np
 
 from .linalg import Spectrum, generalized_eigensolve
-from .operators import (FermionOperator, _ladder_action, _signed_permutation,
-                        _word_masks, ladder_text)
+from .operators import (DENSE_QUBIT_LIMIT, FermionOperator, _ladder_action,
+                        _signed_permutation, _word_masks, ladder_text)
 from .rdm import (RdmSet, _disconnected, _split_contract, cumulants_from_rdms,
                   reconstruct_rdms)
 
@@ -36,7 +36,6 @@ from .rdm import (RdmSet, _disconnected, _split_contract, cumulants_from_rdms,
 # contraction noise in their null directions.
 QSE_METRIC_CUTOFF = 1e-8
 FERMIONIC_MODE_LIMIT = 8
-QUBIT_LIMIT = 12
 # Bound on every array build_subspace_direct holds: the basis's src and
 # weight, for a density matrix the weights moved to the entries the right
 # action reads, and the two action stacks, E_b rho and W E_b (n_b * 2^M * 2^M
@@ -70,7 +69,6 @@ class SubspaceProblem:
     h_sub: np.ndarray
     s_sub: np.ndarray
     symmetry_subs: dict = field(default_factory=dict)
-    combo: np.ndarray | None = None  # projected coordinates -> basis coordinates
 
     @property
     def dim(self) -> int:
@@ -127,8 +125,8 @@ def qubit_basis(qubit_count: int, order: int) -> ExpansionBasis:
     if not 1 <= order <= 2:
         raise ValueError("qubit expansion order must be 1 or 2")
     n = qubit_count
-    if n > QUBIT_LIMIT:
-        raise ValueError(f"qubit_count {n} exceeds {QUBIT_LIMIT}")
+    if n > DENSE_QUBIT_LIMIT:
+        raise ValueError(f"qubit_count {n} exceeds {DENSE_QUBIT_LIMIT}")
     words = ["I" * n]
     labels = ["g"]
     for q in range(n):
@@ -361,12 +359,11 @@ def project_symmetry(prob: SubspaceProblem, name: str, target: float,
     if not np.any(keep):
         raise ValueError(f"no subspace states with <{name}> within {window} of {target}")
     c = spec.eigenvectors[:, keep]
-    combo = c if prob.combo is None else prob.combo @ c
     sym = {k: _symmetrized(c.conj().T @ mat @ c) for k, mat in prob.symmetry_subs.items()}
     return SubspaceProblem(basis=prob.basis,
                            h_sub=_symmetrized(c.conj().T @ prob.h_sub @ c),
                            s_sub=_symmetrized(c.conj().T @ prob.s_sub @ c),
-                           symmetry_subs=sym, combo=combo)
+                           symmetry_subs=sym)
 
 
 def approximate_lr(method: str, h1: np.ndarray, h2: np.ndarray, rdms: RdmSet,

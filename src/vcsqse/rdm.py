@@ -26,7 +26,8 @@ from math import comb, factorial
 
 import numpy as np
 
-from .operators import PauliOperator, _ladder_action, _signed_permutation, _word_masks
+from .operators import (PauliOperator, _ladder_action, _ladder_words, _signed_permutation,
+                        _word_masks)
 
 RDM_MODE_LIMIT = 8
 GATHER_BYTES = 2 << 20  # per (words, 2^M) complex array in _exact_paulis
@@ -315,10 +316,10 @@ def contract_energy(h1: np.ndarray, h2: np.ndarray, rdms: RdmSet,
 def sample_rdms(state: np.ndarray, max_k: int, shots: int, seed: int) -> RdmSet:
     """RDMs through the measurement pathway instead of exact traces.
 
-    Every distinct Pauli word in the Jordan-Wigner forms of the ladder
-    products a_I^ a_J, |I| = |J| <= max_k, is estimated once with `shots`
-    samples, all words through one batched _sampled_means call; the i-th
-    distinct word in order of first appearance draws its count from the
+    Every distinct Pauli word of the Jordan-Wigner table of _rdm_words (the
+    ladder products a_I^ a_J, |I| = |J| <= max_k) is estimated once with
+    `shots` samples, all words through one batched _sampled_means call; the
+    i-th distinct word in order of first appearance draws its count from the
     stream of SeedSequence((seed, 1, i)), the generator default_rng((seed,
     1, i)) builds, with every word's seed computed in one _stream_seeds pass.
     Each packed block is then assembled from the shared estimates by one
@@ -352,62 +353,28 @@ def sample_rdms(state: np.ndarray, max_k: int, shots: int, seed: int) -> RdmSet:
     return RdmSet(mode_count=m, blocks=tuple(blocks))
 
 
-def _ladder_terms(m: int, k: int):
-    """Jordan-Wigner terms of every a_I^ a_J, |I| = |J| = k, in closed form.
-
-    Returns flat arrays (pair, x, z, coefficient) over all terms: pair the
-    row-major index of (I, J) over sorted index tuples, (x, z) the word's
-    _word_masks bits. Each pair's terms come in jordan_wigner's order.
-
-    The product a_u1^ .. a_uk^ a_lk .. a_l1 takes, per ladder on mode p,
-    (1/2) X_p Z_{<p} or the Y_p word, and jordan_wigner expands the choices
-    in lexicographic order, the first ladder most significant and X first.
-    A mode q in I & J flips no bit: its two ladders give I or Z on q, each
-    from two choice paths of equal coefficient, merged at the place of the
-    path whose creation chose X. So the terms are the choice strings in
-    increasing order with those creation choices fixed to X; each word has
-    X or Y on I ^ J, I or Z on I & J and Z tails from the modes of I ^ J
-    above; and its coefficient is 2^(|I & J| - 2k) (-i)^#Y times the sign
-    of the ladder order, times -1 per Y choice among the annihilators.
-    """
-    combos = _combos(m, k)
-    n = len(combos)
-    upper = np.repeat(combos, n, axis=0)
-    lower = np.tile(combos, (n, 1))
-    bits = 1 << np.concatenate([upper, lower[:, ::-1]], axis=1)  # product order
-    i_mask, j_mask = bits[:, :k].sum(axis=1), bits[:, k:].sum(axis=1)
-    x = i_mask ^ j_mask
-    tail = np.bitwise_xor.reduce(bits - 1, axis=1, initial=0)
-    # C(k, 2) inversions among the annihilators, one per lower index below an upper one
-    crossed = comb(k, 2) + (lower[:, None, :] < upper[:, :, None]).sum(axis=(1, 2))
-    choice = np.arange(4 ** k)
-    ys = np.zeros((n * n, 4 ** k), dtype=np.int64)
-    keep = np.ones(ys.shape, dtype=bool)
-    for t in range(2 * k):
-        pick = (choice >> (2 * k - 1 - t)) & 1
-        ys ^= bits[:, t, None] * pick
-        if t < k:
-            keep &= ~((bits[:, t, None] & j_mask[:, None] > 0) & (pick == 1))
-    pair, c = np.nonzero(keep)
-    z = tail[pair] ^ ys[pair, c]
-    flips = crossed[pair] + np.bitwise_count(c & (1 << k) - 1)
-    shared = np.bitwise_count(i_mask & j_mask).astype(np.int64)
-    scale = np.ldexp(1.0 - 2.0 * (flips & 1), shared[pair] - 2 * k)
-    phase = np.array([1, -1j, -1, 1j])[np.bitwise_count(x[pair] & z) % 4]
-    return pair, x[pair], z, phase * scale
-
-
 @lru_cache(maxsize=None)
 def _rdm_words(m: int, max_k: int):
-    """_ladder_terms of orders 1..max_k as flat arrays.
+    """Jordan-Wigner terms of every a_I^ a_J, |I| = |J| <= max_k, as flat arrays.
 
+    The ladder products of one order go through one _ladder_words call.
     Returns, per order k, the arrays (pair, word, coefficient) of every
-    term: pair the row-major index of (I, J) in the packed block, word the
-    index of the term's Pauli word (-1 for the identity); then the
-    (words, 3) _word_masks rows of the distinct non-identity words in order
-    of first appearance, which fixes their stream keys.
+    term, each pair's terms in jordan_wigner's order: pair the row-major
+    index of (I, J) in the packed block, word the index of the term's Pauli
+    word (-1 for the identity); then the (words, 3) _word_masks rows of the
+    distinct non-identity words in order of first appearance, which fixes
+    their stream keys.
     """
-    terms = [_ladder_terms(m, k) for k in range(1, max_k + 1)]
+    terms = []
+    for k in range(1, max_k + 1):
+        combos = _combos(m, k)
+        n = len(combos)
+        # a_i1^ .. a_ik^ a_jk .. a_j1 for every pair (I, J), row-major
+        ladder = np.ones((n * n, 2 * k, 3), dtype=np.int64)
+        ladder[:, :, 0] = np.hstack([np.repeat(combos, n, axis=0),
+                                     np.tile(combos[:, ::-1], (n, 1))])
+        ladder[:, k:, 1] = 0
+        terms.append(_ladder_words(ladder, np.ones(n * n, dtype=complex)))
     keys = np.concatenate([x | z << m for _, x, z, _ in terms])
     distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     ranked = np.argsort(first)

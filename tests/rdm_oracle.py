@@ -14,9 +14,10 @@ split contractions must reproduce. Each wedge holds (k!)^2 transposed
 M^(2k) tensors, ZC needs (M^2 + 1)^2 symbolic products and _lr_matrix
 holds the full M^8 4-RDM, so keep M small.
 
-loop_rdm_words builds sample_rdms' flat word table by one jordan_wigner
-call per ladder product a_I^ a_J, interning each new word as it meets it;
-the package's closed-form table must equal it array for array.
+loop_rdm_words builds sample_rdms' flat word table by one
+letter_jordan_wigner call per ladder product a_I^ a_J, interning each new
+word as it meets it; the package's batched table must equal it array for
+array.
 
 loop_sample_rdms maps every ladder product a_I^ a_J afresh with
 letter_jordan_wigner and estimates its words one estimate_pauli call at a
@@ -34,7 +35,7 @@ import numpy as np
 from fermion_oracle import adjoint, commutator, mul, normal_order
 from pauli_oracle import letter_jordan_wigner
 from vcsqse.molecule import hamiltonian_from_tensors
-from vcsqse.operators import FermionOperator, PauliOperator, _word_masks, jordan_wigner
+from vcsqse.operators import FermionOperator, PauliOperator, _word_masks
 from vcsqse.qse import _overlap_lr, _symmetrized, operator_to_tensors
 from vcsqse.rdm import RdmSet, cumulants_from_rdms, estimate_pauli, reconstruct_rdms
 
@@ -273,11 +274,11 @@ def _ladder_pauli_forms(m, k):
         for lower in combos:
             seq = (tuple((i, True) for i in upper)
                    + tuple((j, False) for j in reversed(lower)))
-            yield jordan_wigner(FermionOperator(m, {seq: 1.0})).terms.items()
+            yield letter_jordan_wigner(FermionOperator(m, {seq: 1.0})).terms.items()
 
 
 def loop_rdm_words(m, max_k):
-    """(orders, masks) of rdm._rdm_words, one jordan_wigner call per pair."""
+    """(orders, masks) of rdm._rdm_words, one letter_jordan_wigner call per pair."""
     known = {"I" * m: -1}
     words, orders = [], []
     for k in range(1, max_k + 1):

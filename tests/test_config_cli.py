@@ -315,6 +315,39 @@ class TestCli:
                      "--shots", "10", "--seed", "-1"]) == 2
         assert "seed must be non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [[], ["--sampled-rdms"]])
+    def test_point_zero_shots_exits_2(self, sto3g_path, capsys, extra):
+        assert main(["point", "--fcidump", str(sto3g_path), "--shots", "0"] + extra) == 2
+        assert "shots count must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, flags, field", [
+        ("metric_cutoff = nan\n", ["--metric-cutoff", "nan"], "metric_cutoff"),
+        ("[penalties]\ns_squared = nan 100\n", ["--penalty", "s_squared", "nan", "100"],
+         "penalty target for s_squared"),
+        ("[penalties]\ns_squared = inf 100\n", ["--penalty", "s_squared", "inf", "100"],
+         "penalty target for s_squared"),
+        ("[penalties]\ns_squared = 0 nan\n", ["--penalty", "s_squared", "0", "nan"],
+         "penalty weight for s_squared"),
+        ("[penalties]\ns_squared = 0 inf\n", ["--penalty", "s_squared", "0", "inf"],
+         "penalty weight for s_squared"),
+        ("[projection]\nname = number\ntarget = nan\nwindow = 0.5\n",
+         ["--project", "number", "nan", "0.5"], "projection target"),
+        ("[projection]\nname = number\ntarget = 2\nwindow = nan\n",
+         ["--project", "number", "2", "nan"], "projection window"),
+        ("[projection]\nname = number\ntarget = 2\nwindow = -0.5\n",
+         ["--project", "number", "2", "-0.5"], "projection window"),
+    ], ids=["cutoff-nan", "target-nan", "target-inf", "weight-nan", "weight-inf",
+            "projection-target-nan", "window-nan", "window-negative"])
+    def test_non_finite_setting_exits_2(self, sto3g_path, tmp_path, capsys,
+                                        section, flags, field):
+        cfg_file = tmp_path / "point.cfg"
+        cfg_file.write_text("[run]\nexperiment = single-point\n"
+                            f"fcidump = {sto3g_path}\n" + section)
+        assert main(["run", "--config", str(cfg_file)]) == 2
+        assert field in capsys.readouterr().err
+        assert main(["point", "--fcidump", str(sto3g_path)] + flags) == 2
+        assert field in capsys.readouterr().err
+
     def test_point_with_projection_and_penalty(self, sto3g_path, capsys):
         code = main(["point", "--fcidump", str(sto3g_path),
                      "--penalty", "number", "2", "10",

@@ -12,8 +12,8 @@ from pauli_oracle import (kron_dense, letter_jordan_wigner, letter_product, loop
                           loop_apply_right)
 from vcsqse import operators
 from vcsqse.molecule import assemble_hamiltonian
-from vcsqse.operators import (FermionOperator, PauliOperator, _mask_product,
-                              _word_masks, apply_pauli, fermion_to_dense,
+from vcsqse.operators import (_I_POW, FermionOperator, PauliOperator, _word_masks,
+                              _word_product, apply_pauli, fermion_to_dense,
                               dense_symmetry, jordan_wigner, parse_ladder,
                               pauli_action, symmetry_operator)
 from vcsqse.vcs import _penalized
@@ -244,8 +244,8 @@ class TestPauliOperator:
         for _ in range(30):
             w1 = "".join(rng.choice(list(letters)) for _ in range(3))
             w2 = "".join(rng.choice(list(letters)) for _ in range(3))
-            [((x, z), c)] = _mask_product({_word_masks(w1)[:2]: 1.0},
-                                          ((_word_masks(w2)[:2], 1.0),)).items()
+            x, z, k = _word_product(*_word_masks(w1)[:2], *_word_masks(w2)[:2])
+            c = complex(_I_POW[k])
             word = "".join("IXZY"[(x >> q & 1) | (z >> q & 1) << 1] for q in range(3))
             assert (c, word) == letter_product(w1, w2)
             product = pauli_dense(PauliOperator(3, {word: c}))
@@ -435,3 +435,18 @@ class TestJordanWignerOracle:
         assert list(jordan_wigner(op).terms) == ["II", "IZ", "ZI"]
         assert (coefficient_bits(jordan_wigner(op))
                 == coefficient_bits(letter_jordan_wigner(op)))
+
+    def test_products_below_tolerance_drop_inside_a_term(self):
+        # the words of 3e-14 a_0^ a_1 fall to 7.5e-15 < PRUNE_TOL at its second
+        # ladder, so they never reach the same words of a_1 a_0^
+        big = FermionOperator(2, {parse_ladder("1 0^"): 1.0})
+        op = FermionOperator(2, {parse_ladder("1 0^"): 1.0, parse_ladder("0^ 1"): 3e-14})
+        assert coefficient_bits(jordan_wigner(op)) == coefficient_bits(jordan_wigner(big))
+        assert (coefficient_bits(jordan_wigner(op))
+                == coefficient_bits(letter_jordan_wigner(op)))
+
+    def test_more_modes_than_a_word_mask_holds(self):
+        assert list(jordan_wigner(FermionOperator.from_term("61^", 1.0, 62)).terms) == [
+            "Z" * 61 + "X", "Z" * 61 + "Y"]
+        with pytest.raises(ValueError, match="62 modes"):
+            jordan_wigner(FermionOperator.identity(63))

@@ -623,9 +623,9 @@ def test_import_leaves_numpy_random_unloaded():
 
 
 @pytest.mark.parametrize("m", range(RDM_MODE_LIMIT + 1))
-def test_closed_form_word_table_matches_per_pair_jordan_wigner(m):
+def test_batched_word_table_matches_per_pair_oracle(m):
     """Every (pair, word, coefficient) array and every mask row of the
-    closed-form table equal one jordan_wigner call per ladder product's."""
+    batched table equal one letter_jordan_wigner call per ladder product's."""
     want_orders, want_masks = rdm_oracle.loop_rdm_words(m, 4)
     for max_k in range(1, 5):
         orders, masks = rdm._rdm_words(m, max_k)
