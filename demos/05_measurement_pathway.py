@@ -15,7 +15,7 @@ import numpy as np
 from vcsqse import (assemble_hamiltonian, build_lr_from_rdms, contract_energy,
                     estimate_pauli, load_sweep, sample_rdms, solve_subspace,
                     spin_orbital_tensors)
-from vcsqse.operators import PauliOperator, fermion_to_dense, jordan_wigner
+from vcsqse.operators import fermion_to_dense, jordan_wigner
 
 ROOT = Path(__file__).resolve().parents[1]
 pt = load_sweep(ROOT / "fixtures/h2_sto6g/sweep.manifest")[12]
@@ -28,17 +28,8 @@ print(f"H2 at R = {pt.bond_length} A, exact ground energy {w[0]:.8f}\n")
 print("=== term-by-term energy estimate ===")
 pauli_h = jordan_wigner(h_op)
 for shots in (100, 10_000, 1_000_000):
-    total, var = 0.0, 0.0
-    for i, (word, coeff) in enumerate(sorted(pauli_h.terms.items())):
-        c = float(np.real(coeff))
-        if set(word) == {"I"}:
-            total += c
-            continue
-        est, err = estimate_pauli(psi0, PauliOperator(4, {word: 1.0}),
-                                  shots, seed=1000 + i)
-        total += c * est
-        var += (c * err) ** 2
-    print(f"  {shots:>9} shots/term: {total:.6f} +- {var ** 0.5:.6f}")
+    total, err = estimate_pauli(psi0, pauli_h, shots, seed=1000)
+    print(f"  {shots:>9} shots/term: {total:.6f} +- {err:.6f}")
 
 print("\n=== sampled RDMs into the subspace eigenproblem ===")
 h1, h2, core = spin_orbital_tensors(pt.integrals)

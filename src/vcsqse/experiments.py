@@ -18,11 +18,10 @@ from .config import ConfigError, ExperimentConfig
 from .linalg import _sector_eigh
 from .molecule import FcidumpError, assemble_hamiltonian, load_sweep, \
     parse_fcidump, spin_orbital_tensors
-from .operators import PauliOperator, dense_symmetry, fermion_to_dense, \
-    jordan_wigner
+from .operators import dense_symmetry, fermion_to_dense, jordan_wigner
 from .qse import approximate_lr, build_subspace_direct, fermionic_basis, \
     project_symmetry, qubit_basis, solve_subspace, subspace_expectation
-from .rdm import _streams, compute_rdms, estimate_pauli
+from .rdm import compute_rdms, estimate_pauli
 from .vcs import fidelity, no_variation_baseline, solve_vcs
 
 CHANNEL_TOKENS = ("dephasing", "ap", "depol")
@@ -291,28 +290,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
                      continuation_events=events, output=cfg.output)
 
 
-def _sampled_energy(h_pauli: PauliOperator, psi: np.ndarray, shots: int, seed: int):
-    """Sum of per-term estimates and its standard error. Term i of the sorted
-    Jordan-Wigner H draws from (seed, 0, i), all terms' seeds computed in one
-    batch; sample_rdms keys its words (seed, 1, i), so no energy term shares
-    a stream with an RDM word."""
-    total, var = 0.0, 0.0
-    n = h_pauli.qubit_count
-    identity = "I" * n
-    terms = sorted(h_pauli.terms.items())
-    measured = [i for i, (word, _) in enumerate(terms) if word != identity]
-    seeds = dict(zip(measured, _streams(seed, 0, measured)))
-    for i, (word, coeff) in enumerate(terms):
-        c = float(np.real(coeff))
-        if word == identity:
-            total += c
-            continue
-        est, err = estimate_pauli(psi, PauliOperator(n, {word: 1.0}), shots, seeds[i])
-        total += c * est
-        var += (c * err) ** 2
-    return total, var ** 0.5
-
-
 def single_point(cfg: ExperimentConfig) -> str:
     """Human-readable report for one fixture; numerical failures raise ExperimentError."""
     cfg.validate()
@@ -373,7 +350,7 @@ def _point_report(cfg: ExperimentConfig, ints) -> str:
 
     if cfg.shots is not None:
         count, seed = cfg.shots
-        est, err = _sampled_energy(jordan_wigner(point.h_op), psi0, count, seed)
+        est, err = estimate_pauli(psi0, jordan_wigner(point.h_op), count, (seed, 0))
         lines += [f"sampled ground energy ({count} shots/term, seed {seed}): "
                   f"{_fmt(est)} +- {_fmt(err)} (exact {_fmt(w[0])})"]
         if cfg.sampled_rdms:

@@ -166,6 +166,8 @@ def spin_orbital_tensors(ints: MolecularIntegrals):
 
 def hamiltonian_from_tensors(h1, h2, core: float = 0.0) -> FermionOperator:
     """Second-quantized operator for spin-orbital tensors (h1, h2, core)."""
+    if not (np.isfinite(core) and np.isfinite(h1).all() and np.isfinite(h2).all()):
+        raise ValueError("non-finite integral in (h1, h2, core)")
     m = h1.shape[0]
     op = FermionOperator(m)
     if abs(core) >= PRUNE_TOL:

@@ -17,9 +17,9 @@ Conventions used throughout the package:
   W(x, z) = i^|x&z| X^x Z^z and
   (c P v)[j] = c * i^#Y * (-1)^popcount((j ^ x) & z) * v[j ^ x].
   _word_masks caches each word's masks, and _signed_permutation turns them
-  into that form: pauli_action for all words of an operator at once,
-  rdm._exact_paulis for a batch of words. apply_pauli adds the words of one
-  operator one at a time.
+  into that form for the qubit expansion basis of qse. rdm._exact_paulis
+  reads the same masks but takes every <W(x, z)> of one x at once, as a
+  Walsh-Hadamard transform over z.
 * Ladder action: a product of ladder operators sends each occupation state
   to at most one state, with sign +-1, so it is one masked signed
   permutation, (E v)[j] = weight[j] * v[j ^ x] with weight in {0, +-1}.
@@ -29,6 +29,7 @@ Conventions used throughout the package:
   Jordan-Wigner route.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -52,6 +53,11 @@ def _format_coeff(c: complex) -> str:
     im = float(np.imag(c))
     sign = "+" if im >= 0 or np.isnan(im) else "-"
     return f"({re}{sign}{format(abs(im), '.12g')}i)"
+
+
+def _require_finite(coeff, term):
+    if not (math.isfinite(coeff.real) and math.isfinite(coeff.imag)):
+        raise ValueError(f"non-finite coefficient {coeff} for term {term!r}")
 
 
 def parse_ladder(text: str) -> tuple:
@@ -82,6 +88,7 @@ class FermionOperator:
                 for m, _ in seq:
                     if not 0 <= m < self.mode_count:
                         raise ValueError(f"mode {m} outside [0, {self.mode_count})")
+                _require_finite(coeff, seq)
                 if abs(coeff) >= PRUNE_TOL:
                     self.terms[seq] = self.terms.get(seq, 0.0) + complex(coeff)
             self._prune()
@@ -95,6 +102,8 @@ class FermionOperator:
         return cls(mode_count, {parse_ladder(text): coeff})
 
     def _prune(self):
+        for seq, c in self.terms.items():
+            _require_finite(c, seq)
         self.terms = {seq: c for seq, c in self.terms.items() if abs(c) >= PRUNE_TOL}
         return self
 
@@ -134,6 +143,7 @@ class PauliOperator:
             for word, coeff in terms.items():
                 if len(word) != self.qubit_count or any(ch not in "IXYZ" for ch in word):
                     raise ValueError(f"bad Pauli word {word!r} for n={self.qubit_count}")
+                _require_finite(coeff, word)
                 if abs(coeff) >= PRUNE_TOL:
                     self.terms[word] = self.terms.get(word, 0.0) + complex(coeff)
 
@@ -251,42 +261,12 @@ def _word_masks(word: str) -> tuple[int, int, int]:
 
 
 def _signed_permutation(x, z, y_pow, c, n: int):
-    """pauli_action's src and phase from _word_masks, as scalars or (words, 1) columns."""
+    """Word W(x, z) = i^|x&z| X^x Z^z times c, from its _word_masks, as the
+    signed permutation v -> phase * v[src]: src[j] = j ^ x and phase[j] =
+    c * i^#Y * (-1)^popcount(src[j] & z), for scalars or (words, 1) columns."""
     src = np.arange(1 << n) ^ x
     c = c * _I_POW[y_pow]
     return src, np.where(np.bitwise_count(src & z) & 1, -c, c)
-
-
-def pauli_action(op: PauliOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Signed-permutation form of every word of op: arrays src and phase.
-
-    Both have shape (words, 2^n), in op.terms order. Word w with
-    coefficient c sends v to phase[w] * v[src[w]], where src[w, j] = j ^ x
-    and phase[w, j] = c * i^#Y * (-1)^popcount(src[w, j] & z).
-    """
-    n = op.qubit_count
-    if n > DENSE_QUBIT_LIMIT:
-        raise ValueError(f"qubit_count {n} exceeds dense limit {DENSE_QUBIT_LIMIT}")
-    masks = np.array([_word_masks(word) for word in op.terms], dtype=np.int64)
-    coeffs = np.array(list(op.terms.values()), dtype=complex)[:, None]
-    return _signed_permutation(*masks.reshape(-1, 3).T[:, :, None], coeffs, n)
-
-
-def apply_pauli(action, arr: np.ndarray) -> np.ndarray:
-    """P @ arr for P given as pauli_action(P), along axis 0 of a vector or matrix.
-
-    Adds one word at a time, so the working set is a few copies of arr
-    whatever the number of words.
-    """
-    src, phase = action
-    arr = np.asarray(arr, dtype=complex)
-    tail = (1,) * (arr.ndim - 1)
-    out = np.zeros(arr.shape, dtype=complex)
-    for s, ph in zip(src, phase):
-        # phase first, as in phase * v[src]: complex products rounded with
-        # fused multiply-adds depend on the operand order
-        out += ph.reshape(ph.shape + tail) * arr[s]
-    return out
 
 
 def _ladder_slots(seqs) -> np.ndarray:

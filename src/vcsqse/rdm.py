@@ -26,20 +26,11 @@ from math import comb, factorial
 
 import numpy as np
 
-from .operators import (PauliOperator, _ladder_action, _ladder_words, _signed_permutation,
-                        _word_masks)
+from .operators import _I_POW, PauliOperator, _ladder_action, _ladder_words, _word_masks
 
 RDM_MODE_LIMIT = 8
-GATHER_BYTES = 2 << 20  # per (words, 2^M) complex array in _exact_paulis
+GATHER_BYTES = 2 << 20  # working set of one chunk of _exact_paulis transforms
 _WEIGHT_TOL = 1e-14
-
-# numpy's SeedSequence: entropy pool size, hash constants (initial value,
-# multiplier) while mixing (A) and while drawing state (B), and mix multipliers
-_POOL = 4
-_MASK32 = 0xFFFFFFFF
-_HASH_A = (0x43B0D7E5, 0x931E8875)
-_HASH_B = (0x8B51F9DD, 0x58F38DED)
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 # D_n - C_n as wedge products of lower-order cumulants: (coefficient, orders)
 # per shape of partition of the n index pairs into two or more blocks; the
@@ -318,15 +309,13 @@ def sample_rdms(state: np.ndarray, max_k: int, shots: int, seed: int) -> RdmSet:
 
     Every distinct Pauli word of the Jordan-Wigner table of _rdm_words (the
     ladder products a_I^ a_J, |I| = |J| <= max_k) is estimated once with
-    `shots` samples, all words through one batched _sampled_means call; the
-    i-th distinct word in order of first appearance draws its count from the
-    stream of SeedSequence((seed, 1, i)), the generator default_rng((seed,
-    1, i)) builds, with every word's seed computed in one _stream_seeds pass.
-    Each packed block is then assembled from the shared estimates by one
-    np.bincount each for its real and imaginary parts, which adds every
-    element's terms in their Jordan-Wigner order and keeps upper/lower
-    Hermiticity exact by construction. Expect per-element noise of a few
-    coefficient sums times 1/sqrt(shots).
+    `shots` samples, all words through one batched _sampled_means call that
+    draws from np.random.default_rng((seed, 1)) in the table's order of
+    first appearance. Each packed block is then assembled from the shared
+    estimates by one np.bincount each for its real and imaginary parts,
+    which adds every element's terms in their Jordan-Wigner order and keeps
+    upper/lower Hermiticity exact by construction. Expect per-element noise
+    of a few coefficient sums times 1/sqrt(shots).
     """
     state = np.asarray(state, dtype=complex)
     dim = state.shape[0]
@@ -340,9 +329,8 @@ def sample_rdms(state: np.ndarray, max_k: int, shots: int, seed: int) -> RdmSet:
     if shots < 1:
         raise ValueError("shots must be at least 1")
     orders, masks = _rdm_words(m, max_k)
-    seeds = _streams(seed, 1, np.arange(len(masks)))
     # the identity, word -1, is exact
-    est = np.append(_sampled_means(state, masks, shots, seeds), 1.0)
+    est = np.append(_sampled_means(state, masks, shots, (seed, 1)), 1.0)
     blocks = []
     for k, (pair, word, coeff) in enumerate(orders, start=1):
         n = comb(m, k)
@@ -363,7 +351,7 @@ def _rdm_words(m: int, max_k: int):
     index of (I, J) in the packed block, word the index of the term's Pauli
     word (-1 for the identity); then the (words, 3) _word_masks rows of the
     distinct non-identity words in order of first appearance, which fixes
-    their stream keys.
+    each word's place in the sampled batch.
     """
     terms = []
     for k in range(1, max_k + 1):
@@ -388,150 +376,95 @@ def _rdm_words(m: int, max_k: int):
     return orders, _frozen(masks)[0]
 
 
+def _pauli_transforms(state: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Row r holds F(z) = sum_k f(k) (-1)^popcount(k & z) for every z, with
+    f(k) = conj(psi[k ^ x]) psi[k] on a state vector or f(k) = rho[k, k ^ x]
+    on a density matrix, x = xs[r]. The butterflies run in place."""
+    rows, dim = len(xs), state.shape[0]
+    cols = np.arange(dim)
+    src = cols ^ xs[:, None]
+    if state.ndim == 1:
+        f = state[src]
+        np.conj(f, out=f)
+        f *= state
+    else:
+        f = state[cols, src]
+    del src  # the index array and the butterfly buffer are never held together
+    diff = np.empty((rows, dim // 2), dtype=complex)
+    h = 1
+    while h < dim:
+        pairs = f.reshape(rows, -1, 2, h)
+        low, high = pairs[:, :, 0], pairs[:, :, 1]
+        np.subtract(low, high, out=diff.reshape(low.shape))
+        low += high
+        high[...] = diff.reshape(low.shape)
+        h *= 2
+    return f
+
+
 def _exact_paulis(state: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Exact <P> of every word given by its (words, 3) _word_masks rows, on
     a state vector or density matrix.
 
-    Each word is one gather of 2^M entries through _signed_permutation.
-    Words go a chunk at a time, each (words, 2^M) complex array of a chunk
-    at most GATHER_BYTES, and each word's entries are summed on their own,
-    so its value does not depend on the chunk.
+    <W(x, z)> = i^#Y F_x(z), F_x the Walsh-Hadamard transform of
+    f_x(k) = conj(psi[k ^ x]) psi[k], or of f_x(k) = rho[k, k ^ x]: one
+    transform per distinct X mask x, read at every z of the batch. The
+    transforms go a chunk of x rows at a time, and a chunk's index,
+    transform and butterfly arrays, 32 bytes per entry, take at most
+    GATHER_BYTES. A row's butterflies read only that row, so its values do
+    not depend on the chunk.
     """
-    dim = state.shape[0]
-    n = dim.bit_length() - 1
-    step = max(1, GATHER_BYTES // (16 * dim))
-    cols = np.arange(dim)
+    xs, row = np.unique(masks[:, 0], return_inverse=True)
+    step = max(1, GATHER_BYTES // (32 * state.shape[0]))
     exact = np.empty(len(masks))
-    for lo in range(0, len(masks), step):
-        src, phase = _signed_permutation(*masks[lo:lo + step].T[:, :, None], 1.0, n)
-        if state.ndim == 1:
-            terms = state.conj() * (phase * state[src])
-        else:
-            terms = phase * state[src, cols]
-        exact[lo:lo + step] = np.real(terms.sum(axis=1))
+    for lo in range(0, len(xs), step):
+        pick = np.flatnonzero((row >= lo) & (row < lo + step))
+        # one statement, so a chunk's transforms are freed before the next
+        exact[pick] = np.real(_pauli_transforms(state, xs[lo:lo + step])[
+            row[pick] - lo, masks[pick, 1]] * _I_POW[masks[pick, 2]])
     return exact
 
 
-def _hash_steps(init: int, mult: int, count: int) -> np.ndarray:
-    """The first count + 1 values of a SeedSequence hash constant, as a column."""
-    steps = [init]
-    for _ in range(count):
-        steps.append(steps[-1] * mult & _MASK32)
-    return np.array(steps, dtype=np.uint32)[:, None]
-
-
-def _hashmix(value: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix of value row by row, row r stepping the hash
-    constant from steps[r] to steps[r + 1]."""
-    value = (value ^ steps[:-1]) * steps[1:]
-    return value ^ value >> np.uint32(16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = _MIX_L * x - _MIX_R * y
-    return out ^ out >> np.uint32(16)
-
-
-def _stream_seeds(seed: int, stream: int, index) -> np.ndarray:
-    """SeedSequence((seed, stream, i)).generate_state(4, np.uint64) for every
-    i of index at once, shape (len(index), 4).
-
-    numpy's pool-4 entropy mixing and state draw in vectorized uint32
-    arithmetic. seed and stream are non-negative ints of any size, split
-    into 32-bit words as SeedSequence splits them; each i is below 2**32.
-    """
-    words = []
-    for value in (seed, stream):
-        if value < 0:
-            raise ValueError("seed must be non-negative")
-        words += [value >> s & _MASK32 for s in range(0, max(value.bit_length(), 1), 32)]
-    index = np.asarray(index, dtype=np.uint32).reshape(-1)
-    entropy = np.zeros((max(len(words) + 1, _POOL), index.size), dtype=np.uint32)
-    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words)] = index
-    steps = _hash_steps(*_HASH_A, _POOL * _POOL + _POOL * (len(entropy) - _POOL))
-    pool = _hashmix(entropy[:_POOL], steps[:_POOL + 1])
-    at = _POOL
-    for src in range(_POOL):  # every pool word into every other
-        dst = [d for d in range(_POOL) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], steps[at:at + _POOL]))
-        at += _POOL - 1
-    for word in entropy[_POOL:]:  # entropy beyond the pool into every pool word
-        pool = _mix(pool, _hashmix(word, steps[at:at + _POOL + 1]))
-        at += _POOL
-    state = _hashmix(np.tile(pool, (2, 1)), _hash_steps(*_HASH_B, 2 * _POOL))
-    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
-
-
-@lru_cache(maxsize=None)
-def _seed_type():
-    """A numpy ISeedSequence that hands PCG64 a precomputed state.
-
-    Built on first use, so that importing the package leaves numpy.random
-    unimported; numpy imports it on first access to np.random.
-    """
-    class StreamSeed(np.random.bit_generator.ISeedSequence):
-        __slots__ = ("state",)
-
-        def __init__(self, state):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if (n_words, dtype) != (4, np.uint64):
-                raise ValueError("a stream seed holds only PCG64's four 64-bit words")
-            return self.state
-
-    return StreamSeed
-
-
-def _streams(seed: int, stream: int, index) -> list:
-    """Seed objects of the streams SeedSequence((seed, stream, i)), i in index."""
-    return list(map(_seed_type(), _stream_seeds(seed, stream, index)))
-
-
-def _sampled_means(state: np.ndarray, masks: np.ndarray, shots: int, seeds) -> np.ndarray:
+def _sampled_means(state: np.ndarray, masks: np.ndarray, shots: int, seed) -> np.ndarray:
     """Mean of `shots` simulated +-1 outcomes of every word of masks.
 
-    Word w's +1 count is one Binomial(shots, (1 + <P_w>)/2) draw from
-    Generator(PCG64(seeds[w])), seeds[w] a SeedSequence or a _streams seed,
-    the law of counting shots Bernoulli samples, at constant cost and
-    memory in shots.
+    Word w's +1 count is a Binomial(shots, (1 + <P_w>)/2) draw, the law of
+    counting shots Bernoulli samples, at constant cost and memory in shots.
+    All words draw in one call, in row order, from the generator
+    np.random.default_rng(seed) builds, so a word's draw depends on its
+    place in the batch.
     """
-    generator, pcg64 = np.random.Generator, np.random.PCG64
     p = np.clip((1.0 + _exact_paulis(state, masks)) / 2.0, 0.0, 1.0)
-    ups = np.array([generator(pcg64(s)).binomial(shots, q) for s, q in zip(seeds, p)],
-                   dtype=np.int64)
+    ups = np.random.default_rng(seed).binomial(shots, p)
     return (2 * ups - shots) / shots
 
 
 def estimate_pauli(state: np.ndarray, pauli: PauliOperator, shots: int,
                    seed) -> tuple[float, float]:
-    """Simulated projective estimate of a single Pauli string.
+    """Simulated projective estimate of a weighted sum of Pauli strings.
 
-    The one-word case of the estimator sample_rdms runs in batch: the +1
-    count of `shots` outcomes at probability (1 + <P>)/2 is one binomial
-    draw from the generator np.random.default_rng(seed) builds. Returns the
-    sample mean (scaled by the term's real coefficient) and its standard
-    error sqrt((1 - mean^2) / (shots - 1)), the ddof=1 standard deviation of
-    the +-1 outcomes over sqrt(shots). `seed` is an int, a sequence of ints
-    or a numpy ISeedSequence, such as one seed of _streams; the result is
-    deterministic for a fixed seed, and its cost and memory do not grow with
-    shots.
+    The identity term is added exactly. Every other word is estimated with
+    `shots` samples in one _sampled_means batch, in pauli.terms order, from
+    the generator np.random.default_rng(seed) builds. Returns sum c_w mean_w
+    and its standard error sqrt(sum (c_w err_w)^2), where err_w =
+    sqrt((1 - mean_w^2) / (shots - 1)) is the ddof=1 standard deviation of
+    word w's +-1 outcomes over sqrt(shots), so a single word gives its
+    scaled mean and standard error. Coefficients must be real. `seed` is
+    anything default_rng accepts; the result is deterministic for a fixed
+    seed, and its cost and memory do not grow with shots.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    if len(pauli.terms) != 1:
-        raise ValueError("estimate_pauli needs a single Pauli string, not a sum")
-    [(word, coeff)] = pauli.terms.items()
-    if abs(np.imag(coeff)) > 1e-12:
-        raise ValueError("Pauli string coefficient must be real")
     state = np.asarray(state, dtype=complex)
-    if state.shape[0] != 1 << len(word):
-        raise ValueError(f"{len(word)}-qubit word on a dimension-{state.shape[0]} state")
-    if not isinstance(seed, np.random.bit_generator.ISeedSequence):
-        seed = np.random.SeedSequence(seed)
-    masks = np.array([_word_masks(word)], dtype=np.int64)
-    mean = float(_sampled_means(state, masks, shots, [seed])[0])
-    stderr = float(np.sqrt((1.0 - mean * mean) / (shots - 1))) if shots > 1 else 0.0
-    scale = float(np.real(coeff))
-    return scale * mean, abs(scale) * stderr
+    n = pauli.qubit_count
+    if state.shape[0] != 1 << n:
+        raise ValueError(f"{n}-qubit operator on a dimension-{state.shape[0]} state")
+    coeffs = np.array(list(pauli.terms.values()), dtype=complex)
+    if np.abs(coeffs.imag).max(initial=0.0) > 1e-12:
+        raise ValueError("Pauli string coefficients must be real")
+    masks = np.array([_word_masks(word) for word in pauli.terms], dtype=np.int64).reshape(-1, 3)
+    measured = masks[:, :2].any(axis=1)
+    means = np.ones(len(masks))
+    means[measured] = _sampled_means(state, masks[measured], shots, seed)
+    errs = np.sqrt((1.0 - means * means) / (shots - 1)) if shots > 1 else np.zeros(len(means))
+    return float(np.sum(coeffs.real * means)), float(np.sqrt(np.sum((coeffs.real * errs) ** 2)))

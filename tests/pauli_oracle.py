@@ -14,18 +14,25 @@ Each basis element costs a 4^M matrix and two 8^M products, so keep M small.
 pauli_basis is the symbolic expansion basis the one-permutation form
 replaced: each fermionic product normal-ordered and mapped by
 letter_jordan_wigner to 4 or 16 Pauli words, each qubit element one word,
-duplicates found by their rendered text. loop_apply, loop_apply_right and
-loop_subspace act with those Pauli forms one word and one element at a
-time. Where every word sum is exact (qubit elements, fermionic order 1)
+duplicates found by their rendered text. loop_apply_right and
+loop_subspace act with those Pauli forms through apply_pauli, one word and
+one element at a time. Where every word sum is exact (qubit elements, fermionic order 1)
 the package's single gather per element must match them bit for bit, and
 to rounding elsewhere.
 
-letter_pauli_action reads the bit masks from a (words, n) array of letters,
-and apply_estimate_pauli takes <P> as the full P @ state by apply_pauli: the
-forms the mask cache and the one-word gather replaced, which must agree
-with them exactly. uniform_estimate_pauli counts the +1 outcomes of shots
-uniform draws, the estimator the one binomial draw per word replaced; the
-two follow the same law but draw different numbers.
+pauli_action gives every word of an operator as the signed permutation
+(src, phase) of operators._signed_permutation, and apply_pauli adds the
+words of one operator to a vector or matrix one at a time: the package's
+per-word route before its expectations became Walsh-Hadamard transforms.
+letter_pauli_action reads the bit masks from a (words, n) array of letters
+instead of the mask cache, and must agree with pauli_action exactly.
+apply_paulis takes each <P> of a batch of _word_masks rows as the full
+P @ state by apply_pauli, and apply_estimate_pauli draws from it: the
+per-word route rdm._exact_paulis must match to rounding, and whose draws
+the package's must match bit for bit given the same <P>.
+uniform_estimate_pauli counts the +1 outcomes of shots uniform draws, the
+estimator the one binomial draw per word replaced; the two follow the same
+law but draw different numbers.
 """
 
 from itertools import combinations, product
@@ -34,7 +41,7 @@ import numpy as np
 
 from fermion_oracle import normal_order
 from vcsqse.operators import (DENSE_QUBIT_LIMIT, PRUNE_TOL, FermionOperator,
-                              PauliOperator, apply_pauli, pauli_action)
+                              PauliOperator, _signed_permutation, _word_masks)
 
 # (a, b) -> (phase, a*b) for single-qubit Pauli letters.
 _PAULI_MUL = {
@@ -166,15 +173,32 @@ def dense_subspace(ops, h, rho, symmetry_ops=None):
     return block(h), block(np.eye(h.shape[0])), sym
 
 
-def loop_apply(action, arr):
-    """P @ arr along axis 0, adding one word of pauli_action(P) at a time."""
+def pauli_action(op: PauliOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Signed-permutation form of every word of op: arrays src and phase.
+
+    Both have shape (words, 2^n), in op.terms order. Word w with
+    coefficient c sends v to phase[w] * v[src[w]], where src[w, j] = j ^ x
+    and phase[w, j] = c * i^#Y * (-1)^popcount(src[w, j] & z).
+    """
+    n = op.qubit_count
+    if n > DENSE_QUBIT_LIMIT:
+        raise ValueError(f"qubit_count {n} exceeds dense limit {DENSE_QUBIT_LIMIT}")
+    masks = np.array([_word_masks(word) for word in op.terms], dtype=np.int64)
+    coeffs = np.array(list(op.terms.values()), dtype=complex)[:, None]
+    return _signed_permutation(*masks.reshape(-1, 3).T[:, :, None], coeffs, n)
+
+
+def apply_pauli(action, arr):
+    """P @ arr for P given as pauli_action(P), along axis 0 of a vector or
+    matrix, one word at a time."""
     src, phase = action
-    arr = np.asarray(arr)
-    if arr.ndim == 2:
-        phase = phase[:, :, None]
+    arr = np.asarray(arr, dtype=complex)
+    tail = (1,) * (arr.ndim - 1)
     out = np.zeros(arr.shape, dtype=complex)
     for s, ph in zip(src, phase):
-        out += ph * arr[s]
+        # phase first, as in phase * v[src]: complex products rounded with
+        # fused multiply-adds depend on the operand order
+        out += ph.reshape(ph.shape + tail) * arr[s]
     return out
 
 
@@ -182,7 +206,7 @@ def loop_apply_right(arr, action):
     """arr @ P as the transposed action on arr^T, one word at a time."""
     src, phase = action
     moved = np.take_along_axis(phase, src, axis=1)
-    return loop_apply((src, moved), np.asarray(arr).T).T
+    return apply_pauli((src, moved), np.asarray(arr).T).T
 
 
 def loop_subspace(ops, h, rho, symmetry_ops=None):
@@ -197,7 +221,7 @@ def loop_subspace(ops, h, rho, symmetry_ops=None):
     dim = h.shape[0]
     actions = [pauli_action(op) for op in ops]
     if rho.ndim == 1:
-        phi = np.stack([loop_apply(act, rho) for act in actions], axis=1)
+        phi = np.stack([apply_pauli(act, rho) for act in actions], axis=1)
 
         def block(weight):
             mat = phi.conj().T @ (weight @ phi)
@@ -207,7 +231,7 @@ def loop_subspace(ops, h, rho, symmetry_ops=None):
         rows = np.empty((n_b, dim, dim), dtype=complex)
         cols = np.empty_like(rows)
         for b, act in enumerate(actions):
-            rows[b] = loop_apply(act, rho)
+            rows[b] = apply_pauli(act, rho)
         np.conj(rows, out=rows)
 
         def block(weight):
@@ -239,6 +263,24 @@ def letter_pauli_action(op):
     return src, np.where(odd, -c[:, None], c[:, None])
 
 
+def mask_word(x, z, n):
+    """The letters of the n-qubit word with X/Y mask x and Z/Y mask z."""
+    return "".join("IXZY"[(x >> q & 1) | (z >> q & 1) << 1] for q in range(n))
+
+
+def apply_paulis(state, masks):
+    """Exact <P> of every (words, 3) _word_masks row, each as the full
+    P @ state of its letter_pauli_action by apply_pauli."""
+    state = np.asarray(state, dtype=complex)
+    n = state.shape[0].bit_length() - 1
+    out = []
+    for x, z, _ in np.asarray(masks).reshape(-1, 3).tolist():
+        acted = apply_pauli(letter_pauli_action(PauliOperator(n, {mask_word(x, z, n): 1.0})),
+                            state)
+        out.append(np.real(state.conj() @ acted if state.ndim == 1 else np.trace(acted)))
+    return np.array(out, dtype=float)
+
+
 def apply_estimate_pauli(state, pauli, shots, seed):
     """estimate_pauli through apply_pauli and one rng.binomial call."""
     return _estimate(state, pauli, shots,
@@ -253,15 +295,9 @@ def uniform_estimate_pauli(state, pauli, shots, seed):
 
 def _estimate(state, pauli, shots, count_ups):
     """Mean and stderr of shots +-1 outcomes whose +1 count count_ups(p)
-    draws at p = (1 + <P>)/2, <P> taken through apply_pauli."""
+    draws at p = (1 + <P>)/2, <P> taken by apply_paulis."""
     [(word, coeff)] = pauli.terms.items()
-    state = np.asarray(state, dtype=complex)
-    unit = PauliOperator(pauli.qubit_count, {word: 1.0})
-    acted = apply_pauli(letter_pauli_action(unit), state)
-    if state.ndim == 1:
-        exact = float(np.real(state.conj() @ acted))
-    else:
-        exact = float(np.real(np.trace(acted)))
+    exact = float(apply_paulis(state, [_word_masks(word)])[0])
     ups = count_ups(min(max((1.0 + exact) / 2.0, 0.0), 1.0))
     mean = (2 * ups - shots) / shots
     stderr = float(np.sqrt((1.0 - mean * mean) / (shots - 1))) if shots > 1 else 0.0

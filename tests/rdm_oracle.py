@@ -20,11 +20,12 @@ word as it meets it; the package's batched table must equal it array for
 array.
 
 loop_sample_rdms maps every ladder product a_I^ a_J afresh with
-letter_jordan_wigner and estimates its words one estimate_pauli call at a
-time as it meets them, the i-th distinct word from (seed, 1, i), and adds
-each element's terms in a Python loop. The package's sample_rdms must match
-it bit for bit with its cached flat forms, one batched draw over all words
-and one bincount per block part.
+letter_jordan_wigner, collects the distinct words in order of first
+appearance, takes their <P> by pauli_oracle.apply_paulis, draws all their
++1 counts with one default_rng((seed, 1)) binomial call and adds each
+element's terms in a Python loop. Given the same <P> array, the package's
+sample_rdms must match it bit for bit with its cached flat forms and one
+bincount per block part.
 """
 
 from itertools import combinations, permutations
@@ -33,11 +34,11 @@ from math import comb, factorial
 import numpy as np
 
 from fermion_oracle import adjoint, commutator, mul, normal_order
-from pauli_oracle import letter_jordan_wigner
+from pauli_oracle import apply_paulis, letter_jordan_wigner
 from vcsqse.molecule import hamiltonian_from_tensors
-from vcsqse.operators import FermionOperator, PauliOperator, _word_masks
+from vcsqse.operators import FermionOperator, _word_masks
 from vcsqse.qse import _overlap_lr, _symmetrized, operator_to_tensors
-from vcsqse.rdm import RdmSet, cumulants_from_rdms, estimate_pauli, reconstruct_rdms
+from vcsqse.rdm import RdmSet, cumulants_from_rdms, reconstruct_rdms
 
 
 def _perms_with_parity(k: int):
@@ -241,28 +242,21 @@ def loop_sample_rdms(state, max_k, shots, seed):
     state = np.asarray(state, dtype=complex)
     m = state.shape[0].bit_length() - 1
     identity = "I" * m
-    estimates = {}
+    forms = [[dict(terms) for terms in _ladder_pauli_forms(m, k)] for k in range(1, max_k + 1)]
+    words = list(dict.fromkeys(word for order in forms for terms in order for word in terms
+                               if word != identity))
+    p = np.clip((1.0 + apply_paulis(state, [_word_masks(w) for w in words])) / 2.0, 0.0, 1.0)
+    ups = np.random.default_rng((seed, 1)).binomial(shots, p)
+    estimates = {identity: 1.0, **dict(zip(words, (2 * ups - shots) / shots))}
     blocks = []
-    for k in range(1, max_k + 1):
-        combos = list(combinations(range(m), k))
-        vals = np.zeros((comb(m, k),) * 2, dtype=complex)
-        for a, upper in enumerate(combos):
-            for b, lower in enumerate(combos):
-                seq = (tuple((i, True) for i in upper)
-                       + tuple((j, False) for j in reversed(lower)))
-                pauli_form = letter_jordan_wigner(FermionOperator(m, {seq: 1.0}))
-                total = 0.0 + 0.0j
-                for word, coeff in pauli_form.terms.items():
-                    if word == identity:
-                        total += coeff
-                        continue
-                    if word not in estimates:
-                        estimates[word] = estimate_pauli(
-                            state, PauliOperator(m, {word: 1.0}), shots,
-                            (seed, 1, len(estimates)))[0]
-                    total += coeff * estimates[word]
-                vals[a, b] = total / factorial(k)
-        blocks.append(vals)
+    for k, order in enumerate(forms, start=1):
+        vals = np.zeros(comb(m, k) ** 2, dtype=complex)
+        for pair, terms in enumerate(order):
+            total = 0.0 + 0.0j
+            for word, coeff in terms.items():
+                total += coeff * estimates[word]
+            vals[pair] = total / factorial(k)
+        blocks.append(vals.reshape(comb(m, k), comb(m, k)))
     return blocks
 
 

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 from kraus_oracle import kron_lift
+from pauli_oracle import apply_pauli, pauli_action
 from vcsqse.channels import (ChannelSpec, apply_channel, lift_to_register,
                              single_qubit_channel)
 from vcsqse.config import load_config
 from vcsqse.experiments import run_experiment
 from vcsqse.molecule import spin_orbital_tensors
-from vcsqse.operators import (FermionOperator, PauliOperator, apply_pauli,
-                              fermion_to_dense, pauli_action, symmetry_operator)
+from vcsqse.operators import (FermionOperator, PauliOperator, fermion_to_dense,
+                              symmetry_operator)
 from vcsqse.qse import (approximate_lr, build_lr_from_rdms, build_subspace_direct,
                         fermionic_basis, project_symmetry, qubit_basis,
                         solve_subspace, subspace_expectation)

@@ -5,7 +5,8 @@ import pytest
 
 from fcidump_writer import render_fcidump
 from vcsqse.molecule import (FcidumpError, MolecularIntegrals, assemble_hamiltonian,
-                             load_sweep, parse_fcidump, spin_orbital_tensors)
+                             hamiltonian_from_tensors, load_sweep, parse_fcidump,
+                             spin_orbital_tensors)
 from vcsqse.operators import fermion_to_dense
 
 HEADER = "&FCI NORB=2,NELEC=2,MS2=0,\n&END\n"
@@ -114,6 +115,13 @@ class TestAssembly:
         assert np.abs(dense - oracle).max() < 1e-12
         w = np.linalg.eigvalsh(dense)
         assert abs(min(w) - min(0.0, eps, 2 * eps + u)) < 1e-12
+
+    def test_non_finite_tensor_entry_raises(self):
+        """One NaN in h1 fails instead of vanishing from the Hamiltonian."""
+        h1 = np.zeros((2, 2))
+        h1[0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            hamiltonian_from_tensors(h1, np.zeros((2,) * 4))
 
     def test_core_only(self):
         ints = MolecularIntegrals(norb=1, nelec=0, ms2=0, core_energy=0.37,

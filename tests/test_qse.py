@@ -6,13 +6,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rdm_oracle
-from pauli_oracle import dense_subspace, kron_dense, loop_subspace, pauli_basis
+from pauli_oracle import (apply_pauli, dense_subspace, kron_dense, loop_subspace, pauli_action,
+                          pauli_basis)
 from rdm_oracle import zc_h_sub
 from vcsqse import qse, rdm
 from vcsqse.channels import ChannelSpec, lift_to_register, single_qubit_channel
 from vcsqse.molecule import hamiltonian_from_tensors, spin_orbital_tensors
-from vcsqse.operators import (FermionOperator, PauliOperator, apply_pauli,
-                              fermion_to_dense, pauli_action, symmetry_operator)
+from vcsqse.operators import (FermionOperator, PauliOperator, fermion_to_dense,
+                              symmetry_operator)
 from vcsqse.qse import (SUBSPACE_BYTE_LIMIT, ExpansionBasis, approximate_lr,
                         build_lr_from_rdms, build_subspace_direct, fermionic_basis,
                         operator_to_tensors, project_symmetry, qubit_basis,

@@ -8,17 +8,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdm_oracle
-from pauli_oracle import (apply_estimate_pauli, kron_dense, letter_pauli_action,
+from pauli_oracle import (apply_estimate_pauli, apply_paulis, kron_dense,
+                          letter_pauli_action, mask_word, pauli_action,
                           uniform_estimate_pauli)
-from vcsqse import experiments, rdm
+from vcsqse import rdm
+from vcsqse.config import ExperimentConfig
+from vcsqse.experiments import single_point
 from vcsqse.molecule import assemble_hamiltonian, spin_orbital_tensors
 from vcsqse.operators import (FermionOperator, PauliOperator, _signed_permutation,
-                              _word_masks, fermion_to_dense, jordan_wigner,
-                              pauli_action)
+                              _word_masks, fermion_to_dense, jordan_wigner)
 from vcsqse.rdm import (RDM_MODE_LIMIT, compute_rdms, contract_energy, cumulants_from_rdms,
                         estimate_pauli, reconstruct_rdms, sample_rdms, wedge)
 
@@ -331,15 +333,60 @@ class TestEstimatePauli:
             est, _ = estimate_pauli(state, p, shots, seed=case)
             assert abs(est - exact) <= 5.0 / np.sqrt(shots)
 
-    def test_rejects_sums_and_bad_shots(self):
+    def test_rejects_complex_coefficients_and_bad_shots(self):
         state = np.array([1.0, 0.0])
-        p = PauliOperator(1, {"X": 1.0, "Z": 1.0})
-        with pytest.raises(ValueError, match="single"):
+        p = PauliOperator(1, {"X": 1.0, "Z": 1j})
+        with pytest.raises(ValueError, match="real"):
             estimate_pauli(state, p, 10, 0)
         with pytest.raises(ValueError, match="shots"):
             estimate_pauli(state, PauliOperator(1, {"Z": 1.0}), 0, 0)
         with pytest.raises(ValueError, match="dimension"):
             estimate_pauli(np.full(8, 8 ** -0.5), PauliOperator(2, {"ZZ": 1.0}), 10, 0)
+
+    def test_sum_is_one_batch_of_its_words(self, monkeypatch):
+        """A sum's non-identity words draw in one batch, in term order; the
+        identity adds its coefficient exactly; the result is sum c_w mean_w
+        with stderr sqrt(sum (c_w err_w)^2), within 5 of them of <H>."""
+        state = random_state(np.random.default_rng(32), 3)
+        terms = {"XYZ": 0.5, "III": -1.25, "ZIZ": -2.0, "IXI": 0.75}
+        op = PauliOperator(3, terms)
+        batches = []
+        real = rdm._sampled_means
+
+        def spy(state, masks, shots, seed):
+            batches.append((masks.tolist(), seed))
+            return real(state, masks, shots, seed)
+
+        monkeypatch.setattr(rdm, "_sampled_means", spy)
+        est, err = estimate_pauli(state, op, 500, 8)
+        monkeypatch.undo()
+        assert batches == [([list(_word_masks(w)) for w in ("XYZ", "ZIZ", "IXI")], 8)]
+        means = rdm._sampled_means(state, np.array(batches[0][0]), 500, 8)
+        errs = np.sqrt((1.0 - means ** 2) / 499)
+        c = np.array([0.5, -2.0, 0.75])
+        assert est == np.sum([c[0] * means[0], -1.25, c[1] * means[1], c[2] * means[2]])
+        assert err == np.sqrt(np.sum(np.insert(c * errs, 1, 0.0) ** 2))
+        assert estimate_pauli(state, PauliOperator(3, {"III": -1.25}), 500, 8) == (-1.25, 0.0)
+        exact = float(np.real(state.conj() @ kron_dense(op) @ state))
+        est, err = estimate_pauli(state, op, 200_000, 3)
+        assert abs(est - exact) <= 5.0 * err
+
+    def test_sum_transforms_stay_under_the_byte_cap(self):
+        """512 distinct X masks at M = 10 go through chunks of transforms
+        whose working set stays under GATHER_BYTES."""
+        rng = np.random.default_rng(33)
+        state = random_state(rng, 10)
+        xs = rng.permutation(1024)[:512]
+        op = PauliOperator(10, {mask_word(int(x), int(z), 10): 1.0
+                                for x, z in zip(xs, rng.integers(0, 1024, 512))})
+        estimate_pauli(state, op, 100, 0)
+        tracemalloc.start()
+        try:
+            estimate_pauli(state, op, 100, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rdm.GATHER_BYTES + state.nbytes
 
     def test_density_matrix_input(self):
         rng = np.random.default_rng(21)
@@ -418,8 +465,8 @@ class TestEstimatePauli:
             mean, err = route(plus, z, 1, seed)
             assert mean in (-1.0, 1.0) and err == 0.0
 
-    def test_m8_density_matrix_reads_only_the_diagonal(self):
-        """<P> of a 256 x 256 rho gathers one entry per row, not P rho."""
+    def test_m8_density_matrix_reads_only_the_diagonal(self, monkeypatch):
+        """<P> of a 256 x 256 rho transforms one entry per row, not P rho."""
         rng = np.random.default_rng(30)
         vecs = [random_state(rng, 8) for _ in range(2)]
         rho = 0.5 * sum(np.outer(v, v.conj()) for v in vecs)
@@ -432,7 +479,8 @@ class TestEstimatePauli:
         finally:
             tracemalloc.stop()
         assert peak < 128 << 10
-        assert got == apply_estimate_pauli(rho, p, 1000, 0)
+        monkeypatch.setattr(rdm, "_exact_paulis", apply_paulis)
+        assert got == estimate_pauli(rho, p, 1000, 0) == apply_estimate_pauli(rho, p, 1000, 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -441,8 +489,8 @@ class TestEstimatePauli:
        coeff=st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-3))
 def test_estimate_pauli_matches_apply_oracle_bit_for_bit(n, mixed, seed, shots, coeff):
     """Every word at n <= 3, random words above: the cached masks give the
-    letter-array src and phase, and the one-word gather and binomial draw
-    give the apply_pauli estimate, all exactly."""
+    letter-array src and phase, and, given the apply_pauli <P>, the draw
+    gives the apply_pauli estimate, all exactly."""
     rng = np.random.default_rng(seed)
     state = random_state(rng, n)
     if mixed:
@@ -457,11 +505,37 @@ def test_estimate_pauli_matches_apply_oracle_bit_for_bit(n, mixed, seed, shots, 
         got_src, got_phase = _signed_permutation(*_word_masks(word), 1.0, n)
         assert np.array_equal(got_src, src[0]) and np.array_equal(got_phase, phase[0])
         p = PauliOperator(n, {word: coeff})
-        assert (estimate_pauli(state, p, shots, (seed, i))
-                == apply_estimate_pauli(state, p, shots, (seed, i)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rdm, "_exact_paulis", apply_paulis)
+            got = estimate_pauli(state, p, shots, (seed, i))
+        assert got == apply_estimate_pauli(state, p, shots, (seed, i))
     op = PauliOperator(n, {word: coeff * (i + 1) for i, word in enumerate(words)})
     for got, want in zip(pauli_action(op), letter_pauli_action(op)):
         assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 8), mixed=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       pool=st.lists(st.integers(0, 255), min_size=1, max_size=4),
+       picks=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 255)), max_size=12))
+def test_exact_paulis_match_apply_oracle(n, mixed, seed, pool, picks):
+    """One Walsh-Hadamard transform per X mask gives every <P> of a batch
+    within 1e-14 of the full P @ state, on batches with repeated X masks and
+    z = 0 words; a byte cap of one row per chunk gives the same bits."""
+    rng = np.random.default_rng(seed)
+    state = random_state(rng, n)
+    if mixed:
+        other = random_state(rng, n)
+        state = 0.7 * np.outer(state, state.conj()) + 0.3 * np.outer(other, other.conj())
+    low = (1 << n) - 1
+    pairs = [(pool[0], 0), (pool[0], 1)] + [(pool[i % len(pool)], z) for i, z in picks]
+    x, z = (np.array(col, dtype=np.int64) & low for col in zip(*pairs))
+    masks = np.stack([x, z, np.bitwise_count(x & z) % 4], axis=1).astype(np.int64)
+    got = rdm._exact_paulis(state, masks)
+    assert np.abs(got - apply_paulis(state, masks)).max() <= 1e-14
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rdm, "GATHER_BYTES", 1)
+        assert np.array_equal(rdm._exact_paulis(state, masks), got)
 
 
 class TestSampledRdms:
@@ -490,8 +564,9 @@ class TestSampledRdms:
             sample_rdms(np.array([1.0, 0.0]), 1, 0, 0)
 
     def test_word_chunks_do_not_change_the_estimates(self, monkeypatch):
-        """Exact <P> gathered three words at a time gives the same blocks
-        as one gather of all words, for a vector and a density matrix."""
+        """Exact <P> transformed a few X masks at a time gives the same
+        blocks as one chunk of all of them, for a vector and a density
+        matrix."""
         rng = np.random.default_rng(27)
         vec = random_state(rng, 4)
         rho = 0.5 * (np.outer(vec, vec.conj()) + np.eye(16) / 16)
@@ -503,9 +578,11 @@ class TestSampledRdms:
             for a, b in zip(whole.blocks, chunked.blocks):
                 assert np.array_equal(a, b)
 
-    def test_cached_pauli_forms_match_per_pair_loop(self):
-        """The cached ladder-product forms draw every word from the same
-        stream and add the same terms in the same order, bit for bit."""
+    def test_cached_pauli_forms_match_per_pair_loop(self, monkeypatch):
+        """Given the oracle's <P>, the cached ladder-product forms draw every
+        word at the same place of the (seed, 1) stream and add the same
+        terms in the same order, bit for bit."""
+        monkeypatch.setattr(rdm, "_exact_paulis", apply_paulis)
         rng = np.random.default_rng(26)
         for m, max_k in ((3, 3), (4, 4)):
             state = random_state(rng, m)
@@ -517,99 +594,82 @@ class TestSampledRdms:
 
 
 class TestSeedStreams:
-    """Each Pauli word of a seeded run draws from its own stream: energy
-    term i from (seed, 0, i), the i-th distinct RDM word from (seed, 1, i),
-    every batch of keys seeded through rdm._stream_seeds. At one seed no
-    energy term shares a key or a stream with an RDM word, and no key or
-    stream of seed s is one of seed s + 1."""
+    """A sampled report draws from two generators, one batch each: its
+    energy terms from default_rng((seed, 0)) and its RDM words from
+    default_rng((seed, 1)). The streams of seeds s and s + 1 start with
+    pairwise distinct draws."""
 
     @staticmethod
     def keys(monkeypatch, call):
-        """The PCG64 state of every (seed, stream, i) key call() seeds, all
-        keys distinct."""
+        """The seed of every generator call() builds, in order."""
         keys = []
-        real = rdm._stream_seeds
+        real = np.random.default_rng
 
-        def spy(seed, stream, index):
-            states = real(seed, stream, index)
-            keys.extend(((seed, stream, int(i)), tuple(state))
-                        for i, state in zip(index, states))
-            return states
+        def spy(seed):
+            keys.append(seed)
+            return real(seed)
 
-        monkeypatch.setattr(rdm, "_stream_seeds", spy)
+        monkeypatch.setattr(np.random, "default_rng", spy)
         call()
         monkeypatch.undo()
-        assert len(dict(keys)) == len(keys) > 1
-        return dict(keys)
+        return keys
 
     @staticmethod
-    def assert_disjoint(a, b):
-        assert not a.keys() & b.keys()
-        streams = [{tuple(np.random.Generator(np.random.PCG64(
-                        rdm._seed_type()(np.array(state, dtype=np.uint64)))).random(4))
-                    for state in keys.values()} for keys in (a, b)]
-        assert len(streams[0]) == len(a) and len(streams[1]) == len(b)
-        assert not streams[0] & streams[1]
+    def assert_disjoint(keys):
+        first = {tuple(np.random.default_rng(key).random(4)) for key in keys}
+        assert len(first) == len(keys) == len(set(keys))
 
     @pytest.fixture
-    def runs(self, monkeypatch, sto3g_ints):
-        h_pauli = jordan_wigner(assemble_hamiltonian(sto3g_ints))
+    def runs(self, monkeypatch, sto3g_path):
         psi = random_state(np.random.default_rng(25), 4)
 
         def run(kind, seed):
-            if kind == "energy":
-                return self.keys(monkeypatch, lambda: experiments._sampled_energy(
-                    h_pauli, psi, 10, seed))
+            if kind == "report":
+                cfg = ExperimentConfig(experiment="single-point", fcidump=str(sto3g_path),
+                                       metric_cutoff=0.05, shots=(10, seed),
+                                       sampled_rdms=True)
+                return self.keys(monkeypatch, lambda: single_point(cfg))
             return self.keys(monkeypatch, lambda: sample_rdms(psi, 4, 10, seed))
         return run
 
     def test_sample_rdms_adjacent_seeds_are_disjoint(self, runs):
-        self.assert_disjoint(runs("rdm", 5), runs("rdm", 6))
+        assert runs("rdm", 5) == [(5, 1)] and runs("rdm", 6) == [(6, 1)]
+        self.assert_disjoint([(5, 1), (6, 1)])
 
     def test_sampled_energy_adjacent_seeds_are_disjoint(self, runs):
-        self.assert_disjoint(runs("energy", 5), runs("energy", 6))
+        assert runs("report", 5)[0] == (5, 0) and runs("report", 6)[0] == (6, 0)
+        self.assert_disjoint([(5, 0), (6, 0)])
 
     def test_energy_and_rdm_words_never_share_a_stream(self, runs):
-        self.assert_disjoint(runs("energy", 5), runs("rdm", 5))
-        self.assert_disjoint(runs("energy", 5) | runs("rdm", 5),
-                             runs("energy", 6) | runs("rdm", 6))
+        keys = runs("report", 5) + runs("report", 6)
+        assert keys == [(5, 0), (5, 1), (6, 0), (6, 1)]
+        self.assert_disjoint(keys)
 
-    def test_energy_skips_the_identity_key(self, runs, sto3g_ints):
-        terms = sorted(jordan_wigner(assemble_hamiltonian(sto3g_ints)).terms)
-        assert terms[0] == "IIII"
-        assert sorted(runs("energy", 5)) == [(5, 0, i) for i in range(1, len(terms))]
+    def test_energy_skips_the_identity_key(self, monkeypatch, sto3g_path, sto3g_ints):
+        """The identity term takes no place in the energy batch: the report
+        draws once per other Jordan-Wigner term, in term order."""
+        batches = []
+        real = rdm._sampled_means
 
+        def spy(state, masks, shots, seed):
+            batches.append((masks[:, :2].tolist(), seed))
+            return real(state, masks, shots, seed)
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 7]),
-                      st.integers(0, 2**200)),
-       stream=st.sampled_from([0, 1]),
-       index=st.one_of(st.lists(st.integers(0, 2**32 - 1), max_size=8, unique=True),
-                       st.integers(1, 40).map(lambda n: list(range(1, n)))))
-@example(seed=2**64, stream=0, index=[1, 2, 3, 5, 2**32 - 1])
-def test_stream_seeds_match_seed_sequence(seed, stream, index):
-    """The vectorized hash gives numpy's SeedSequence state for every key, and
-    a stream seed builds the generator default_rng builds from the key."""
-    got = rdm._stream_seeds(seed, stream, index)
-    want = [np.random.SeedSequence((seed, stream, i)).generate_state(4, np.uint64)
-            for i in index]
-    assert got.dtype == np.uint64 and got.shape == (len(index), 4)
-    assert np.array_equal(got, np.reshape(want, (-1, 4)))
-    for i, s in list(zip(index, rdm._streams(seed, stream, index)))[:2]:
-        assert np.array_equal(np.random.Generator(np.random.PCG64(s)).random(3),
-                              np.random.default_rng((seed, stream, i)).random(3))
+        monkeypatch.setattr(rdm, "_sampled_means", spy)
+        single_point(ExperimentConfig(experiment="single-point", fcidump=str(sto3g_path),
+                                      shots=(10, 5)))
+        h_pauli = jordan_wigner(assemble_hamiltonian(sto3g_ints))
+        words = [w for w in h_pauli.terms if set(w) != {"I"}]
+        assert len(words) == len(h_pauli.terms) - 1
+        assert batches == [([list(_word_masks(w)[:2]) for w in words], (5, 0))]
 
 
 def test_stream_seeds_reject_negative_seeds():
+    state = random_state(np.random.default_rng(31), 2)
     with pytest.raises(ValueError, match="non-negative"):
-        rdm._stream_seeds(-1, 0, [0])
-
-
-def test_estimate_pauli_takes_a_stream_seed():
-    state = random_state(np.random.default_rng(31), 3)
-    p = PauliOperator(3, {"XYZ": 0.5})
-    seed = rdm._streams(7, 0, [4])[0]
-    assert estimate_pauli(state, p, 999, seed) == estimate_pauli(state, p, 999, (7, 0, 4))
+        sample_rdms(state, 1, 10, -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        estimate_pauli(state, PauliOperator(2, {"XZ": 1.0}), 10, (-1, 0))
 
 
 def test_import_leaves_numpy_random_unloaded():

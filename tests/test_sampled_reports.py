@@ -2,8 +2,9 @@
 
 Each case is one single-point config on a shipped fixture, named by a path
 relative to the repository root so that the report reads the same in any
-checkout. The sampled lines depend on every seeded (seed, word) stream, so
-these files pin the measurement pathway's numbers. Reports are compared
+checkout. The sampled lines depend on the seeded energy and RDM streams and
+on each word's place in its batch, so these files pin the measurement
+pathway's numbers. Reports are compared
 token by token like the demos (test_demos.token_mismatch).
 
 Regenerate every file from the repository root with
