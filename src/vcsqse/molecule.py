@@ -165,30 +165,22 @@ def spin_orbital_tensors(ints: MolecularIntegrals):
 
 
 def hamiltonian_from_tensors(h1, h2, core: float = 0.0) -> FermionOperator:
-    """Second-quantized operator for spin-orbital tensors (h1, h2, core)."""
+    """Second-quantized operator for spin-orbital tensors (h1, h2, core): core,
+    then a_p^ a_q and a_p^ a_q^ a_r a_s (p != q, r != s) in row-major order,
+    each term kept when its coefficient reaches PRUNE_TOL."""
     if not (np.isfinite(core) and np.isfinite(h1).all() and np.isfinite(h2).all()):
         raise ValueError("non-finite integral in (h1, h2, core)")
     m = h1.shape[0]
-    op = FermionOperator(m)
-    if abs(core) >= PRUNE_TOL:
-        op.terms[()] = complex(core)
-    for p in range(m):
-        for q in range(m):
-            if abs(h1[p, q]) >= PRUNE_TOL:
-                op.terms[((p, True), (q, False))] = complex(h1[p, q])
-    for p in range(m):
-        for q in range(m):
-            if p == q:
-                continue
-            for r in range(m):
-                for s in range(m):
-                    if r == s:
-                        continue
-                    v = h2[p, q, r, s]
-                    if abs(v) >= PRUNE_TOL:
-                        seq = ((p, True), (q, True), (r, False), (s, False))
-                        op.terms[seq] = op.terms.get(seq, 0.0) + 0.5 * v
-    return op._prune()
+    op = FermionOperator(m, {(): core})
+    pq = np.nonzero(np.abs(h1) >= PRUNE_TOL)
+    for p, q, c in zip(*(i.tolist() for i in pq), h1[pq].tolist()):
+        op.terms[((p, True), (q, False))] = complex(c)
+    half = 0.5 * h2
+    distinct = np.arange(m)[:, None] != np.arange(m)
+    pqrs = np.nonzero((np.abs(half) >= PRUNE_TOL) & distinct[:, :, None, None] & distinct)
+    for p, q, r, s, c in zip(*(i.tolist() for i in pqrs), half[pqrs].tolist()):
+        op.terms[((p, True), (q, True), (r, False), (s, False))] = c
+    return op
 
 
 def assemble_hamiltonian(ints: MolecularIntegrals) -> FermionOperator:

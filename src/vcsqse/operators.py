@@ -1,7 +1,7 @@
 """Fermionic and Pauli-string operators as term dictionaries, with a
 Jordan-Wigner bridge. Nothing here multiplies operators symbolically: the
 package writes its fermionic operators in normal order, and only
-_ladder_action and _ladder_words, on _ladder_slots arrays, evaluate ladder products.
+_ladder_masks and _ladder_words, on _ladder_slots arrays, evaluate ladder products.
 
 Conventions used throughout the package:
 
@@ -23,10 +23,11 @@ Conventions used throughout the package:
 * Ladder action: a product of ladder operators sends each occupation state
   to at most one state, with sign +-1, so it is one masked signed
   permutation, (E v)[j] = weight[j] * v[j ^ x] with weight in {0, +-1}.
-  _ladder_action computes that pair for a batch of ladder sequences by the
-  occupation-bit rules alone; fermion_to_dense, the expansion bases of qse
-  and the pure-state RDMs of rdm all sit on it, independent of the
-  Jordan-Wigner route.
+  _ladder_masks writes it in closed form, by the occupation-bit rules alone
+  and independent of the Jordan-Wigner route, as a few bit masks per
+  sequence. _ladder_action evaluates them on all 2^M states for the
+  expansion bases of qse and the pure-state RDMs of rdm; fermion_to_dense
+  visits only the entries each term reaches.
 """
 
 import math
@@ -38,9 +39,11 @@ import numpy as np
 PRUNE_TOL = 1e-14
 
 DENSE_QUBIT_LIMIT = 12
-# Ladder-action entries (terms x 2^M) per chunk of fermion_to_dense, about
-# 5 MiB of temporaries: 1024 terms at M = 8, so every molecular Hamiltonian
-# up to M = 8 (at most 833 spin-conserving terms) is built in one chunk.
+# Ladder-action entries (terms x 2^M) per chunk of fermion_to_dense: its
+# alive test takes a 2 MiB int64 table and a 256 KiB mask, then ~64 bytes of
+# index and value arrays per alive entry (12% of them for an M = 8
+# Hamiltonian). 1024 terms at M = 8, so every molecular Hamiltonian up to
+# M = 8 (at most 833 spin-conserving terms) is built in one chunk.
 DENSE_CHUNK_ENTRIES = 1 << 18
 
 # i^k for k mod 4, and a ladder's X, annihilator Y and creator Y factors
@@ -272,49 +275,53 @@ def _signed_permutation(x, z, y_pow, c, n: int):
 def _ladder_slots(seqs) -> np.ndarray:
     """(sequences, longest, 3) int64 array of (mode, dagger, used) per slot,
     used 1 where the slot holds a ladder operator and 0 in the padding."""
-    ladder = np.zeros((len(seqs), max(map(len, seqs), default=0), 3), dtype=np.int64)
-    for t, seq in enumerate(seqs):
-        for pos, (mode, dagger) in enumerate(seq):
-            ladder[t, pos] = mode, dagger, 1
-    return ladder
+    longest = max(map(len, seqs), default=0)
+    flat = []
+    for seq in seqs:
+        for mode, dagger in seq:
+            flat += mode, dagger, 1
+        flat += [0, 0, 0] * (longest - len(seq))
+    return np.array(flat, dtype=np.int64).reshape(len(seqs), longest, 3)
+
+
+def _ladder_masks(seqs):
+    """Closed form of each ladder sequence of seqs: int64 arrays (x, fixed,
+    value, parity, sign), one entry per sequence. The sequence sends input
+    state j_in to j_in ^ x iff (j_in & fixed) == value, times
+    (-1)^(popcount(j_in & parity) + sign); value is -1 if two slots ask one
+    mode for different bits. Acting right to left, slot k sees j_in with the
+    modes F_k of the slots to its right flipped: a_p^dag needs mode p empty,
+    a_p occupied, each picking up (-1)^(number of occupied modes below p).
+    """
+    mode, dagger, used = np.moveaxis(_ladder_slots(seqs), 2, 0)
+    bit = used << mode
+    below = bit - used  # modes below each slot's mode, 0 in the padding
+    right = np.bitwise_xor.accumulate(bit[:, ::-1], axis=1)[:, ::-1] ^ bit  # F_k
+    need = (dagger ^ 1 ^ (right >> mode)) & used  # the bit of j_in the slot needs
+    ones, zeros = (np.bitwise_or.reduce(b << mode, axis=1, initial=0) for b in (need, used - need))
+    return (np.bitwise_xor.reduce(bit, axis=1, initial=0), ones | zeros,
+            np.where(ones & zeros, -1, ones), np.bitwise_xor.reduce(below, axis=1, initial=0),
+            np.bitwise_count(right & below).sum(axis=1, dtype=np.int64))
 
 
 def _ladder_action(seqs, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Masked signed permutation of every ladder sequence in seqs, on m modes.
-
-    src and weight have shape (len(seqs), 2^m): sequence t sends v to
-    weight[t] * v[src[t]], where src[t, j] = j ^ x_t, x_t holds the modes the
-    sequence flips an odd number of times, and weight[t, j] in {0, +-1} is
-    indexed by the output state j. The operators act right to left on the
-    input state j ^ x_t, a_p^dag needing mode p empty and a_p occupied, each
-    picking up (-1)^(number of occupied modes below p); shorter sequences are
-    padded with no-op slots.
-    """
-    ladder = _ladder_slots(seqs)
-    x = np.bitwise_xor.reduce(ladder[:, :, 2] << ladder[:, :, 0], axis=1, initial=0)
-    state = np.arange(1 << m) ^ x[:, None]
-    odd = np.zeros(state.shape, dtype=np.uint8)
-    alive = np.ones(state.shape, dtype=bool)
-    for pos in reversed(range(ladder.shape[1])):
-        mode, dagger, used = (ladder[:, pos, k, None] for k in range(3))
-        alive &= (((state >> mode) & 1) != dagger) | (used == 0)
-        odd ^= np.bitwise_count(state & ((1 << mode) - 1)) & used.astype(np.uint8)
-        state ^= used << mode
-    # the loop leaves each state at its output j, so x turns it back into src
-    state ^= x[:, None]
-    weight = np.where(odd & 1, -1.0, 1.0)
-    weight[~alive] = 0.0
-    return state, weight
+    """Masked signed permutation of every ladder sequence in seqs, on m modes,
+    as (len(seqs), 2^m) arrays: sequence t sends v to weight[t] * v[src[t]],
+    src[t, j] = j ^ x_t, and weight[t, j] in {0, +-1} is the _ladder_masks
+    closed form at the input state src[t, j]."""
+    x, fixed, value, parity, sign = (a[:, None] for a in _ladder_masks(seqs))
+    src = np.arange(1 << m) ^ x
+    weight = np.where((np.bitwise_count(src & parity) + sign) & 1, -1.0, 1.0)
+    weight[(src & fixed) != value] = 0.0
+    return src, weight
 
 
 def fermion_to_dense(op: FermionOperator) -> np.ndarray:
-    """Dense matrix by direct ladder-operator action on occupation states.
-
-    Independent of the Jordan-Wigner route but uses the same phase
-    convention: a_p picks up (-1)^(number of occupied modes below p). Every
-    term is one _ladder_action permutation, and contributions are added in
-    term order, DENSE_CHUNK_ENTRIES / 2^M terms at a time.
-    """
+    """Dense matrix by direct ladder-operator action on occupation states,
+    independent of the Jordan-Wigner route but with its phase convention.
+    Each chunk of DENSE_CHUNK_ENTRIES / 2^M terms adds the signed
+    coefficients of its alive (term, input state) _ladder_masks entries with
+    one np.add.at, in term order, so each entry sums its terms in order."""
     m = op.mode_count
     if m > DENSE_QUBIT_LIMIT:
         raise ValueError(f"mode_count {m} exceeds dense limit {DENSE_QUBIT_LIMIT}")
@@ -323,11 +330,12 @@ def fermion_to_dense(op: FermionOperator) -> np.ndarray:
     out = np.zeros((1 << m, 1 << m), dtype=complex)
     step = max(1, DENSE_CHUNK_ENTRIES >> m)
     for lo in range(0, len(seqs), step):
-        src, weight = _ladder_action(seqs[lo:lo + step], m)
-        term, row = np.nonzero(weight)
-        col, sign = src[term, row], weight[term, row]
-        del src, weight
-        np.add.at(out, (row, col), coeffs[lo + term] * sign)
+        x, fixed, value, parity, sign = _ladder_masks(seqs[lo:lo + step])
+        alive = np.flatnonzero((np.arange(1 << m) & fixed[:, None]) == value[:, None])
+        term, col = alive >> m, alive & ((1 << m) - 1)
+        odd = (np.bitwise_count(col & parity[term]) + sign[term]) & 1
+        np.add.at(out.reshape(-1), (col ^ x[term]) << m | col,
+                  coeffs[lo + term] * np.where(odd, -1.0, 1.0))
     return out
 
 

@@ -7,13 +7,15 @@ combine operators term by term without ordering them. These are the
 textbook forms the package's closed-form S^2 and the ZC/LR contractions
 must reproduce, and they build the symbolic expansion basis of
 pauli_oracle. The package itself only stores and evaluates terms.
+loop_hamiltonian is molecule.hamiltonian_from_tensors as a loop over every
+index, which fixes the Hamiltonian's term order.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from vcsqse.operators import FermionOperator
+from vcsqse.operators import PRUNE_TOL, FermionOperator
 
 
 def _operator(mode_count: int, terms: dict) -> FermionOperator:
@@ -125,3 +127,31 @@ def s_squared(mode_count: int) -> FermionOperator:
     sz = FermionOperator(mode_count, {
         ((p, True), (p, False)): 0.5 if p % 2 == 0 else -0.5 for p in range(mode_count)})
     return normal_order(add(add(mul(adjoint(s_plus), s_plus), mul(sz, sz)), sz))
+
+
+def loop_hamiltonian(h1, h2, core: float = 0.0) -> FermionOperator:
+    """core, then a_p^ a_q for every (p, q) and a_p^ a_q^ a_r a_s for every
+    (p, q, r, s) with p != q and r != s in row-major order, each whose
+    integral reaches PRUNE_TOL; the two-body coefficients are halved and
+    pruned again."""
+    m = h1.shape[0]
+    op = FermionOperator(m)
+    if abs(core) >= PRUNE_TOL:
+        op.terms[()] = complex(core)
+    for p in range(m):
+        for q in range(m):
+            if abs(h1[p, q]) >= PRUNE_TOL:
+                op.terms[((p, True), (q, False))] = complex(h1[p, q])
+    for p in range(m):
+        for q in range(m):
+            if p == q:
+                continue
+            for r in range(m):
+                for s in range(m):
+                    if r == s:
+                        continue
+                    v = h2[p, q, r, s]
+                    if abs(v) >= PRUNE_TOL:
+                        seq = ((p, True), (q, True), (r, False), (s, False))
+                        op.terms[seq] = op.terms.get(seq, 0.0) + 0.5 * v
+    return op._prune()

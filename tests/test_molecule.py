@@ -1,13 +1,15 @@
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from fcidump_writer import render_fcidump
+from fermion_oracle import loop_hamiltonian
 from vcsqse.molecule import (FcidumpError, MolecularIntegrals, assemble_hamiltonian,
                              hamiltonian_from_tensors, load_sweep, parse_fcidump,
                              spin_orbital_tensors)
-from vcsqse.operators import fermion_to_dense
+from vcsqse.operators import PRUNE_TOL, fermion_to_dense
 
 HEADER = "&FCI NORB=2,NELEC=2,MS2=0,\n&END\n"
 
@@ -171,6 +173,45 @@ class TestAssembly:
         w1 = np.linalg.eigvalsh(d1[np.ix_(idx, idx)])
         w2 = np.linalg.eigvalsh(d2[np.ix_(idx, idx)])
         assert np.abs(w1 - w2).max() < 1e-10
+
+
+def random_integrals(seed, norb=4):
+    """Random 8-fold-symmetric integrals with one orbit of (PS|QR) at
+    1.5 PRUNE_TOL, which halves to below PRUNE_TOL."""
+    rng = np.random.default_rng(seed)
+    one = rng.normal(size=(norb, norb))
+    two = rng.normal(size=(norb,) * 4)
+    for perm in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
+        two = two + two.transpose(perm)
+    for a, b, c, d in ((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
+                       (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0)):
+        two[a, b, c, d] = 1.5 * PRUNE_TOL
+    return MolecularIntegrals(norb=norb, nelec=norb, ms2=0, core_energy=rng.normal(),
+                              one_body=one + one.T, two_body=two)
+
+
+def term_bits(op):
+    """Terms in order, each with the bytes of its coefficient's two parts."""
+    return [(seq, struct.pack("dd", complex(c).real, complex(c).imag))
+            for seq, c in op.terms.items()]
+
+
+class TestTermOrder:
+    def test_fixture_hamiltonians_match_loop_oracle(self, sweep_points, sto3g_ints):
+        for ints in [pt.integrals for pt in sweep_points] + [sto3g_ints]:
+            tensors = spin_orbital_tensors(ints)
+            assert term_bits(hamiltonian_from_tensors(*tensors)) == term_bits(
+                loop_hamiltonian(*tensors))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_norb4_hamiltonian_matches_loop_oracle(self, seed):
+        h1, h2, core = spin_orbital_tensors(random_integrals(seed))
+        op = hamiltonian_from_tensors(h1, h2, core)
+        assert op.mode_count == 8 and len(op.terms) > 800
+        assert term_bits(op) == term_bits(loop_hamiltonian(h1, h2, core))
+        # h2[0, 4, 6, 2] = (01|23) reaches PRUNE_TOL but its half does not
+        assert h2[0, 4, 6, 2] == 1.5 * PRUNE_TOL
+        assert ((0, True), (4, True), (6, False), (2, False)) not in op.terms
 
 
 class TestRoundTrip:

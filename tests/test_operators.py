@@ -1,10 +1,11 @@
 import struct
 import tracemalloc
 from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermion_oracle import add, adjoint, commutator, mul, normal_order, rank, s_squared
@@ -416,6 +417,47 @@ def fermion_operators(draw):
 def test_jordan_wigner_matches_letter_oracle(op):
     """The mask product gives the letter table's words, order and coefficient bits."""
     assert coefficient_bits(jordan_wigner(op)) == coefficient_bits(letter_jordan_wigner(op))
+
+
+@st.composite
+def chunked_operators(draw):
+    """Random operators on M <= 8 modes, with a chunk of fewer terms than
+    the operator has whenever it has more than one."""
+    m = draw(st.integers(1, 8))
+    ladders = st.tuples(st.integers(0, m - 1), st.booleans())
+    seqs = st.lists(ladders, max_size=6).map(tuple)
+    op = FermionOperator(m, draw(st.dictionaries(seqs, complex_coeffs, min_size=1,
+                                                 max_size=6)))
+    return op, draw(st.integers(1, max(1, len(op.terms) - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=chunked_operators())
+@example(case=(FermionOperator(4, {(): 1.5, parse_ladder("3^ 3^"): 1.0,
+                                   parse_ladder("1 1^ 1"): 2.0 - 1.0j,
+                                   parse_ladder("2^ 2 2^"): -0.5j,
+                                   parse_ladder("0^ 3 1^ 2 3^ 0"): 0.25}), 2))
+@example(case=(FermionOperator(8, {parse_ladder("7^ 0 4 4^ 0^ 6"): 1.0 + 1.0j,
+                                   parse_ladder("5 2^"): -3.0}), 1))
+def test_closed_form_ladder_action_matches_loop_oracle(case):
+    """_ladder_action's (src, weight) per sequence, and fermion_to_dense in one
+    chunk and with a chunk edge inside the terms, equal the per-state loop."""
+    op, chunk = case
+    m = op.mode_count
+    states = np.arange(1 << m)
+    src, weight = operators._ladder_action(tuple(op.terms), m)
+    for t, seq in enumerate(op.terms):
+        loop = ladder_loop_dense(FermionOperator(m, {seq: 1.0}))
+        x = 0
+        for mode, _ in seq:
+            x ^= 1 << mode
+        assert np.array_equal(src[t], states ^ x)
+        assert np.array_equal(loop[states, src[t]], weight[t])
+        assert np.count_nonzero(loop) == np.count_nonzero(weight[t])
+    want = ladder_loop_dense(op).tobytes()
+    assert fermion_to_dense(op).tobytes() == want
+    with mock.patch.object(operators, "DENSE_CHUNK_ENTRIES", chunk << m):
+        assert fermion_to_dense(op).tobytes() == want
 
 
 class TestJordanWignerOracle:
