@@ -1,7 +1,7 @@
 """Fermionic and Pauli-string operators as term dictionaries, with a
 Jordan-Wigner bridge. Nothing here multiplies operators symbolically: the
-package writes its fermionic operators in normal order, and only
-_ladder_masks and _ladder_words, on _ladder_slots arrays, evaluate ladder products.
+package writes its fermionic operators in normal order, and one kernel,
+_ladder_masks on _ladder_slots arrays, evaluates ladder products.
 
 Conventions used throughout the package:
 
@@ -10,8 +10,9 @@ Conventions used throughout the package:
 * Occupation encoding: basis index b has mode i occupied iff bit i of b is
   set, so qubit 0 is the least significant bit and qubit |1> means occupied.
 * Jordan-Wigner: a_p^dag -> (prod_{m<p} Z_m) (X_p - i Y_p)/2, which sends
-  the creation operator to |1><0| on qubit p. _ladder_words expands a batch
-  of ladder sequences on bit masks, for jordan_wigner and rdm._rdm_words.
+  the creation operator to |1><0| on qubit p. _ladder_words reads the words
+  of a batch of ladder sequences off their _ladder_masks closed form, for
+  jordan_wigner and rdm._rdm_words.
 * Pauli action: every Pauli word is a signed permutation. With x the bit
   mask of its X/Y letters and z that of its Z/Y letters, the word is
   W(x, z) = i^|x&z| X^x Z^z and
@@ -23,11 +24,10 @@ Conventions used throughout the package:
 * Ladder action: a product of ladder operators sends each occupation state
   to at most one state, with sign +-1, so it is one masked signed
   permutation, (E v)[j] = weight[j] * v[j ^ x] with weight in {0, +-1}.
-  _ladder_masks writes it in closed form, by the occupation-bit rules alone
-  and independent of the Jordan-Wigner route, as a few bit masks per
-  sequence. _ladder_action evaluates them on all 2^M states for the
-  expansion bases of qse and the pure-state RDMs of rdm; fermion_to_dense
-  visits only the entries each term reaches.
+  _ladder_masks writes it in closed form, by the occupation-bit rules
+  alone, as a few bit masks per sequence. _ladder_action evaluates them on
+  all 2^M states for the expansion bases of qse and the pure-state RDMs of
+  rdm; fermion_to_dense visits only the entries each term reaches.
 """
 
 import math
@@ -46,9 +46,8 @@ DENSE_QUBIT_LIMIT = 12
 # M = 8 (at most 833 spin-conserving terms) is built in one chunk.
 DENSE_CHUNK_ENTRIES = 1 << 18
 
-# i^k for k mod 4, and a ladder's X, annihilator Y and creator Y factors
+# i^k for k mod 4
 _I_POW = np.array([1, 1j, -1, -1j])
-_JW_FACTOR = np.array([0.5, 0.5j, -0.5j])
 
 
 def _format_coeff(c: complex) -> str:
@@ -181,59 +180,40 @@ def _pauli_sort_key(word):
     return tuple((q, ch) for q, ch in enumerate(word) if ch != "I")
 
 
-def _word_product(x1, z1, x2, z2):
-    """W(x1, z1) W(x2, z2) = i^k W(x, z) for words W(x, z) = i^|x&z| X^x Z^z:
-    returns (x, z, k mod 4), on ints or arrays of masks."""
-    x, z = x1 ^ x2, z1 ^ z2
-    count = np.bitwise_count
-    k = count(x1 & z1).astype(np.int64) + count(x2 & z2) + 2 * count(z1 & x2) - count(x & z)
-    return x, z, k % 4
-
-
 def _ladder_words(ladder: np.ndarray, coeffs: np.ndarray):
     """Jordan-Wigner words of coeffs[t] times ladder sequence t, for every t at once.
 
-    ladder is a _ladder_slots array and coeffs a complex array. Returns flat
-    arrays (term, x, z, coefficient), each term's words in product order: at
-    every slot, each word of a term with a ladder there becomes its X child,
-    then its Y child, coefficient (c * f) * i^k with f = 1/2 or -+i/2 and k
-    from _word_product; equal words of a term are summed from 0.0 where they
-    first appear, as a dict sum does, and entries below PRUNE_TOL dropped.
-    Two words of a term can only meet at a mode the term touched before, so
-    only those slots search for equal words.
+    ladder is a _ladder_slots array and coeffs a complex array. By its
+    _ladder_masks, sequence t is X^x (-1)^sign Z^parity times the projector
+    prod_{q in fixed} (I + (-1)^value_q Z_q) / 2, so c times it is the sum,
+    over every subset s of fixed, of W(x, z = parity ^ s) with coefficient
+    c 2^-|fixed| i^(2 sign + 2|value & s| - |x & z|). Returns flat arrays
+    (term, x, z, coefficient), each term's words in the order of the product
+    of its Jordan-Wigner ladders taken one at a time: s counting up, each
+    mode's bit at the last slot that holds it, slot 0 most significant. A
+    zero sequence (value -1), or one whose words fall below PRUNE_TOL, gives
+    no words.
     """
-    mode, dagger, used = np.moveaxis(ladder, 2, 0)
-    # slots whose mode the term's ladders at earlier slots touched
-    repeat = ((mode[:, :, None] == mode[:, None, :]) & (used[:, :, None] * used[:, None, :] == 1)
-              & np.tri(ladder.shape[1], k=-1, dtype=bool)).any(axis=2)
-    term = np.flatnonzero(np.abs(coeffs) >= PRUNE_TOL)
-    x = z = np.zeros(len(term), dtype=np.int64)
-    c = coeffs[term]
+    x, fixed, value, parity, sign = _ladder_masks(ladder)
+    mode, _, used = np.moveaxis(ladder, 2, 0)
+    earlier = np.tri(ladder.shape[1], k=-1, dtype=bool)
+    same = (mode[:, :, None] == mode[:, None, :]) & (used[:, :, None] * used[:, None, :] == 1)
+    repeat, last = (same & earlier).any(axis=2), used * ~(same & earlier.T).any(axis=2)
+    # 2^-|fixed| as that product reaches it, so subnormal parts round alike:
+    # halved at each ladder, doubled where two words merge at a repeated mode
+    scaled = coeffs
     for pos in range(ladder.shape[1]):
-        here = used[term, pos]
-        # two words of a term that differ only in z on this slot's mode, where
-        # the term has been before, have crossed children: X of one is Y of the other
-        zkey = z | 1 << mode[term, pos]
-        pick = np.flatnonzero(repeat[term, pos])
-        pick = pick[np.lexsort((zkey[pick], x[pick], term[pick]))]
-        a, b = pick[:-1], pick[1:]
-        meet = (term[a] == term[b]) & (x[a] == x[b]) & (zkey[a] == zkey[b])
-        start = np.cumsum(1 + here) - 1 - here  # index of each word's X child
-        parent = np.repeat(np.arange(len(term)), 1 + here)
-        is_y = np.arange(len(parent)) - start[parent]
-        first = np.arange(len(parent))  # index of the child each child adds to
-        first[start[b[meet]]], first[start[b[meet]] + 1] = start[a[meet]] + 1, start[a[meet]]
-        term, c = term[parent], c[parent]
-        bit = used[term, pos] << mode[term, pos]
-        x, z, k = _word_product(x[parent], z[parent], bit,
-                                (1 << mode[term, pos]) - 1 | is_y * bit)
-        c = np.where(used[term, pos] == 1,
-                     c * _JW_FACTOR[is_y * (1 + dagger[term, pos])] * _I_POW[k], c)
-        c = np.stack([np.bincount(first, part, len(first)) for part in (c.real, c.imag)],
-                     axis=1).view(complex)[:, 0]
-        keep = np.flatnonzero((first == np.arange(len(first))) & (np.abs(c) >= PRUNE_TOL))
-        term, x, z, c = term[keep], x[keep], z[keep], c[keep]
-    return term, x, z, c
+        scaled = np.where(used[:, pos] == 1, scaled * 0.5, scaled)
+        scaled = np.where(repeat[:, pos], scaled * 2, scaled)
+    term = np.flatnonzero((value >= 0) & (np.abs(scaled) >= PRUNE_TOL))
+    s = np.zeros(len(term), dtype=np.int64)
+    for pos in range(ladder.shape[1]):  # at a mode's last slot, bit 0 then bit 1
+        parent = np.repeat(np.arange(len(term)), 1 + last[term, pos])
+        second = np.diff(parent, prepend=-1) == 0
+        term, s = term[parent], s[parent] | second << mode[term[parent], pos]
+    x, z = x[term], parity[term] ^ s
+    k = 2 * sign[term] + 2 * np.bitwise_count(value[term] & s) - np.bitwise_count(x & z)
+    return term, x, z, scaled[term] * _I_POW[k % 4]
 
 
 def jordan_wigner(op: FermionOperator) -> PauliOperator:
@@ -284,16 +264,16 @@ def _ladder_slots(seqs) -> np.ndarray:
     return np.array(flat, dtype=np.int64).reshape(len(seqs), longest, 3)
 
 
-def _ladder_masks(seqs):
-    """Closed form of each ladder sequence of seqs: int64 arrays (x, fixed,
-    value, parity, sign), one entry per sequence. The sequence sends input
-    state j_in to j_in ^ x iff (j_in & fixed) == value, times
-    (-1)^(popcount(j_in & parity) + sign); value is -1 if two slots ask one
-    mode for different bits. Acting right to left, slot k sees j_in with the
+def _ladder_masks(ladder: np.ndarray):
+    """Closed form of each ladder sequence of a _ladder_slots array: int64
+    arrays (x, fixed, value, parity, sign), one entry per sequence. The
+    sequence sends input state j_in to j_in ^ x iff (j_in & fixed) == value,
+    times (-1)^(popcount(j_in & parity) + sign); value is -1 if two slots ask
+    one mode for different bits. Acting right to left, slot k sees j_in with the
     modes F_k of the slots to its right flipped: a_p^dag needs mode p empty,
     a_p occupied, each picking up (-1)^(number of occupied modes below p).
     """
-    mode, dagger, used = np.moveaxis(_ladder_slots(seqs), 2, 0)
+    mode, dagger, used = np.moveaxis(ladder, 2, 0)
     bit = used << mode
     below = bit - used  # modes below each slot's mode, 0 in the padding
     right = np.bitwise_xor.accumulate(bit[:, ::-1], axis=1)[:, ::-1] ^ bit  # F_k
@@ -309,7 +289,7 @@ def _ladder_action(seqs, m: int) -> tuple[np.ndarray, np.ndarray]:
     as (len(seqs), 2^m) arrays: sequence t sends v to weight[t] * v[src[t]],
     src[t, j] = j ^ x_t, and weight[t, j] in {0, +-1} is the _ladder_masks
     closed form at the input state src[t, j]."""
-    x, fixed, value, parity, sign = (a[:, None] for a in _ladder_masks(seqs))
+    x, fixed, value, parity, sign = (a[:, None] for a in _ladder_masks(_ladder_slots(seqs)))
     src = np.arange(1 << m) ^ x
     weight = np.where((np.bitwise_count(src & parity) + sign) & 1, -1.0, 1.0)
     weight[(src & fixed) != value] = 0.0
@@ -318,19 +298,19 @@ def _ladder_action(seqs, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def fermion_to_dense(op: FermionOperator) -> np.ndarray:
     """Dense matrix by direct ladder-operator action on occupation states,
-    independent of the Jordan-Wigner route but with its phase convention.
+    in the Jordan-Wigner phase convention.
     Each chunk of DENSE_CHUNK_ENTRIES / 2^M terms adds the signed
     coefficients of its alive (term, input state) _ladder_masks entries with
     one np.add.at, in term order, so each entry sums its terms in order."""
     m = op.mode_count
     if m > DENSE_QUBIT_LIMIT:
         raise ValueError(f"mode_count {m} exceeds dense limit {DENSE_QUBIT_LIMIT}")
-    seqs = tuple(op.terms)
+    ladder = _ladder_slots(tuple(op.terms))
     coeffs = np.array(list(op.terms.values()), dtype=complex)
     out = np.zeros((1 << m, 1 << m), dtype=complex)
     step = max(1, DENSE_CHUNK_ENTRIES >> m)
-    for lo in range(0, len(seqs), step):
-        x, fixed, value, parity, sign = _ladder_masks(seqs[lo:lo + step])
+    for lo in range(0, len(ladder), step):
+        x, fixed, value, parity, sign = _ladder_masks(ladder[lo:lo + step])
         alive = np.flatnonzero((np.arange(1 << m) & fixed[:, None]) == value[:, None])
         term, col = alive >> m, alive & ((1 << m) - 1)
         odd = (np.bitwise_count(col & parity[term]) + sign[term]) & 1

@@ -210,27 +210,37 @@ def _pure_blocks(psi: np.ndarray, m: int, max_k: int) -> list:
     return blocks
 
 
+def _checked_state(state) -> tuple[np.ndarray, int]:
+    """state as a complex array and its mode count, after checking that it is
+    a normalized vector or a square trace-one matrix of power-of-two size."""
+    state = np.asarray(state, dtype=complex)
+    dim = state.shape[0]
+    m = dim.bit_length() - 1
+    if dim != 1 << m:
+        raise ValueError(f"state dimension {dim} is not a power of two")
+    if state.ndim == 1:
+        if abs(np.linalg.norm(state) - 1.0) > 1e-10:
+            raise ValueError("state vector is not normalized")
+    elif state.shape != (dim, dim):
+        raise ValueError("state must be a vector or a square matrix")
+    elif abs(np.trace(state) - 1.0) > 1e-10:
+        raise ValueError("density matrix is not trace-one")
+    return state, m
+
+
 def compute_rdms(state: np.ndarray, max_k: int) -> RdmSet:
     """Extract 1..max_k RDMs from a pure state vector or a density matrix.
 
     Mixed states are eigendecomposed and handled as weighted pure states.
     """
-    state = np.asarray(state, dtype=complex)
     if not 1 <= max_k <= 4:
         raise ValueError("max_k must be in 1..4")
-    dim = state.shape[0]
-    m = dim.bit_length() - 1
-    if dim != 1 << m:
-        raise ValueError(f"state dimension {dim} is not a power of two")
+    state, m = _checked_state(state)
     if max_k == 4 and m > RDM_MODE_LIMIT:
         raise ValueError(f"max_k=4 limited to {RDM_MODE_LIMIT} modes, got {m}")
     if state.ndim == 1:
-        if abs(np.linalg.norm(state) - 1.0) > 1e-10:
-            raise ValueError("state vector is not normalized")
         blocks = _pure_blocks(state, m, max_k)
-    elif state.ndim == 2 and state.shape == (dim, dim):
-        if abs(np.trace(state) - 1.0) > 1e-10:
-            raise ValueError("density matrix is not trace-one")
+    else:
         w, v = np.linalg.eigh(0.5 * (state + state.conj().T))
         if w[0] < -1e-10:
             raise ValueError("density matrix is not positive semidefinite")
@@ -241,8 +251,6 @@ def compute_rdms(state: np.ndarray, max_k: int) -> RdmSet:
             if weight > _WEIGHT_TOL:
                 part = _pure_blocks(col, m, max_k)
                 blocks = [acc + weight * t for acc, t in zip(blocks, part)]
-    else:
-        raise ValueError("state must be a vector or a square matrix")
     return RdmSet(mode_count=m, blocks=tuple(blocks))
 
 
@@ -315,13 +323,10 @@ def sample_rdms(state: np.ndarray, max_k: int, shots: int, seed: int) -> RdmSet:
     estimates by one np.bincount each for its real and imaginary parts,
     which adds every element's terms in their Jordan-Wigner order and keeps
     upper/lower Hermiticity exact by construction. Expect per-element noise
-    of a few coefficient sums times 1/sqrt(shots).
+    of a few coefficient sums times 1/sqrt(shots). The state must pass the
+    checks of compute_rdms: a normalized vector or a trace-one matrix.
     """
-    state = np.asarray(state, dtype=complex)
-    dim = state.shape[0]
-    m = dim.bit_length() - 1
-    if dim != 1 << m:
-        raise ValueError(f"state dimension {dim} is not a power of two")
+    state, m = _checked_state(state)
     if not 1 <= max_k <= 4:
         raise ValueError("max_k must be in 1..4")
     if m > RDM_MODE_LIMIT:
@@ -345,7 +350,8 @@ def sample_rdms(state: np.ndarray, max_k: int, shots: int, seed: int) -> RdmSet:
 def _rdm_words(m: int, max_k: int):
     """Jordan-Wigner terms of every a_I^ a_J, |I| = |J| <= max_k, as flat arrays.
 
-    The ladder products of one order go through one _ladder_words call.
+    The ladder products of one order go through one _ladder_words call,
+    which reads their words off the _ladder_masks closed form.
     Returns, per order k, the arrays (pair, word, coefficient) of every
     term, each pair's terms in jordan_wigner's order: pair the row-major
     index of (I, J) in the packed block, word the index of the term's Pauli
@@ -451,13 +457,14 @@ def estimate_pauli(state: np.ndarray, pauli: PauliOperator, shots: int,
     word w's +-1 outcomes over sqrt(shots), so a single word gives its
     scaled mean and standard error. Coefficients must be real. `seed` is
     anything default_rng accepts; the result is deterministic for a fixed
-    seed, and its cost and memory do not grow with shots.
+    seed, and its cost and memory do not grow with shots. The state is a
+    normalized vector or a trace-one matrix, checked as compute_rdms does.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    state = np.asarray(state, dtype=complex)
+    state, m = _checked_state(state)
     n = pauli.qubit_count
-    if state.shape[0] != 1 << n:
+    if m != n:
         raise ValueError(f"{n}-qubit operator on a dimension-{state.shape[0]} state")
     coeffs = np.array(list(pauli.terms.values()), dtype=complex)
     if np.abs(coeffs.imag).max(initial=0.0) > 1e-12:

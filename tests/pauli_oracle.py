@@ -2,8 +2,9 @@
 
 letter_jordan_wigner maps a fermionic operator to Pauli words by
 multiplying letter strings through the 16-entry single-qubit product table,
-ladder operator by ladder operator: the form the package's bit-mask product
-replaced, which must match it word for word and bit for bit.
+ladder operator by ladder operator: the package reads the words off each
+sequence's closed-form ladder masks instead, and must match it word for
+word and bit for bit.
 
 kron_dense builds a Pauli sum as a Kronecker chain of 2x2 matrices per
 word, and dense_subspace assembles Tr[E_a^ W E_b rho] from those dense basis

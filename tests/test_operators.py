@@ -13,9 +13,9 @@ from pauli_oracle import (apply_pauli, kron_dense, letter_jordan_wigner, letter_
                           loop_apply_right, pauli_action)
 from vcsqse import operators
 from vcsqse.molecule import assemble_hamiltonian
-from vcsqse.operators import (_I_POW, FermionOperator, PauliOperator, _word_masks,
-                              _word_product, dense_symmetry, fermion_to_dense,
-                              jordan_wigner, parse_ladder, symmetry_operator)
+from vcsqse.operators import (FermionOperator, PauliOperator, dense_symmetry,
+                              fermion_to_dense, jordan_wigner, parse_ladder,
+                              symmetry_operator)
 from vcsqse.vcs import _penalized
 
 
@@ -238,16 +238,14 @@ class TestPauliOperator:
         assert np.abs(dense - np.diag(occupations)).max() < 1e-14
 
     def test_products_match_dense(self):
-        """The mask product of two words, its phase and word as the letter table's."""
+        """The letter table's product of two words, phase and word, is the
+        product of their Kronecker matrices."""
         rng = np.random.default_rng(7)
         letters = "IXYZ"
         for _ in range(30):
             w1 = "".join(rng.choice(list(letters)) for _ in range(3))
             w2 = "".join(rng.choice(list(letters)) for _ in range(3))
-            x, z, k = _word_product(*_word_masks(w1)[:2], *_word_masks(w2)[:2])
-            c = complex(_I_POW[k])
-            word = "".join("IXZY"[(x >> q & 1) | (z >> q & 1) << 1] for q in range(3))
-            assert (c, word) == letter_product(w1, w2)
+            c, word = letter_product(w1, w2)
             product = pauli_dense(PauliOperator(3, {word: c}))
             assert np.abs(product - kron_dense(PauliOperator(3, {w1: 1.0}))
                           @ kron_dense(PauliOperator(3, {w2: 1.0}))).max() < 1e-13
@@ -404,9 +402,9 @@ def coefficient_bits(op):
 
 
 @st.composite
-def fermion_operators(draw):
-    """Random operators on M <= 6 modes: any ladder order, modes repeated."""
-    m = draw(st.integers(1, 6))
+def fermion_operators(draw, max_modes=6):
+    """Random operators on M <= max_modes modes: any ladder order, modes repeated."""
+    m = draw(st.integers(1, max_modes))
     ladders = st.tuples(st.integers(0, m - 1), st.booleans())
     seqs = st.lists(ladders, max_size=6).map(tuple)
     return FermionOperator(m, draw(st.dictionaries(seqs, complex_coeffs, max_size=6)))
@@ -414,9 +412,19 @@ def fermion_operators(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(op=fermion_operators())
+@example(op=FermionOperator(8, {parse_ladder("4^ 0 4 6^"): 1.0 - 0.5j}))
 def test_jordan_wigner_matches_letter_oracle(op):
-    """The mask product gives the letter table's words, order and coefficient bits."""
+    """The closed-form words give the letter table's words, order and coefficient bits."""
     assert coefficient_bits(jordan_wigner(op)) == coefficient_bits(letter_jordan_wigner(op))
+
+
+@settings(max_examples=100, deadline=None)
+@given(op=fermion_operators(max_modes=5))
+def test_letter_jordan_wigner_matches_ladder_loop(op):
+    """Jordan-Wigner against direct ladder action through two test-only
+    routes, as jordan_wigner and fermion_to_dense share _ladder_masks: the
+    letter-table words as Kronecker chains, and the per-state ladder loop."""
+    assert np.abs(kron_dense(letter_jordan_wigner(op)) - ladder_loop_dense(op)).max() <= 1e-12
 
 
 @st.composite

@@ -664,6 +664,27 @@ class TestSeedStreams:
         assert batches == [([list(_word_masks(w)[:2]) for w in words], (5, 0))]
 
 
+BAD_STATES = {
+    "vector_norm_2": (np.array([2.0, 0.0, 0.0, 0.0]), "not normalized"),
+    "matrix_trace_2": (np.diag([2.0, 0.0, 0.0, 0.0]), "not trace-one"),
+    "non_square": (np.full((4, 2), 0.5), "square matrix"),
+    "dimension_3": (np.full(3, 3 ** -0.5), "not a power of two"),
+}
+ENTRY_POINTS = {
+    "compute_rdms": lambda state: compute_rdms(state, 2),
+    "sample_rdms": lambda state: sample_rdms(state, 2, 10, 0),
+    "estimate_pauli": lambda state: estimate_pauli(state, PauliOperator(2, {"ZZ": 1.0}), 10, 0),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+@pytest.mark.parametrize("state, message", BAD_STATES.values(), ids=BAD_STATES)
+def test_entry_points_reject_invalid_states(entry, state, message):
+    """Exact and sampled routes share one check of the state they are given."""
+    with pytest.raises(ValueError, match=message):
+        entry(state)
+
+
 def test_stream_seeds_reject_negative_seeds():
     state = random_state(np.random.default_rng(31), 2)
     with pytest.raises(ValueError, match="non-negative"):
