@@ -14,9 +14,15 @@ apply_channel uses S for rho -> sum K rho K^dag, and
 vcs.transform_hamiltonian uses S^dag, the transfer matrix of the adjoint
 set, for H -> sum K^dag H K.
 
-S holds d^4 complex entries, 64 GiB for a one-factor 8-qubit set (d = 256).
-The constructor refuses a set whose transfer matrix would exceed
+S holds d^4 entries, 64 GiB as complex128 for a one-factor 8-qubit set
+(d = 256). The constructor refuses a set whose transfer matrix would exceed
 TRANSFER_BYTE_LIMIT before it allocates anything.
+
+S is stored as float64 when the summed K (x) conj(K) has exactly zero
+imaginary part, as for all three shipped channels (Y (x) conj(Y) is real),
+and as complex128 otherwise. apply_channel and vcs.transform_hamiltonian
+promote their input to np.result_type(x, float), so a real state or
+Hamiltonian under a real S stays float64 and complex data stays complex.
 
 Single-qubit channels are parameterized by the dimensionless ratios
 tp_over_t1 and tp_over_t2 (state-preparation time over decay and coherence
@@ -37,9 +43,13 @@ from math import exp, isqrt, sqrt
 
 import numpy as np
 
+from .linalg import _promoted
+
 COMPLETENESS_TOL = 1e-12
-# Bound on a channel's transfer matrix, d^4 complex entries: 64 MiB admits
-# every explicit set on up to 5 qubits (d <= 32); d = 256 would need 64 GiB.
+# Bound on a channel's transfer matrix, d^4 entries charged at the complex
+# itemsize, since S is summed as complex before a real one is narrowed to
+# float64: 64 MiB admits every explicit set on up to 5 qubits (d <= 32);
+# d = 256 would need 64 GiB.
 TRANSFER_BYTE_LIMIT = 1 << 26
 
 _I2 = np.eye(2, dtype=complex)
@@ -95,7 +105,8 @@ class KrausChannel:
         self.factors = factors
         self.dim = dim ** factors
         # row (i, j) and column (k, l) of the factor's index pairs
-        self.transfer = sum(np.kron(k, k.conj()) for k in ops)
+        transfer = sum(np.kron(k, k.conj()) for k in ops)
+        self.transfer = transfer if transfer.imag.any() else transfer.real.copy()
 
     def __repr__(self):
         return (f"KrausChannel({self.label or 'unnamed'}, dim={self.dim}, "
@@ -188,7 +199,7 @@ def _check_density(rho):
 
 def apply_channel(ch: KrausChannel, rho: np.ndarray, check: bool = True) -> np.ndarray:
     """rho -> sum_i K_i rho K_i^dag."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = _promoted(rho)
     if rho.shape != (ch.dim, ch.dim):
         raise ValueError(f"state dim {rho.shape} does not match channel dim {ch.dim}")
     if check:

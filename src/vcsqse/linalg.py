@@ -3,6 +3,12 @@
 The generalized solver uses canonical orthogonalization so that singular
 overlap matrices (linearly dependent expansion vectors) are handled by
 discarding null directions of the metric rather than failing.
+
+Dtype follows the data: inputs are promoted to np.result_type(a, float), so
+a real symmetric matrix is solved by real LAPACK and gives float64
+eigenvectors, and only complex data is solved as complex128. The package's
+dense operators are real wherever their coefficients are (see operators and
+channels), which makes the molecular pipeline real end to end.
 """
 
 from dataclasses import dataclass
@@ -29,8 +35,14 @@ class Spectrum:
     retained_dim: int
 
 
+def _promoted(a) -> np.ndarray:
+    """a as float64 if its data is real (or integer) and complex128 if complex."""
+    a = np.asarray(a)
+    return a.astype(np.result_type(a, float), copy=False)
+
+
 def _as_square(a) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
+    a = _promoted(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):

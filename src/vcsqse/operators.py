@@ -28,6 +28,10 @@ Conventions used throughout the package:
   alone, as a few bit masks per sequence. _ladder_action evaluates them on
   all 2^M states for the expansion bases of qse and the pure-state RDMs of
   rdm; fermion_to_dense visits only the entries each term reaches.
+* Dense dtype: fermion_to_dense, and with it dense_symmetry, returns float64
+  when every coefficient's imaginary part is exactly zero (a molecular
+  Hamiltonian in real orbitals, every symmetry operator) and complex128
+  otherwise. The ladder action itself is real, so nothing is lost.
 """
 
 import math
@@ -301,13 +305,17 @@ def fermion_to_dense(op: FermionOperator) -> np.ndarray:
     in the Jordan-Wigner phase convention.
     Each chunk of DENSE_CHUNK_ENTRIES / 2^M terms adds the signed
     coefficients of its alive (term, input state) _ladder_masks entries with
-    one np.add.at, in term order, so each entry sums its terms in order."""
+    one np.add.at, in term order, so each entry sums its terms in order.
+    The matrix is float64 if no coefficient has an imaginary part, else
+    complex128."""
     m = op.mode_count
     if m > DENSE_QUBIT_LIMIT:
         raise ValueError(f"mode_count {m} exceeds dense limit {DENSE_QUBIT_LIMIT}")
     ladder = _ladder_slots(tuple(op.terms))
     coeffs = np.array(list(op.terms.values()), dtype=complex)
-    out = np.zeros((1 << m, 1 << m), dtype=complex)
+    if not coeffs.imag.any():
+        coeffs = coeffs.real
+    out = np.zeros((1 << m, 1 << m), dtype=coeffs.dtype)
     step = max(1, DENSE_CHUNK_ENTRIES >> m)
     for lo in range(0, len(ladder), step):
         x, fixed, value, parity, sign = _ladder_masks(ladder[lo:lo + step])
@@ -351,7 +359,8 @@ def symmetry_operator(kind: str, mode_count: int) -> FermionOperator:
 
 @lru_cache(maxsize=None)
 def dense_symmetry(kind: str, mode_count: int) -> np.ndarray:
-    """Read-only dense matrix of symmetry_operator(kind, mode_count).
+    """Read-only dense matrix of symmetry_operator(kind, mode_count), float64
+    since every coefficient is real.
 
     Built once per (kind, mode_count) and shared by every caller.
     """

@@ -18,6 +18,13 @@ Pauli word by operators._signed_permutation. A build is then one gather
 per block for all elements at once: E_b psi, E_b rho as a row gather of
 rho, and W E_b as a column gather of W, each column j reading column
 src[b, j], since src is an involution.
+
+The direct build's dtype follows its data: np.result_type of H, the
+reference, the basis weights, the symmetry operators and float. A fermionic
+basis has float64 weights, so a real H around a real state or density
+matrix builds float64 blocks and solves them with real LAPACK; a qubit basis
+(i^#Y phases) or any complex input builds complex128. The RDM and
+linear-response routes stay complex.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +33,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .linalg import Spectrum, generalized_eigensolve
+from .linalg import Spectrum, _promoted, generalized_eigensolve
 from .operators import (DENSE_QUBIT_LIMIT, FermionOperator, _ladder_action,
                         _signed_permutation, _word_masks, ladder_text)
 from .rdm import (RdmSet, _disconnected, _split_contract, cumulants_from_rdms,
@@ -39,8 +46,9 @@ FERMIONIC_MODE_LIMIT = 8
 # Bound on every array build_subspace_direct holds: the basis's src and
 # weight, for a density matrix the weights moved to the entries the right
 # action reads, and the two action stacks, E_b rho and W E_b (n_b * 2^M * 2^M
-# complex each for a density matrix, E_b psi and W E_b psi, n_b * 2^M each,
-# for a state vector).
+# entries each for a density matrix, E_b psi and W E_b psi, n_b * 2^M each,
+# for a state vector), charged at the itemsize of the build's dtype: 8 bytes
+# for a real build, 16 for a complex one.
 SUBSPACE_BYTE_LIMIT = 1 << 30
 
 
@@ -160,9 +168,11 @@ def build_subspace_direct(basis: ExpansionBasis, h: np.ndarray, rho: np.ndarray,
     density matrix gives h[a,b] = sum_ij conj(E_a rho)_ij (W E_b)_ij, with
     E_a rho = weight[a] * rho[src[a]] a row gather of rho and W E_b a column
     gather of W, column j being weight[b, src[b, j]] * W[:, src[b, j]].
+    Every block has dtype np.result_type(h, rho, weight, symmetry ops, float).
     """
-    h = np.asarray(h, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
+    ops = {name: np.asarray(op) for name, op in (symmetry_ops or {}).items()}
+    h, rho = np.asarray(h), np.asarray(rho)
+    dtype = np.result_type(h, rho, basis.weight, *ops.values(), float)
     dim = h.shape[0]
     if rho.shape not in ((dim,), (dim, dim)):
         raise ValueError("H and rho dimensions differ")
@@ -171,11 +181,14 @@ def build_subspace_direct(basis: ExpansionBasis, h: np.ndarray, rho: np.ndarray,
         raise ValueError("basis operator dimension does not match H")
     n_b = len(basis)
     weights = 1 if rho.ndim == 1 else 2
-    need = (2 * n_b * rho.size * np.dtype(complex).itemsize + src.nbytes
+    need = (2 * n_b * rho.size * dtype.itemsize + src.nbytes
             + weights * weight.nbytes)
     if need > SUBSPACE_BYTE_LIMIT:
         raise ValueError(f"subspace build needs {need} bytes for {n_b} basis "
                          f"elements, above the limit of {SUBSPACE_BYTE_LIMIT}")
+    # inputs take the build's dtype before any gather, so each stack is
+    # gathered in that dtype and never copied to it
+    h, rho = h.astype(dtype, copy=False), rho.astype(dtype, copy=False)
     if rho.ndim == 1:
         phi = np.ascontiguousarray((weight * rho[src]).T)
 
@@ -193,11 +206,9 @@ def build_subspace_direct(basis: ExpansionBasis, h: np.ndarray, rho: np.ndarray,
             cols = op[columns]
             np.multiply(moved, cols, out=cols)
             return _symmetrized(rows.reshape(n_b, -1) @ cols.reshape(n_b, -1).T)
-        s_sub = block(np.eye(dim, dtype=complex))
+        s_sub = block(np.eye(dim, dtype=dtype))
     h_sub = block(h)
-    sym = {}
-    for name, op in (symmetry_ops or {}).items():
-        sym[name] = block(np.asarray(op, dtype=complex))
+    sym = {name: block(op.astype(dtype, copy=False)) for name, op in ops.items()}
     return SubspaceProblem(basis=basis, h_sub=h_sub, s_sub=s_sub, symmetry_subs=sym)
 
 
@@ -338,7 +349,7 @@ def solve_subspace(prob: SubspaceProblem,
 def subspace_expectation(prob: SubspaceProblem, name: str, vec: np.ndarray) -> float:
     """<O> of a subspace vector, normalized by its metric norm."""
     o = prob.symmetry_subs[name]
-    vec = np.asarray(vec, dtype=complex)
+    vec = _promoted(vec)
     norm = np.real(vec.conj() @ prob.s_sub @ vec)
     return float(np.real(vec.conj() @ o @ vec) / norm)
 

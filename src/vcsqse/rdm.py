@@ -31,6 +31,12 @@ from .operators import _I_POW, PauliOperator, _ladder_action, _ladder_words, _wo
 RDM_MODE_LIMIT = 8
 GATHER_BYTES = 2 << 20  # working set of one chunk of _exact_paulis transforms
 _WEIGHT_TOL = 1e-14
+# Tolerance of every state check: norm or trace, Hermiticity, diagonal,
+# semidefiniteness and <P>.
+STATE_TOL = 1e-10
+# Entries per row block of the Hermiticity check, whose temporaries take 40
+# bytes an entry: 80 KiB for a density matrix of any size.
+_CHECK_ENTRIES = 1 << 11
 
 # D_n - C_n as wedge products of lower-order cumulants: (coefficient, orders)
 # per shape of partition of the n index pairs into two or more blocks; the
@@ -210,21 +216,40 @@ def _pure_blocks(psi: np.ndarray, m: int, max_k: int) -> list:
     return blocks
 
 
+def _is_hermitian(mat: np.ndarray) -> bool:
+    """max |mat - mat^dag| <= STATE_TOL, compared one block of rows at a time."""
+    dim = mat.shape[0]
+    step = max(1, _CHECK_ENTRIES // dim)
+    return all(np.abs(mat[lo:lo + step] - mat[:, lo:lo + step].conj().T).max() <= STATE_TOL
+               for lo in range(0, dim, step))
+
+
 def _checked_state(state) -> tuple[np.ndarray, int]:
     """state as a complex array and its mode count, after checking that it is
-    a normalized vector or a square trace-one matrix of power-of-two size."""
+    a normalized vector or a square trace-one matrix of power-of-two size.
+
+    A matrix must also be Hermitian and have no diagonal entry below zero,
+    each within STATE_TOL. Both checks are O(4^M), so a gross error is
+    caught without an eigendecomposition; compute_rdms adds the full
+    semidefinite test, and _sampled_means rejects any <P> outside [-1, 1].
+    """
     state = np.asarray(state, dtype=complex)
     dim = state.shape[0]
     m = dim.bit_length() - 1
     if dim != 1 << m:
         raise ValueError(f"state dimension {dim} is not a power of two")
     if state.ndim == 1:
-        if abs(np.linalg.norm(state) - 1.0) > 1e-10:
+        if abs(np.linalg.norm(state) - 1.0) > STATE_TOL:
             raise ValueError("state vector is not normalized")
     elif state.shape != (dim, dim):
         raise ValueError("state must be a vector or a square matrix")
-    elif abs(np.trace(state) - 1.0) > 1e-10:
+    elif abs(np.trace(state) - 1.0) > STATE_TOL:
         raise ValueError("density matrix is not trace-one")
+    elif not _is_hermitian(state):
+        raise ValueError(f"density matrix is not Hermitian within {STATE_TOL:g}")
+    elif np.diagonal(state).real.min() < -STATE_TOL:
+        raise ValueError("density matrix has a negative diagonal entry, so it is "
+                         "not positive semidefinite")
     return state, m
 
 
@@ -242,7 +267,7 @@ def compute_rdms(state: np.ndarray, max_k: int) -> RdmSet:
         blocks = _pure_blocks(state, m, max_k)
     else:
         w, v = np.linalg.eigh(0.5 * (state + state.conj().T))
-        if w[0] < -1e-10:
+        if w[0] < -STATE_TOL:
             raise ValueError("density matrix is not positive semidefinite")
         if w[-1] <= _WEIGHT_TOL:
             raise ValueError("density matrix has no significant eigenvalues")
@@ -438,9 +463,16 @@ def _sampled_means(state: np.ndarray, masks: np.ndarray, shots: int, seed) -> np
     counting shots Bernoulli samples, at constant cost and memory in shots.
     All words draw in one call, in row order, from the generator
     np.random.default_rng(seed) builds, so a word's draw depends on its
-    place in the batch.
+    place in the batch. An exact <P> outside [-1, 1] by more than STATE_TOL
+    means the state is not positive semidefinite and raises ValueError;
+    within it, the clip absorbs rounding.
     """
-    p = np.clip((1.0 + _exact_paulis(state, masks)) / 2.0, 0.0, 1.0)
+    exact = _exact_paulis(state, masks)
+    worst = np.abs(exact).max(initial=0.0)
+    if worst > 1.0 + STATE_TOL:
+        raise ValueError(f"|<P>| = {worst:.6g} exceeds 1, so the density matrix "
+                         "is not positive semidefinite")
+    p = np.clip((1.0 + exact) / 2.0, 0.0, 1.0)
     ups = np.random.default_rng(seed).binomial(shots, p)
     return (2 * ups - shots) / shots
 

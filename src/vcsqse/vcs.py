@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import KrausChannel, _transfer_sweep, apply_channel
-from .linalg import hermitian_eigensolve
+from .linalg import _promoted, hermitian_eigensolve
 from .operators import dense_symmetry
 
 # Eigenvalues within this distance of the bottom count as one degenerate block.
@@ -41,7 +41,7 @@ def transform_hamiltonian(h: np.ndarray, ch: KrausChannel) -> np.ndarray:
 
     The adjoint set's transfer matrix is S^dag, S that of the channel.
     """
-    h = np.asarray(h, dtype=complex)
+    h = _promoted(h)
     if h.shape != (ch.dim, ch.dim):
         raise ValueError(f"H dim {h.shape} does not match channel dim {ch.dim}")
     return _transfer_sweep(ch.transfer.conj().T, h, ch.factors)
@@ -49,8 +49,8 @@ def transform_hamiltonian(h: np.ndarray, ch: KrausChannel) -> np.ndarray:
 
 def fidelity(rho: np.ndarray, phi: np.ndarray) -> float:
     """<phi| rho |phi> for a density matrix and a unit vector."""
-    rho = np.asarray(rho, dtype=complex)
-    phi = np.asarray(phi, dtype=complex).ravel()
+    rho = _promoted(rho)
+    phi = _promoted(phi).ravel()
     if rho.shape != (phi.size, phi.size):
         raise ValueError("dimension mismatch between rho and phi")
     value = float(np.real(phi.conj() @ rho @ phi))
@@ -60,22 +60,22 @@ def fidelity(rho: np.ndarray, phi: np.ndarray) -> float:
 
 
 def _dense_hamiltonian(h):
-    """h as a complex matrix and its mode count M, None unless dim = 2^M."""
-    h = np.asarray(h, dtype=complex)
+    """h promoted to float64 or complex128 and its mode count M, None unless dim = 2^M."""
+    h = _promoted(h)
     dim = h.shape[0]
     return h, (dim.bit_length() - 1 if dim and not dim & (dim - 1) else None)
 
 
 def _penalized(h_dense, penalties, mode_count):
     """Apply H -> H + sum lambda (O - o)^2 with named dense symmetry operators."""
-    out = np.array(h_dense, dtype=complex)
+    out = h_dense
     for name, target, weight in penalties:
         if weight < 0:
             raise ValueError("penalty weight must be non-negative")
         if mode_count is None:
             raise ValueError("penalty operators need a 2^M-dimensional H")
         shifted = dense_symmetry(name, mode_count) - target * np.eye(out.shape[0])
-        out += weight * (shifted @ shifted)
+        out = out + weight * (shifted @ shifted)
     return out
 
 
@@ -85,7 +85,7 @@ def _ground_vector(h_dense, continuation=None):
     block = np.flatnonzero(w <= w[0] + DEGENERACY_TOL * max(1.0, abs(w[0])))
     vec, used = v[:, block[0]], False
     if continuation is not None and len(block) > 1:
-        proj = v[:, block] @ (v[:, block].conj().T @ np.asarray(continuation, dtype=complex))
+        proj = v[:, block] @ (v[:, block].conj().T @ _promoted(continuation))
         norm = np.linalg.norm(proj)
         if norm > 1e-8:
             vec = proj / norm
@@ -132,7 +132,7 @@ def no_variation_baseline(h, ch: KrausChannel, state) -> VcsSolution:
     <state|H|state> and continuation_used is False.
     """
     h_dense, m = _dense_hamiltonian(h)
-    psi = np.asarray(state, dtype=complex).ravel()
+    psi = _promoted(state).ravel()
     if psi.size != h_dense.shape[0] or abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("state must be a unit vector of H's dimension")
     return _solution(h_dense, ch, psi, m,

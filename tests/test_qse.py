@@ -161,10 +161,10 @@ class TestDirectBuild:
     def test_byte_guard_rejects_before_allocating(self):
         basis = fermionic_basis(8, 2)
         rho = np.eye(256) / 256
-        # the two action stacks, the basis's src and weight, and the weights
-        # the right action reads
+        # the two real action stacks, the basis's src and weight, and the
+        # weights the right action reads
         n_b = len(basis)
-        need = 2 * n_b * 256 * 256 * 16 + n_b * 256 * (8 + 2 * 8)
+        need = 2 * n_b * 256 * 256 * 8 + n_b * 256 * (8 + 2 * 8)
         assert need > SUBSPACE_BYTE_LIMIT
         tracemalloc.start()
         try:
@@ -179,6 +179,32 @@ class TestDirectBuild:
         psi[0b1111] = 1.0
         prob = build_subspace_direct(basis, np.eye(256), psi)
         assert prob.dim == len(basis)
+
+    def test_byte_guard_charges_the_build_dtype(self, monkeypatch):
+        """A real build is charged 8 bytes a stack entry and a complex one 16:
+        with the limit between the two, the real inputs build and the same
+        inputs cast to complex are refused before anything is allocated."""
+        rng = np.random.default_rng(15)
+        a = rng.normal(size=(64, 64))
+        h = a + a.T
+        b = rng.normal(size=(64, 64))
+        rho = b @ b.T / np.trace(b @ b.T)
+        basis = fermionic_basis(6, 1)
+        stack = len(basis) * rho.size
+        fixed = basis.src.nbytes + 2 * basis.weight.nbytes
+        real_need, complex_need = 2 * stack * 8 + fixed, 2 * stack * 16 + fixed
+        monkeypatch.setattr(qse, "SUBSPACE_BYTE_LIMIT", (real_need + complex_need) // 2)
+        prob = build_subspace_direct(basis, h, rho)
+        assert prob.h_sub.dtype == np.float64
+        h_c, rho_c = h.astype(complex), rho.astype(complex)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"needs {complex_need} bytes"):
+                build_subspace_direct(basis, h_c, rho_c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stack
 
     def test_mismatched_shapes_rejected_before_allocating(self):
         basis = fermionic_basis(8, 2)

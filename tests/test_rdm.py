@@ -669,6 +669,8 @@ BAD_STATES = {
     "matrix_trace_2": (np.diag([2.0, 0.0, 0.0, 0.0]), "not trace-one"),
     "non_square": (np.full((4, 2), 0.5), "square matrix"),
     "dimension_3": (np.full(3, 3 ** -0.5), "not a power of two"),
+    "not_hermitian": (np.diag([0.5, 0.5, 0.0, 0.0]) + np.eye(4, k=1) * 0.1, "not Hermitian"),
+    "negative_diagonal": (np.diag([1.5, -0.5, 0.0, 0.0]), "negative diagonal"),
 }
 ENTRY_POINTS = {
     "compute_rdms": lambda state: compute_rdms(state, 2),
@@ -683,6 +685,34 @@ def test_entry_points_reject_invalid_states(entry, state, message):
     """Exact and sampled routes share one check of the state they are given."""
     with pytest.raises(ValueError, match=message):
         entry(state)
+
+
+@pytest.mark.parametrize("state", [np.diag([1.5, -0.5]), np.diag([1.5, -0.5, 0.0, 0.0])],
+                         ids=["one_mode", "two_modes"])
+def test_sampled_routes_reject_negative_populations(state):
+    """A trace-one diagonal with a negative entry is refused, where the
+    sampled routes used to clip <Z> = 2 to 1 and report a certain outcome."""
+    m = state.shape[0].bit_length() - 1
+    with pytest.raises(ValueError, match="negative diagonal"):
+        estimate_pauli(state, PauliOperator(m, {"Z" * m: 1.0}), 100, 0)
+    with pytest.raises(ValueError, match="negative diagonal"):
+        sample_rdms(state, 1, 100, 0)
+
+
+def test_sampled_routes_reject_expectations_beyond_one():
+    """Hermitian, trace one, no negative diagonal, but eigenvalues 1.3 and
+    -0.3: <X0 X1> = 1.6 is out of range in both sampled routes, while a
+    valid state at <Z> = 1 still samples."""
+    rho = np.zeros((4, 4))
+    rho[1, 1] = rho[2, 2] = 0.5
+    rho[1, 2] = rho[2, 1] = 0.8
+    with pytest.raises(ValueError, match="exceeds 1"):
+        estimate_pauli(rho, PauliOperator(2, {"XX": 1.0}), 100, 0)
+    with pytest.raises(ValueError, match="exceeds 1"):
+        sample_rdms(rho, 1, 100, 0)
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        compute_rdms(rho, 1)
+    assert estimate_pauli(np.diag([1.0, 0.0]), PauliOperator(1, {"Z": 1.0}), 100, 0) == (1.0, 0.0)
 
 
 def test_stream_seeds_reject_negative_seeds():
