@@ -4,11 +4,15 @@ The generalized solver uses canonical orthogonalization so that singular
 overlap matrices (linearly dependent expansion vectors) are handled by
 discarding null directions of the metric rather than failing.
 
-Dtype follows the data: inputs are promoted to np.result_type(a, float), so
-a real symmetric matrix is solved by real LAPACK and gives float64
-eigenvectors, and only complex data is solved as complex128. The package's
-dense operators are real wherever their coefficients are (see operators and
-channels), which makes the molecular pipeline real end to end.
+Dtype follows the data, and this is the one dtype rule of the package:
+arrays are promoted by _promoted to np.result_type(a, float), and no route
+forces complex128. Real data computes in float64 (a real symmetric matrix is
+solved by real LAPACK), and only data with an imaginary part is complex128.
+Dense operators and transfer matrices are real wherever their coefficients
+are (see operators and channels), so the molecular pipeline is real end to
+end: states, subspace builds, RDMs, cumulants and linear-response matrices.
+A qubit basis (i^#Y phases) and sampled RDM blocks are complex because
+their coefficients are.
 """
 
 from dataclasses import dataclass

@@ -19,12 +19,10 @@ per block for all elements at once: E_b psi, E_b rho as a row gather of
 rho, and W E_b as a column gather of W, each column j reading column
 src[b, j], since src is an involution.
 
-The direct build's dtype follows its data: np.result_type of H, the
-reference, the basis weights, the symmetry operators and float. A fermionic
-basis has float64 weights, so a real H around a real state or density
-matrix builds float64 blocks and solves them with real LAPACK; a qubit basis
-(i^#Y phases) or any complex input builds complex128. The RDM and
-linear-response routes stay complex.
+Both routes follow the dtype rule of linalg: the direct build takes
+np.result_type of H, the reference, the basis weights (float64 for a
+fermionic basis, complex for a qubit one) and the symmetry operators, and
+the linear-response route that of its RDMs and integrals.
 """
 
 from dataclasses import dataclass, field
@@ -60,11 +58,8 @@ class ExpansionBasis:
     weight[b] * v[src[b]], with src[b, j] = j ^ x_b. Element 0 is the
     identity when the reference is included.
     """
-    kind: str                       # "fermionic" or "qubit"
-    order: int
     src: np.ndarray
     weight: np.ndarray
-    includes_reference: bool
     labels: tuple = ()
 
     def __len__(self):
@@ -73,7 +68,6 @@ class ExpansionBasis:
 
 @dataclass
 class SubspaceProblem:
-    basis: ExpansionBasis | None
     h_sub: np.ndarray
     s_sub: np.ndarray
     symmetry_subs: dict = field(default_factory=dict)
@@ -83,8 +77,7 @@ class SubspaceProblem:
         return self.h_sub.shape[0]
 
 
-def _distinct(kind: str, order: int, includes_reference: bool, src: np.ndarray,
-              weight: np.ndarray, labels) -> ExpansionBasis:
+def _distinct(src: np.ndarray, weight: np.ndarray, labels) -> ExpansionBasis:
     """ExpansionBasis of the nonzero elements, each distinct one where it first appears."""
     seen, keep = set(), []
     for b, (x, w) in enumerate(zip(src[:, 0], weight)):
@@ -95,9 +88,7 @@ def _distinct(kind: str, order: int, includes_reference: bool, src: np.ndarray,
     src, weight = src[keep], weight[keep]
     src.setflags(write=False)
     weight.setflags(write=False)
-    return ExpansionBasis(kind=kind, order=order, src=src, weight=weight,
-                          includes_reference=includes_reference,
-                          labels=tuple(labels[b] for b in keep))
+    return ExpansionBasis(src=src, weight=weight, labels=tuple(labels[b] for b in keep))
 
 
 @lru_cache(maxsize=None)
@@ -123,8 +114,7 @@ def fermionic_basis(mode_count: int, order: int,
         pairs = list(zip(indices[0::2], indices[1::2]))
         seqs.append(tuple(op for i, j in pairs for op in ((i, True), (j, False))))
         labels.append(" ".join(f"{i}^ {j}" for i, j in pairs))
-    return _distinct("fermionic", order, includes_reference,
-                     *_ladder_action(seqs, m), labels)
+    return _distinct(*_ladder_action(seqs, m), labels)
 
 
 @lru_cache(maxsize=None)
@@ -149,8 +139,7 @@ def qubit_basis(qubit_count: int, order: int) -> ExpansionBasis:
                 words.append("".join(word))
                 labels.append(f"{l1}{q1} {l2}{q2}")
     masks = np.array([_word_masks(word) for word in words], dtype=np.int64)
-    return _distinct("qubit", order, True,
-                     *_signed_permutation(*masks.T[:, :, None], 1.0, n), labels)
+    return _distinct(*_signed_permutation(*masks.T[:, :, None], 1.0, n), labels)
 
 
 def _symmetrized(mat: np.ndarray) -> np.ndarray:
@@ -209,20 +198,20 @@ def build_subspace_direct(basis: ExpansionBasis, h: np.ndarray, rho: np.ndarray,
         s_sub = block(np.eye(dim, dtype=dtype))
     h_sub = block(h)
     sym = {name: block(op.astype(dtype, copy=False)) for name, op in ops.items()}
-    return SubspaceProblem(basis=basis, h_sub=h_sub, s_sub=s_sub, symmetry_subs=sym)
+    return SubspaceProblem(h_sub=h_sub, s_sub=s_sub, symmetry_subs=sym)
 
 
 def _overlap_lr(rdms: RdmSet) -> np.ndarray:
     """S[a, b] = <E_a^ E_b> over rows [g] + [(i, j)] from the packed D1, D2."""
     m = rdms.mode_count
-    d1 = rdms.blocks[0]
-    s = np.empty((m * m + 1,) * 2, dtype=complex)
+    d1, d2 = rdms.blocks[0], rdms.d(2)
+    s = np.empty((m * m + 1,) * 2, dtype=np.result_type(d1, d2))
     s[0, 0] = 1.0
     # S^{ij}_g = D1[j, i], rows flattened over (i, j)
     s[1:, 0] = d1.T.reshape(m * m)
     s[0, 1:] = s[1:, 0].conj()
     # S^{ij}_{kl} = delta_ik D1[j,l] - 2 D2[j,k,l,i]
-    s4 = np.einsum("ik,jl->ijkl", np.eye(m), d1) - 2.0 * rdms.d(2).transpose(3, 0, 1, 2)
+    s4 = np.einsum("ik,jl->ijkl", np.eye(m), d1) - 2.0 * d2.transpose(3, 0, 1, 2)
     s[1:, 1:] = s4.reshape(m * m, m * m)
     return _symmetrized(s)
 
@@ -255,7 +244,7 @@ def _lr_matrix(t1: np.ndarray, v: np.ndarray, rdms: RdmSet,
            @ d2.transpose(1, 2, 0, 3).reshape(m * m, -1)).reshape(four_d)
     four = (np.einsum("ik,jl->ijkl", t1, d1) - 2.0 * np.einsum("pk,jpli->ijkl", t1, d2)
             + 8.0 * vd2.transpose(0, 2, 1, 3) + 12.0 * u1.transpose(3, 1, 0, 2))
-    out = np.zeros((m * m + 1,) * 2, dtype=complex)
+    out = np.zeros((m * m + 1,) * 2, dtype=np.result_type(t1, v, *rdms.blocks))
     if commutator:
         # sum v[i,l,r,s] D2[j,k,s,r] at [i,l,j,k]
         vrs = (vx.reshape(m * m, -1) @ d2.reshape(m * m, -1).T).reshape(four_d)
@@ -330,14 +319,12 @@ def _lr_problem(h1, h2, rdms: RdmSet, s_sub: np.ndarray, shift: float,
                 symmetry_ops: dict | None, commutator: bool = False) -> SubspaceProblem:
     """LR (or commutator-form) matrices from rdms, shifted by shift * s_sub."""
     h_sub = _symmetrized(shift * s_sub + _lr_matrix(
-        np.asarray(h1, dtype=complex), 0.5 * np.asarray(h2, dtype=complex), rdms,
-        commutator))
+        _promoted(h1), 0.5 * _promoted(h2), rdms, commutator))
     sym = {}
     for name, op in (symmetry_ops or {}).items():
         c0, t1, t2 = operator_to_tensors(op)
         sym[name] = _symmetrized(c0 * s_sub + _lr_matrix(t1, 0.5 * t2, rdms))
-    basis = fermionic_basis(rdms.mode_count, 1)
-    return SubspaceProblem(basis=basis, h_sub=h_sub, s_sub=s_sub, symmetry_subs=sym)
+    return SubspaceProblem(h_sub=h_sub, s_sub=s_sub, symmetry_subs=sym)
 
 
 def solve_subspace(prob: SubspaceProblem,
@@ -371,8 +358,7 @@ def project_symmetry(prob: SubspaceProblem, name: str, target: float,
         raise ValueError(f"no subspace states with <{name}> within {window} of {target}")
     c = spec.eigenvectors[:, keep]
     sym = {k: _symmetrized(c.conj().T @ mat @ c) for k, mat in prob.symmetry_subs.items()}
-    return SubspaceProblem(basis=prob.basis,
-                           h_sub=_symmetrized(c.conj().T @ prob.h_sub @ c),
+    return SubspaceProblem(h_sub=_symmetrized(c.conj().T @ prob.h_sub @ c),
                            s_sub=_symmetrized(c.conj().T @ prob.s_sub @ c),
                            symmetry_subs=sym)
 

@@ -26,6 +26,7 @@ from math import comb, factorial
 
 import numpy as np
 
+from .linalg import _promoted
 from .operators import _I_POW, PauliOperator, _ladder_action, _ladder_words, _word_masks
 
 RDM_MODE_LIMIT = 8
@@ -108,7 +109,7 @@ def _split_rows(m: int, k: int, j: int):
     rows = np.repeat(np.arange(free.shape[0]), free.shape[1])
     pos, sign = _gather_table(m, k - j)
     scatter = (pos[:, None] == free.ravel()) * sign[:, None] * np.tile(shuffle, len(free))
-    return _frozen(rows, _flat(_combos(m, j), m)[summed.ravel()], scatter.astype(complex))
+    return _frozen(rows, _flat(_combos(m, j), m)[summed.ravel()], scatter)
 
 
 def _split_contract(block: np.ndarray, x: np.ndarray, m: int, k: int,
@@ -127,7 +128,7 @@ def _split_contract(block: np.ndarray, x: np.ndarray, m: int, k: int,
 def _expand(block: np.ndarray, m: int, k: int) -> np.ndarray:
     """Full (m,)*2k tensor of a packed order-k block."""
     if not block.size:
-        return np.zeros((m,) * (2 * k), dtype=complex)
+        return np.zeros((m,) * (2 * k), dtype=block.dtype)
     pos, sign = _gather_table(m, k)
     full = block[np.ix_(pos, pos)]
     full *= sign[:, None]
@@ -225,15 +226,19 @@ def _is_hermitian(mat: np.ndarray) -> bool:
 
 
 def _checked_state(state) -> tuple[np.ndarray, int]:
-    """state as a complex array and its mode count, after checking that it is
-    a normalized vector or a square trace-one matrix of power-of-two size.
+    """state, promoted as linalg._promoted does, and its mode count, after
+    checking that it is a normalized vector or a square trace-one matrix of
+    power-of-two size.
 
     A matrix must also be Hermitian and have no diagonal entry below zero,
     each within STATE_TOL. Both checks are O(4^M), so a gross error is
     caught without an eigendecomposition; compute_rdms adds the full
     semidefinite test, and _sampled_means rejects any <P> outside [-1, 1].
     """
-    state = np.asarray(state, dtype=complex)
+    state = _promoted(state)
+    if state.ndim not in (1, 2) or not state.size or state.shape[-1] != state.shape[0]:
+        raise ValueError(f"state of shape {state.shape} is not a nonempty vector "
+                         "or square matrix")
     dim = state.shape[0]
     m = dim.bit_length() - 1
     if dim != 1 << m:
@@ -241,8 +246,6 @@ def _checked_state(state) -> tuple[np.ndarray, int]:
     if state.ndim == 1:
         if abs(np.linalg.norm(state) - 1.0) > STATE_TOL:
             raise ValueError("state vector is not normalized")
-    elif state.shape != (dim, dim):
-        raise ValueError("state must be a vector or a square matrix")
     elif abs(np.trace(state) - 1.0) > STATE_TOL:
         raise ValueError("density matrix is not trace-one")
     elif not _is_hermitian(state):
@@ -287,8 +290,7 @@ def wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     packed first, which keeps only their antisymmetric parts, so inputs that
     are not antisymmetric give the same result as their antisymmetrizations.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = _promoted(a), _promoted(b)
     if a.ndim % 2 or b.ndim % 2:
         raise ValueError("wedge factors must have even rank")
     dims = set(a.shape) | set(b.shape)
@@ -316,7 +318,8 @@ def reconstruct_rdms(cumulants: CumulantSet, zero_above: int) -> RdmSet:
                          f"need {zero_above}")
     m = cumulants.mode_count
     c = list(cumulants.blocks[:zero_above])
-    c += [np.zeros((comb(m, k),) * 2, dtype=complex) for k in range(zero_above + 1, 5)]
+    c += [np.zeros((comb(m, k),) * 2, dtype=np.result_type(*c))
+          for k in range(zero_above + 1, 5)]
     d = [c[0]] + [c[n - 1] + _disconnected(c, n, m) for n in range(2, 5)]
     return RdmSet(mode_count=m, blocks=tuple(d))
 
@@ -421,7 +424,7 @@ def _pauli_transforms(state: np.ndarray, xs: np.ndarray) -> np.ndarray:
     else:
         f = state[cols, src]
     del src  # the index array and the butterfly buffer are never held together
-    diff = np.empty((rows, dim // 2), dtype=complex)
+    diff = np.empty((rows, dim // 2), dtype=f.dtype)
     h = 1
     while h < dim:
         pairs = f.reshape(rows, -1, 2, h)

@@ -1,6 +1,7 @@
-"""Dtype follows the data: a real Hamiltonian, the three shipped channels and
-a fermionic basis stay float64 through the pipeline, and complex data (a
-qubit basis, a complex coefficient, a complex Kraus set) stays complex128."""
+"""Dtype follows the data: a real Hamiltonian, the three shipped channels, a
+fermionic basis and the RDM, cumulant and linear-response routes stay
+float64 through the pipeline, and complex data (a qubit basis, a complex
+coefficient, a complex Kraus set, sampled RDM blocks) stays complex128."""
 
 import numpy as np
 import pytest
@@ -11,8 +12,13 @@ from vcsqse.channels import (CHANNEL_KINDS, ChannelSpec, KrausChannel, apply_cha
                              lift_to_register, single_qubit_channel)
 from vcsqse.experiments import _point
 from vcsqse.linalg import DEFAULT_METRIC_CUTOFF, generalized_eigensolve
-from vcsqse.operators import FermionOperator, dense_symmetry, fermion_to_dense, parse_ladder
-from vcsqse.qse import build_subspace_direct, fermionic_basis, qubit_basis, solve_subspace
+from vcsqse.molecule import spin_orbital_tensors
+from vcsqse.operators import (FermionOperator, PauliOperator, dense_symmetry, fermion_to_dense,
+                              parse_ladder)
+from vcsqse.qse import (approximate_lr, build_lr_from_rdms, build_subspace_direct,
+                        fermionic_basis, qubit_basis, solve_subspace)
+from vcsqse.rdm import (compute_rdms, cumulants_from_rdms, estimate_pauli, sample_rdms,
+                        wedge)
 from vcsqse.vcs import solve_vcs, transform_hamiltonian
 
 
@@ -22,6 +28,24 @@ def lifted(kind, m, r1=0.05, r2=0.05):
 
 def blocks(prob):
     return [prob.h_sub, prob.s_sub, *prob.symmetry_subs.values()]
+
+
+def rdm_route(h1, h2, state):
+    """Every RDM, cumulant and LR-route matrix of state, in one flat list."""
+    rdms = compute_rdms(state, 4)
+    out = [*rdms.blocks, *cumulants_from_rdms(rdms).blocks, wedge(rdms.d1, rdms.d1)]
+    for prob in lr_problems(h1, h2, rdms):
+        out += blocks(prob)
+    return out
+
+
+def lr_problems(h1, h2, rdms, e_g=-1.0):
+    """build_lr_from_rdms, ZC plain and truncated, ZA plain and with the exact D3."""
+    return [build_lr_from_rdms(h1, h2, rdms, core_energy=0.5),
+            approximate_lr("ZC", h1, h2, rdms, e_g),
+            approximate_lr("ZC", h1, h2, rdms, e_g, truncate=True),
+            approximate_lr("ZA", h1, h2, rdms, e_g, core_energy=0.5),
+            approximate_lr("ZA", h1, h2, rdms, e_g, core_energy=0.5, reconstruct_d3=False)]
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +78,14 @@ def test_molecular_pipeline_stays_real(point):
         assert spec.eigenvalues.dtype == spec.eigenvectors.dtype == np.float64
         spec = generalized_eigensolve(prob.h_sub, prob.s_sub)
         assert spec.eigenvectors.dtype == np.float64
+    h1, h2, core = spin_orbital_tensors(point.integrals)
+    rdms = compute_rdms(psi0, 4)
+    assert all(block.dtype == np.float64 for block in rdms.blocks)
+    assert all(block.dtype == np.float64 for block in cumulants_from_rdms(rdms).blocks)
+    for prob in lr_problems(h1, h2, rdms, e_g=float(w[0])):
+        assert all(block.dtype == np.float64 for block in blocks(prob))
+        spec = solve_subspace(prob)
+        assert spec.eigenvalues.dtype == spec.eigenvectors.dtype == np.float64
 
 
 def test_complex_data_stays_complex(point):
@@ -115,3 +147,51 @@ def test_real_route_matches_complex_cast_route(m, seed, kind, ratio, mixed, orde
     kept = metric[metric > DEFAULT_METRIC_CUTOFF * metric[-1]]
     bound = 1e-12 * metric[-1] / kept[0]
     assert np.abs(spec_real.eigenvalues - spec_cast.eigenvalues).max() <= bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1), mixed=st.booleans())
+def test_rdm_route_matches_complex_cast_route(m, seed, mixed):
+    """RDMs, cumulants, a wedge product and the LR, ZC and ZA matrices of a
+    real psi or rank-deficient real rho, with random real h1 and h2, agree
+    with the same calls on the complex-cast inputs within 1e-12 of the
+    largest entry or of 1, and only the cast route is complex. A cumulant
+    can cancel far below the unit scale of the RDMs it is taken from, so
+    its error is measured against that scale."""
+    rng = np.random.default_rng(seed)
+    dim = 1 << m
+    if mixed:
+        b = rng.normal(size=(dim, int(rng.integers(1, dim))))
+        state = b @ b.T / np.trace(b @ b.T)
+    else:
+        state = rng.normal(size=dim)
+        state /= np.linalg.norm(state)
+    h1 = rng.normal(size=(m, m))
+    h1 += h1.T
+    h2 = rng.normal(size=(m,) * 4)
+    h2 += h2.transpose(3, 2, 1, 0)
+    real = rdm_route(h1, h2, state)
+    cast = rdm_route(h1.astype(complex), h2.astype(complex), state.astype(complex))
+    for got, want in zip(real, cast, strict=True):
+        assert got.dtype == np.float64 and want.dtype == np.complex128
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=1.0)
+
+
+def test_sampled_routes_ignore_a_complex_cast(point):
+    """A real psi or rho samples bit for bit what its complex cast samples,
+    and sampled RDM blocks are complex128 either way: their Jordan-Wigner
+    coefficients carry i."""
+    m = point.mode_count
+    psi0 = point.exact()[1][:, 0]
+    rho = solve_vcs(point.h_dense, lifted("amplitude_phase", m)).output_rho
+    pauli = PauliOperator(m, {"ZZII": 0.5, "XYYX": -0.25, "YIZY": 0.75, "XZXI": 1.0,
+                              "IIII": 0.1})
+    for state in (psi0, rho):
+        assert state.dtype == np.float64
+        real = sample_rdms(state, 4, 500, 7)
+        cast = sample_rdms(state.astype(complex), 4, 500, 7)
+        for got, want in zip(real.blocks, cast.blocks, strict=True):
+            assert got.dtype == want.dtype == np.complex128
+            assert np.array_equal(got, want)
+        assert np.array_equal(estimate_pauli(state, pauli, 500, 7),
+                              estimate_pauli(state.astype(complex), pauli, 500, 7))

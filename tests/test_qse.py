@@ -100,9 +100,7 @@ class TestBases:
 
 class TestDirectBuild:
     def test_reference_only_basis(self, stretched):
-        basis = ExpansionBasis(kind="fermionic", order=0,
-                               src=np.arange(16)[None], weight=np.ones((1, 16)),
-                               includes_reference=True, labels=("g",))
+        basis = ExpansionBasis(src=np.arange(16)[None], weight=np.ones((1, 16)), labels=("g",))
         psi = stretched["v"][:, 0]
         prob = build_subspace_direct(basis, stretched["h"], psi)
         assert abs(prob.s_sub[0, 0] - 1.0) < 1e-12

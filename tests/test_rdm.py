@@ -671,6 +671,8 @@ BAD_STATES = {
     "dimension_3": (np.full(3, 3 ** -0.5), "not a power of two"),
     "not_hermitian": (np.diag([0.5, 0.5, 0.0, 0.0]) + np.eye(4, k=1) * 0.1, "not Hermitian"),
     "negative_diagonal": (np.diag([1.5, -0.5, 0.0, 0.0]), "negative diagonal"),
+    "scalar": (np.array(1.0), r"shape \(\)"),
+    "empty_vector": (np.array([]), r"shape \(0,\)"),
 }
 ENTRY_POINTS = {
     "compute_rdms": lambda state: compute_rdms(state, 2),
