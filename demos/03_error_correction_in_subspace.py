@@ -12,9 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from vcsqse import (assemble_hamiltonian, build_subspace_direct, load_sweep,
-                    qubit_basis, solve_subspace)
-from vcsqse.operators import _signed_permutation, _word_masks, fermion_to_dense
+from vcsqse import (assemble_hamiltonian, build_subspace_direct, fermion_to_dense,
+                    load_sweep, qubit_basis, solve_subspace)
 
 ROOT = Path(__file__).resolve().parents[1]
 points = load_sweep(ROOT / "fixtures/h2_sto6g/sweep.manifest")
@@ -30,9 +29,9 @@ print(f"qubit expansion basis: {len(basis)} operators "
 print(f"{'error':>6} {'E(corrupted)':>14} {'E(recovered)':>14} {'residual':>10}")
 for q in range(4):
     for letter in "XYZ":
-        # the word letter_q as a signed permutation: err[j] = phase[j] psi0[src[j]]
-        src, phase = _signed_permutation(*_word_masks("I" * q + letter + "I" * (3 - q)), 1.0, 4)
-        err = phase * psi0[src]
+        # the basis element letter_q is a signed permutation: err[j] = weight[j] psi0[src[j]]
+        b = basis.labels.index(f"{letter}{q}")
+        err = basis.weight[b] * psi0[basis.src[b]]
         corrupted = float(np.real(err.conj() @ h @ err))
         prob = build_subspace_direct(basis, h, err)
         spec = solve_subspace(prob)

@@ -102,6 +102,8 @@ def parse_fcidump(text: str) -> MolecularIntegrals:
         raise FcidumpError(f"non-integer header value: {exc}") from None
     if norb < 1:
         raise FcidumpError(f"NORB={norb}: a system needs at least one orbital")
+    if not 0 <= nelec <= 2 * norb:
+        raise FcidumpError(f"NELEC={nelec} outside 0..{2 * norb} for NORB={norb}")
     if 2 * norb > DENSE_QUBIT_LIMIT:  # reject before allocating the integrals
         raise FcidumpError(f"NORB={norb} gives {2 * norb} spin orbitals, above the "
                            f"dense limit of {DENSE_QUBIT_LIMIT}")

@@ -1,4 +1,4 @@
-"""Fermionic and Pauli-string operators as term dictionaries, with a
+"""Fermionic term dictionaries and Pauli word bit masks, with a
 Jordan-Wigner bridge. Nothing here multiplies operators symbolically: the
 package writes its fermionic operators in normal order, and one kernel,
 _ladder_masks on _ladder_slots arrays, evaluates ladder products.
@@ -17,10 +17,11 @@ Conventions used throughout the package:
   mask of its X/Y letters and z that of its Z/Y letters, the word is
   W(x, z) = i^|x&z| X^x Z^z and
   (c P v)[j] = c * i^#Y * (-1)^popcount((j ^ x) & z) * v[j ^ x].
-  _word_masks caches each word's masks, and _signed_permutation turns them
-  into that form for the qubit expansion basis of qse. rdm._exact_paulis
-  reads the same masks but takes every <W(x, z)> of one x at once, as a
-  Walsh-Hadamard transform over z.
+  PauliOperator stores every word as these two masks, and letters exist
+  only at its edge. _signed_permutation turns (x, z) into that form for the
+  qubit expansion basis of qse. rdm._exact_paulis reads the same masks but
+  takes every <W(x, z)> of one x at once, as a Walsh-Hadamard transform
+  over z.
 * Ladder action: a product of ladder operators sends each occupation state
   to at most one state, with sign +-1, so it is one masked signed
   permutation, (E v)[j] = weight[j] * v[j ^ x] with weight in {0, +-1}.
@@ -136,22 +137,34 @@ def _ladder_sort_key(seq):
 
 
 class PauliOperator:
-    """Weighted sum of n-qubit Pauli strings.
-
-    Strings are stored as length-n words over {I, X, Y, Z}; letter k acts on
-    qubit k.
+    """Weighted sum of n-qubit Pauli words W(x, z), 0 <= n <= 62: int64
+    arrays x and z, bit q for qubit q, and complex coeffs, in word order.
+    Only the constructor (a {word: coeff} mapping, letter k of a word over
+    IXYZ acting on qubit k), terms and render know letters.
     """
 
     def __init__(self, qubit_count: int, terms=None):
-        self.qubit_count = int(qubit_count)
-        self.terms = {}
-        if terms:
-            for word, coeff in terms.items():
-                if len(word) != self.qubit_count or any(ch not in "IXYZ" for ch in word):
-                    raise ValueError(f"bad Pauli word {word!r} for n={self.qubit_count}")
-                _require_finite(coeff, word)
-                if abs(coeff) >= PRUNE_TOL:
-                    self.terms[word] = self.terms.get(word, 0.0) + complex(coeff)
+        n = int(qubit_count)
+        if not 0 <= n <= 62:
+            raise ValueError(f"qubit_count {n} outside the 0..62 qubits of a 64-bit word mask")
+        words = {}
+        for word, coeff in (terms or {}).items():
+            if len(word) != n or any(ch not in "IXYZ" for ch in word):
+                raise ValueError(f"bad Pauli word {word!r} for n={n}")
+            _require_finite(coeff, word)
+            if abs(coeff) >= PRUNE_TOL:
+                words[word] = complex(coeff)
+        masks = [[sum(1 << q for q, ch in enumerate(word) if ch in letters) for word in words]
+                 for letters in ("XY", "ZY")]
+        self._set(n, *np.array(masks, dtype=np.int64),
+                  np.array(list(words.values()), dtype=complex))
+
+    def _set(self, qubit_count, x, z, coeffs):
+        """Store distinct words, coefficients at least PRUNE_TOL, read-only."""
+        self.qubit_count, self.x, self.z, self.coeffs = qubit_count, x, z, coeffs
+        for arr in (x, z, coeffs):
+            arr.setflags(write=False)
+        return self
 
     @classmethod
     def identity(cls, qubit_count, coeff=1.0):
@@ -162,22 +175,30 @@ class PauliOperator:
         word = "".join(letter if q == qubit else "I" for q in range(qubit_count))
         return cls(qubit_count, {word: coeff})
 
+    @property
+    def terms(self) -> dict:
+        """A new {letters: coefficient} dict of the words, in word order."""
+        n = self.qubit_count
+        return {"".join("IXZY"[(x >> q & 1) | (z >> q & 1) << 1] for q in range(n)): c
+                for x, z, c in zip(self.x.tolist(), self.z.tolist(), self.coeffs.tolist())}
+
     def is_zero(self):
-        return not self.terms
+        return not len(self.coeffs)
 
     def render(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "(0+0i) []"
         parts = []
-        for word in sorted(self.terms, key=_pauli_sort_key):
+        for word in sorted(terms, key=_pauli_sort_key):
             body = " ".join(f"{ch}{q}" for q, ch in enumerate(word) if ch != "I")
-            parts.append(f"{_format_coeff(self.terms[word])} [{body}]")
+            parts.append(f"{_format_coeff(terms[word])} [{body}]")
         return "\n".join(parts)
 
     __str__ = render
 
     def __repr__(self):
-        return f"PauliOperator(n={self.qubit_count}, {len(self.terms)} terms)"
+        return f"PauliOperator(n={self.qubit_count}, {len(self.coeffs)} terms)"
 
 
 def _pauli_sort_key(word):
@@ -221,7 +242,7 @@ def _ladder_words(ladder: np.ndarray, coeffs: np.ndarray):
 
 
 def jordan_wigner(op: FermionOperator) -> PauliOperator:
-    """Map a fermionic operator to Pauli strings (algebra homomorphism): the
+    """Map a fermionic operator to Pauli words (algebra homomorphism): the
     _ladder_words of every term, summed in term order, an entry that cancels
     to below PRUNE_TOL leaving the sum."""
     n = op.mode_count
@@ -234,25 +255,18 @@ def jordan_wigner(op: FermionOperator) -> PauliOperator:
         out[key] = out.get(key, 0.0) + c
         if abs(out[key]) < PRUNE_TOL:
             del out[key]
-    return PauliOperator(n, {"".join("IXZY"[(x >> q & 1) | (z >> q & 1) << 1]
-                                     for q in range(n)): c
-                             for (x, z), c in out.items()})
+    return PauliOperator.__new__(PauliOperator)._set(
+        n, *np.array(list(out), dtype=np.int64).reshape(-1, 2).T,
+        np.array(list(out.values()), dtype=complex))
 
 
-@lru_cache(maxsize=1 << 16)
-def _word_masks(word: str) -> tuple[int, int, int]:
-    """(x, z, #Y mod 4) of a Pauli word: its X/Y and Z/Y bit masks, i^#Y's power."""
-    x = sum(1 << q for q, ch in enumerate(word) if ch in "XY")
-    z = sum(1 << q for q, ch in enumerate(word) if ch in "ZY")
-    return x, z, word.count("Y") % 4
-
-
-def _signed_permutation(x, z, y_pow, c, n: int):
-    """Word W(x, z) = i^|x&z| X^x Z^z times c, from its _word_masks, as the
-    signed permutation v -> phase * v[src]: src[j] = j ^ x and phase[j] =
-    c * i^#Y * (-1)^popcount(src[j] & z), for scalars or (words, 1) columns."""
+def _signed_permutation(x, z, c, n: int):
+    """Word W(x, z) = i^|x&z| X^x Z^z times c as the signed permutation
+    v -> phase * v[src]: src[j] = j ^ x and phase[j] = c * i^#Y *
+    (-1)^popcount(src[j] & z), #Y = popcount(x & z), for scalars or
+    (words, 1) columns."""
     src = np.arange(1 << n) ^ x
-    c = c * _I_POW[y_pow]
+    c = c * _I_POW[np.bitwise_count(x & z) % 4]
     return src, np.where(np.bitwise_count(src & z) & 1, -c, c)
 
 

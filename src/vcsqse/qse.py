@@ -33,7 +33,7 @@ import numpy as np
 
 from .linalg import Spectrum, _promoted, generalized_eigensolve
 from .operators import (DENSE_QUBIT_LIMIT, FermionOperator, _ladder_action,
-                        _signed_permutation, _word_masks, ladder_text)
+                        _signed_permutation, ladder_text)
 from .rdm import (RdmSet, _disconnected, _split_contract, cumulants_from_rdms,
                   reconstruct_rdms)
 
@@ -125,21 +125,20 @@ def qubit_basis(qubit_count: int, order: int) -> ExpansionBasis:
     n = qubit_count
     if n > DENSE_QUBIT_LIMIT:
         raise ValueError(f"qubit_count {n} exceeds {DENSE_QUBIT_LIMIT}")
-    words = ["I" * n]
-    labels = ["g"]
+    # (x bit, z bit, label) of X, Y and Z on one qubit
+    single = ((1, 0, "X"), (1, 1, "Y"), (0, 1, "Z"))
+    masks, labels = [(0, 0)], ["g"]
     for q in range(n):
-        for letter in "XYZ":
-            words.append("".join(letter if p == q else "I" for p in range(n)))
+        for x, z, letter in single:
+            masks.append((x << q, z << q))
             labels.append(f"{letter}{q}")
     if order == 2:
         for q1, q2 in combinations(range(n), 2):
-            for l1, l2 in product("XYZ", repeat=2):
-                word = ["I"] * n
-                word[q1], word[q2] = l1, l2
-                words.append("".join(word))
+            for (x1, z1, l1), (x2, z2, l2) in product(single, repeat=2):
+                masks.append((x1 << q1 | x2 << q2, z1 << q1 | z2 << q2))
                 labels.append(f"{l1}{q1} {l2}{q2}")
-    masks = np.array([_word_masks(word) for word in words], dtype=np.int64)
-    return _distinct(*_signed_permutation(*masks.T[:, :, None], 1.0, n), labels)
+    x, z = np.array(masks, dtype=np.int64).T[:, :, None]
+    return _distinct(*_signed_permutation(x, z, 1.0, n), labels)
 
 
 def _symmetrized(mat: np.ndarray) -> np.ndarray:
@@ -275,13 +274,17 @@ def operator_to_tensors(op: FermionOperator):
 
     Every term must be k <= 2 creations followed by k annihilations; any
     other term raises ValueError. The tensors satisfy op = core
-    + sum t1[p,q] a_p^ a_q + 1/2 sum t2[p,q,r,s] a_p^ a_q^ a_r a_s exactly.
+    + sum t1[p,q] a_p^ a_q + 1/2 sum t2[p,q,r,s] a_p^ a_q^ a_r a_s exactly,
+    and are real if no coefficient has an imaginary part, else complex.
     """
     m = op.mode_count
-    core = 0.0 + 0.0j
-    t1 = np.zeros((m, m), dtype=complex)
-    t2 = np.zeros((m, m, m, m), dtype=complex)
-    for seq, coeff in op.terms.items():
+    coeffs = np.array(list(op.terms.values()), dtype=complex)
+    if not coeffs.imag.any():
+        coeffs = coeffs.real
+    core = 0.0
+    t1 = np.zeros((m, m), dtype=coeffs.dtype)
+    t2 = np.zeros((m, m, m, m), dtype=coeffs.dtype)
+    for seq, coeff in zip(op.terms, coeffs.tolist()):
         daggers = tuple(d for _, d in seq)
         modes = tuple(mode for mode, _ in seq)
         if daggers == ():

@@ -27,7 +27,7 @@ from math import comb, factorial
 import numpy as np
 
 from .linalg import _promoted
-from .operators import _I_POW, PauliOperator, _ladder_action, _ladder_words, _word_masks
+from .operators import _I_POW, PauliOperator, _ladder_action, _ladder_words
 
 RDM_MODE_LIMIT = 8
 GATHER_BYTES = 2 << 20  # working set of one chunk of _exact_paulis transforms
@@ -383,7 +383,7 @@ def _rdm_words(m: int, max_k: int):
     Returns, per order k, the arrays (pair, word, coefficient) of every
     term, each pair's terms in jordan_wigner's order: pair the row-major
     index of (I, J) in the packed block, word the index of the term's Pauli
-    word (-1 for the identity); then the (words, 3) _word_masks rows of the
+    word (-1 for the identity); then the (words, 2) (x, z) mask rows of the
     distinct non-identity words in order of first appearance, which fixes
     each word's place in the sampled batch.
     """
@@ -406,8 +406,7 @@ def _rdm_words(m: int, max_k: int):
     words = np.split(ids[inverse], np.cumsum([len(pair) for pair, *_ in terms])[:-1])
     orders = tuple(_frozen(pair, word, coeff) for (pair, _, _, coeff), word in zip(terms, words))
     x, z = distinct[ranked] & (1 << m) - 1, distinct[ranked] >> m
-    masks = np.stack([x, z, np.bitwise_count(x & z) % 4], axis=1).astype(np.int64)
-    return orders, _frozen(masks)[0]
+    return orders, _frozen(np.stack([x, z], axis=1))[0]
 
 
 def _pauli_transforms(state: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -437,14 +436,14 @@ def _pauli_transforms(state: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 def _exact_paulis(state: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Exact <P> of every word given by its (words, 3) _word_masks rows, on
-    a state vector or density matrix.
+    """Exact <P> of every word given by its (words, 2) (x, z) mask rows, in
+    word order, on a state vector or density matrix.
 
-    <W(x, z)> = i^#Y F_x(z), F_x the Walsh-Hadamard transform of
-    f_x(k) = conj(psi[k ^ x]) psi[k], or of f_x(k) = rho[k, k ^ x]: one
-    transform per distinct X mask x, read at every z of the batch. The
-    transforms go a chunk of x rows at a time, and a chunk's index,
-    transform and butterfly arrays, 32 bytes per entry, take at most
+    <W(x, z)> = i^#Y F_x(z), #Y = popcount(x & z), F_x the Walsh-Hadamard
+    transform of f_x(k) = conj(psi[k ^ x]) psi[k], or of f_x(k) =
+    rho[k, k ^ x]: one transform per distinct X mask x, read at every z of
+    the batch. The transforms go a chunk of x rows at a time, and a chunk's
+    index, transform and butterfly arrays, 32 bytes per entry, take at most
     GATHER_BYTES. A row's butterflies read only that row, so its values do
     not depend on the chunk.
     """
@@ -453,9 +452,10 @@ def _exact_paulis(state: np.ndarray, masks: np.ndarray) -> np.ndarray:
     exact = np.empty(len(masks))
     for lo in range(0, len(xs), step):
         pick = np.flatnonzero((row >= lo) & (row < lo + step))
+        x, z = masks[pick].T
         # one statement, so a chunk's transforms are freed before the next
         exact[pick] = np.real(_pauli_transforms(state, xs[lo:lo + step])[
-            row[pick] - lo, masks[pick, 1]] * _I_POW[masks[pick, 2]])
+            row[pick] - lo, z] * _I_POW[np.bitwise_count(x & z) % 4])
     return exact
 
 
@@ -485,7 +485,7 @@ def estimate_pauli(state: np.ndarray, pauli: PauliOperator, shots: int,
     """Simulated projective estimate of a weighted sum of Pauli strings.
 
     The identity term is added exactly. Every other word is estimated with
-    `shots` samples in one _sampled_means batch, in pauli.terms order, from
+    `shots` samples in one _sampled_means batch, in word order, from
     the generator np.random.default_rng(seed) builds. Returns sum c_w mean_w
     and its standard error sqrt(sum (c_w err_w)^2), where err_w =
     sqrt((1 - mean_w^2) / (shots - 1)) is the ddof=1 standard deviation of
@@ -501,11 +501,11 @@ def estimate_pauli(state: np.ndarray, pauli: PauliOperator, shots: int,
     n = pauli.qubit_count
     if m != n:
         raise ValueError(f"{n}-qubit operator on a dimension-{state.shape[0]} state")
-    coeffs = np.array(list(pauli.terms.values()), dtype=complex)
+    coeffs = pauli.coeffs
     if np.abs(coeffs.imag).max(initial=0.0) > 1e-12:
         raise ValueError("Pauli string coefficients must be real")
-    masks = np.array([_word_masks(word) for word in pauli.terms], dtype=np.int64).reshape(-1, 3)
-    measured = masks[:, :2].any(axis=1)
+    masks = np.stack([pauli.x, pauli.z], axis=1)
+    measured = masks.any(axis=1)
     means = np.ones(len(masks))
     means[measured] = _sampled_means(state, masks[measured], shots, seed)
     errs = np.sqrt((1.0 - means * means) / (shots - 1)) if shots > 1 else np.zeros(len(means))

@@ -25,12 +25,13 @@ pauli_action gives every word of an operator as the signed permutation
 (src, phase) of operators._signed_permutation, and apply_pauli adds the
 words of one operator to a vector or matrix one at a time: the package's
 per-word route before its expectations became Walsh-Hadamard transforms.
-letter_pauli_action reads the bit masks from a (words, n) array of letters
-instead of the mask cache, and must agree with pauli_action exactly.
-apply_paulis takes each <P> of a batch of _word_masks rows as the full
-P @ state by apply_pauli, and apply_estimate_pauli draws from it: the
-per-word route rdm._exact_paulis must match to rounding, and whose draws
-the package's must match bit for bit given the same <P>.
+letter_masks reads the (x, z) bit masks off a (words, n) array of letters,
+and letter_pauli_action builds on them instead of the operator's stored
+masks, and must agree with pauli_action exactly. apply_paulis takes each
+<P> of a batch of (x, z) mask rows as the full P @ state by apply_pauli,
+and apply_estimate_pauli draws from it: the per-word route
+rdm._exact_paulis must match to rounding, and whose draws the package's
+must match bit for bit given the same <P>.
 uniform_estimate_pauli counts the +1 outcomes of shots uniform draws, the
 estimator the one binomial draw per word replaced; the two follow the same
 law but draw different numbers.
@@ -42,7 +43,7 @@ import numpy as np
 
 from fermion_oracle import normal_order
 from vcsqse.operators import (DENSE_QUBIT_LIMIT, PRUNE_TOL, FermionOperator,
-                              PauliOperator, _signed_permutation, _word_masks)
+                              PauliOperator, _signed_permutation)
 
 # (a, b) -> (phase, a*b) for single-qubit Pauli letters.
 _PAULI_MUL = {
@@ -94,9 +95,7 @@ def letter_jordan_wigner(op: FermionOperator) -> PauliOperator:
         for word, c in acc.items():
             out[word] = out.get(word, 0.0) + c
         out = _pruned(out)
-    result = PauliOperator(n)
-    result.terms = out
-    return result
+    return PauliOperator(n, out)
 
 
 def kron_dense(op) -> np.ndarray:
@@ -184,9 +183,7 @@ def pauli_action(op: PauliOperator) -> tuple[np.ndarray, np.ndarray]:
     n = op.qubit_count
     if n > DENSE_QUBIT_LIMIT:
         raise ValueError(f"qubit_count {n} exceeds dense limit {DENSE_QUBIT_LIMIT}")
-    masks = np.array([_word_masks(word) for word in op.terms], dtype=np.int64)
-    coeffs = np.array(list(op.terms.values()), dtype=complex)[:, None]
-    return _signed_permutation(*masks.reshape(-1, 3).T[:, :, None], coeffs, n)
+    return _signed_permutation(op.x[:, None], op.z[:, None], op.coeffs[:, None], n)
 
 
 def apply_pauli(action, arr):
@@ -246,19 +243,26 @@ def loop_subspace(ops, h, rho, symmetry_ops=None):
     return block(h), block(np.eye(dim)), sym
 
 
+def letter_masks(words, n):
+    """(words, 2) int64 rows (x, z) of n-qubit letter words: bit q of x is
+    set where letter q is X or Y, of z where it is Z or Y."""
+    letters = np.array([list(word) for word in words], dtype="U1").reshape(len(words), n)
+    bits = 1 << np.arange(n, dtype=np.int64)
+    is_y = letters == "Y"
+    return np.stack([((letters == "X") | is_y) @ bits, ((letters == "Z") | is_y) @ bits],
+                    axis=1).reshape(-1, 2)
+
+
 def letter_pauli_action(op):
-    """pauli_action(op) with the masks read from an array of word letters."""
+    """pauli_action(op) with the masks read from its words' letters."""
     n = op.qubit_count
     if n > DENSE_QUBIT_LIMIT:
         raise ValueError(f"qubit_count {n} exceeds dense limit {DENSE_QUBIT_LIMIT}")
-    letters = np.array([list(word) for word in op.terms], dtype="U1")
-    letters = letters.reshape(len(op.terms), n)
-    bits = 1 << np.arange(n, dtype=np.int64)
-    is_y = letters == "Y"
-    x = ((letters == "X") | is_y) @ bits
-    z = ((letters == "Z") | is_y) @ bits
-    i_pow = np.array([1, 1j, -1, -1j])[is_y.sum(axis=1) % 4]
-    c = np.array(list(op.terms.values()), dtype=complex) * i_pow
+    terms = op.terms
+    words = list(terms)
+    x, z = letter_masks(words, n).T
+    i_pow = np.array([1, 1j, -1, -1j])[np.array([w.count("Y") for w in words], dtype=int) % 4]
+    c = np.array(list(terms.values()), dtype=complex) * i_pow
     src = np.arange(1 << n) ^ x[:, None]
     odd = np.bitwise_count(src & z[:, None]) & 1
     return src, np.where(odd, -c[:, None], c[:, None])
@@ -270,12 +274,12 @@ def mask_word(x, z, n):
 
 
 def apply_paulis(state, masks):
-    """Exact <P> of every (words, 3) _word_masks row, each as the full
+    """Exact <P> of every (words, 2) (x, z) mask row, each as the full
     P @ state of its letter_pauli_action by apply_pauli."""
     state = np.asarray(state, dtype=complex)
     n = state.shape[0].bit_length() - 1
     out = []
-    for x, z, _ in np.asarray(masks).reshape(-1, 3).tolist():
+    for x, z in np.asarray(masks).reshape(-1, 2).tolist():
         acted = apply_pauli(letter_pauli_action(PauliOperator(n, {mask_word(x, z, n): 1.0})),
                             state)
         out.append(np.real(state.conj() @ acted if state.ndim == 1 else np.trace(acted)))
@@ -298,7 +302,7 @@ def _estimate(state, pauli, shots, count_ups):
     """Mean and stderr of shots +-1 outcomes whose +1 count count_ups(p)
     draws at p = (1 + <P>)/2, <P> taken by apply_paulis."""
     [(word, coeff)] = pauli.terms.items()
-    exact = float(apply_paulis(state, [_word_masks(word)])[0])
+    exact = float(apply_paulis(state, letter_masks([word], pauli.qubit_count))[0])
     ups = count_ups(min(max((1.0 + exact) / 2.0, 0.0), 1.0))
     mean = (2 * ups - shots) / shots
     stderr = float(np.sqrt((1.0 - mean * mean) / (shots - 1))) if shots > 1 else 0.0

@@ -34,9 +34,9 @@ from math import comb, factorial
 import numpy as np
 
 from fermion_oracle import adjoint, commutator, mul, normal_order
-from pauli_oracle import apply_paulis, letter_jordan_wigner
+from pauli_oracle import apply_paulis, letter_jordan_wigner, letter_masks
 from vcsqse.molecule import hamiltonian_from_tensors
-from vcsqse.operators import FermionOperator, _word_masks
+from vcsqse.operators import FermionOperator
 from vcsqse.qse import _overlap_lr, _symmetrized, operator_to_tensors
 from vcsqse.rdm import RdmSet, cumulants_from_rdms, reconstruct_rdms
 
@@ -245,7 +245,7 @@ def loop_sample_rdms(state, max_k, shots, seed):
     forms = [[dict(terms) for terms in _ladder_pauli_forms(m, k)] for k in range(1, max_k + 1)]
     words = list(dict.fromkeys(word for order in forms for terms in order for word in terms
                                if word != identity))
-    p = np.clip((1.0 + apply_paulis(state, [_word_masks(w) for w in words])) / 2.0, 0.0, 1.0)
+    p = np.clip((1.0 + apply_paulis(state, letter_masks(words, m))) / 2.0, 0.0, 1.0)
     ups = np.random.default_rng((seed, 1)).binomial(shots, p)
     estimates = {identity: 1.0, **dict(zip(words, (2 * ups - shots) / shots))}
     blocks = []
@@ -287,5 +287,4 @@ def loop_rdm_words(m, max_k):
                 coeffs.append(coeff)
         orders.append((np.array(pairs, dtype=np.intp), np.array(ids, dtype=np.intp),
                        np.array(coeffs, dtype=complex)))
-    masks = np.array([_word_masks(word) for word in words], dtype=np.int64).reshape(-1, 3)
-    return orders, masks
+    return orders, letter_masks(words, m)

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from vcsqse.config import (DEFAULT_SHOT_COUNT, DEFAULT_SHOT_SEED, ConfigError,
                            ExperimentConfig, config_to_text,
                            load_config, parse_config)
 from vcsqse.experiments import run_experiment, single_point
-from vcsqse.molecule import MolecularIntegrals
+from vcsqse.molecule import FcidumpError, MolecularIntegrals, load_sweep
 
 MINI_MANIFEST = "mini.manifest"
 
@@ -404,6 +407,19 @@ class TestCli:
         assert main(["point", "--fcidump", str(bad)]) == 2
         assert (f"config error: {bad}: NORB={norb}: a system needs at least one "
                 "orbital") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nelec", [5, -1])
+    def test_nelec_outside_the_register_exits_2(self, tmp_path, capsys, sto3g_ints, nelec):
+        """NELEC outside 0..2 NORB is bad input, not a numerical failure."""
+        bad = tmp_path / "nelec.fcidump"
+        bad.write_text(render_fcidump(dataclasses.replace(sto3g_ints, nelec=nelec)))
+        message = f"NELEC={nelec} outside 0..4 for NORB=2"
+        assert main(["point", "--fcidump", str(bad)]) == 2
+        assert f"config error: {bad}: {message}" in capsys.readouterr().err
+        (tmp_path / "sweep.manifest").write_text(f"0.7 {bad}\n")
+        with pytest.raises(FcidumpError, match=re.escape(
+                f"{tmp_path / 'sweep.manifest'}:1: fixture {bad}: {message}")):
+            load_sweep(tmp_path / "sweep.manifest")
 
     def test_malformed_fcidump_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.fcidump"

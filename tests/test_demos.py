@@ -1,11 +1,11 @@
 """Every demo's standard output against demos/expected/<demo>.txt.
 
-Run with PYTHONPATH=src from the repository root, like the demos
-themselves. Outputs are compared whitespace-separated token by token: the
-text in a token must match exactly, and so must each integer (a count or an
-index). Each other number must agree within 1e-10 plus one unit in its last
-printed digit, so round-off in a printed column that should be zero
-(1.89e-34 against -2.1e-33) passes.
+The root conftest.py puts src on the demos' PYTHONPATH. Outputs are
+compared whitespace-separated token by token: the text in a token must
+match exactly, and so must each integer (a count or an index). Each other
+number must agree within 1e-10 plus one unit in its last printed digit, so
+round-off in a printed column that should be zero (1.89e-34 against
+-2.1e-33) passes.
 """
 
 import os
@@ -57,8 +57,6 @@ def test_token_comparison_tolerates_only_the_last_digit():
 def test_demo_output_unchanged(demo):
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     run = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr

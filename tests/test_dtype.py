@@ -14,9 +14,10 @@ from vcsqse.experiments import _point
 from vcsqse.linalg import DEFAULT_METRIC_CUTOFF, generalized_eigensolve
 from vcsqse.molecule import spin_orbital_tensors
 from vcsqse.operators import (FermionOperator, PauliOperator, dense_symmetry, fermion_to_dense,
-                              parse_ladder)
+                              parse_ladder, symmetry_operator)
 from vcsqse.qse import (approximate_lr, build_lr_from_rdms, build_subspace_direct,
-                        fermionic_basis, qubit_basis, solve_subspace)
+                        fermionic_basis, operator_to_tensors, project_symmetry, qubit_basis,
+                        solve_subspace)
 from vcsqse.rdm import (compute_rdms, cumulants_from_rdms, estimate_pauli, sample_rdms,
                         wedge)
 from vcsqse.vcs import solve_vcs, transform_hamiltonian
@@ -86,6 +87,25 @@ def test_molecular_pipeline_stays_real(point):
         assert all(block.dtype == np.float64 for block in blocks(prob))
         spec = solve_subspace(prob)
         assert spec.eigenvalues.dtype == spec.eigenvectors.dtype == np.float64
+
+
+def test_lr_symmetry_blocks_follow_the_operator(point):
+    """A real symmetry operator gives a float64 LR block, so the projected
+    problem stays float64; an imaginary coefficient keeps its block complex."""
+    m = point.mode_count
+    h1, h2, _ = spin_orbital_tensors(point.integrals)
+    rdms = compute_rdms(point.exact()[1][:, 0], 4)
+    number = symmetry_operator("number", m)
+    prob = build_lr_from_rdms(h1, h2, rdms, symmetry_ops={"number": number})
+    assert all(block.dtype == np.float64 for block in blocks(prob))
+    projected = project_symmetry(prob, "number", 2.0, 0.5)
+    assert all(block.dtype == np.float64 for block in blocks(projected))
+    hop = FermionOperator(m, {**number.terms, parse_ladder("0^ 2"): 0.25j,
+                              parse_ladder("2^ 0"): -0.25j})
+    _, t1, t2 = operator_to_tensors(hop)
+    assert t1.dtype == t2.dtype == np.complex128
+    prob = build_lr_from_rdms(h1, h2, rdms, symmetry_ops={"hop": hop})
+    assert prob.symmetry_subs["hop"].dtype == np.complex128
 
 
 def test_complex_data_stays_complex(point):

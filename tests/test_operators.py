@@ -9,11 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermion_oracle import add, adjoint, commutator, mul, normal_order, rank, s_squared
-from pauli_oracle import (apply_pauli, kron_dense, letter_jordan_wigner, letter_product,
-                          loop_apply_right, pauli_action)
+from pauli_oracle import (apply_pauli, kron_dense, letter_jordan_wigner, letter_masks,
+                          letter_product, loop_apply_right, pauli_action)
 from vcsqse import operators
 from vcsqse.molecule import assemble_hamiltonian
-from vcsqse.operators import (FermionOperator, PauliOperator, dense_symmetry,
+from vcsqse.operators import (PRUNE_TOL, FermionOperator, PauliOperator, dense_symmetry,
                               fermion_to_dense, jordan_wigner, parse_ladder,
                               symmetry_operator)
 from vcsqse.vcs import _penalized
@@ -254,6 +254,16 @@ class TestPauliOperator:
         with pytest.raises(ValueError, match="exceeds"):
             pauli_action(PauliOperator.identity(13))
 
+    @pytest.mark.parametrize("n", [-1, 63])
+    def test_qubit_count_outside_a_word_mask_raises(self, n):
+        with pytest.raises(ValueError, match="outside the 0..62 qubits"):
+            PauliOperator(n)
+
+    def test_word_mask_limits(self):
+        assert PauliOperator.identity(0).terms == {"": 1.0}
+        op = PauliOperator.from_letter("Y", 61, 62)
+        assert (op.x.tolist(), op.z.tolist()) == ([1 << 61], [1 << 61])
+
     def test_action_masks_and_phases(self):
         # Y0 Z1 on |j>: x = 0b01, z = 0b11, one Y
         src, phase = pauli_action(PauliOperator(2, {"YZ": 2.0}))
@@ -394,6 +404,20 @@ def test_pauli_action_matches_kron_oracle(words, coeffs, seed):
     assert np.abs(apply_pauli(act, mat) - dense @ mat).max() <= 1e-12 * scale
     assert np.abs(loop_apply_right(mat, act) - mat @ dense).max() <= 1e-12 * scale
 
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.integers(0, 8).flatmap(lambda n: st.tuples(st.just(n), st.dictionaries(
+    st.text("IXYZ", min_size=n, max_size=n), complex_coeffs, max_size=8))))
+def test_letters_round_trip_through_masks(case):
+    """Words keep their order and their coefficients' bits through the
+    stored masks, and the masks are the letter parse of the oracle."""
+    n, terms = case
+    op = PauliOperator(n, terms)
+    kept = {word: complex(c) for word, c in terms.items() if abs(c) >= PRUNE_TOL}
+    assert coefficient_bits(op) == [(word, struct.pack("dd", c.real, c.imag))
+                                    for word, c in kept.items()]
+    assert np.array_equal(np.stack([op.x, op.z], axis=1), letter_masks(list(kept), n))
 
 
 def coefficient_bits(op):

@@ -1,10 +1,8 @@
-import os
 import subprocess
 import sys
 import tracemalloc
 from itertools import combinations, product
 from math import comb
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdm_oracle
-from pauli_oracle import (apply_estimate_pauli, apply_paulis, kron_dense,
+from pauli_oracle import (apply_estimate_pauli, apply_paulis, kron_dense, letter_masks,
                           letter_pauli_action, mask_word, pauli_action,
                           uniform_estimate_pauli)
 from vcsqse import rdm
@@ -20,7 +18,7 @@ from vcsqse.config import ExperimentConfig
 from vcsqse.experiments import single_point
 from vcsqse.molecule import assemble_hamiltonian, spin_orbital_tensors
 from vcsqse.operators import (FermionOperator, PauliOperator, _signed_permutation,
-                              _word_masks, fermion_to_dense, jordan_wigner)
+                              fermion_to_dense, jordan_wigner)
 from vcsqse.rdm import (RDM_MODE_LIMIT, compute_rdms, contract_energy, cumulants_from_rdms,
                         estimate_pauli, reconstruct_rdms, sample_rdms, wedge)
 
@@ -360,7 +358,7 @@ class TestEstimatePauli:
         monkeypatch.setattr(rdm, "_sampled_means", spy)
         est, err = estimate_pauli(state, op, 500, 8)
         monkeypatch.undo()
-        assert batches == [([list(_word_masks(w)) for w in ("XYZ", "ZIZ", "IXI")], 8)]
+        assert batches == [(letter_masks(["XYZ", "ZIZ", "IXI"], 3).tolist(), 8)]
         means = rdm._sampled_means(state, np.array(batches[0][0]), 500, 8)
         errs = np.sqrt((1.0 - means ** 2) / 499)
         c = np.array([0.5, -2.0, 0.75])
@@ -488,8 +486,8 @@ class TestEstimatePauli:
        shots=st.integers(1, 3000),
        coeff=st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-3))
 def test_estimate_pauli_matches_apply_oracle_bit_for_bit(n, mixed, seed, shots, coeff):
-    """Every word at n <= 3, random words above: the cached masks give the
-    letter-array src and phase, and, given the apply_pauli <P>, the draw
+    """Every word at n <= 3, random words above: the operator's stored masks
+    give the letter-array src and phase, and, given the apply_pauli <P>, the draw
     gives the apply_pauli estimate, all exactly."""
     rng = np.random.default_rng(seed)
     state = random_state(rng, n)
@@ -501,8 +499,9 @@ def test_estimate_pauli_matches_apply_oracle_bit_for_bit(n, mixed, seed, shots, 
     words = (["".join(w) for w in product("IXYZ", repeat=n)] if n <= 3
              else ["".join(rng.choice(list("IXYZ"), n)) for _ in range(8)])
     for i, word in enumerate(words):
-        src, phase = letter_pauli_action(PauliOperator(n, {word: 1.0}))
-        got_src, got_phase = _signed_permutation(*_word_masks(word), 1.0, n)
+        unit = PauliOperator(n, {word: 1.0})
+        src, phase = letter_pauli_action(unit)
+        got_src, got_phase = _signed_permutation(unit.x[0], unit.z[0], 1.0, n)
         assert np.array_equal(got_src, src[0]) and np.array_equal(got_phase, phase[0])
         p = PauliOperator(n, {word: coeff})
         with pytest.MonkeyPatch.context() as patch:
@@ -530,7 +529,7 @@ def test_exact_paulis_match_apply_oracle(n, mixed, seed, pool, picks):
     low = (1 << n) - 1
     pairs = [(pool[0], 0), (pool[0], 1)] + [(pool[i % len(pool)], z) for i, z in picks]
     x, z = (np.array(col, dtype=np.int64) & low for col in zip(*pairs))
-    masks = np.stack([x, z, np.bitwise_count(x & z) % 4], axis=1).astype(np.int64)
+    masks = np.stack([x, z], axis=1)
     got = rdm._exact_paulis(state, masks)
     assert np.abs(got - apply_paulis(state, masks)).max() <= 1e-14
     with pytest.MonkeyPatch.context() as patch:
@@ -652,7 +651,7 @@ class TestSeedStreams:
         real = rdm._sampled_means
 
         def spy(state, masks, shots, seed):
-            batches.append((masks[:, :2].tolist(), seed))
+            batches.append((masks.tolist(), seed))
             return real(state, masks, shots, seed)
 
         monkeypatch.setattr(rdm, "_sampled_means", spy)
@@ -661,7 +660,7 @@ class TestSeedStreams:
         h_pauli = jordan_wigner(assemble_hamiltonian(sto3g_ints))
         words = [w for w in h_pauli.terms if set(w) != {"I"}]
         assert len(words) == len(h_pauli.terms) - 1
-        assert batches == [([list(_word_masks(w)[:2]) for w in words], (5, 0))]
+        assert batches == [(letter_masks(words, 4).tolist(), (5, 0))]
 
 
 BAD_STATES = {
@@ -729,10 +728,7 @@ def test_import_leaves_numpy_random_unloaded():
     """Seeding is built on first draw, so set-up does not pay for numpy.random."""
     code = ("import sys, vcsqse, vcsqse.experiments, vcsqse.cli; "
             "assert 'numpy' in sys.modules and 'numpy.random' not in sys.modules")
-    src = str(Path(rdm.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
 
 @pytest.mark.parametrize("m", range(RDM_MODE_LIMIT + 1))

@@ -25,6 +25,7 @@ from test_demos import token_mismatch
 from vcsqse.channels import ChannelSpec
 from vcsqse.config import ExperimentConfig
 from vcsqse.experiments import single_point
+from vcsqse.operators import PauliOperator
 
 ROOT = Path(__file__).resolve().parents[1]
 EXPECTED = ROOT / "tests" / "expected"
@@ -80,14 +81,30 @@ def regenerate(directory: Path):
         path.write_text(merge_report(committed, report(case)))
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_sampled_report_unchanged(name, monkeypatch):
-    monkeypatch.chdir(ROOT)
+def assert_report_unchanged(name):
     got = report(name).split()
     want = (EXPECTED / f"{name}.txt").read_text().split()
     assert len(got) == len(want)
     bad = [(g, w) for g, w in zip(got, want) if token_mismatch(g, w)]
     assert not bad, bad[:10]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_sampled_report_unchanged(name, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert_report_unchanged(name)
+
+
+def test_sampled_pathway_reads_no_letters(monkeypatch):
+    """The sampled energy and the sampled RDMs read Pauli words as bit
+    masks: with PauliOperator.terms raising, the qubit-basis report still
+    matches."""
+    def letters(self):
+        raise AssertionError("Pauli letters read")
+
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(PauliOperator, "terms", property(letters))
+    assert_report_unchanged("sto3g_qubit_k1_ap")
 
 
 def test_every_expected_report_has_a_case():
