@@ -6,7 +6,7 @@ solvable Kraus-channel eigenproblem, and recover ground/excited states from
 subspace expansions built out of reduced density matrices.
 """
 
-from .channels import (ChannelSpec, KrausChannel, apply_channel, compose,
+from .channels import (ChannelSpec, KrausChannel, apply_channel,
                        lift_to_register, single_qubit_channel)
 from .linalg import Spectrum, generalized_eigensolve, hermitian_eigensolve
 from .molecule import (MolecularIntegrals, SweepPoint, assemble_hamiltonian,

@@ -1,16 +1,17 @@
 """Kraus-operator noise channels on registers of identical factors.
 
-A KrausChannel holds one completeness-checked Kraus set {K} on a d-level
-factor and the number n of identical tensor factors it acts on, so its
-dimension is d^n. An explicit channel has one factor; lift_to_register
-records n factors of a single-qubit set. The |K|^n product operators of the
-register are never formed. The channel instead holds the set's d^2 x d^2
-transfer matrix S = sum_K K (x) conj(K), which maps the row-major pair
-(i, j) of a factor's row and column index as vec(K X K^dag) = S vec(X). The
-private kernel reshapes a d^n x d^n matrix so that each factor's row and
-column index pair is one axis of length d^2 and multiplies it by S, one
-factor after another: one matrix product per factor, whatever |K|.
-apply_channel uses S for rho -> sum K rho K^dag, and
+A KrausChannel holds one Kraus set {K} on a d-level factor and the number n
+of identical tensor factors it acts on, so its dimension is d^n. Only the
+constructor checks a set (on one factor), once, where the set is written;
+lift_to_register shares that channel's read-only arrays on n qubits, and a
+composite channel writes out its product set instead of composing. The
+|K|^n product operators of the register are never formed. The channel
+instead holds the set's d^2 x d^2 transfer matrix S = sum_K K (x) conj(K),
+which maps the row-major pair (i, j) of a factor's row and column index as
+vec(K X K^dag) = S vec(X). The private kernel reshapes a d^n x d^n matrix
+so that each factor's row and column index pair is one axis of length d^2
+and multiplies it by S, one factor after another: one matrix product per
+factor, whatever |K|. apply_channel uses S for rho -> sum K rho K^dag, and
 vcs.transform_hamiltonian uses S^dag, the transfer matrix of the adjoint
 set, for H -> sum K^dag H K.
 
@@ -37,8 +38,8 @@ which requires the pure-dephasing rate 1/T2 - 1/(2 T1) to be non-negative
 constant is tied to tp_over_t2 so a single ratio controls each channel.
 """
 
+from copy import copy
 from dataclasses import dataclass
-from itertools import product
 from math import exp, isqrt, sqrt
 
 import numpy as np
@@ -79,9 +80,10 @@ class ChannelSpec:
 
 class KrausChannel:
     """CPTP map: one completeness-checked Kraus set on each of `factors`
-    identical tensor factors, with the set's transfer matrix."""
+    identical tensor factors, with the set's transfer matrix. The constructor
+    checks and copies a set on one factor; lift_to_register shares it."""
 
-    def __init__(self, kraus_ops, label: str = "", factors: int = 1):
+    def __init__(self, kraus_ops, label: str = ""):
         ops = [np.asarray(k) for k in kraus_ops]
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
@@ -94,79 +96,69 @@ class KrausChannel:
             raise ValueError(f"the transfer matrix of a {dim}-level Kraus set needs "
                              f"{need} bytes, above the limit of {TRANSFER_BYTE_LIMIT}")
         # complex copies only once the set's size is accepted
-        ops = [np.asarray(k, dtype=complex) for k in ops]
+        ops = tuple(np.array(k, dtype=complex) for k in ops)
         total = sum(k.conj().T @ k for k in ops)
         if np.abs(total - np.eye(dim)).max() > COMPLETENESS_TOL:
             raise ValueError("Kraus completeness sum K^dag K = I violated")
-        if factors < 1:
-            raise ValueError(f"factor count {factors} must be at least 1")
-        self.kraus_ops = ops
-        self.label = label
-        self.factors = factors
-        self.dim = dim ** factors
         # row (i, j) and column (k, l) of the factor's index pairs
         transfer = sum(np.kron(k, k.conj()) for k in ops)
-        self.transfer = transfer if transfer.imag.any() else transfer.real.copy()
+        if not transfer.imag.any():
+            transfer = transfer.real.copy()
+        for arr in (*ops, transfer):
+            arr.setflags(write=False)
+        self.kraus_ops = ops
+        self.label = label
+        self.factors = 1
+        self.dim = dim
+        self.transfer = transfer
 
     def __repr__(self):
         return (f"KrausChannel({self.label or 'unnamed'}, dim={self.dim}, "
                 f"{len(self.kraus_ops)} ops x {self.factors} factors)")
 
 
-def _dephasing(p_tilde: float, label: str) -> KrausChannel:
-    return KrausChannel(
-        [sqrt(1.0 - p_tilde / 2.0) * _I2, sqrt(p_tilde / 2.0) * _Z], label=label)
-
-
-def _amplitude_damping(p: float) -> KrausChannel:
-    k0 = np.array([[1.0, 0.0], [0.0, sqrt(1.0 - p)]], dtype=complex)
-    k1 = np.array([[0.0, sqrt(p)], [0.0, 0.0]], dtype=complex)
-    return KrausChannel([k0, k1], label="amplitude")
+def _dephasing(p_tilde: float) -> list:
+    return [sqrt(1.0 - p_tilde / 2.0) * _I2, sqrt(p_tilde / 2.0) * _Z]
 
 
 def single_qubit_channel(spec: ChannelSpec) -> KrausChannel:
     """Kraus operators for one qubit per the channel's closed form."""
     r1, r2 = spec.tp_over_t1, spec.tp_over_t2
     if spec.kind == "dephasing":
-        return _dephasing(1.0 - exp(-r2), label="dephasing")
+        return KrausChannel(_dephasing(1.0 - exp(-r2)), label="dephasing")
     if spec.kind == "depolarizing":
         p = 1.0 - exp(-r2)
         return KrausChannel(
             [sqrt(1.0 - p) * _I2, sqrt(p / 3.0) * _X, sqrt(p / 3.0) * _Y,
              sqrt(p / 3.0) * _Z], label="depolarizing")
-    # amplitude_phase: dephase at the pure-dephasing rate 1/T2 - 1/(2 T1) so
-    # the composite coherence decay is exactly e^{-Tp/T2}.
+    # amplitude_phase: amplitude damping, then dephasing at the pure-dephasing
+    # rate 1/T2 - 1/(2 T1) so the composite coherence decay is exactly e^{-Tp/T2}.
     phi = r2 - 0.5 * r1
     if phi < -1e-12:
         raise ValueError(
             "amplitude_phase needs tp_over_t2 >= tp_over_t1 / 2 (i.e. T2 <= 2 T1); "
             f"got tp_over_t1={r1}, tp_over_t2={r2}")
-    p_tilde = 1.0 - exp(-max(phi, 0.0))
-    return compose(_amplitude_damping(1.0 - exp(-r1)), _dephasing(p_tilde, "phase"),
-                   label="amplitude_phase")
-
-
-def compose(a: KrausChannel, b: KrausChannel, label: str = "") -> KrausChannel:
-    """Channel applying a first then b; Kraus set {B_j A_i} on each factor."""
-    if (a.dim, a.factors) != (b.dim, b.factors):
-        raise ValueError(f"channel dims differ: {a.dim} ({a.factors} factors) "
-                         f"vs {b.dim} ({b.factors} factors)")
-    ops = [kb @ ka for ka, kb in product(a.kraus_ops, b.kraus_ops)]
-    return KrausChannel(ops, label=label or f"{b.label}*{a.label}",
-                        factors=a.factors)
+    p = 1.0 - exp(-r1)
+    damping = [np.array([[1.0, 0.0], [0.0, sqrt(1.0 - p)]], dtype=complex),
+               np.array([[0.0, sqrt(p)], [0.0, 0.0]], dtype=complex)]
+    dephasing = _dephasing(1.0 - exp(-max(phi, 0.0)))
+    return KrausChannel([kb @ ka for ka in damping for kb in dephasing],
+                        label="amplitude_phase")
 
 
 def lift_to_register(per_qubit: KrausChannel, n: int) -> KrausChannel:
     """The single-qubit channel on each of n qubits independently.
 
-    Only the factor count is recorded; no register-sized operator is built.
+    A shallow copy that records the factor count and shares the checked
+    Kraus set and transfer matrix; no register-sized operator is built.
     """
     if per_qubit.dim != 2:
         raise ValueError("lift_to_register expects a single-qubit channel")
     if n < 1:
         raise ValueError(f"register size {n} must be at least 1")
-    return KrausChannel(per_qubit.kraus_ops, label=f"{per_qubit.label}^x{n}",
-                        factors=n)
+    lifted = copy(per_qubit)
+    lifted.factors, lifted.dim, lifted.label = n, 2 ** n, f"{per_qubit.label}^x{n}"
+    return lifted
 
 
 def _transfer_sweep(transfer: np.ndarray, mat: np.ndarray, factors: int) -> np.ndarray:

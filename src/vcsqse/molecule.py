@@ -104,6 +104,10 @@ def parse_fcidump(text: str) -> MolecularIntegrals:
         raise FcidumpError(f"NORB={norb}: a system needs at least one orbital")
     if not 0 <= nelec <= 2 * norb:
         raise FcidumpError(f"NELEC={nelec} outside 0..{2 * norb} for NORB={norb}")
+    n_alpha, odd = divmod(nelec + ms2, 2)
+    if odd or not 0 <= n_alpha <= norb or not 0 <= nelec - n_alpha <= norb:
+        raise FcidumpError(f"NELEC={nelec} and MS2={ms2} give no alpha and beta "
+                           f"occupations within NORB={norb}")
     if 2 * norb > DENSE_QUBIT_LIMIT:  # reject before allocating the integrals
         raise FcidumpError(f"NORB={norb} gives {2 * norb} spin orbitals, above the "
                            f"dense limit of {DENSE_QUBIT_LIMIT}")

@@ -5,8 +5,8 @@ as one explicit channel on the 2^n-dimensional register, which is the
 textbook definition the package's factor-by-factor kernel must reproduce.
 Its size grows as 4^n matrices of 2^n x 2^n, so keep n <= 4.
 
-identity_channel is the trivial channel {I} that the tests compose, lift
-and transform with.
+identity_channel is the trivial channel {I} that the tests lift and
+transform with.
 """
 
 from itertools import product

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from kraus_oracle import identity_channel, kron_lift
 from vcsqse.channels import (CHANNEL_KINDS, TRANSFER_BYTE_LIMIT, ChannelSpec,
                              KrausChannel, apply_channel, channel_kind_from_token,
-                             compose, lift_to_register, single_qubit_channel)
+                             lift_to_register, single_qubit_channel)
 from vcsqse.vcs import transform_hamiltonian
 
 RATIO_GRID = (0.0, 0.01, 0.05, 0.2, 1.0)
@@ -144,6 +144,19 @@ class TestKrausChannel:
         # the 4-qubit Kronecker oracle's size stays accepted
         assert KrausChannel([np.eye(16)]).transfer.shape == (256, 256)
 
+    def test_arrays_are_read_only_copies(self):
+        """A caller's later write reaches neither kraus_ops nor transfer, and
+        neither can be written through the channel."""
+        ops = [np.sqrt(0.5) * np.eye(2, dtype=complex),
+               np.sqrt(0.5) * np.diag([1.0, -1.0]).astype(complex)]
+        ch = KrausChannel(ops)
+        ops[0][0, 0] = 7.0
+        assert isinstance(ch.kraus_ops, tuple)
+        assert ch.kraus_ops[0][0, 0] == np.sqrt(0.5)
+        for arr in (*ch.kraus_ops, ch.transfer):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0.0
+
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="unknown channel kind"):
             ChannelSpec("thermal", 0.1, 0.1)
@@ -155,37 +168,6 @@ class TestKrausChannel:
         assert channel_kind_from_token("depol") == "depolarizing"
         with pytest.raises(ValueError):
             channel_kind_from_token("white-noise")
-
-
-class TestCompose:
-    def test_identity_is_neutral(self):
-        ch = single_qubit_channel(ChannelSpec("dephasing", 0.0, 0.3))
-        rng = np.random.default_rng(6)
-        rho = random_density(rng, 2)
-        both = compose(identity_channel(), ch)
-        assert np.abs(apply_channel(both, rho) - apply_channel(ch, rho)).max() < 1e-13
-
-    def test_composition_order(self):
-        a = single_qubit_channel(ChannelSpec("dephasing", 0.0, 0.2))
-        b = single_qubit_channel(ChannelSpec("depolarizing", 0.0, 0.4))
-        rng = np.random.default_rng(7)
-        rho = random_density(rng, 2)
-        lhs = apply_channel(compose(a, b), rho)
-        rhs = apply_channel(b, apply_channel(a, rho))
-        assert np.abs(lhs - rhs).max() < 1e-13
-
-    def test_two_dephasings_multiply_survival(self):
-        r_a, r_b = 0.2, 0.5
-        a = single_qubit_channel(ChannelSpec("dephasing", 0.0, r_a))
-        b = single_qubit_channel(ChannelSpec("dephasing", 0.0, r_b))
-        rng = np.random.default_rng(8)
-        rho = random_density(rng, 2)
-        out = apply_channel(compose(a, b), rho)
-        assert np.abs(out - dephasing_closed_form(rho, r_a + r_b)).max() < 1e-12
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match="dims differ"):
-            compose(identity_channel(2), identity_channel(4))
 
 
 class TestLift:
@@ -221,8 +203,25 @@ class TestLift:
         depol = single_qubit_channel(ChannelSpec("depolarizing", 0.0, 0.1))
         with pytest.raises(ValueError, match="at least 1"):
             lift_to_register(depol, 0)
-        with pytest.raises(ValueError, match="at least 1"):
-            KrausChannel(depol.kraus_ops, factors=0)
+
+    @pytest.mark.parametrize("kind", CHANNEL_KINDS)
+    def test_one_checked_set_per_lifted_channel(self, monkeypatch, kind):
+        """Building and lifting a channel constructs one KrausChannel, and the
+        lifted channel shares the per-qubit channel's arrays."""
+        calls = []
+        init = KrausChannel.__init__
+
+        def counting_init(self, *args, **kwargs):
+            calls.append(kwargs.get("label"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(KrausChannel, "__init__", counting_init)
+        single = single_qubit_channel(ChannelSpec(kind, 0.05, 0.05))
+        lifted = lift_to_register(single, 4)
+        assert calls == [kind]
+        assert lifted.transfer is single.transfer
+        assert lifted.kraus_ops is single.kraus_ops
+        assert (lifted.dim, lifted.factors, single.dim, single.factors) == (16, 4, 2, 1)
 
     def test_lift_holds_only_the_per_qubit_set(self):
         # the 4^8 products of 256 x 256 would take 64 GiB
@@ -258,17 +257,6 @@ class TestLift:
         pair = lift_to_register(identity_channel(), 2)
         with pytest.raises(ValueError, match="single-qubit"):
             lift_to_register(pair, 2)
-
-    def test_compose_lifted_channels(self):
-        a = single_qubit_channel(ChannelSpec("dephasing", 0.0, 0.2))
-        b = single_qubit_channel(ChannelSpec("amplitude_phase", 0.1, 0.3))
-        rho = random_density(np.random.default_rng(11), 8)
-        both = compose(lift_to_register(a, 3), lift_to_register(b, 3))
-        assert both.factors == 3
-        assert np.abs(apply_channel(both, rho)
-                      - apply_channel(kron_lift(compose(a, b), 3), rho)).max() < 1e-12
-        with pytest.raises(ValueError, match="dims differ"):
-            compose(lift_to_register(a, 2), identity_channel(4))
 
     def test_apply_channel_validation(self):
         ch = identity_channel(2)

@@ -421,6 +421,15 @@ class TestCli:
                 f"{tmp_path / 'sweep.manifest'}:1: fixture {bad}: {message}")):
             load_sweep(tmp_path / "sweep.manifest")
 
+    @pytest.mark.parametrize("nelec, ms2", [(2, 5), (3, 0), (2, 4)])
+    def test_impossible_ms2_exits_2(self, tmp_path, capsys, sto3g_ints, nelec, ms2):
+        """NELEC + MS2 must be even with both spin occupations in 0..NORB."""
+        bad = tmp_path / "ms2.fcidump"
+        bad.write_text(render_fcidump(dataclasses.replace(sto3g_ints, nelec=nelec, ms2=ms2)))
+        assert main(["point", "--fcidump", str(bad)]) == 2
+        assert (f"config error: {bad}: NELEC={nelec} and MS2={ms2} give no alpha and "
+                "beta occupations within NORB=2") in capsys.readouterr().err
+
     def test_malformed_fcidump_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.fcidump"
         bad.write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\n0.5 1 1 0\n")
