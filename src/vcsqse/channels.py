@@ -162,37 +162,42 @@ def lift_to_register(per_qubit: KrausChannel, n: int) -> KrausChannel:
 
 
 def _transfer_sweep(transfer: np.ndarray, mat: np.ndarray, factors: int) -> np.ndarray:
-    """vec(X) -> S vec(X) on each of `factors` tensor factors in turn.
+    """vec(X) -> S vec(X) on each of `factors` tensor factors in turn, for a
+    matrix X or each X of a (P, dim, dim) stack.
 
     Factor q is digit q of the index in base d: the row index splits as
     (outer, d, inner) with inner = d^q, and so does the column index. The
     factor's row and column digits move next to each other as one axis of
-    length d^2, which S multiplies, and move back.
+    length d^2, which S multiplies, and move back. A stack axis rides in the
+    columns S multiplies: one matrix product per factor for the whole stack.
     """
     d = isqrt(transfer.shape[0])
-    dim = mat.shape[0]
+    dim = mat.shape[-1]
+    p = mat.size // (dim * dim)
+    out = mat
     for q in range(factors):
         outer, inner = d ** (factors - q - 1), d ** q
-        split = mat.reshape(outer, d, inner * outer, d, inner)
-        pairs = split.transpose(1, 3, 0, 2, 4).reshape(d * d, -1)
-        mixed = (transfer @ pairs).reshape(d, d, outer, inner * outer, inner)
-        mat = mixed.transpose(2, 0, 3, 1, 4).reshape(dim, dim)
-    return mat
+        split = out.reshape(p, outer, d, inner * outer, d, inner)
+        pairs = split.transpose(2, 4, 0, 1, 3, 5).reshape(d * d, -1)
+        mixed = (transfer @ pairs).reshape(d, d, p, outer, inner * outer, inner)
+        out = mixed.transpose(2, 3, 0, 4, 1, 5).reshape(p, dim, dim)
+    return out.reshape(mat.shape)
 
 
 def _check_density(rho):
-    if np.abs(rho - rho.conj().T).max() > 1e-10:
+    adjoint = rho.swapaxes(-1, -2).conj()
+    if np.abs(rho - adjoint).max() > 1e-10:
         raise ValueError("state is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > 1e-10:
+    if np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max() > 1e-10:
         raise ValueError("state is not trace-one")
-    if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0] < -1e-10:
+    if np.linalg.eigvalsh(0.5 * (rho + adjoint))[..., 0].min() < -1e-10:
         raise ValueError("state is not positive semidefinite")
 
 
 def apply_channel(ch: KrausChannel, rho: np.ndarray, check: bool = True) -> np.ndarray:
-    """rho -> sum_i K_i rho K_i^dag."""
+    """rho -> sum_i K_i rho K_i^dag, for one state or each of a (P, dim, dim) stack."""
     rho = _promoted(rho)
-    if rho.shape != (ch.dim, ch.dim):
+    if rho.shape[-2:] != (ch.dim, ch.dim):
         raise ValueError(f"state dim {rho.shape} does not match channel dim {ch.dim}")
     if check:
         _check_density(rho)

@@ -2,12 +2,16 @@
 
 Each experiment walks the bond-length sweep and emits one row per sweep
 point per curve with 12-significant-digit values, so repeated runs of the
-same configuration are byte-identical. Column schemas are documented in
-docs/experiments.md.
+same configuration are byte-identical. A channel curve solves all its
+points as one VCS stack before its rows are written, continuing along
+ascending R; a failure still names the sweep point R it happened at. Column
+schemas are documented in docs/experiments.md.
 """
 
 import time
 from dataclasses import dataclass, field, replace
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -15,13 +19,13 @@ import numpy as np
 from .channels import ChannelSpec, channel_kind_from_token, lift_to_register, \
     single_qubit_channel
 from .config import ConfigError, ExperimentConfig
-from .linalg import _sector_eigh
+from .linalg import StackError, _sector_eigh
 from .molecule import FcidumpError, assemble_hamiltonian, load_sweep, \
     parse_fcidump, spin_orbital_tensors
 from .operators import dense_symmetry, fermion_to_dense, jordan_wigner
-from .qse import approximate_lr, build_subspace_direct, fermionic_basis, \
-    project_symmetry, qubit_basis, solve_subspace, subspace_expectation
-from .rdm import compute_rdms, estimate_pauli
+from .qse import FERMIONIC_MODE_LIMIT, approximate_lr, build_subspace_direct, \
+    fermionic_basis, project_symmetry, qubit_basis, solve_subspace, subspace_expectation
+from .rdm import RDM_MODE_LIMIT, compute_rdms, estimate_pauli
 from .vcs import fidelity, no_variation_baseline, solve_vcs
 
 CHANNEL_TOKENS = ("dephasing", "ap", "depol")
@@ -92,62 +96,71 @@ def _point(integrals, bond_length=None) -> _Point:
                                   for name in ("number", "s_squared")})
 
 
-def _channel_for(built: dict, point: _Point, kind: str, cfg: ExperimentConfig):
+def _channel(cfg: ExperimentConfig, kind: str, m: int):
     """The lifted `kind` channel at cfg's ratios (the defaults without a
-    [channel] section) on point's register, built once per curve.
-
-    `built` maps a mode count to its channel; each curve passes its own.
-    """
-    m = point.mode_count
-    if m not in built:
-        spec = replace(cfg.channel or ChannelSpec(kind), kind=kind)
-        built[m] = lift_to_register(single_qubit_channel(spec), m)
-    return built[m]
+    [channel] section) on m qubits."""
+    spec = replace(cfg.channel or ChannelSpec(kind), kind=kind)
+    return lift_to_register(single_qubit_channel(spec), m)
 
 
-def _guarded(fn, where: str, experiment):
-    """fn(), with any failure but an ExperimentError raised as one naming `where`."""
+def _guarded(fn, where, experiment):
+    """fn(), with any failure but an ExperimentError raised as one naming `where`:
+    a label, or sweep points, of which a StackError names the one it indexes
+    and any other failure the first."""
     try:
         return fn()
     except ExperimentError:
         raise
     except Exception as exc:
-        raise ExperimentError(f"{experiment}: failure at {where}: {exc}") from exc
+        if not isinstance(where, str):
+            index = exc.index if isinstance(exc, StackError) else 0
+            where = f"sweep point R={where[index].bond_length}"
+        reason = exc.reason if isinstance(exc, StackError) else exc
+        raise ExperimentError(f"{experiment}: failure at {where}: {reason}") from exc
 
 
-def _sweep(cfg: ExperimentConfig, curves, step):
+def _sweep(cfg: ExperimentConfig, curves, step, solve=None):
     """Rows of every curve over the configured sweep, and the continuation events.
 
-    step(point, curve, built, prev) returns (VCS solution or None, rows). Each
-    curve walks the points in order with its own channel cache `built` and
-    continues from `prev`, the input state of its last solution.
+    A curve covers the points in ascending R, in runs of consecutive points
+    that share a mode count (one run when every fixture has the same NORB).
+    solve(run, curve) solves a run as one stack, continuing along it, and
+    returns per-point sequences, the VCS solutions first, or None for a
+    curve without them; step(point, curve, *the point's items of them)
+    returns that point's rows.
     """
     points = [_point(pt.integrals, pt.bond_length)
               for pt in load_sweep(cfg.sweep_manifest)]
     rows, events = [], 0
     for curve in curves:
-        prev, built = None, {}
-        for point in points:
-            sol, new = _guarded(lambda: step(point, curve, built, prev),
-                                f"sweep point R={point.bond_length}", cfg.experiment)
-            rows += new
-            if sol is not None:
-                prev = sol.input_state
-                events += int(sol.continuation_used)
+        for _, run in groupby(points, key=attrgetter("mode_count")):
+            run = list(run)
+            solved = (solve and _guarded(lambda: solve(run, curve), run, cfg.experiment)) or ()
+            for point, *items in zip(run, *solved):
+                rows += _guarded(lambda: step(point, curve, *items), [point], cfg.experiment)
+            events += sum(sol.continuation_used for sol in solved[0]) if solved else 0
     return rows, events
 
 
-def _fidelity_sweep(cfg: ExperimentConfig):
-    def step(point, token, built, prev):
-        ch = _channel_for(built, point, channel_kind_from_token(token), cfg)
-        psi0 = point.exact()[1][:, 0]
-        sol = solve_vcs(point.h_dense, ch, penalties=cfg.penalties,
-                        continuation=prev)
-        base = no_variation_baseline(point.h_dense, ch, psi0)
-        return sol, [(point.bond_length, token, sol.fidelity_io, base.fidelity_io,
-                      fidelity(sol.output_rho, psi0), sol.energy)]
+def _ground_states(cfg: ExperimentConfig, run):
+    """Each point's exact reference state, a failure naming its point."""
+    return [_guarded(lambda: point.exact()[1][:, 0], [point], cfg.experiment)
+            for point in run]
 
-    rows, events = _sweep(cfg, CHANNEL_TOKENS, step)
+
+def _fidelity_sweep(cfg: ExperimentConfig):
+    def solve(run, token):
+        ch = _channel(cfg, channel_kind_from_token(token), run[0].mode_count)
+        hs, psi0 = [point.h_dense for point in run], _ground_states(cfg, run)
+        sols = solve_vcs(hs, ch, penalties=cfg.penalties)
+        return (sols, no_variation_baseline(hs, ch, psi0),
+                fidelity(np.stack([sol.output_rho for sol in sols]), np.stack(psi0)))
+
+    def step(point, token, sol, base, vs_exact):
+        return [(point.bond_length, token, sol.fidelity_io, base.fidelity_io,
+                 vs_exact, sol.energy)]
+
+    rows, events = _sweep(cfg, CHANNEL_TOKENS, step, solve)
     header = ["R", "channel", "fidelity_vcs", "fidelity_novar",
               "fidelity_vs_exact", "energy_vcs"]
     return header, rows, events
@@ -168,11 +181,11 @@ def _spectrum(cfg: ExperimentConfig):
             name, target, window = cfg.projection
             prob = project_symmetry(prob, name, target, window, cfg.metric_cutoff)
         spec = solve_subspace(prob, cfg.metric_cutoff)
-        return None, [(point.bond_length, method, i, float(e))
-                      for method, levels in (("qse", spec.eigenvalues),
-                                             ("fci_sector", w_full[n == point.integrals.nelec]),
-                                             ("fci_full", w_full))
-                      for i, e in enumerate(levels)]
+        return [(point.bond_length, method, i, float(e))
+                for method, levels in (("qse", spec.eigenvalues),
+                                       ("fci_sector", w_full[n == point.integrals.nelec]),
+                                       ("fci_full", w_full))
+                for i, e in enumerate(levels)]
 
     rows, _ = _sweep(cfg, (None,), step)
     return ["R", "method", "level", "energy"], rows, 0
@@ -182,13 +195,14 @@ def _qse_repair(cfg: ExperimentConfig):
     kind = cfg.channel.kind if cfg.channel is not None else "amplitude_phase"
     proj = cfg.projection or ("s_squared", 0.0, 0.5)
 
-    def step(point, ref_name, built, prev):
-        ch = _channel_for(built, point, kind, cfg)
+    def solve(run, ref_name):
+        ch = _channel(cfg, kind, run[0].mode_count)
+        hs = [point.h_dense for point in run]
         if ref_name == "vcs":
-            sol = solve_vcs(point.h_dense, ch, penalties=cfg.penalties,
-                            continuation=prev)
-        else:
-            sol = no_variation_baseline(point.h_dense, ch, point.exact()[1][:, 0])
+            return (solve_vcs(hs, ch, penalties=cfg.penalties),)
+        return (no_variation_baseline(hs, ch, _ground_states(cfg, run)),)
+
+    def step(point, ref_name, sol):
         basis = fermionic_basis(point.mode_count, 1)
         # unconstrained expansion around the mixed channel output
         prob_out = build_subspace_direct(basis, point.h_dense, sol.output_rho,
@@ -204,40 +218,43 @@ def _qse_repair(cfg: ExperimentConfig):
         spec_in = solve_subspace(projected, cfg.metric_cutoff)
         s2_proj = subspace_expectation(projected, "s_squared",
                                        spec_in.eigenvectors[:, 0])
-        return sol, [(point.bond_length, ref_name, float(point.exact()[0][0]),
-                      sol.energy, float(spec_out.eigenvalues[0]),
-                      float(spec_in.eigenvalues[0]),
-                      sol.symmetry_expectations["s_squared"], s2_qse, s2_proj)]
+        return [(point.bond_length, ref_name, float(point.exact()[0][0]),
+                 sol.energy, float(spec_out.eigenvalues[0]),
+                 float(spec_in.eigenvalues[0]),
+                 sol.symmetry_expectations["s_squared"], s2_qse, s2_proj)]
 
-    rows, events = _sweep(cfg, ("vcs", "novar"), step)
+    rows, events = _sweep(cfg, ("vcs", "novar"), step, solve)
     header = ["R", "reference", "energy_exact", "energy_ref", "energy_qse",
               "energy_qse_s2proj", "s2_ref", "s2_qse", "s2_qse_s2proj"]
     return header, rows, events
 
 
 def _ground_channels(cfg: ExperimentConfig):
-    def step(point, curve, built, prev):
+    def solve(run, curve):
+        if curve in ("exact", "rhf"):
+            return None
+        penalties = list(cfg.penalties)
+        if curve == "ph_s2pen":
+            penalties = [("s_squared", 0.0, S2_PENALTY_WEIGHT)]
+        ch = _channel(cfg, channel_kind_from_token(curve.removesuffix("_s2pen")),
+                      run[0].mode_count)
+        return (solve_vcs([point.h_dense for point in run], ch, penalties=penalties),)
+
+    def step(point, curve, sol=None):
         s2d = point.symmetry_dense["s_squared"]
         if curve == "exact":
             w, v, _ = point.exact()
             vec = v[:, 0]
-            return None, [(point.bond_length, curve, float(w[0]),
-                           float(np.real(vec.conj() @ s2d @ vec)))]
+            return [(point.bond_length, curve, float(w[0]),
+                     float(np.real(vec.conj() @ s2d @ vec)))]
         if curve == "rhf":
             det = (1 << point.integrals.nelec) - 1
-            return None, [(point.bond_length, curve,
-                           float(np.real(point.h_dense[det, det])),
-                           float(np.real(s2d[det, det])))]
-        penalties = list(cfg.penalties)
-        if curve == "ph_s2pen":
-            penalties = [("s_squared", 0.0, S2_PENALTY_WEIGHT)]
-        kind = channel_kind_from_token(curve.removesuffix("_s2pen"))
-        ch = _channel_for(built, point, kind, cfg)
-        sol = solve_vcs(point.h_dense, ch, penalties=penalties, continuation=prev)
-        return sol, [(point.bond_length, curve, sol.energy,
-                      sol.symmetry_expectations["s_squared"])]
+            return [(point.bond_length, curve, float(np.real(point.h_dense[det, det])),
+                     float(np.real(s2d[det, det])))]
+        return [(point.bond_length, curve, sol.energy,
+                 sol.symmetry_expectations["s_squared"])]
 
-    rows, events = _sweep(cfg, GROUND_CURVES, step)
+    rows, events = _sweep(cfg, GROUND_CURVES, step, solve)
     return ["R", "curve", "energy", "s2"], rows, events
 
 
@@ -257,7 +274,7 @@ def _approx_spectrum(cfg: ExperimentConfig, levels: int = 3):
             for i in range(min(levels, spec.retained_dim)):
                 rows.append((point.bond_length, method, i,
                              float(spec.eigenvalues[i])))
-        return None, rows
+        return rows
 
     rows, _ = _sweep(cfg, (None,), step)
     return ["R", "method", "level", "energy"], rows, 0
@@ -299,6 +316,14 @@ def single_point(cfg: ExperimentConfig) -> str:
         ints = parse_fcidump(Path(cfg.fcidump).read_text())
     except ValueError as exc:  # a malformed record, or bytes that are not UTF-8
         raise FcidumpError(f"{cfg.fcidump}: {exc}") from None
+    modes = 2 * ints.norb
+    for used, what, name, limit in (
+            (cfg.subspace_kind == "fermionic", "a fermionic subspace",
+             "FERMIONIC_MODE_LIMIT", FERMIONIC_MODE_LIMIT),
+            (cfg.sampled_rdms, "sampled RDMs", "RDM_MODE_LIMIT", RDM_MODE_LIMIT)):
+        if used and modes > limit:
+            raise ConfigError(f"{cfg.fcidump}: NORB={ints.norb} gives {modes} spin "
+                              f"orbitals, above {name}={limit} for {what}")
     return _guarded(lambda: _point_report(cfg, ints), f"fixture {cfg.fcidump}",
                     cfg.experiment)
 

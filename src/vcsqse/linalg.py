@@ -45,33 +45,43 @@ def _promoted(a) -> np.ndarray:
     return a.astype(np.result_type(a, float), copy=False)
 
 
-def _as_square(a) -> np.ndarray:
+class StackError(ValueError):
+    """A check failed on the matrix at `index` of a stack; `reason` says which."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"stack index {index}: {reason}")
+        self.index, self.reason = index, reason
+
+
+def _reject(bad: np.ndarray, reason: str):
+    """Raise ValueError if bad, one flag, or a StackError at the first flag
+    of one per matrix of a stack."""
+    if bad.any():
+        raise StackError(int(bad.argmax()), reason) if bad.ndim else ValueError(reason)
+
+
+def _checked_hermitian(a, name: str, stack: bool = False) -> np.ndarray:
+    """a symmetrized, once square, finite and Hermitian on its own scale; with
+    `stack`, a (P, dim, dim) stack is checked one matrix at a time."""
     a = _promoted(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in ((2, 3) if stack else (2,)) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    return a
-
-
-def hermiticity_defect(a) -> float:
-    a = np.asarray(a)
-    scale = max(1.0, np.abs(a).max()) if a.size else 1.0
-    return float(np.abs(a - a.conj().T).max() / scale)
-
-
-def _checked_hermitian(a, name: str) -> np.ndarray:
-    a = _as_square(a)
-    if hermiticity_defect(a) > HERMITICITY_REJECT:
-        raise ValueError(f"{name} is not Hermitian within {HERMITICITY_REJECT:g}")
-    return 0.5 * (a + a.conj().T)
+    largest = np.abs(a).max(axis=(-2, -1), initial=0.0)  # NaN or inf if any entry is
+    _reject(~np.isfinite(largest), "matrix has non-finite entries")
+    adjoint = a.swapaxes(-1, -2).conj()
+    defect = np.abs(a - adjoint).max(axis=(-2, -1), initial=0.0) / np.maximum(1.0, largest)
+    _reject(defect > HERMITICITY_REJECT,
+            f"{name} is not Hermitian within {HERMITICITY_REJECT:g}")
+    return 0.5 * (a + adjoint)
 
 
 def hermitian_eigensolve(a) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix, ascending eigenvalues."""
-    a = _checked_hermitian(a, "input")
+    """Eigendecomposition of a Hermitian matrix, ascending eigenvalues, or of
+    each matrix of a (P, dim, dim) stack by one batched eigh; a failed check
+    is then a StackError naming the first failing index."""
+    a = _checked_hermitian(a, "input", stack=True)
     w, v = np.linalg.eigh(a)
-    return Spectrum(eigenvalues=w, eigenvectors=v, retained_dim=a.shape[0])
+    return Spectrum(eigenvalues=w, eigenvectors=v, retained_dim=a.shape[-1])
 
 
 # Sorted in Python: numpy's sort kernels page 0.3 MiB more code into each process.

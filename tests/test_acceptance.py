@@ -404,23 +404,30 @@ def golden_deviation(text, golden):
     return worst
 
 
+# Degeneracy-continuation events of each shipped config.
+CONTINUATION_EVENTS = {"fig2_fidelity": 30, "fig3_spectrum": 0, "fig4_repair": 9,
+                       "ground_channels": 30, "zero_approx": 0}
+
+
 def test_criterion_11_suite_determinism(configs_dir, tmp_path):
     start = time.perf_counter()
-    names = ["fig2_fidelity", "fig3_spectrum", "fig4_repair",
-             "ground_channels", "zero_approx"]
     identical = True
     worst_golden = 0.0
-    for name in names:
+    events = {}
+    for name in CONTINUATION_EVENTS:
         cfg = load_config(configs_dir / f"{name}.cfg")
         cfg.output = None
-        first = run_experiment(cfg).csv_text
+        result = run_experiment(cfg)
+        first = result.csv_text
         second = run_experiment(cfg).csv_text
-        identical = identical and (first.encode() == second.encode())
         golden = (configs_dir.parent / "out" / f"{name}.csv").read_text()
+        identical = identical and first.encode() == second.encode() == golden.encode()
         worst_golden = max(worst_golden, golden_deviation(first, golden))
+        events[name] = result.continuation_events
     elapsed = time.perf_counter() - start
     report(11, "two runs of the full experiment suite are byte-identical "
-               "and match the tracked out/*.csv",
-           identical and worst_golden <= GOLDEN_TOL, elapsed, 600,
+               "to each other and to the tracked out/*.csv",
+           identical and worst_golden <= GOLDEN_TOL and events == CONTINUATION_EVENTS,
+           elapsed, 600,
            f"suite wall time (both runs) {elapsed:.1f}s, largest deviation "
-           f"from out/*.csv {worst_golden:.2e}")
+           f"from out/*.csv {worst_golden:.2e}, continuation events {events}")

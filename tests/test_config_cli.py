@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import time
 
 import numpy as np
 import pytest
@@ -190,6 +191,24 @@ class TestExperiments:
         run_experiment(parse_config(config_text(mini_sweep, experiment=experiment)))
         assert lifts == [4] * curves
 
+    def test_stacked_failure_names_its_sweep_point(self, mini_sweep, monkeypatch):
+        """A point whose H fails the curve's stacked VCS solve is named by
+        its own R, not by the first point of the stack."""
+        real, built = experiments.fermion_to_dense, []
+
+        def skewed_second(op):
+            h = real(op).copy()
+            built.append(h)
+            if len(built) == 2:  # the points are built in ascending R
+                h[0, 1] += 1.0
+            return h
+
+        monkeypatch.setattr(experiments, "fermion_to_dense", skewed_second)
+        with pytest.raises(experiments.ExperimentError,
+                           match=r"qse-repair: failure at sweep point R=1\.5: "
+                                 "input is not Hermitian"):
+            run_experiment(parse_config(config_text(mini_sweep, experiment="qse-repair")))
+
     def test_unphysical_sweep_channel_is_a_numerical_failure(self, mini_sweep):
         text = config_text(mini_sweep, experiment="qse-repair").replace(
             "tp_over_t2 = 0.05", "tp_over_t2 = 0.01")
@@ -232,7 +251,7 @@ def test_shipped_csv_reproduces_byte_for_byte(configs_dir, name):
 def test_one_eigensolve_per_vcs_solve(configs_dir, monkeypatch, name, calls):
     """Only VCS solves diagonalize: the no-variation curves take each point's
     exact ground state, so fig2 solves once per channel and point and fig4's
-    novar curve not at all."""
+    novar curve not at all. Each curve's 28 points are one stacked eigh."""
     shapes = []
     real = vcs.hermitian_eigensolve
     monkeypatch.setattr(vcs, "hermitian_eigensolve",
@@ -240,7 +259,7 @@ def test_one_eigensolve_per_vcs_solve(configs_dir, monkeypatch, name, calls):
     cfg = load_config(configs_dir / f"{name}.cfg")
     cfg.output = None
     run_experiment(cfg)
-    assert shapes == [(16, 16)] * calls
+    assert shapes == [(28, 16, 16)] * (calls // 28)
 
 
 class TestCli:
@@ -388,6 +407,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{tmp_path / 'sweep.manifest'}:2: fixture {bad.resolve()}: " in err
         assert "missing header key MS2" in err
+
+    @pytest.mark.parametrize("args, limit", [
+        (["--channel", "ap"], "FERMIONIC_MODE_LIMIT=8 for a fermionic subspace"),
+        (["--kind", "qubit", "--sampled-rdms"], "RDM_MODE_LIMIT=8 for sampled RDMs")])
+    def test_oversized_subspace_exits_2_before_building(self, tmp_path, capsys, args,
+                                                          limit):
+        """NORB = 5 (M = 10) is refused from the header, before H is built."""
+        h1 = np.random.default_rng(5).normal(size=(5, 5))
+        big = tmp_path / "norb5.fcidump"
+        big.write_text(render_fcidump(MolecularIntegrals(
+            5, 2, 0, 0.0, h1 + h1.T, np.zeros((5, 5, 5, 5)))))
+        start = time.perf_counter()
+        assert main(["point", "--fcidump", str(big), *args]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert (f"config error: {big}: NORB=5 gives 10 spin orbitals, above {limit}"
+                in capsys.readouterr().err)
 
     def test_oversized_fcidump_exits_2(self, tmp_path, capsys):
         big = tmp_path / "norb7.fcidump"

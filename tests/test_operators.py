@@ -16,7 +16,7 @@ from vcsqse.molecule import assemble_hamiltonian
 from vcsqse.operators import (PRUNE_TOL, FermionOperator, PauliOperator, dense_symmetry,
                               fermion_to_dense, jordan_wigner, parse_ladder,
                               symmetry_operator)
-from vcsqse.vcs import _penalized
+from vcsqse.vcs import _penalty_terms
 
 
 def random_fermion(rng, m, n_terms=6, max_len=4):
@@ -337,6 +337,11 @@ class TestSymmetryOperators:
             symmetry_operator("sz", 3)
         with pytest.raises(ValueError, match="unknown"):
             symmetry_operator("parity", 4)
+
+
+def _penalized(h, penalties, mode_count):
+    """H plus each penalty term in turn, as solve_vcs adds them."""
+    return sum(_penalty_terms(penalties, mode_count), h)
 
 
 class TestPenalty:

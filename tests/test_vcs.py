@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kraus_oracle import identity_channel, kron_lift
+from vcs_oracle import serial_baseline, serial_solve_vcs
+from vcsqse import vcs
 from vcsqse.channels import (CHANNEL_KINDS, ChannelSpec, KrausChannel,
                              apply_channel, lift_to_register, single_qubit_channel)
 from vcsqse.vcs import (fidelity, no_variation_baseline, solve_vcs,
@@ -229,3 +231,143 @@ class TestFidelity:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             fidelity(np.eye(4) / 4, np.array([1.0, 0.0]))
+
+
+def random_unit(rng, dim, complex_):
+    psi = rng.normal(size=dim) + (1j * rng.normal(size=dim) if complex_ else 0.0)
+    return psi / np.linalg.norm(psi)
+
+
+def planted_stack(rng, p, m, complex_):
+    """p Hermitian matrices of dim 2^m: random ones, ones whose lowest level
+    is repeated 2..dim times in a random basis, and multiples of the identity."""
+    dim = 2 ** m
+    hs = []
+    for kind in rng.integers(0, 3, size=p):
+        a = rng.normal(size=(dim, dim)) + (1j * rng.normal(size=(dim, dim))
+                                           if complex_ else 0.0)
+        if kind == 0:
+            hs.append(a + a.conj().T)
+        elif kind == 1:
+            w = np.sort(rng.normal(size=dim))
+            w[:rng.integers(2, dim + 1)] = w[0]
+            q = np.linalg.qr(a)[0]
+            hs.append((q * w) @ q.conj().T)
+        else:
+            hs.append(rng.normal() * np.eye(dim))
+    return np.stack(hs)
+
+
+def assert_same_solutions(got, want, tol=0.0):
+    """Equal solutions: bit for bit, or within tol relative to each entry or
+    number's scale (at least 1)."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for a, b in ((g.input_state, w.input_state), (g.output_rho, w.output_rho),
+                     (g.energy, w.energy), (g.fidelity_io, w.fidelity_io),
+                     (g.hprime_eigenvalue, w.hprime_eigenvalue),
+                     (list(g.symmetry_expectations.values()),
+                      list(w.symmetry_expectations.values()))):
+            assert np.shape(a) == np.shape(b)
+            scale = max(1.0, np.abs(b).max(initial=0.0))
+            assert np.abs(np.subtract(a, b)).max(initial=0.0) <= tol * scale
+        assert g.symmetry_expectations.keys() == w.symmetry_expectations.keys()
+        assert g.continuation_used == w.continuation_used
+
+
+class TestStackedSolve:
+    """A stack solves as the per-matrix loop of vcs_oracle does, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(p=st.integers(1, 6), m=st.sampled_from([2, 4]), complex_=st.booleans(),
+           kind=st.sampled_from(CHANNEL_KINDS), ratio=st.sampled_from([0.0, 0.05, 0.4]),
+           penalized=st.booleans(), continued=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_serial_oracle(self, p, m, complex_, kind, ratio, penalized,
+                                   continued, seed):
+        # at ratio 0 every channel is the identity, so H' keeps the planted
+        # degenerate blocks and continuation decides the ground vector; M is
+        # even, as the <S^2> diagnostic needs spin orbitals in pairs
+        rng = np.random.default_rng(seed)
+        hs = planted_stack(rng, p, m, complex_)
+        ch = lifted(kind, ratio, ratio, n=m)
+        penalties = []
+        if penalized:
+            penalties = [("number", float(rng.integers(0, m + 1)), 2.0),
+                         ("s_squared", 0.0, 3.0)]
+        start = random_unit(rng, 2 ** m, complex_) if continued else None
+        # a complex phase pivot / |pivot| rounds differently as numpy scalars
+        # (per matrix) and as an array (per stack)
+        tol = 1e-14 if complex_ else 0.0
+        stacked = solve_vcs(hs, ch, penalties=penalties, continuation=start)
+        assert_same_solutions(stacked, serial_solve_vcs(hs, ch, penalties, start), tol)
+        states = [random_unit(rng, 2 ** m, complex_) for _ in range(p)]
+        assert_same_solutions(no_variation_baseline(hs, ch, states),
+                              serial_baseline(hs, ch, states))
+
+    def test_sweep_curve_uses_continuation(self, h2_dense):
+        """The dephased H2 sweep has degenerate blocks that the chain resolves."""
+        hs = [h2_dense[r] for r in sorted(h2_dense)]
+        ch = lifted("dephasing")
+        stacked = solve_vcs(hs, ch)
+        assert_same_solutions(stacked, serial_solve_vcs(hs, ch))
+        assert sum(sol.continuation_used for sol in stacked) > 0
+
+    def test_chunks_chain_like_one_stack(self, h2_dense, monkeypatch):
+        hs = np.stack([h2_dense[r] for r in sorted(h2_dense)])
+        ch = lifted("amplitude_phase")
+        whole = solve_vcs(hs, ch)
+        monkeypatch.setattr(vcs, "STACK_BYTE_LIMIT", 3 * 16 * hs[0].size)
+        assert_same_solutions(solve_vcs(hs, ch), whole)
+        assert_same_solutions(solve_vcs(list(hs), ch), whole)
+
+    def test_single_matrix_is_a_stack_of_one(self, h2_dense):
+        h, ch = h2_dense[2.1], lifted("depolarizing")
+        assert_same_solutions([solve_vcs(h, ch)], solve_vcs(h[None], ch))
+        assert_same_solutions([solve_vcs(h, ch)], serial_solve_vcs([h], ch))
+
+    @pytest.mark.parametrize("defect", ["asymmetric", "non-finite"])
+    def test_failure_names_its_stack_index(self, h2_dense, monkeypatch, defect):
+        hs = np.stack([h2_dense[r] for r in sorted(h2_dense)[:10]])
+        ch = lifted("dephasing")
+        # three matrices per chunk, so index 4 and 9 sit in later chunks
+        monkeypatch.setattr(vcs, "STACK_BYTE_LIMIT", 3 * 16 * hs[0].size)
+        for i in (0, 4, 9):
+            bad = hs.copy()
+            if defect == "asymmetric":
+                bad[i, 0, 1] += 1.0
+            else:
+                bad[i, 3, 3] = np.nan
+            reason = "not Hermitian" if defect == "asymmetric" else "non-finite"
+            with pytest.raises(ValueError, match=f"stack index {i}: .*{reason}"):
+                solve_vcs(bad, ch)
+
+    def test_baseline_names_a_bad_state(self, h2_dense):
+        hs = np.stack([h2_dense[r] for r in (0.5, 1.0, 1.5)])
+        states = [ground_state(h) for h in hs]
+        states[2] = 2 * states[2]
+        with pytest.raises(ValueError, match="stack index 2: .*unit vector"):
+            no_variation_baseline(hs, lifted("dephasing"), states)
+
+    def test_chunked_memory_is_bounded(self):
+        """The extra peak of a stacked solve is set by the chunk, not by the
+        stack: one chunk plus one matrix and three chunks plus one peak alike."""
+        rng = np.random.default_rng(6)
+        m, dim = 6, 64
+        per_chunk = vcs.STACK_BYTE_LIMIT // (16 * dim * dim)
+        ch = lifted("amplitude_phase", n=m)
+        extra = []
+        for chunks in (1, 3):
+            a = rng.normal(size=(chunks * per_chunk + 1, dim, dim))
+            hs = a + a.transpose(0, 2, 1)
+            tracemalloc.start()
+            try:
+                sols = solve_vcs(hs, ch)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # kept: the solutions, one dim x dim output state per matrix
+            assert len(sols) == len(hs) and kept >= len(hs) * dim * dim * 8
+            extra.append(peak - kept)
+        assert extra[1] < 1.1 * extra[0]
+        assert max(extra) < 4 * vcs.STACK_BYTE_LIMIT
