@@ -11,9 +11,9 @@ which maps the row-major pair (i, j) of a factor's row and column index as
 vec(K X K^dag) = S vec(X). The private kernel reshapes a d^n x d^n matrix
 so that each factor's row and column index pair is one axis of length d^2
 and multiplies it by S, one factor after another: one matrix product per
-factor, whatever |K|. apply_channel uses S for rho -> sum K rho K^dag, and
-vcs.transform_hamiltonian uses S^dag, the transfer matrix of the adjoint
-set, for H -> sum K^dag H K.
+factor, whatever |K|. apply_channel checks rho (linalg._checked_state and
+eigvalsh) and maps it by S to sum K rho K^dag; the VCS layer calls the kernel
+itself, with S on its input states and S^dag (the adjoint set's) on H.
 
 S holds d^4 entries, 64 GiB as complex128 for a one-factor 8-qubit set
 (d = 256). The constructor refuses a set whose transfer matrix would exceed
@@ -44,7 +44,7 @@ from math import exp, isqrt, sqrt
 
 import numpy as np
 
-from .linalg import _promoted
+from .linalg import STATE_TOL, _checked_state, _reject, _symmetrized
 
 COMPLETENESS_TOL = 1e-12
 # Bound on a channel's transfer matrix, d^4 entries charged at the complex
@@ -184,23 +184,14 @@ def _transfer_sweep(transfer: np.ndarray, mat: np.ndarray, factors: int) -> np.n
     return out.reshape(mat.shape)
 
 
-def _check_density(rho):
-    adjoint = rho.swapaxes(-1, -2).conj()
-    if np.abs(rho - adjoint).max() > 1e-10:
-        raise ValueError("state is not Hermitian")
-    if np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max() > 1e-10:
-        raise ValueError("state is not trace-one")
-    if np.linalg.eigvalsh(0.5 * (rho + adjoint))[..., 0].min() < -1e-10:
-        raise ValueError("state is not positive semidefinite")
-
-
-def apply_channel(ch: KrausChannel, rho: np.ndarray, check: bool = True) -> np.ndarray:
-    """rho -> sum_i K_i rho K_i^dag, for one state or each of a (P, dim, dim) stack."""
-    rho = _promoted(rho)
-    if rho.shape[-2:] != (ch.dim, ch.dim):
-        raise ValueError(f"state dim {rho.shape} does not match channel dim {ch.dim}")
-    if check:
-        _check_density(rho)
+def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
+    """rho -> sum_i K_i rho K_i^dag, for one state or each of a (P, dim, dim)
+    stack that linalg._checked_state accepts and eigvalsh finds semidefinite."""
+    if np.shape(rho)[-2:] != (ch.dim, ch.dim):
+        raise ValueError(f"state dim {np.shape(rho)} does not match channel dim {ch.dim}")
+    rho = _checked_state(rho, stack=np.ndim(rho) > 2)
+    _reject(np.linalg.eigvalsh(_symmetrized(rho))[..., 0] < -STATE_TOL,
+            "density matrix is not positive semidefinite")
     return _transfer_sweep(ch.transfer, rho, ch.factors)
 
 

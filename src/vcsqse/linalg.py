@@ -13,16 +13,34 @@ are (see operators and channels), so the molecular pipeline is real end to
 end: states, subspace builds, RDMs, cumulants and linear-response matrices.
 A qubit basis (i^#Y phases) and sampled RDM blocks are complex because
 their coefficients are.
+
+One check each for operators and states, sharing one finiteness rule (no
+NaN or inf entry), one Hermiticity defect and one symmetrizer:
+_checked_hermitian (H, S, stacks of H') rejects an asymmetry above the
+relative HERMITICITY_REJECT (of the largest entry, at least 1);
+_checked_state, at every entry point that takes a state, requires a unit
+norm for a vector, or trace one, Hermiticity and no negative diagonal entry
+for a matrix, each within the absolute STATE_TOL. Only compute_rdms (eigh)
+and apply_channel (eigvalsh) decompose a state and test it for
+semidefiniteness, within STATE_TOL; the sampled routes refuse any |<P>|
+above 1 + STATE_TOL.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
-# Relative asymmetry beyond which an input is rejected instead of symmetrized.
+# Relative asymmetry beyond which an operator is rejected instead of symmetrized.
 HERMITICITY_REJECT = 1e-8
+# Absolute tolerance of every state check and of the callers' semidefinite
+# and |<P>| <= 1 tests.
+STATE_TOL = 1e-10
 DEFAULT_METRIC_CUTOFF = 1e-10
+# Entries per row block of a Hermiticity defect, whose temporaries take 40
+# bytes an entry: 80 KiB for an array of any size, and one block for a
+# matrix up to M = 5 or a stack of up to 8 matrices at M = 4.
+_CHECK_ENTRIES = 1 << 11
 
 
 @dataclass
@@ -46,7 +64,7 @@ def _promoted(a) -> np.ndarray:
 
 
 class StackError(ValueError):
-    """A check failed on the matrix at `index` of a stack; `reason` says which."""
+    """A check failed on the member at `index` of a stack; `reason` says which."""
 
     def __init__(self, index: int, reason: str):
         super().__init__(f"stack index {index}: {reason}")
@@ -55,9 +73,32 @@ class StackError(ValueError):
 
 def _reject(bad: np.ndarray, reason: str):
     """Raise ValueError if bad, one flag, or a StackError at the first flag
-    of one per matrix of a stack."""
-    if bad.any():
+    of one per member of a stack."""
+    if bad.any() if bad.ndim else bad:  # a scalar's .any() costs a microsecond
         raise StackError(int(bad.argmax()), reason) if bad.ndim else ValueError(reason)
+
+
+def _symmetrized(mat: np.ndarray) -> np.ndarray:
+    """(mat + mat^dag)/2 of a matrix or each of a stack."""
+    return 0.5 * (mat + mat.swapaxes(-1, -2).conj())
+
+
+def _defect(a: np.ndarray) -> np.ndarray:
+    """max |a - a^dag| of a matrix or each of a stack, in row blocks of about
+    _CHECK_ENTRIES entries, so a small array is one block and no loop."""
+    dim = a.shape[-1]
+    step = max(1, _CHECK_ENTRIES * dim // max(a.size, 1))
+    if step >= dim:
+        return np.abs(a - a.swapaxes(-1, -2).conj()).max(axis=(-2, -1), initial=0.0)
+    return reduce(np.maximum, [
+        np.abs(a[..., lo:lo + step, :] - a[..., lo:lo + step].swapaxes(-1, -2).conj())
+        .max(axis=(-2, -1)) for lo in range(0, dim, step)])
+
+
+def _finite(measure: np.ndarray, what: str) -> np.ndarray:
+    """measure, NaN or inf wherever its array (or stack member) has such an entry, once none is."""
+    _reject(~np.isfinite(measure), f"{what} has non-finite entries")
+    return measure
 
 
 def _checked_hermitian(a, name: str, stack: bool = False) -> np.ndarray:
@@ -66,13 +107,33 @@ def _checked_hermitian(a, name: str, stack: bool = False) -> np.ndarray:
     a = _promoted(a)
     if a.ndim not in ((2, 3) if stack else (2,)) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    largest = np.abs(a).max(axis=(-2, -1), initial=0.0)  # NaN or inf if any entry is
-    _reject(~np.isfinite(largest), "matrix has non-finite entries")
-    adjoint = a.swapaxes(-1, -2).conj()
-    defect = np.abs(a - adjoint).max(axis=(-2, -1), initial=0.0) / np.maximum(1.0, largest)
-    _reject(defect > HERMITICITY_REJECT,
+    largest = _finite(np.abs(a).max(axis=(-2, -1), initial=0.0), "matrix")
+    _reject(_defect(a) / np.maximum(1.0, largest) > HERMITICITY_REJECT,
             f"{name} is not Hermitian within {HERMITICITY_REJECT:g}")
-    return 0.5 * (a + adjoint)
+    return _symmetrized(a)
+
+
+def _checked_state(state, stack: bool = False) -> np.ndarray:
+    """state, promoted, once it is a finite unit vector, or a finite trace-one
+    Hermitian matrix with no negative diagonal entry, each within STATE_TOL;
+    with `stack`, each vector of a (P, dim) array or each matrix of a
+    (P, dim, dim) one, a failed check naming the first member that fails it."""
+    state = _promoted(state)  # a stack adds one leading axis
+    if state.ndim - stack not in (1, 2) or not state.size or state.shape[-1] != state.shape[stack]:
+        raise ValueError(f"state of shape {state.shape} is not a nonempty vector or square matrix")
+    if state.ndim == stack + 1:
+        _finite(np.abs(state).max(axis=-1), "state")
+        _reject(np.abs(np.linalg.norm(state, axis=-1) - 1.0) > STATE_TOL,
+                "state vector is not normalized to a unit vector")
+        return state
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which _finite rejects
+        defect = _finite(_defect(state), "state")
+    diagonal = np.diagonal(state, axis1=-2, axis2=-1)
+    _reject(np.abs(diagonal.sum(axis=-1) - 1.0) > STATE_TOL, "density matrix is not trace-one")
+    _reject(defect > STATE_TOL, f"density matrix is not Hermitian within {STATE_TOL:g}")
+    _reject(diagonal.real.min(axis=-1) < -STATE_TOL,
+            "density matrix has a negative diagonal entry, so it is not positive semidefinite")
+    return state
 
 
 def hermitian_eigensolve(a) -> Spectrum:
@@ -150,7 +211,5 @@ def generalized_eigensolve(h, s, metric_cutoff: float = DEFAULT_METRIC_CUTOFF) -
     if not np.any(keep):
         raise ValueError("all metric eigenvalues below cutoff (empty subspace)")
     x = su[:, keep] / np.sqrt(sw[keep])
-    hp = x.conj().T @ h @ x
-    hp = 0.5 * (hp + hp.conj().T)
-    w, v = np.linalg.eigh(hp)
+    w, v = np.linalg.eigh(_symmetrized(x.conj().T @ h @ x))
     return Spectrum(eigenvalues=w, eigenvectors=x @ v, retained_dim=int(keep.sum()))

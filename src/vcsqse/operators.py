@@ -341,6 +341,11 @@ def fermion_to_dense(op: FermionOperator) -> np.ndarray:
     return out
 
 
+def _mode_count(dim: int):
+    """M if dim = 2^M, the dimension of M modes or qubits, else None."""
+    return dim.bit_length() - 1 if dim and not dim & (dim - 1) else None
+
+
 def symmetry_operator(kind: str, mode_count: int) -> FermionOperator:
     """Total number, S_z, or S^2 in second quantization.
 

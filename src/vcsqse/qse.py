@@ -31,7 +31,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .linalg import Spectrum, _promoted, generalized_eigensolve
+from .linalg import Spectrum, _checked_state, _promoted, _symmetrized, generalized_eigensolve
 from .operators import (DENSE_QUBIT_LIMIT, FermionOperator, _ladder_action,
                         _signed_permutation, ladder_text)
 from .rdm import (RdmSet, _disconnected, _split_contract, cumulants_from_rdms,
@@ -141,13 +141,6 @@ def qubit_basis(qubit_count: int, order: int) -> ExpansionBasis:
     return _distinct(*_signed_permutation(x, z, 1.0, n), labels)
 
 
-def _symmetrized(mat: np.ndarray) -> np.ndarray:
-    """(mat + mat^)/2 in place; every caller passes a freshly computed matrix."""
-    mat += mat.conj().T
-    mat *= 0.5
-    return mat
-
-
 def build_subspace_direct(basis: ExpansionBasis, h: np.ndarray, rho: np.ndarray,
                           symmetry_ops: dict | None = None) -> SubspaceProblem:
     """Assemble h_sub[a,b] = Tr[E_a^ H E_b rho] and overlaps by operator actions.
@@ -157,6 +150,7 @@ def build_subspace_direct(basis: ExpansionBasis, h: np.ndarray, rho: np.ndarray,
     E_a rho = weight[a] * rho[src[a]] a row gather of rho and W E_b a column
     gather of W, column j being weight[b, src[b, j]] * W[:, src[b, j]].
     Every block has dtype np.result_type(h, rho, weight, symmetry ops, float).
+    The reference is checked by linalg._checked_state once its shape fits.
     """
     ops = {name: np.asarray(op) for name, op in (symmetry_ops or {}).items()}
     h, rho = np.asarray(h), np.asarray(rho)
@@ -167,6 +161,7 @@ def build_subspace_direct(basis: ExpansionBasis, h: np.ndarray, rho: np.ndarray,
     src, weight = basis.src, basis.weight
     if src.shape[1] != dim:
         raise ValueError("basis operator dimension does not match H")
+    _checked_state(rho)
     n_b = len(basis)
     weights = 1 if rho.ndim == 1 else 2
     need = (2 * n_b * rho.size * dtype.itemsize + src.nbytes

@@ -17,6 +17,10 @@ The linear-response route in qse reads every 3- and 4-RDM term through one
 split contraction (_split_contract) of the packed block. Like the wedge
 kernel it walks the cached split tables, which split each sorted tuple
 every way into two sorted parts with the sign of the merging shuffle.
+
+Every state is checked by linalg._checked_state and must have dimension
+2^M; compute_rdms adds the semidefinite test of its eigh, and the sampled
+routes refuse any |<P>| above 1 + STATE_TOL.
 """
 
 from dataclasses import dataclass
@@ -26,18 +30,12 @@ from math import comb, factorial
 
 import numpy as np
 
-from .linalg import _promoted
-from .operators import _I_POW, PauliOperator, _ladder_action, _ladder_words
+from .linalg import STATE_TOL, _checked_state, _promoted, _reject, _symmetrized
+from .operators import _I_POW, PauliOperator, _ladder_action, _ladder_words, _mode_count
 
 RDM_MODE_LIMIT = 8
 GATHER_BYTES = 2 << 20  # working set of one chunk of _exact_paulis transforms
 _WEIGHT_TOL = 1e-14
-# Tolerance of every state check: norm or trace, Hermiticity, diagonal,
-# semidefiniteness and <P>.
-STATE_TOL = 1e-10
-# Entries per row block of the Hermiticity check, whose temporaries take 40
-# bytes an entry: 80 KiB for a density matrix of any size.
-_CHECK_ENTRIES = 1 << 11
 
 # D_n - C_n as wedge products of lower-order cumulants: (coefficient, orders)
 # per shape of partition of the n index pairs into two or more blocks; the
@@ -217,42 +215,11 @@ def _pure_blocks(psi: np.ndarray, m: int, max_k: int) -> list:
     return blocks
 
 
-def _is_hermitian(mat: np.ndarray) -> bool:
-    """max |mat - mat^dag| <= STATE_TOL, compared one block of rows at a time."""
-    dim = mat.shape[0]
-    step = max(1, _CHECK_ENTRIES // dim)
-    return all(np.abs(mat[lo:lo + step] - mat[:, lo:lo + step].conj().T).max() <= STATE_TOL
-               for lo in range(0, dim, step))
-
-
-def _checked_state(state) -> tuple[np.ndarray, int]:
-    """state, promoted as linalg._promoted does, and its mode count, after
-    checking that it is a normalized vector or a square trace-one matrix of
-    power-of-two size.
-
-    A matrix must also be Hermitian and have no diagonal entry below zero,
-    each within STATE_TOL. Both checks are O(4^M), so a gross error is
-    caught without an eigendecomposition; compute_rdms adds the full
-    semidefinite test, and _sampled_means rejects any <P> outside [-1, 1].
-    """
-    state = _promoted(state)
-    if state.ndim not in (1, 2) or not state.size or state.shape[-1] != state.shape[0]:
-        raise ValueError(f"state of shape {state.shape} is not a nonempty vector "
-                         "or square matrix")
-    dim = state.shape[0]
-    m = dim.bit_length() - 1
-    if dim != 1 << m:
-        raise ValueError(f"state dimension {dim} is not a power of two")
-    if state.ndim == 1:
-        if abs(np.linalg.norm(state) - 1.0) > STATE_TOL:
-            raise ValueError("state vector is not normalized")
-    elif abs(np.trace(state) - 1.0) > STATE_TOL:
-        raise ValueError("density matrix is not trace-one")
-    elif not _is_hermitian(state):
-        raise ValueError(f"density matrix is not Hermitian within {STATE_TOL:g}")
-    elif np.diagonal(state).real.min() < -STATE_TOL:
-        raise ValueError("density matrix has a negative diagonal entry, so it is "
-                         "not positive semidefinite")
+def _state_modes(state) -> tuple[np.ndarray, int]:
+    """linalg._checked_state of state and its mode count M, for dimension 2^M."""
+    state = _checked_state(state)
+    if (m := _mode_count(state.shape[0])) is None:
+        raise ValueError(f"state dimension {state.shape[0]} is not a power of two")
     return state, m
 
 
@@ -263,18 +230,15 @@ def compute_rdms(state: np.ndarray, max_k: int) -> RdmSet:
     """
     if not 1 <= max_k <= 4:
         raise ValueError("max_k must be in 1..4")
-    state, m = _checked_state(state)
+    state, m = _state_modes(state)
     if max_k == 4 and m > RDM_MODE_LIMIT:
         raise ValueError(f"max_k=4 limited to {RDM_MODE_LIMIT} modes, got {m}")
     if state.ndim == 1:
         blocks = _pure_blocks(state, m, max_k)
     else:
-        w, v = np.linalg.eigh(0.5 * (state + state.conj().T))
-        if w[0] < -STATE_TOL:
-            raise ValueError("density matrix is not positive semidefinite")
-        if w[-1] <= _WEIGHT_TOL:
-            raise ValueError("density matrix has no significant eigenvalues")
-        blocks = [0.0] * max_k
+        w, v = np.linalg.eigh(_symmetrized(state))
+        _reject(w[0] < -STATE_TOL, "density matrix is not positive semidefinite")
+        blocks = [0.0] * max_k  # trace one leaves some weight >= ~1/dim
         for weight, col in zip(w, v.T):
             if weight > _WEIGHT_TOL:
                 part = _pure_blocks(col, m, max_k)
@@ -354,7 +318,7 @@ def sample_rdms(state: np.ndarray, max_k: int, shots: int, seed: int) -> RdmSet:
     of a few coefficient sums times 1/sqrt(shots). The state must pass the
     checks of compute_rdms: a normalized vector or a trace-one matrix.
     """
-    state, m = _checked_state(state)
+    state, m = _state_modes(state)
     if not 1 <= max_k <= 4:
         raise ValueError("max_k must be in 1..4")
     if m > RDM_MODE_LIMIT:
@@ -497,7 +461,7 @@ def estimate_pauli(state: np.ndarray, pauli: PauliOperator, shots: int,
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    state, m = _checked_state(state)
+    state, m = _state_modes(state)
     n = pauli.qubit_count
     if m != n:
         raise ValueError(f"{n}-qubit operator on a dimension-{state.shape[0]} state")

@@ -25,9 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import KrausChannel, _transfer_sweep, apply_channel
-from .linalg import StackError, _promoted, _reject, hermitian_eigensolve
-from .operators import dense_symmetry
+from .channels import KrausChannel, _transfer_sweep
+from .linalg import (StackError, _checked_state, _promoted, _reject, _symmetrized,
+                     hermitian_eigensolve)
+from .operators import _mode_count, dense_symmetry
 
 # Eigenvalues within this distance of the bottom count as one degenerate block.
 DEGENERACY_TOL = 1e-9
@@ -92,11 +93,6 @@ def _stacked(h, solve_chunk):
     return sols[0] if single else sols
 
 
-def _mode_count(dim):
-    """M if dim = 2^M, else None."""
-    return dim.bit_length() - 1 if dim and not dim & (dim - 1) else None
-
-
 def _penalty_terms(penalties, mode_count):
     """lambda (O - o)^2 of each (name, o, lambda) penalty as a dense matrix."""
     terms = []
@@ -136,14 +132,15 @@ def _ground_vectors(hp, continuation=None):
 
 def _solutions(h, ch, psi, eig, used) -> list:
     """Each row of psi pushed through ch, with the output's bare energy under
-    the matching H of the stack h and psi's diagnostics."""
-    rho = apply_channel(ch, psi[:, :, None] * psi.conj()[:, None, :], check=False)
-    rho = 0.5 * (rho + rho.swapaxes(-1, -2).conj())
+    the matching H of the stack h and psi's diagnostics: <N> for a
+    2^M-dimensional H, and <S^2> too when M is even."""
+    rho = _symmetrized(_transfer_sweep(ch.transfer, psi[:, :, None] * psi.conj()[:, None, :],
+                                       ch.factors))
     energy = np.real(np.trace(rho @ h, axis1=-2, axis2=-1))
     fid = fidelity(rho, psi)
     m = _mode_count(h.shape[-1])
-    sym = {} if m is None else {name: _expectation(psi, dense_symmetry(name, m))
-                                for name in ("number", "s_squared")}
+    names = () if m is None else ("number", "s_squared")[:2 - m % 2]
+    sym = {name: _expectation(psi, dense_symmetry(name, m)) for name in names}
     return [VcsSolution(energy=float(energy[i]), input_state=psi[i], output_rho=rho[i],
                         fidelity_io=float(fid[i]),
                         symmetry_expectations={k: float(x[i]) for k, x in sym.items()},
@@ -182,7 +179,8 @@ def no_variation_baseline(h, ch: KrausChannel, state):
 
     Nothing is solved: the input is `state` itself, hprime_eigenvalue is
     <state|H|state> and continuation_used is False. A stack of H (as in
-    solve_vcs) takes one state per matrix.
+    solve_vcs) takes one state per matrix, and linalg._checked_state checks
+    the states of each chunk at once.
     """
     states = [state] if np.ndim(h[0]) < 2 else state
 
@@ -190,8 +188,7 @@ def no_variation_baseline(h, ch: KrausChannel, state):
         psi = _promoted(np.stack([np.ravel(x) for x in states[start:start + len(hs)]]))
         if psi.shape != hs.shape[:2]:
             raise ValueError("state must be a unit vector of H's dimension")
-        _reject(np.abs(np.linalg.norm(psi, axis=1) - 1.0) > 1e-10,
-                "state must be a unit vector of H's dimension")
+        _checked_state(psi, stack=True)
         return _solutions(hs, ch, psi, _expectation(psi, hs), np.zeros(len(hs), dtype=bool))
 
     return _stacked(h, solve_chunk)

@@ -35,9 +35,10 @@ import numpy as np
 
 from fermion_oracle import adjoint, commutator, mul, normal_order
 from pauli_oracle import apply_paulis, letter_jordan_wigner, letter_masks
+from vcsqse.linalg import _symmetrized
 from vcsqse.molecule import hamiltonian_from_tensors
 from vcsqse.operators import FermionOperator
-from vcsqse.qse import _overlap_lr, _symmetrized, operator_to_tensors
+from vcsqse.qse import _overlap_lr, operator_to_tensors
 from vcsqse.rdm import RdmSet, cumulants_from_rdms, reconstruct_rdms
 
 

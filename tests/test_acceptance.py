@@ -73,8 +73,7 @@ def test_criterion_1_vcs_optimality(dense_by_r):
             # cross-check the Kronecker-product energies against apply_channel
             for column in (0, 1234):
                 rho = apply_channel(ch, np.outer(psis[:, column],
-                                                 psis[:, column].conj()),
-                                    check=False)
+                                                 psis[:, column].conj()))
                 assert abs(np.real(np.trace(rho @ h)) - energies[column]) < 1e-10
             worst_gap = min(worst_gap, energies.min() - sol.hprime_eigenvalue)
             achieved = abs(np.real(np.trace(sol.output_rho @ h))

@@ -3,7 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vcsqse.linalg import _sector_eigh, generalized_eigensolve, hermitian_eigensolve
+from vcsqse import channels, linalg, qse, rdm, vcs
+from vcsqse.channels import ChannelSpec, lift_to_register, single_qubit_channel
+from vcsqse.linalg import StackError, _sector_eigh, generalized_eigensolve, hermitian_eigensolve
+from vcsqse.operators import PauliOperator
 
 
 def random_hermitian(rng, n):
@@ -182,3 +185,90 @@ def test_sector_coupling_rejected_before_any_eigh(monkeypatch):
     assert shapes == []
     _sector_eigh(h, labels)
     assert shapes == [(2, 4, 4), (1, 6, 6)]
+
+
+class TestStateCheck:
+    """linalg._checked_state is the one check of every state the package takes."""
+
+    @pytest.fixture
+    def state_checks(self, monkeypatch):
+        """Every module's reference to _checked_state swapped for a spy that
+        records each call's state shape and stack flag."""
+        calls, real = [], linalg._checked_state
+
+        def spy(state, stack=False):
+            calls.append((np.shape(state), stack))
+            return real(state, stack)
+
+        for module in (linalg, channels, qse, rdm, vcs):
+            if getattr(module, "_checked_state", None) is real:
+                monkeypatch.setattr(module, "_checked_state", spy)
+        return calls
+
+    def test_one_check_per_state_argument(self, state_checks, monkeypatch):
+        """The RDM routes, the subspace build and the channel check their
+        state once each; a baseline checks each chunk's states at once."""
+        rng = np.random.default_rng(12)
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        rho = np.outer(psi, psi.conj())
+        h = random_hermitian(rng, 4)
+        pair = lift_to_register(single_qubit_channel(ChannelSpec("amplitude_phase")), 2)
+        entries = [lambda s: rdm.compute_rdms(s, 2), lambda s: rdm.sample_rdms(s, 2, 10, 0),
+                   lambda s: rdm.estimate_pauli(s, PauliOperator(2, {"XY": 1.0}), 10, 0),
+                   lambda s: qse.build_subspace_direct(qse.qubit_basis(2, 1), h, s)]
+        for entry, state in [(e, s) for e in entries for s in (psi, rho)] + [
+                (lambda s: channels.apply_channel(pair, s), rho)]:
+            state_checks.clear()
+            entry(state)
+            assert state_checks == [(state.shape, False)]
+        # three matrices per chunk
+        monkeypatch.setattr(vcs, "STACK_BYTE_LIMIT", 3 * 16 * h.size)
+        state_checks.clear()
+        vcs.no_variation_baseline(np.stack([h] * 7), pair, [psi] * 7)
+        assert state_checks == [((3, 4), True), ((3, 4), True), ((1, 4), True)]
+
+    def test_vcs_solve_applies_no_channel(self, state_checks, monkeypatch):
+        """A solve pushes the input states it builds through the channel's
+        kernel itself: no apply_channel call and no state check."""
+        applied = []
+        for module in (channels, vcs):
+            if hasattr(module, "apply_channel"):
+                monkeypatch.setattr(module, "apply_channel",
+                                    lambda *args: applied.append(args))
+        rng = np.random.default_rng(13)
+        hs = np.stack([random_hermitian(rng, 16) for _ in range(3)])
+        ch = lift_to_register(single_qubit_channel(ChannelSpec("depolarizing")), 4)
+        assert len(vcs.solve_vcs(hs, ch)) == 3
+        assert applied == [] and state_checks == []
+
+    @pytest.mark.parametrize("shape", [(5, 5), (3, 6, 6), (64, 64), (2, 33, 33)])
+    def test_row_blocks_give_the_whole_defect(self, monkeypatch, shape):
+        """The Hermiticity defect is the same in one block and in many, and
+        NaN for the matrix, and only the matrix, with a NaN entry."""
+        rng = np.random.default_rng(shape[-1])
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        a[(0,) * (a.ndim - 2) + (1, 2)] = np.nan
+        whole = np.abs(a - a.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
+        for entries in (linalg._CHECK_ENTRIES, a.size, 7, 1):
+            monkeypatch.setattr(linalg, "_CHECK_ENTRIES", entries)
+            assert np.array_equal(linalg._defect(a), whole, equal_nan=True)
+
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_stack_names_the_first_member_that_fails(self, vector):
+        """Checks run in order, finiteness first, and a failed one names the
+        first member of the stack that fails it."""
+        rng = np.random.default_rng(14)
+        psi = rng.normal(size=(5, 8))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        states = psi if vector else psi[:, :, None] * psi[:, None, :]
+        linalg._checked_state(states, stack=True)
+        states[3] *= 2.0
+        states[4] *= 3.0
+        reason = "not normalized" if vector else "not trace-one"
+        with pytest.raises(StackError, match=f"stack index 3: .*{reason}") as info:
+            linalg._checked_state(states, stack=True)
+        assert info.value.index == 3
+        states[4, -1] = np.inf
+        with pytest.raises(StackError, match="stack index 4: state has non-finite"):
+            linalg._checked_state(states, stack=True)

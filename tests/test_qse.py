@@ -220,6 +220,21 @@ class TestDirectBuild:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_reference_is_checked_before_the_byte_guard(self, stretched, monkeypatch):
+        """With every build over the byte limit, a reference that is no state
+        (a non-Hermitian trace-2 matrix, 3 e_3) still fails its state check,
+        and only a valid one (e_3) reaches the guard."""
+        rho = np.zeros((16, 16))
+        rho[0, 1], rho[3, 3] = 1.0, 2.0
+        psi = np.zeros(16)
+        psi[3] = 3.0
+        basis = fermionic_basis(4, 1)
+        monkeypatch.setattr(qse, "SUBSPACE_BYTE_LIMIT", 0)
+        for ref, message in ((rho, "not trace-one"), (rho / 2, "not Hermitian"),
+                             (psi, "not normalized"), (psi / 3, "build needs")):
+            with pytest.raises(ValueError, match=message):
+                build_subspace_direct(basis, stretched["h"], ref)
+
     @pytest.mark.parametrize("kind,order", [("fermionic", 1), ("fermionic", 2),
                                             ("qubit", 1), ("qubit", 2)])
     @pytest.mark.parametrize("mixed", [False, True])

@@ -14,13 +14,16 @@ from pauli_oracle import (apply_estimate_pauli, apply_paulis, kron_dense, letter
                           letter_pauli_action, mask_word, pauli_action,
                           uniform_estimate_pauli)
 from vcsqse import rdm
+from vcsqse.channels import ChannelSpec, apply_channel, lift_to_register, single_qubit_channel
 from vcsqse.config import ExperimentConfig
 from vcsqse.experiments import single_point
 from vcsqse.molecule import assemble_hamiltonian, spin_orbital_tensors
 from vcsqse.operators import (FermionOperator, PauliOperator, _signed_permutation,
                               fermion_to_dense, jordan_wigner)
+from vcsqse.qse import build_subspace_direct, qubit_basis
 from vcsqse.rdm import (RDM_MODE_LIMIT, compute_rdms, contract_energy, cumulants_from_rdms,
                         estimate_pauli, reconstruct_rdms, sample_rdms, wedge)
+from vcsqse.vcs import no_variation_baseline
 
 
 def random_state(rng, m):
@@ -672,18 +675,35 @@ BAD_STATES = {
     "negative_diagonal": (np.diag([1.5, -0.5, 0.0, 0.0]), "negative diagonal"),
     "scalar": (np.array(1.0), r"shape \(\)"),
     "empty_vector": (np.array([]), r"shape \(0,\)"),
+    "vector_nan": (np.array([np.nan, 0.0, 0.0, 0.0]), "non-finite"),
+    "vector_inf": (np.array([np.inf, 0.0, 0.0, 0.0]), "non-finite"),
+    "matrix_nan": (np.diag([np.nan, 0.0, 0.0, 1.0]), "non-finite"),
+    "matrix_inf": (np.diag([np.inf, -np.inf, 0.0, 1.0]), "non-finite"),
 }
+_PAIR = lift_to_register(single_qubit_channel(ChannelSpec("dephasing")), 2)
+_H4 = np.diag([0.0, 1.0, 1.0, 2.0]) + np.eye(4, k=3) + np.eye(4, k=-3)
+# entry point, and the state shapes it takes past its own shape checks
+# (None: every row, as the RDM routes check shapes in the shared check)
 ENTRY_POINTS = {
-    "compute_rdms": lambda state: compute_rdms(state, 2),
-    "sample_rdms": lambda state: sample_rdms(state, 2, 10, 0),
-    "estimate_pauli": lambda state: estimate_pauli(state, PauliOperator(2, {"ZZ": 1.0}), 10, 0),
+    "compute_rdms": (lambda state: compute_rdms(state, 2), None),
+    "sample_rdms": (lambda state: sample_rdms(state, 2, 10, 0), None),
+    "estimate_pauli": (lambda state: estimate_pauli(state, PauliOperator(2, {"ZZ": 1.0}), 10, 0),
+                       None),
+    "apply_channel": (lambda state: apply_channel(_PAIR, state), [(4, 4)]),
+    "build_subspace_direct": (lambda state: build_subspace_direct(qubit_basis(2, 1), _H4, state),
+                              [(4,), (4, 4)]),
+    "no_variation_baseline": (lambda state: no_variation_baseline(_H4, _PAIR, state), [(4,)]),
 }
 
 
-@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
-@pytest.mark.parametrize("state, message", BAD_STATES.values(), ids=BAD_STATES)
+@pytest.mark.parametrize("entry, state, message", [
+    pytest.param(entry, state, message, id=f"{row}-{name}")
+    for row, (state, message) in BAD_STATES.items()
+    for name, (entry, shapes) in ENTRY_POINTS.items()
+    if shapes is None or state.shape in shapes])
 def test_entry_points_reject_invalid_states(entry, state, message):
-    """Exact and sampled routes share one check of the state they are given."""
+    """Every route that takes a state shares one check of it: the exact and
+    sampled RDM routes, the channel, the subspace build and the baseline."""
     with pytest.raises(ValueError, match=message):
         entry(state)
 

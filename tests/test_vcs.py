@@ -20,7 +20,7 @@ def lifted(kind, r1=0.05, r2=0.05, n=4):
 
 def channel_energy(h, ch, psi):
     """Independent oracle: apply the Kraus map to the pure state, then trace."""
-    rho = apply_channel(ch, np.outer(psi, psi.conj()), check=False)
+    rho = apply_channel(ch, np.outer(psi, psi.conj()))
     return float(np.real(np.trace(rho @ h)))
 
 
@@ -279,31 +279,34 @@ class TestStackedSolve:
     """A stack solves as the per-matrix loop of vcs_oracle does, bit for bit."""
 
     @settings(max_examples=80, deadline=None)
-    @given(p=st.integers(1, 6), m=st.sampled_from([2, 4]), complex_=st.booleans(),
+    @given(p=st.integers(1, 6), m=st.integers(1, 4), complex_=st.booleans(),
            kind=st.sampled_from(CHANNEL_KINDS), ratio=st.sampled_from([0.0, 0.05, 0.4]),
            penalized=st.booleans(), continued=st.booleans(),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_matches_serial_oracle(self, p, m, complex_, kind, ratio, penalized,
                                    continued, seed):
         # at ratio 0 every channel is the identity, so H' keeps the planted
-        # degenerate blocks and continuation decides the ground vector; M is
-        # even, as the <S^2> diagnostic needs spin orbitals in pairs
+        # degenerate blocks and continuation decides the ground vector; the
+        # <S^2> penalty and diagnostic need spin orbitals in pairs, so even M
         rng = np.random.default_rng(seed)
         hs = planted_stack(rng, p, m, complex_)
         ch = lifted(kind, ratio, ratio, n=m)
         penalties = []
         if penalized:
-            penalties = [("number", float(rng.integers(0, m + 1)), 2.0),
-                         ("s_squared", 0.0, 3.0)]
+            penalties = [("number", float(rng.integers(0, m + 1)), 2.0)]
+            penalties += [("s_squared", 0.0, 3.0)] if m % 2 == 0 else []
         start = random_unit(rng, 2 ** m, complex_) if continued else None
         # a complex phase pivot / |pivot| rounds differently as numpy scalars
-        # (per matrix) and as an array (per stack)
-        tol = 1e-14 if complex_ else 0.0
+        # (per matrix) and as an array (per stack); at M = 1 a matrix is one
+        # column of the transfer product and one 1 x 2 row of the fidelity
+        # product, which numpy's matmul rounds differently alone and in a stack
+        shape_tol = 1e-14 if m == 1 else 0.0
+        tol = 1e-14 if complex_ else shape_tol
         stacked = solve_vcs(hs, ch, penalties=penalties, continuation=start)
         assert_same_solutions(stacked, serial_solve_vcs(hs, ch, penalties, start), tol)
         states = [random_unit(rng, 2 ** m, complex_) for _ in range(p)]
         assert_same_solutions(no_variation_baseline(hs, ch, states),
-                              serial_baseline(hs, ch, states))
+                              serial_baseline(hs, ch, states), shape_tol)
 
     def test_sweep_curve_uses_continuation(self, h2_dense):
         """The dephased H2 sweep has degenerate blocks that the chain resolves."""

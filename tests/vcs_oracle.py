@@ -4,8 +4,9 @@ serial_solve_vcs and serial_baseline solve a sequence of Hamiltonians one
 matrix after another, the way the package did before a sweep curve became
 one stacked solve: a 2-D transfer kernel per matrix, one eigh per matrix,
 one channel output, energy, fidelity and symmetry pass per matrix, and the
-continuation handed from each solution to the next. The stacked solve must
-reproduce them.
+continuation handed from each solution to the next. The symmetry pass
+reports <N> for a 2^M-dimensional H, and <S^2> only at even M, since spin
+orbitals come in pairs. The stacked solve must reproduce them.
 """
 
 from math import isqrt
@@ -57,9 +58,9 @@ def _solution(h, ch, psi, eig, used):
     rho = _transfer_sweep(ch.transfer, np.outer(psi, psi.conj()), ch.factors)
     rho = 0.5 * (rho + rho.conj().T)
     m = _mode_count(h.shape[0])
-    sym = {} if m is None else {
-        name: float(np.real(psi.conj() @ dense_symmetry(name, m) @ psi))
-        for name in ("number", "s_squared")}
+    names = [] if m is None else ["number"] + (["s_squared"] if m % 2 == 0 else [])
+    sym = {name: float(np.real(psi.conj() @ dense_symmetry(name, m) @ psi))
+           for name in names}
     fid = float(np.real(psi.conj() @ rho @ psi))
     return VcsSolution(energy=float(np.real(np.trace(rho @ h))), input_state=psi,
                        output_rho=rho, fidelity_io=min(max(fid, 0.0), 1.0),
