@@ -171,22 +171,29 @@ def spin_orbital_tensors(ints: MolecularIntegrals):
 
 
 def hamiltonian_from_tensors(h1, h2, core: float = 0.0) -> FermionOperator:
-    """Second-quantized operator for spin-orbital tensors (h1, h2, core): core,
-    then a_p^ a_q and a_p^ a_q^ a_r a_s (p != q, r != s) in row-major order,
-    each term kept when its coefficient reaches PRUNE_TOL."""
+    """Second-quantized operator for spin-orbital tensors h1 (m, m), h2
+    (m, m, m, m) and core, written straight into its ladder and coeffs
+    arrays: core, then a_p^ a_q and a_p^ a_q^ a_r a_s (p != q, r != s, h2
+    halved) in row-major order, each kept if its coefficient reaches PRUNE_TOL."""
+    m = np.shape(h1)[0] if np.ndim(h1) else 0
+    if np.shape(h1) != (m, m) or np.shape(h2) != (m,) * 4:
+        raise ValueError(f"h1 of shape {np.shape(h1)} and h2 of shape {np.shape(h2)} "
+                         "are not (m, m) and (m, m, m, m)")
     if not (np.isfinite(core) and np.isfinite(h1).all() and np.isfinite(h2).all()):
         raise ValueError("non-finite integral in (h1, h2, core)")
-    m = h1.shape[0]
-    op = FermionOperator(m, {(): core})
-    pq = np.nonzero(np.abs(h1) >= PRUNE_TOL)
-    for p, q, c in zip(*(i.tolist() for i in pq), h1[pq].tolist()):
-        op.terms[((p, True), (q, False))] = complex(c)
     half = 0.5 * h2
     distinct = np.arange(m)[:, None] != np.arange(m)
-    pqrs = np.nonzero((np.abs(half) >= PRUNE_TOL) & distinct[:, :, None, None] & distinct)
-    for p, q, r, s, c in zip(*(i.tolist() for i in pqrs), half[pqrs].tolist()):
-        op.terms[((p, True), (q, True), (r, False), (s, False))] = c
-    return op
+    keep1 = np.abs(h1) >= PRUNE_TOL
+    keep2 = (np.abs(half) >= PRUNE_TOL) & distinct[:, :, None, None] & distinct
+    n0, n1, n2 = int(abs(core) >= PRUNE_TOL), np.count_nonzero(keep1), np.count_nonzero(keep2)
+    ladder = np.zeros((n0 + n1 + n2, 4, 3), dtype=np.int64)
+    # (dagger, used) per slot of a_p^ a_q, then of a_p^ a_q^ a_r a_s
+    ladder[n0:n0 + n1, :, 1:] = [[1, 1], [0, 1], [0, 0], [0, 0]]
+    ladder[n0 + n1:, :, 1:] = [[1, 1], [1, 1], [0, 1], [0, 1]]
+    ladder[n0:n0 + n1, :2, 0], ladder[n0 + n1:, :, 0] = np.argwhere(keep1), np.argwhere(keep2)
+    coeffs = np.concatenate([[core] * n0, h1[keep1], half[keep2]]).astype(complex)
+    return FermionOperator.__new__(FermionOperator)._set(  # as many slots as the longest term
+        m, ladder[:, :4 if n2 else 2 if n1 else 0], coeffs)
 
 
 def assemble_hamiltonian(ints: MolecularIntegrals) -> FermionOperator:

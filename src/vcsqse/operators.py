@@ -1,7 +1,9 @@
-"""Fermionic term dictionaries and Pauli word bit masks, with a
+"""Fermionic ladder-slot arrays and Pauli word bit masks, with a
 Jordan-Wigner bridge. Nothing here multiplies operators symbolically: the
 package writes its fermionic operators in normal order, and one kernel,
 _ladder_masks on _ladder_slots arrays, evaluates ladder products.
+FermionOperator holds such an array and a coefficient array, tuples only at
+its edge; fermion_to_dense, jordan_wigner and qse.operator_to_tensors read both.
 
 Conventions used throughout the package:
 
@@ -78,27 +80,36 @@ def ladder_text(seq) -> str:
 
 
 class FermionOperator:
-    """Weighted sum of products of fermionic ladder operators on M modes.
-
-    Terms are stored as a dict mapping tuples of (mode, is_dagger) pairs to
-    complex coefficients. The empty tuple is the identity.
+    """Weighted sum of products of fermionic ladder operators on M modes: a
+    read-only _ladder_slots array ladder, shape (terms, longest, 3), and
+    complex coeffs, in term order. Only the constructor (a {seq: coeff}
+    mapping, seq a tuple of (mode, is_dagger) pairs and () the identity),
+    terms and render know tuples.
     """
 
     def __init__(self, mode_count: int, terms=None):
         if mode_count < 0:
             raise ValueError("mode_count must be non-negative")
-        self.mode_count = int(mode_count)
-        self.terms = {}
-        if terms:
-            for seq, coeff in terms.items():
-                seq = tuple((int(m), bool(d)) for m, d in seq)
-                for m, _ in seq:
-                    if not 0 <= m < self.mode_count:
-                        raise ValueError(f"mode {m} outside [0, {self.mode_count})")
-                _require_finite(coeff, seq)
-                if abs(coeff) >= PRUNE_TOL:
-                    self.terms[seq] = self.terms.get(seq, 0.0) + complex(coeff)
-            self._prune()
+        m = int(mode_count)
+        summed = {}
+        for seq, coeff in (terms or {}).items():
+            seq = tuple((int(mode), bool(d)) for mode, d in seq)
+            for mode, _ in seq:
+                if not 0 <= mode < m:
+                    raise ValueError(f"mode {mode} outside [0, {m})")
+            _require_finite(coeff, seq)
+            if abs(coeff) >= PRUNE_TOL:
+                summed[seq] = c = summed.get(seq, 0.0) + complex(coeff)
+                _require_finite(c, seq)
+        kept = {seq: c for seq, c in summed.items() if abs(c) >= PRUNE_TOL}
+        self._set(m, _ladder_slots(tuple(kept)), np.array(list(kept.values()), dtype=complex))
+
+    def _set(self, mode_count, ladder, coeffs):
+        """Store distinct in-range sequences, finite coefficients >= PRUNE_TOL, read-only."""
+        self.mode_count, self.ladder, self.coeffs = mode_count, ladder, coeffs
+        for arr in (ladder, coeffs):
+            arr.setflags(write=False)
+        return self
 
     @classmethod
     def identity(cls, mode_count, coeff=1.0):
@@ -108,32 +119,26 @@ class FermionOperator:
     def from_term(cls, text: str, coeff, mode_count):
         return cls(mode_count, {parse_ladder(text): coeff})
 
-    def _prune(self):
-        for seq, c in self.terms.items():
-            _require_finite(c, seq)
-        self.terms = {seq: c for seq, c in self.terms.items() if abs(c) >= PRUNE_TOL}
-        return self
+    @property
+    def terms(self) -> dict:
+        """A new {seq: coefficient} dict of the terms, in term order."""
+        return {tuple((mode, bool(d)) for mode, d, used in row if used): c
+                for row, c in zip(self.ladder.tolist(), self.coeffs.tolist())}
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not len(self.coeffs)
 
     def render(self) -> str:
         """Canonical text form: sorted terms, 12-significant-digit coefficients."""
-        if not self.terms:
-            return "(0+0i) []"
-        parts = []
-        for seq in sorted(self.terms, key=_ladder_sort_key):
-            parts.append(f"{_format_coeff(self.terms[seq])} [{ladder_text(seq)}]")
-        return "\n".join(parts)
+        terms = self.terms  # by mode, a creation before an annihilation
+        order = sorted(terms, key=lambda seq: [(mode, not dagger) for mode, dagger in seq])
+        return "\n".join(f"{_format_coeff(terms[seq])} [{ladder_text(seq)}]"
+                         for seq in order) or "(0+0i) []"
 
     __str__ = render
 
     def __repr__(self):
-        return f"FermionOperator(M={self.mode_count}, {len(self.terms)} terms)"
-
-
-def _ladder_sort_key(seq):
-    return tuple((m, 0 if d else 1) for m, d in seq)
+        return f"FermionOperator(M={self.mode_count}, {len(self.coeffs)} terms)"
 
 
 class PauliOperator:
@@ -187,13 +192,11 @@ class PauliOperator:
 
     def render(self) -> str:
         terms = self.terms
-        if not terms:
-            return "(0+0i) []"
         parts = []
         for word in sorted(terms, key=_pauli_sort_key):
             body = " ".join(f"{ch}{q}" for q, ch in enumerate(word) if ch != "I")
             parts.append(f"{_format_coeff(terms[word])} [{body}]")
-        return "\n".join(parts)
+        return "\n".join(parts) or "(0+0i) []"
 
     __str__ = render
 
@@ -248,8 +251,7 @@ def jordan_wigner(op: FermionOperator) -> PauliOperator:
     n = op.mode_count
     if n > 62:
         raise ValueError(f"mode_count {n} exceeds the 62 modes of a 64-bit word mask")
-    _, xs, zs, coeffs = _ladder_words(_ladder_slots(tuple(op.terms)),
-                                      np.array(list(op.terms.values()), dtype=complex))
+    _, xs, zs, coeffs = _ladder_words(op.ladder, op.coeffs)
     out = {}
     for key, c in zip(zip(xs.tolist(), zs.tolist()), coeffs.tolist()):
         out[key] = out.get(key, 0.0) + c
@@ -274,12 +276,9 @@ def _ladder_slots(seqs) -> np.ndarray:
     """(sequences, longest, 3) int64 array of (mode, dagger, used) per slot,
     used 1 where the slot holds a ladder operator and 0 in the padding."""
     longest = max(map(len, seqs), default=0)
-    flat = []
-    for seq in seqs:
-        for mode, dagger in seq:
-            flat += mode, dagger, 1
-        flat += [0, 0, 0] * (longest - len(seq))
-    return np.array(flat, dtype=np.int64).reshape(len(seqs), longest, 3)
+    rows = [[(mode, dagger, 1) for mode, dagger in seq] + [(0, 0, 0)] * (longest - len(seq))
+            for seq in seqs]
+    return np.array(rows, dtype=np.int64).reshape(len(seqs), longest, 3)
 
 
 def _ladder_masks(ladder: np.ndarray):
@@ -325,10 +324,8 @@ def fermion_to_dense(op: FermionOperator) -> np.ndarray:
     m = op.mode_count
     if m > DENSE_QUBIT_LIMIT:
         raise ValueError(f"mode_count {m} exceeds dense limit {DENSE_QUBIT_LIMIT}")
-    ladder = _ladder_slots(tuple(op.terms))
-    coeffs = np.array(list(op.terms.values()), dtype=complex)
-    if not coeffs.imag.any():
-        coeffs = coeffs.real
+    ladder = op.ladder
+    coeffs = op.coeffs if op.coeffs.imag.any() else op.coeffs.real
     out = np.zeros((1 << m, 1 << m), dtype=coeffs.dtype)
     step = max(1, DENSE_CHUNK_ENTRIES >> m)
     for lo in range(0, len(ladder), step):

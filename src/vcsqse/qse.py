@@ -270,33 +270,29 @@ def operator_to_tensors(op: FermionOperator):
     Every term must be k <= 2 creations followed by k annihilations; any
     other term raises ValueError. The tensors satisfy op = core
     + sum t1[p,q] a_p^ a_q + 1/2 sum t2[p,q,r,s] a_p^ a_q^ a_r a_s exactly,
-    and are real if no coefficient has an imaginary part, else complex.
+    and are real if no coefficient has an imaginary part, else complex. One
+    np.add.at per tensor reads op.ladder and op.coeffs, so each entry sums its
+    terms in term order, a two-body term's four antisymmetric entries in turn.
     """
     m = op.mode_count
-    coeffs = np.array(list(op.terms.values()), dtype=complex)
-    if not coeffs.imag.any():
-        coeffs = coeffs.real
-    core = 0.0
-    t1 = np.zeros((m, m), dtype=coeffs.dtype)
-    t2 = np.zeros((m, m, m, m), dtype=coeffs.dtype)
-    for seq, coeff in zip(op.terms, coeffs.tolist()):
-        daggers = tuple(d for _, d in seq)
-        modes = tuple(mode for mode, _ in seq)
-        if daggers == ():
-            core += coeff
-        elif daggers == (True, False):
-            t1[modes] += coeff
-        elif daggers == (True, True, False, False):
-            p, q, r, s = modes
-            half = 0.5 * coeff
-            t2[p, q, r, s] += half
-            t2[q, p, r, s] -= half
-            t2[p, q, s, r] -= half
-            t2[q, p, s, r] += half
-        else:
-            raise ValueError(f"term [{ladder_text(seq)}] is not k <= 2 creations "
-                             "followed by k annihilations")
-    return core, t1, t2
+    coeffs = op.coeffs if op.coeffs.imag.any() else op.coeffs.real
+    mode, dagger, used = op.ladder.transpose(2, 0, 1)
+    length = used.sum(axis=1)
+    ok = (length % 2 == 0) & (length <= 4) & (
+        dagger == (np.arange(dagger.shape[1]) < length[:, None] // 2)).all(axis=1)
+    if not ok.all():
+        bad = op.ladder[np.argmin(ok)].tolist()
+        raise ValueError(f"term [{ladder_text((p, d) for p, d, u in bad if u)}] is not k <= 2 "
+                         "creations followed by k annihilations")
+    t1, t2 = np.zeros((m,) * 2, dtype=coeffs.dtype), np.zeros((m,) * 4, dtype=coeffs.dtype)
+    # (2 or 4, terms) index rows, also from a narrower ladder that has no such term
+    np.add.at(t1, tuple(mode[length == 2, :2].T.reshape(2, -1)), coeffs[length == 2])
+    p, q, r, s = mode[length == 4].T.reshape(4, -1)
+    half = 0.5 * coeffs[length == 4]
+    entries = np.array([(p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r)])
+    np.add.at(t2, tuple(entries.transpose(1, 2, 0).reshape(4, -1)),
+              np.stack([half, -half, -half, half], axis=1).ravel())
+    return sum(coeffs[length == 0].tolist(), 0.0), t1, t2
 
 
 def build_lr_from_rdms(h1: np.ndarray, h2: np.ndarray, rdms: RdmSet,

@@ -18,12 +18,6 @@ import numpy as np
 from vcsqse.operators import PRUNE_TOL, FermionOperator
 
 
-def _operator(mode_count: int, terms: dict) -> FermionOperator:
-    out = FermionOperator(mode_count)
-    out.terms = terms
-    return out._prune()
-
-
 def _check_compatible(a: FermionOperator, b: FermionOperator):
     if not isinstance(b, FermionOperator):
         raise TypeError("expected a FermionOperator")
@@ -39,19 +33,19 @@ def add(a: FermionOperator, b) -> FermionOperator:
     terms = dict(a.terms)
     for seq, c in b.terms.items():
         terms[seq] = terms.get(seq, 0.0) + c
-    return _operator(a.mode_count, terms)
+    return FermionOperator(a.mode_count, terms)
 
 
 def mul(a: FermionOperator, b) -> FermionOperator:
     """a b for an operator or scalar b: ladder sequences concatenated."""
     if np.isscalar(b):
-        return _operator(a.mode_count, {s: c * b for s, c in a.terms.items()})
+        return FermionOperator(a.mode_count, {s: c * b for s, c in a.terms.items()})
     _check_compatible(a, b)
     terms = {}
     for s1, c1 in a.terms.items():
         for s2, c2 in b.terms.items():
             terms[s1 + s2] = terms.get(s1 + s2, 0.0) + c1 * c2
-    return _operator(a.mode_count, terms)
+    return FermionOperator(a.mode_count, terms)
 
 
 def commutator(a: FermionOperator, b: FermionOperator) -> FermionOperator:
@@ -65,7 +59,7 @@ def adjoint(op: FermionOperator) -> FermionOperator:
     for seq, c in op.terms.items():
         rev = tuple((m, not d) for m, d in reversed(seq))
         terms[rev] = terms.get(rev, 0.0) + np.conj(c)
-    return _operator(op.mode_count, terms)
+    return FermionOperator(op.mode_count, terms)
 
 
 def rank(op: FermionOperator) -> int:
@@ -117,7 +111,7 @@ def normal_order(op: FermionOperator) -> FermionOperator:
     for seq, coeff in op.terms.items():
         for factor, nseq in _normal_order_seq(seq):
             terms[nseq] = terms.get(nseq, 0.0) + coeff * factor
-    return _operator(op.mode_count, terms)
+    return FermionOperator(op.mode_count, terms)
 
 
 def s_squared(mode_count: int) -> FermionOperator:
@@ -135,13 +129,13 @@ def loop_hamiltonian(h1, h2, core: float = 0.0) -> FermionOperator:
     integral reaches PRUNE_TOL; the two-body coefficients are halved and
     pruned again."""
     m = h1.shape[0]
-    op = FermionOperator(m)
+    terms = {}
     if abs(core) >= PRUNE_TOL:
-        op.terms[()] = complex(core)
+        terms[()] = complex(core)
     for p in range(m):
         for q in range(m):
             if abs(h1[p, q]) >= PRUNE_TOL:
-                op.terms[((p, True), (q, False))] = complex(h1[p, q])
+                terms[((p, True), (q, False))] = complex(h1[p, q])
     for p in range(m):
         for q in range(m):
             if p == q:
@@ -153,5 +147,5 @@ def loop_hamiltonian(h1, h2, core: float = 0.0) -> FermionOperator:
                     v = h2[p, q, r, s]
                     if abs(v) >= PRUNE_TOL:
                         seq = ((p, True), (q, True), (r, False), (s, False))
-                        op.terms[seq] = op.terms.get(seq, 0.0) + 0.5 * v
-    return op._prune()
+                        terms[seq] = terms.get(seq, 0.0) + 0.5 * v
+    return FermionOperator(m, terms)

@@ -330,10 +330,8 @@ def test_criterion_9_cumulant_suite():
     for _ in range(5):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         herm = 0.5 * (a + a.conj().T)
-        gen = FermionOperator(4)
-        for p in range(4):
-            for q in range(4):
-                gen.terms[((p, True), (q, False))] = 1j * herm[p, q]
+        gen = FermionOperator(4, {((p, True), (q, False)): 1j * herm[p, q]
+                                   for p in range(4) for q in range(4)})
         gd = fermion_to_dense(gen)
         wv, vv = np.linalg.eigh(-1j * gd)
         expo = vv @ np.diag(np.exp(1j * wv)) @ vv.conj().T

@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 
@@ -9,7 +10,7 @@ from fermion_oracle import loop_hamiltonian
 from vcsqse.molecule import (FcidumpError, MolecularIntegrals, assemble_hamiltonian,
                              hamiltonian_from_tensors, load_sweep, parse_fcidump,
                              spin_orbital_tensors)
-from vcsqse.operators import PRUNE_TOL, fermion_to_dense
+from vcsqse.operators import PRUNE_TOL, FermionOperator, fermion_to_dense
 
 HEADER = "&FCI NORB=2,NELEC=2,MS2=0,\n&END\n"
 
@@ -125,6 +126,17 @@ class TestAssembly:
         with pytest.raises(ValueError, match="non-finite"):
             hamiltonian_from_tensors(h1, np.zeros((2,) * 4))
 
+    @pytest.mark.parametrize("h1, h2", [(np.ones((2, 3)), np.zeros((2,) * 4)),
+                                        (np.ones((2, 2)), np.zeros((3,) * 4))],
+                             ids=["h1_not_square", "h2_other_m"])
+    def test_tensor_shapes_must_agree(self, h1, h2):
+        """A (2, 3) h1 would write mode 2 into a 2-mode operator, and a
+        (3,)*4 h2 beside a (2, 2) h1 would fail inside numpy; both raise,
+        naming the two shapes."""
+        with pytest.raises(ValueError, match=f"{re.escape(str(h1.shape))}.*"
+                                             f"{re.escape(str(h2.shape))}"):
+            hamiltonian_from_tensors(h1, h2)
+
     def test_core_only(self):
         ints = MolecularIntegrals(norb=1, nelec=0, ms2=0, core_energy=0.37,
                                   one_body=np.zeros((1, 1)),
@@ -212,6 +224,19 @@ class TestTermOrder:
         # h2[0, 4, 6, 2] = (01|23) reaches PRUNE_TOL but its half does not
         assert h2[0, 4, 6, 2] == 1.5 * PRUNE_TOL
         assert ((0, True), (4, True), (6, False), (2, False)) not in op.terms
+
+
+    @pytest.mark.parametrize("kept", [(1, 1, 1), (1, 1, 0), (1, 0, 0), (0, 0, 0)],
+                             ids=["full", "no_two_body", "core_only", "zero"])
+    def test_arrays_are_the_constructors(self, kept):
+        """The arrays written from the tensors are those the constructor
+        writes from the operator's terms: same width, bits and order."""
+        h1, h2, core = spin_orbital_tensors(random_integrals(0))
+        op = hamiltonian_from_tensors(h1 * kept[1], h2 * kept[2], core * kept[0])
+        again = FermionOperator(op.mode_count, op.terms)
+        assert again.ladder.shape == op.ladder.shape == (len(op.coeffs), 2 * sum(kept[1:]), 3)
+        assert again.ladder.tobytes() == op.ladder.tobytes()
+        assert again.coeffs.tobytes() == op.coeffs.tobytes()
 
 
 class TestRoundTrip:

@@ -20,13 +20,13 @@ from vcsqse.vcs import _penalty_terms
 
 
 def random_fermion(rng, m, n_terms=6, max_len=4):
-    op = FermionOperator(m)
+    terms = {}
     for _ in range(n_terms):
         length = int(rng.integers(0, max_len + 1))
         seq = tuple((int(rng.integers(0, m)), bool(rng.integers(0, 2)))
                     for _ in range(length))
-        op.terms[seq] = op.terms.get(seq, 0.0) + complex(rng.normal(), rng.normal())
-    return op._prune()
+        terms[seq] = terms.get(seq, 0.0) + complex(rng.normal(), rng.normal())
+    return FermionOperator(m, terms)
 
 
 def pauli_dense(op):
@@ -141,11 +141,12 @@ class TestNormalOrder:
         # (a_i^ a_j)^dag [H, a_k^ a_l] contracts to at most three-body terms
         rng = np.random.default_rng(4)
         m = 4
-        h = FermionOperator(m)
+        terms = {}
         for _ in range(10):
             p, q, r, s = (int(rng.integers(0, m)) for _ in range(4))
             seq = ((p, True), (q, True), (r, False), (s, False))
-            h.terms[seq] = h.terms.get(seq, 0.0) + rng.normal()
+            terms[seq] = terms.get(seq, 0.0) + rng.normal()
+        h = FermionOperator(m, terms)
         h = add(h, adjoint(h))
         for (i, j, k, l) in [(0, 1, 2, 3), (1, 1, 0, 2), (3, 0, 0, 0)]:
             exc = FermionOperator(m, {((k, True), (l, False)): 1.0})
@@ -288,10 +289,6 @@ class TestPauliOperator:
             FermionOperator(2, {((0, True), (0, False)): value})
         with pytest.raises(ValueError, match="non-finite"):
             PauliOperator(1, {"Z": value})
-        op = FermionOperator(2)
-        op.terms[((0, True), (1, False))] = complex(value)
-        with pytest.raises(ValueError, match="non-finite"):
-            op._prune()
 
 
 class TestSymmetryOperators:
@@ -504,6 +501,70 @@ def test_closed_form_ladder_action_matches_loop_oracle(case):
         got.append(fermion_to_dense(op))
     for dense in got:
         assert dense.dtype == want.dtype and dense.tobytes() == want.tobytes()
+
+
+@st.composite
+def term_dicts(draw):
+    """(M, {seq: coeff}) on 0 <= M <= 8 modes, sequences of 0 to 4 slots.
+    Daggers come as True or 2 and False or None, so two keys can name one
+    sequence and be summed, and coefficients near -1 cancel a 1.0 to below
+    PRUNE_TOL."""
+    m = draw(st.integers(0, 8))
+    ladders = st.tuples(st.integers(0, max(m - 1, 0)), st.sampled_from([True, 2, False, None]))
+    seqs = st.lists(ladders, max_size=4 if m else 0).map(tuple)
+    coeffs = st.one_of(complex_coeffs, st.sampled_from([1.0, -1.0, -1.0 + 5e-15, 5e-15, 0.5j]))
+    return m, draw(st.dictionaries(seqs, coeffs, max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=term_dicts())
+@example(case=(3, {((1, True), (2, False)): 1.0, ((1, 2), (2, None)): -1.0 + 5e-15,
+                   (): 5e-15, ((0, False),): 0.5j, ((0, None),): -1.0}))
+def test_terms_round_trip_through_ladder_arrays(case):
+    """An operator rebuilt from its terms has the same ladder and coeffs
+    bits in the same order, and its dense matrix is the per-state loop's."""
+    m, terms = case
+    op = FermionOperator(m, terms)
+    again = FermionOperator(m, op.terms)
+    assert again.ladder.shape == op.ladder.shape and again.ladder.dtype == np.int64
+    assert again.ladder.tobytes() == op.ladder.tobytes()
+    assert again.coeffs.tobytes() == op.coeffs.tobytes()
+    want = ladder_loop_dense(op)
+    if not op.coeffs.imag.any():
+        want = want.real
+    assert fermion_to_dense(op).tobytes() == want.tobytes()
+
+
+class TestFermionStorage:
+    def test_duplicates_sum_at_their_first_place_and_small_sums_go(self):
+        op = FermionOperator(3, {((2, False),): 1.0, ((0, True),): 1.0, ((2, None),): 0.5,
+                                 ((0, 2),): -1.0 + 5e-15, (): 5e-15})
+        assert op.terms == {((2, False),): 1.5}
+        assert op.ladder.tolist() == [[[2, 0, 1]]]
+
+    def test_arrays_are_read_only_and_terms_is_a_copy(self, sto3g_ints):
+        for op in (FermionOperator.from_term("0^ 1", 0.5, 2), assemble_hamiltonian(sto3g_ints)):
+            ladder, coeffs = op.ladder.tobytes(), op.coeffs.tobytes()
+            for arr in (op.ladder, op.coeffs):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0
+            terms = op.terms
+            terms.clear()
+            terms[()] = 7.0
+            assert op.terms != terms and len(op.terms) == len(op.coeffs)
+            assert (op.ladder.tobytes(), op.coeffs.tobytes()) == (ladder, coeffs)
+
+    def test_kernels_convert_no_sequence(self, sto3g_ints, monkeypatch):
+        """fermion_to_dense and jordan_wigner read op.ladder and op.coeffs;
+        neither turns a term tuple into slots again."""
+        h = assemble_hamiltonian(sto3g_ints)
+        calls = []
+        slots = operators._ladder_slots
+        monkeypatch.setattr(operators, "_ladder_slots",
+                            lambda seqs: calls.append(seqs) or slots(seqs))
+        fermion_to_dense(h)
+        jordan_wigner(h)
+        assert calls == []
 
 
 class TestJordanWignerOracle:

@@ -12,7 +12,7 @@ from rdm_oracle import zc_h_sub
 from vcsqse import qse, rdm
 from vcsqse.channels import ChannelSpec, lift_to_register, single_qubit_channel
 from vcsqse.molecule import hamiltonian_from_tensors, spin_orbital_tensors
-from vcsqse.operators import (FermionOperator, PauliOperator, fermion_to_dense,
+from vcsqse.operators import (FermionOperator, PauliOperator, fermion_to_dense, parse_ladder,
                               symmetry_operator)
 from vcsqse.qse import (SUBSPACE_BYTE_LIMIT, ExpansionBasis, approximate_lr,
                         build_lr_from_rdms, build_subspace_direct, fermionic_basis,
@@ -337,6 +337,44 @@ def normal_ordered_operators(draw, m=4):
     return FermionOperator(m, draw(st.dictionaries(seqs, coeffs, max_size=8)))
 
 
+@st.composite
+def tensor_pattern_operators(draw, m=4):
+    """Operators whose every term is k <= 2 creations then k annihilations,
+    modes in any order and repeatable, with all-real or mixed coefficients
+    whose parts include signed zeros."""
+    modes = st.integers(0, 2).flatmap(
+        lambda k: st.lists(st.integers(0, m - 1), min_size=2 * k, max_size=2 * k))
+    seqs = modes.map(lambda ms: tuple((p, i < len(ms) // 2) for i, p in enumerate(ms)))
+    parts = st.sampled_from([0.0, -0.0, 1.0, -0.75, 1e-3, 3.0])
+    coeffs = parts if draw(st.booleans()) else st.one_of(
+        st.builds(complex, parts, parts),
+        st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False))
+    return FermionOperator(m, draw(st.dictionaries(seqs, coeffs, max_size=10)))
+
+
+def loop_tensors(op):
+    """operator_to_tensors as a loop over op.terms, each term's entries
+    added in place, in term order."""
+    m = op.mode_count
+    coeffs = np.array(list(op.terms.values()), dtype=complex)
+    coeffs = coeffs if coeffs.imag.any() else coeffs.real
+    core, t1, t2 = 0.0, np.zeros((m, m), coeffs.dtype), np.zeros((m,) * 4, coeffs.dtype)
+    for seq, coeff in zip(op.terms, coeffs.tolist()):
+        modes = tuple(mode for mode, _ in seq)
+        if not seq:
+            core += coeff
+        elif len(seq) == 2:
+            t1[modes] += coeff
+        else:
+            p, q, r, s = modes
+            half = 0.5 * coeff
+            t2[p, q, r, s] += half
+            t2[q, p, r, s] -= half
+            t2[p, q, s, r] -= half
+            t2[q, p, s, r] += half
+    return core, t1, t2
+
+
 def tensors_dense(c0, t1, t2, m):
     """core + sum t1 a^ a + 1/2 sum t2 a^ a^ a a from dense single-ladder matrices."""
     low = np.array([fermion_to_dense(FermionOperator.from_term(f"{p}", 1.0, m))
@@ -401,6 +439,19 @@ class TestRdmRoute:
     def test_operator_to_tensors_round_trip(self, op):
         c0, t1, t2 = operator_to_tensors(op)
         assert np.abs(tensors_dense(c0, t1, t2, 4) - fermion_to_dense(op)).max() < 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(op=tensor_pattern_operators())
+    @example(op=FermionOperator(2, {parse_ladder("0^ 1^ 1 0"): 1.0, parse_ladder("1^ 0^ 1 0"): 0.3,
+                                    parse_ladder("0^ 0^ 1 1"): -0.5j, parse_ladder("1^ 1"): 2.0,
+                                    (): complex(0.25, -0.0)}))
+    def test_operator_to_tensors_equals_the_term_loop(self, op):
+        """The tensors, and the core's type and sign of zero, are the per-term
+        loop's bit for bit, each entry summed in term order."""
+        got, want = operator_to_tensors(op), loop_tensors(op)
+        assert repr(got[0]) == repr(want[0])
+        for a, b in zip(got[1:], want[1:]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("text", ["0^", "1", "0^ 1^", "0 1", "1 0^", "0^ 1 2^ 3",
                                       "0^ 1^ 2^ 3", "0^ 1^ 2^ 3 2 1"])

@@ -42,10 +42,8 @@ def rotated_slater(rng, m, n_e):
     """Random one-body rotation of the lowest-modes determinant."""
     a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
     herm = 0.5 * (a + a.conj().T)
-    gen = FermionOperator(m)
-    for p in range(m):
-        for q in range(m):
-            gen.terms[((p, True), (q, False))] = 1j * herm[p, q]
+    gen = FermionOperator(m, {((p, True), (q, False)): 1j * herm[p, q]
+                               for p in range(m) for q in range(m)})
     gd = fermion_to_dense(gen)
     w, v = np.linalg.eigh(-1j * gd)  # gd = i * (dense hermitian)
     expo = v @ np.diag(np.exp(1j * w)) @ v.conj().T
