@@ -4,13 +4,15 @@ Each experiment walks the bond-length sweep and emits one row per sweep
 point per curve with 12-significant-digit values, so repeated runs of the
 same configuration are byte-identical. A channel curve solves all its
 points as one VCS stack before its rows are written, continuing along
-ascending R; a failure still names the sweep point R it happened at. Column
-schemas are documented in docs/experiments.md.
+ascending R, and a qse-repair curve then its subspace problems as one
+chunked stack; a failure still names the sweep point R it happened at.
+Column schemas are documented in docs/experiments.md.
 """
 
 import time
 from dataclasses import dataclass, field, replace
 from itertools import groupby
+from math import comb
 from operator import attrgetter
 from pathlib import Path
 
@@ -19,12 +21,13 @@ import numpy as np
 from .channels import ChannelSpec, channel_kind_from_token, lift_to_register, \
     single_qubit_channel
 from .config import ConfigError, ExperimentConfig
-from .linalg import StackError, _sector_eigh
+from .linalg import StackError, _sector_eigh, _stacked
 from .molecule import FcidumpError, assemble_hamiltonian, load_sweep, \
     parse_fcidump, spin_orbital_tensors
 from .operators import dense_symmetry, fermion_to_dense, jordan_wigner
-from .qse import FERMIONIC_MODE_LIMIT, approximate_lr, build_subspace_direct, \
-    fermionic_basis, project_symmetry, qubit_basis, solve_subspace, subspace_expectation
+from .qse import FERMIONIC_MODE_LIMIT, SUBSPACE_STACK_BYTES, approximate_lr, \
+    build_subspace_direct, check_subspace_bytes, fermionic_basis, project_symmetry, \
+    qubit_basis, solve_subspace, subspace_expectation
 from .rdm import RDM_MODE_LIMIT, compute_rdms, estimate_pauli
 from .vcs import fidelity, no_variation_baseline, solve_vcs
 
@@ -63,8 +66,13 @@ def _fmt(value) -> str:
 
 
 def _csv(header, rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    """CSV text, each row formatted as _fmt would by one template per tuple of field types."""
+    lines, templates = [",".join(header)], {}
+    for row in rows:
+        types = tuple(map(type, row))
+        if types not in templates:
+            templates[types] = ",".join("%s" if issubclass(t, str) else "%.12g" for t in types)
+        lines.append(templates[types] % tuple(row))
     return "\n".join(lines) + "\n"
 
 
@@ -125,9 +133,10 @@ def _sweep(cfg: ExperimentConfig, curves, step, solve=None):
     A curve covers the points in ascending R, in runs of consecutive points
     that share a mode count (one run when every fixture has the same NORB).
     solve(run, curve) solves a run as one stack, continuing along it, and
-    returns per-point sequences, the VCS solutions first, or None for a
-    curve without them; step(point, curve, *the point's items of them)
-    returns that point's rows.
+    returns per-point sequences, the VCS solutions first (any later one, such
+    as qse-repair's subspace results, built from them), or None for a curve
+    without them; step(point, curve, *the point's items of them) returns
+    that point's rows.
     """
     points = [_point(pt.integrals, pt.bond_length)
               for pt in load_sweep(cfg.sweep_manifest)]
@@ -195,33 +204,37 @@ def _qse_repair(cfg: ExperimentConfig):
     kind = cfg.channel.kind if cfg.channel is not None else "amplitude_phase"
     proj = cfg.projection or ("s_squared", 0.0, 0.5)
 
+    def ground(probs):
+        """Ground level and its <S^2> of each problem of a stack."""
+        spectra = solve_subspace(probs, cfg.metric_cutoff)
+        return ([float(spec.eigenvalues[0]) for spec in spectra], subspace_expectation(
+            probs, "s_squared", [spec.eigenvectors[:, 0] for spec in spectra]).tolist())
+
     def solve(run, ref_name):
         ch = _channel(cfg, kind, run[0].mode_count)
         hs = [point.h_dense for point in run]
-        if ref_name == "vcs":
-            return (solve_vcs(hs, ch, penalties=cfg.penalties),)
-        return (no_variation_baseline(hs, ch, _ground_states(cfg, run)),)
+        sols = (solve_vcs(hs, ch, penalties=cfg.penalties) if ref_name == "vcs"
+                else no_variation_baseline(hs, ch, _ground_states(cfg, run)))
+        basis, sym = fermionic_basis(run[0].mode_count, 1), run[0].symmetry_dense
 
-    def step(point, ref_name, sol):
-        basis = fermionic_basis(point.mode_count, 1)
-        # unconstrained expansion around the mixed channel output
-        prob_out = build_subspace_direct(basis, point.h_dense, sol.output_rho,
-                                         point.symmetry_dense)
-        spec_out = solve_subspace(prob_out, cfg.metric_cutoff)
-        s2_qse = subspace_expectation(prob_out, "s_squared",
-                                      spec_out.eigenvectors[:, 0])
-        # symmetry-projected expansion around the pure input state
-        prob_in = build_subspace_direct(basis, point.h_dense, sol.input_state,
-                                        point.symmetry_dense)
-        projected = project_symmetry(prob_in, proj[0], proj[1], proj[2],
-                                     cfg.metric_cutoff)
-        spec_in = solve_subspace(projected, cfg.metric_cutoff)
-        s2_proj = subspace_expectation(projected, "s_squared",
-                                       spec_in.eigenvectors[:, 0])
-        return [(point.bond_length, ref_name, float(point.exact()[0][0]),
-                 sol.energy, float(spec_out.eigenvalues[0]),
-                 float(spec_in.eigenvalues[0]),
-                 sol.symmetry_expectations["s_squared"], s2_qse, s2_proj)]
+        def solve_chunk(start, h, _):
+            chunk = sols[start:start + len(h)]
+            # unconstrained expansion around each mixed channel output
+            prob_out = build_subspace_direct(
+                basis, h, np.stack([sol.output_rho for sol in chunk]), sym)
+            # symmetry-projected expansion around each pure input state
+            projected = project_symmetry(build_subspace_direct(
+                basis, h, np.stack([sol.input_state for sol in chunk]), sym),
+                *proj, cfg.metric_cutoff)
+            (e_qse, s2_qse), (e_proj, s2_proj) = map(ground, (prob_out, projected))
+            return list(zip(e_qse, e_proj, s2_qse, s2_proj))
+
+        return sols, _stacked(hs, solve_chunk, 2 * len(basis) * hs[0].size * 8,
+                              SUBSPACE_STACK_BYTES)
+
+    def step(point, ref_name, sol, sub):
+        return [(point.bond_length, ref_name, float(point.exact()[0][0]), sol.energy,
+                 *sub[:2], sol.symmetry_expectations["s_squared"], *sub[2:])]
 
     rows, events = _sweep(cfg, ("vcs", "novar"), step, solve)
     header = ["R", "reference", "energy_exact", "energy_ref", "energy_qse",
@@ -324,6 +337,15 @@ def single_point(cfg: ExperimentConfig) -> str:
         if used and modes > limit:
             raise ConfigError(f"{cfg.fcidump}: NORB={ints.norb} gives {modes} spin "
                               f"orbitals, above {name}={limit} for {what}")
+    # a qubit basis holds 1 + 3n single Paulis and 9 C(n, 2) pairs, all complex
+    qubit, k = cfg.subspace_kind == "qubit", cfg.subspace_order
+    n_b = (1 + 3 * modes + 9 * comb(modes, 2) * (k == 2) if qubit
+           else len(fermionic_basis(modes, k)))
+    itemsize = 16 if qubit else 8
+    try:
+        check_subspace_bytes(n_b, 2 ** modes, cfg.channel is not None, itemsize, itemsize)
+    except ValueError as exc:
+        raise ConfigError(f"{cfg.fcidump}: {exc}") from None
     return _guarded(lambda: _point_report(cfg, ints), f"fixture {cfg.fcidump}",
                     cfg.experiment)
 

@@ -26,13 +26,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import KrausChannel, _transfer_sweep
-from .linalg import (StackError, _checked_state, _promoted, _reject, _symmetrized,
-                     hermitian_eigensolve)
+from .linalg import (_checked_state, _expectation, _promoted, _reject, _stacked,
+                     _symmetrized, hermitian_eigensolve)
 from .operators import _mode_count, dense_symmetry
 
 # Eigenvalues within this distance of the bottom count as one degenerate block.
 DEGENERACY_TOL = 1e-9
-# Bytes of H per chunk of a stack, charged as complex: 2048 matrices at M = 4.
+# Bytes of H per chunk of a stack, charged as complex: 512 matrices at M = 4.
 STACK_BYTE_LIMIT = 1 << 21
 
 
@@ -59,11 +59,6 @@ def transform_hamiltonian(h: np.ndarray, ch: KrausChannel) -> np.ndarray:
     return _transfer_sweep(ch.transfer.conj().T, h, ch.factors)
 
 
-def _expectation(psi, op):
-    """Re <psi|op|psi> for each row of the (P, dim) psi; op is one matrix or P."""
-    return np.real(psi.conj()[..., None, :] @ op @ psi[..., None])[..., 0, 0]
-
-
 def fidelity(rho: np.ndarray, phi: np.ndarray):
     """<phi| rho |phi> for a density matrix and a unit vector, or an array
     of them for P stacked pairs."""
@@ -75,22 +70,6 @@ def fidelity(rho: np.ndarray, phi: np.ndarray):
     _reject(~((-1e-12 <= value) & (value <= 1.0 + 1e-12)), "fidelity outside [0, 1]")
     value = np.clip(value, 0.0, 1.0)
     return float(value) if rho.ndim == 2 else value
-
-
-def _stacked(h, solve_chunk):
-    """solve_chunk(start, chunk, solutions so far) over byte-bounded chunks
-    of h: one matrix, whose solution is returned, or a 3-D array or sequence
-    of matrices, whose list of solutions is returned."""
-    single = np.ndim(h[0]) < 2
-    mats = [h] if single else h
-    step = max(1, STACK_BYTE_LIMIT // (16 * np.shape(mats[0])[-1] ** 2))
-    sols = []
-    for start in range(0, len(mats), step):
-        try:
-            sols += solve_chunk(start, _promoted(np.stack(mats[start:start + step])), sols)
-        except StackError as exc:
-            raise StackError(start + exc.index, exc.reason) from exc
-    return sols[0] if single else sols
 
 
 def _penalty_terms(penalties, mode_count):
@@ -171,7 +150,7 @@ def solve_vcs(h, ch: KrausChannel, penalties=(), continuation=None):
         prev = sols[-1].input_state if sols else continuation
         return _solutions(hs, ch, *_ground_vectors(transform_hamiltonian(h_pen, ch), prev))
 
-    return _stacked(h, solve_chunk)
+    return _stacked(h, solve_chunk, 16 * np.shape(h[0])[-1] ** 2, STACK_BYTE_LIMIT)
 
 
 def no_variation_baseline(h, ch: KrausChannel, state):
@@ -191,4 +170,4 @@ def no_variation_baseline(h, ch: KrausChannel, state):
         _checked_state(psi, stack=True)
         return _solutions(hs, ch, psi, _expectation(psi, hs), np.zeros(len(hs), dtype=bool))
 
-    return _stacked(h, solve_chunk)
+    return _stacked(h, solve_chunk, 16 * np.shape(h[0])[-1] ** 2, STACK_BYTE_LIMIT)

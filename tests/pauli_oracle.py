@@ -85,11 +85,12 @@ def letter_jordan_wigner(op: FermionOperator) -> PauliOperator:
         acc = PauliOperator(n, {"I" * n: coeff}).terms
         for mode, dagger in seq:
             zs, tail = "Z" * mode, "I" * (n - mode - 1)
+            # .terms rebuilds its dict on every read, so read it once per factor
             factor = PauliOperator(n, {zs + "X" + tail: 0.5,
-                                       zs + "Y" + tail: -0.5j if dagger else 0.5j})
+                                       zs + "Y" + tail: -0.5j if dagger else 0.5j}).terms
             product_terms = {}
             for w1, c1 in acc.items():
-                for w2, c2 in factor.terms.items():
+                for w2, c2 in factor.items():
                     phase, word = letter_product(w1, w2)
                     product_terms[word] = product_terms.get(word, 0.0) + c1 * c2 * phase
             acc = _pruned(product_terms)

@@ -1,6 +1,10 @@
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,6 +213,36 @@ class TestExperiments:
                                  "input is not Hermitian"):
             run_experiment(parse_config(config_text(mini_sweep, experiment="qse-repair")))
 
+    def test_empty_projection_window_names_its_sweep_point(self, mini_sweep, monkeypatch):
+        """The middle point's VCS input replaced by |0001>, one electron, so
+        every state of its subspace has <S^2> = 3/4 and the default window
+        0 +- 0.5 is empty there: the stacked projection names R = 1.5."""
+        real = experiments.solve_vcs
+
+        def doublet_second(hs, ch, **kwargs):
+            sols = real(hs, ch, **kwargs)
+            state = np.zeros_like(sols[1].input_state)
+            state[1] = 1.0
+            sols[1] = dataclasses.replace(sols[1], input_state=state)
+            return sols
+
+        monkeypatch.setattr(experiments, "solve_vcs", doublet_second)
+        with pytest.raises(experiments.ExperimentError,
+                           match=r"qse-repair: failure at sweep point R=1\.5: no subspace "
+                                 r"states with <s_squared> within 0\.5 of 0\.0"):
+            run_experiment(parse_config(config_text(mini_sweep, experiment="qse-repair")))
+
+    def test_csv_rows_format_mixed_columns_like_fmt(self):
+        """One template per tuple of field types: a column holding strings in
+        some rows and numbers in others formats each value as _fmt does."""
+        rows = [(0.7, "vcs", 1, -1.1372701748312345, 1e-66),
+                ("x", 2.5, np.float64(-0.0), True, float("inf")),
+                (0.7, "novar", 3, np.int64(7), 0.1 + 0.2)]
+        want = ["a,b,c,d,e"] + [",".join(experiments._fmt(v) for v in row) for row in rows]
+        assert experiments._csv(["a", "b", "c", "d", "e"], rows) == "\n".join(want) + "\n"
+        assert want[1] == "0.7,vcs,1,-1.13727017483,1e-66"
+        assert want[2] == "x,2.5,-0,1,inf"
+
     def test_unphysical_sweep_channel_is_a_numerical_failure(self, mini_sweep):
         text = config_text(mini_sweep, experiment="qse-repair").replace(
             "tp_over_t2 = 0.05", "tp_over_t2 = 0.01")
@@ -236,8 +270,10 @@ class TestExperiments:
         assert (tmp_path / "out.csv").read_text() == result.csv_text
 
 
-@pytest.mark.parametrize("name", ["fig2_fidelity", "fig3_spectrum", "fig4_repair",
-                                  "ground_channels", "zero_approx"])
+SHIPPED = ("fig2_fidelity", "fig3_spectrum", "fig4_repair", "ground_channels", "zero_approx")
+
+
+@pytest.mark.parametrize("name", SHIPPED)
 def test_shipped_csv_reproduces_byte_for_byte(configs_dir, name):
     """Each shipped config rewrites its tracked out/*.csv exactly."""
     cfg = load_config(configs_dir / f"{name}.cfg")
@@ -260,6 +296,61 @@ def test_one_eigensolve_per_vcs_solve(configs_dir, monkeypatch, name, calls):
     cfg.output = None
     run_experiment(cfg)
     assert shapes == [(28, 16, 16)] * (calls // 28)
+
+
+@pytest.mark.parametrize("count", [7, 28])
+def test_subspace_eigensolves_per_curve_do_not_grow_with_the_sweep(
+        configs_dir, sweep_manifest, tmp_path, monkeypatch, count):
+    """With one chunk per curve, each of fig4's three generalized solves per
+    curve (around rho, the S^2 projection around psi and the projected
+    problem) is one batched metric eigh over the whole curve and one more
+    per distinct retained dimension, whether the sweep has 7 or 28 points."""
+    lines = [ln for ln in sweep_manifest.read_text().splitlines() if not ln.startswith("#")]
+    manifest = tmp_path / "sweep.manifest"
+    manifest.write_text("".join(f"{r} {sweep_manifest.parent / name}\n"
+                                for r, name in map(str.split, lines[:count])))
+    shapes, real = [], np.linalg.eigh
+
+    def spy(a):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_globals["__name__"] != "vcsqse.qse":
+            frame = frame.f_back
+        if frame is not None:  # a subspace eigh: qse is on the stack
+            shapes.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    monkeypatch.setattr(experiments, "SUBSPACE_STACK_BYTES", 1 << 30)
+    cfg = load_config(configs_dir / "fig4_repair.cfg")
+    cfg.output, cfg.sweep_manifest = None, str(manifest)
+    run_experiment(cfg)
+    # every member is in one metric eigh and one retained-dimension group per solve
+    assert sum(shape[0] for shape in shapes) == 2 * 3 * 2 * count
+    assert [shape[0] for shape in shapes].count(count) >= 2 * 3
+    assert len(shapes) <= 2 * 3 * 3
+
+
+def test_runs_never_import_numpy_ma(configs_dir, sto3g_path):
+    """np.unique without return_index imports numpy.ma, 11 ms and 1.7 MiB
+    in every fresh process: no shipped config and no sampled single point
+    may reach it."""
+    script = (
+        "import sys\n"
+        "from vcsqse.config import ExperimentConfig, load_config\n"
+        "from vcsqse.channels import ChannelSpec\n"
+        "from vcsqse.experiments import run_experiment, single_point\n"
+        f"for name in {SHIPPED!r}:\n"
+        f"    cfg = load_config({str(configs_dir)!r} + '/' + name + '.cfg')\n"
+        "    cfg.output = None\n"
+        "    run_experiment(cfg)\n"
+        f"single_point(ExperimentConfig(experiment='single-point', fcidump={str(sto3g_path)!r},\n"
+        "    channel=ChannelSpec('amplitude_phase'), shots=(200, 3), sampled_rdms=True))\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(experiments.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 class TestCli:
@@ -422,6 +513,23 @@ class TestCli:
         assert main(["point", "--fcidump", str(big), *args]) == 2
         assert time.perf_counter() - start < 1.0
         assert (f"config error: {big}: NORB=5 gives 10 spin orbitals, above {limit}"
+                in capsys.readouterr().err)
+
+    def test_oversized_qubit_build_exits_2_before_any_work(self, tmp_path, capsys):
+        """NORB = 6 (M = 12) is within the dense limit, but a channel makes
+        the qubit k = 1 build's reference a 4096 x 4096 density matrix: two
+        complex stacks of 37 x 4096^2 entries, refused before H is built."""
+        h1 = np.random.default_rng(6).normal(size=(6, 6))
+        big = tmp_path / "norb6.fcidump"
+        big.write_text(render_fcidump(MolecularIntegrals(
+            6, 2, 0, 0.0, h1 + h1.T, np.zeros((6, 6, 6, 6)))))
+        start = time.perf_counter()
+        assert main(["point", "--fcidump", str(big), "--kind", "qubit",
+                     "--channel", "ap"]) == 2
+        assert time.perf_counter() - start < 1.0
+        need = 2 * 37 * 4096 ** 2 * 16 + 37 * 4096 * (8 + 2 * 16)
+        assert (f"config error: {big}: subspace build needs {need} bytes for 37 basis "
+                f"elements, above the limit of SUBSPACE_BYTE_LIMIT={qse.SUBSPACE_BYTE_LIMIT}"
                 in capsys.readouterr().err)
 
     def test_oversized_fcidump_exits_2(self, tmp_path, capsys):

@@ -12,6 +12,7 @@ from pauli_oracle import (apply_pauli, dense_subspace, kron_dense, loop_subspace
 from rdm_oracle import zc_h_sub
 from vcsqse import qse, rdm
 from vcsqse.channels import ChannelSpec, lift_to_register, single_qubit_channel
+from vcsqse.linalg import StackError
 from vcsqse.molecule import spin_orbital_tensors
 from vcsqse.operators import PauliOperator, fermion_to_dense, symmetry_operator
 from vcsqse.qse import (SUBSPACE_BYTE_LIMIT, ExpansionBasis, approximate_lr,
@@ -469,6 +470,87 @@ class TestSolveAndProject:
         for t in range(spec.retained_dim):
             nv = subspace_expectation(prob, "number", spec.eigenvectors[:, t])
             assert abs(nv - 2.0) < 1e-10
+
+
+SYM4 = {name: fermion_to_dense(symmetry_operator(name, 4)) for name in ("number", "s_squared")}
+
+
+def supported_reference(rng, mixed, complex_):
+    """A state, or a density matrix of random rank, on a random set of 1 to
+    16 basis states, so that the metrics of a stack differ in rank."""
+    support = rng.permutation(16)[:rng.integers(1, 17)]
+    rank = int(rng.integers(1, len(support) + 1)) if mixed else 1
+    cols = np.zeros((16, rank), dtype=complex if complex_ else float)
+    cols[support] = rng.normal(size=(len(support), rank))
+    if complex_:
+        cols[support] += 1j * rng.normal(size=(len(support), rank))
+    if not mixed:
+        return cols[:, 0] / np.linalg.norm(cols[:, 0])
+    rho = cols @ cols.conj().T
+    return rho / np.trace(rho).real
+
+
+def assert_same_problems(stacked, loop):
+    """Each member of a stacked SubspaceProblem within 1e-12 of its own."""
+    for i, one in enumerate(loop):
+        pairs = [(stacked.h_sub, one.h_sub), (stacked.s_sub, one.s_sub)] + [
+            (stacked.symmetry_subs[name], mat) for name, mat in one.symmetry_subs.items()]
+        for got, want in pairs:
+            assert got[i].shape == want.shape and np.abs(got[i] - want).max() <= 1e-12
+
+
+def assert_same_solves(stacked, loop, cutoff):
+    """solve_subspace and the ground <S^2> of a stack against the loop."""
+    spectra = solve_subspace(stacked, cutoff)
+    assert len(spectra) == len(loop)
+    for got, one in zip(spectra, loop):
+        want = solve_subspace(one, cutoff)
+        assert got.retained_dim == want.retained_dim
+        assert np.abs(got.eigenvalues - want.eigenvalues).max() <= 1e-12
+        assert np.abs(got.eigenvectors - want.eigenvectors).max() <= 1e-12
+    s2 = subspace_expectation(stacked, "s_squared", [sp.eigenvectors[:, 0] for sp in spectra])
+    want = [subspace_expectation(one, "s_squared", sp.eigenvectors[:, 0])
+            for one, sp in zip(loop, spectra)]
+    assert np.abs(s2 - want).max() <= 1e-12
+    return {sp.retained_dim for sp in spectra}
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.integers(1, 6), mixed=st.booleans(), complex_=st.booleans(),
+       kind=st.sampled_from(["fermionic", "qubit"]),
+       cutoff=st.sampled_from([1e-10, 1e-8, 1e-3, 0.05]), target=st.integers(0, 4),
+       window=st.sampled_from([0.25, 0.75, 1.5]), seed=st.integers(0, 2 ** 32 - 1))
+@example(p=6, mixed=False, complex_=False, kind="fermionic", cutoff=1e-8, target=2,
+         window=1.5, seed=3)
+@example(p=6, mixed=True, complex_=True, kind="qubit", cutoff=1e-3, target=2,
+         window=0.75, seed=4)
+def test_stacked_solve_equals_one_at_a_time(p, mixed, complex_, kind, cutoff, target,
+                                            window, seed):
+    """A stack of M = 4 problems, built, solved, projected onto an N window
+    and read for <S^2> at once, gives each member's one-at-a-time result
+    within 1e-12, though retained dimensions and window counts differ
+    between members; an empty window names the first member that has one."""
+    rng = np.random.default_rng(seed)
+    basis = (fermionic_basis if kind == "fermionic" else qubit_basis)(4, 1)
+    a = rng.normal(size=(p, 16, 16)) + (1j * rng.normal(size=(p, 16, 16)) if complex_ else 0)
+    hs = a + a.conj().swapaxes(1, 2)
+    refs = np.stack([supported_reference(rng, mixed, complex_) for _ in range(p)])
+    stack = build_subspace_direct(basis, hs, refs, SYM4)
+    loop = [build_subspace_direct(basis, h, ref, SYM4) for h, ref in zip(hs, refs)]
+    assert_same_problems(stack, loop)
+    assert_same_solves(stack, loop, cutoff)
+    projected = []
+    for i, one in enumerate(loop):
+        try:
+            projected.append(project_symmetry(one, "number", target, window, cutoff))
+        except ValueError as exc:
+            assert "no subspace states" in str(exc)
+            with pytest.raises(StackError, match=f"stack index {i}: no subspace states"):
+                project_symmetry(stack, "number", target, window, cutoff)
+            return
+    stacked_projection = project_symmetry(stack, "number", target, window, cutoff)
+    assert_same_problems(stacked_projection, projected)
+    assert_same_solves(stacked_projection, projected, cutoff)
 
 
 class TestApproximations:
