@@ -179,7 +179,9 @@ def _transfer_sweep(transfer: np.ndarray, mat: np.ndarray, factors: int) -> np.n
         outer, inner = d ** (factors - q - 1), d ** q
         split = out.reshape(p, outer, d, inner * outer, d, inner)
         pairs = split.transpose(2, 4, 0, 1, 3, 5).reshape(d * d, -1)
-        mixed = (transfer @ pairs).reshape(d, d, p, outer, inner * outer, inner)
+        # one column per matrix (M = 1) as matrix-vector products, rounded as each alone
+        cols = transfer @ pairs if dim > d else (transfer @ pairs.T[..., None])[..., 0].T
+        mixed = cols.reshape(d, d, p, outer, inner * outer, inner)
         out = mixed.transpose(2, 3, 0, 4, 1, 5).reshape(p, dim, dim)
     return out.reshape(mat.shape)
 

@@ -2,10 +2,11 @@
 
 Each experiment walks the bond-length sweep and emits one row per sweep
 point per curve with 12-significant-digit values, so repeated runs of the
-same configuration are byte-identical. A channel curve solves all its
-points as one VCS stack before its rows are written, continuing along
-ascending R, and a qse-repair curve then its subspace problems as one
-chunked stack; a failure still names the sweep point R it happened at.
+same configuration are byte-identical. A run's FCI levels are one stacked
+sector eigh. A channel curve solves all its points as one VCS stack before
+its rows are written, continuing along ascending R; qse-repair, spectrum
+and approx-spectrum curves then build and solve their subspace (and RDM)
+problems as chunked stacks. A failure still names the sweep point R.
 Column schemas are documented in docs/experiments.md.
 """
 
@@ -25,10 +26,10 @@ from .linalg import StackError, _sector_eigh, _stacked
 from .molecule import FcidumpError, assemble_hamiltonian, load_sweep, \
     parse_fcidump, spin_orbital_tensors
 from .operators import dense_symmetry, fermion_to_dense, jordan_wigner
-from .qse import FERMIONIC_MODE_LIMIT, SUBSPACE_STACK_BYTES, approximate_lr, \
-    build_subspace_direct, check_subspace_bytes, fermionic_basis, project_symmetry, \
-    qubit_basis, solve_subspace, subspace_expectation
-from .rdm import RDM_MODE_LIMIT, compute_rdms, estimate_pauli
+from .qse import FERMIONIC_MODE_LIMIT, SUBSPACE_STACK_BYTES, SubspaceProblem, \
+    approximate_lr, build_subspace_direct, check_subspace_bytes, fermionic_basis, \
+    project_symmetry, qubit_basis, solve_subspace, subspace_expectation
+from .rdm import RDM_MODE_LIMIT, RdmSet, _pure_blocks, estimate_pauli
 from .vcs import fidelity, no_variation_baseline, solve_vcs
 
 CHANNEL_TOKENS = ("dephasing", "ap", "depol")
@@ -88,9 +89,8 @@ class _Point:
 
     def exact(self):
         """FCI levels, their full-length eigenvectors and particle numbers."""
-        if self.eigh is None:
-            dim = self.h_dense.shape[0]
-            self.eigh = _sector_eigh(self.h_dense, np.bitwise_count(np.arange(dim)))
+        if self.eigh is None:  # a single point's; _sweep fills a whole run's at once
+            self.eigh = _sector_eigh(self.h_dense, np.bitwise_count(np.arange(len(self.h_dense))))
         return self.eigh
 
 
@@ -127,40 +127,43 @@ def _guarded(fn, where, experiment):
         raise ExperimentError(f"{experiment}: failure at {where}: {reason}") from exc
 
 
-def _sweep(cfg: ExperimentConfig, curves, step, solve=None):
+def _sweep(cfg: ExperimentConfig, curves, step, solve=None, subspace=None):
     """Rows of every curve over the configured sweep, and the continuation events.
 
-    A curve covers the points in ascending R, in runs of consecutive points
-    that share a mode count (one run when every fixture has the same NORB).
-    solve(run, curve) solves a run as one stack, continuing along it, and
-    returns per-point sequences, the VCS solutions first (any later one, such
-    as qse-repair's subspace results, built from them), or None for a curve
-    without them; step(point, curve, *the point's items of them) returns
-    that point's rows.
+    Fixtures are checked against the limits of the experiment's subspace
+    (_check_size's kind, order[, matrix]) before any point is prepared. A
+    curve covers the points in ascending R, in runs of consecutive points
+    that share a mode count, each run's FCI levels from one stacked sector
+    eigh. solve(run, curve) solves a run as one stack and returns per-point
+    sequences, or None; step(point, curve, *the point's items of them) gives
+    its rows. Continuation events count on the first sequence (0 for non-VCS).
     """
-    points = [_point(pt.integrals, pt.bond_length)
-              for pt in load_sweep(cfg.sweep_manifest)]
+    sweep = load_sweep(cfg.sweep_manifest)
+    for pt in sweep if subspace else ():
+        _check_size(f"{cfg.sweep_manifest}: fixture {pt.label} at R={pt.bond_length}",
+                    pt.integrals.norb, *subspace)
+    points = [_point(pt.integrals, pt.bond_length) for pt in sweep]
+    runs = [list(run) for _, run in groupby(points, key=attrgetter("mode_count"))]
+    for run in runs:
+        hs = run[0].h_dense[None] if len(run) == 1 else np.stack([pt.h_dense for pt in run])
+        exact = _guarded(lambda: _sector_eigh(hs, np.bitwise_count(np.arange(hs.shape[-1]))),
+                         run, cfg.experiment)
+        for point, *eigh in zip(run, *exact):
+            point.eigh = tuple(eigh)
     rows, events = [], 0
     for curve in curves:
-        for _, run in groupby(points, key=attrgetter("mode_count")):
-            run = list(run)
+        for run in runs:
             solved = (solve and _guarded(lambda: solve(run, curve), run, cfg.experiment)) or ()
             for point, *items in zip(run, *solved):
                 rows += _guarded(lambda: step(point, curve, *items), [point], cfg.experiment)
-            events += sum(sol.continuation_used for sol in solved[0]) if solved else 0
+            events += sum(getattr(x, "continuation_used", 0) for x in solved[0]) if solved else 0
     return rows, events
-
-
-def _ground_states(cfg: ExperimentConfig, run):
-    """Each point's exact reference state, a failure naming its point."""
-    return [_guarded(lambda: point.exact()[1][:, 0], [point], cfg.experiment)
-            for point in run]
 
 
 def _fidelity_sweep(cfg: ExperimentConfig):
     def solve(run, token):
         ch = _channel(cfg, channel_kind_from_token(token), run[0].mode_count)
-        hs, psi0 = [point.h_dense for point in run], _ground_states(cfg, run)
+        hs, psi0 = [point.h_dense for point in run], [point.exact()[1][:, 0] for point in run]
         sols = solve_vcs(hs, ch, penalties=cfg.penalties)
         return (sols, no_variation_baseline(hs, ch, psi0),
                 fidelity(np.stack([sol.output_rho for sol in sols]), np.stack(psi0)))
@@ -181,22 +184,43 @@ def _basis_for(cfg: ExperimentConfig, point: _Point):
     return fermionic_basis(point.mode_count, cfg.subspace_order)
 
 
+def _pure_chunks(basis_for, solve_chunk):
+    """A _sweep solve running solve_chunk(points, basis_for(point), h, psi) over
+    chunks of a run, h and psi their stacked H and ground states, each point
+    charged as a qse-repair member (about the RDM route's working set)."""
+    def solve(run, _):
+        basis = basis_for(run[0])
+
+        def chunk(start, h, _):
+            points = run[start:start + len(h)]
+            return solve_chunk(points, basis, h, np.stack([pt.exact()[1][:, 0] for pt in points]))
+
+        return (_stacked([point.h_dense for point in run], chunk,
+                         2 * len(basis) * run[0].h_dense.size * 8, SUBSPACE_STACK_BYTES),)
+    return solve
+
+
 def _spectrum(cfg: ExperimentConfig):
-    def step(point, *_):
-        w_full, v, n = point.exact()
-        prob = build_subspace_direct(_basis_for(cfg, point), point.h_dense,
-                                     v[:, 0], point.symmetry_dense)
+    def solve_chunk(points, basis, h, psi):
+        one = len(points) == 1  # a one-point chunk (M = 8) is its single problem
+        prob = build_subspace_direct(basis, h[0] if one else h, psi[0] if one else psi,
+                                     points[0].symmetry_dense)
         if cfg.projection is not None:
             name, target, window = cfg.projection
             prob = project_symmetry(prob, name, target, window, cfg.metric_cutoff)
-        spec = solve_subspace(prob, cfg.metric_cutoff)
+        spectra = solve_subspace(prob, cfg.metric_cutoff)
+        return [spectra] if one else spectra
+
+    def step(point, _, spec):
+        w_full, _, n = point.exact()
         return [(point.bond_length, method, i, float(e))
                 for method, levels in (("qse", spec.eigenvalues),
                                        ("fci_sector", w_full[n == point.integrals.nelec]),
                                        ("fci_full", w_full))
                 for i, e in enumerate(levels)]
 
-    rows, _ = _sweep(cfg, (None,), step)
+    rows, _ = _sweep(cfg, (None,), step, _pure_chunks(lambda pt: _basis_for(cfg, pt), solve_chunk),
+                     (cfg.subspace_kind, cfg.subspace_order))
     return ["R", "method", "level", "energy"], rows, 0
 
 
@@ -214,7 +238,7 @@ def _qse_repair(cfg: ExperimentConfig):
         ch = _channel(cfg, kind, run[0].mode_count)
         hs = [point.h_dense for point in run]
         sols = (solve_vcs(hs, ch, penalties=cfg.penalties) if ref_name == "vcs"
-                else no_variation_baseline(hs, ch, _ground_states(cfg, run)))
+                else no_variation_baseline(hs, ch, [point.exact()[1][:, 0] for point in run]))
         basis, sym = fermionic_basis(run[0].mode_count, 1), run[0].symmetry_dense
 
         def solve_chunk(start, h, _):
@@ -236,7 +260,7 @@ def _qse_repair(cfg: ExperimentConfig):
         return [(point.bond_length, ref_name, float(point.exact()[0][0]), sol.energy,
                  *sub[:2], sol.symmetry_expectations["s_squared"], *sub[2:])]
 
-    rows, events = _sweep(cfg, ("vcs", "novar"), step, solve)
+    rows, events = _sweep(cfg, ("vcs", "novar"), step, solve, ("fermionic", 1, True))
     header = ["R", "reference", "energy_exact", "energy_ref", "energy_qse",
               "energy_qse_s2proj", "s2_ref", "s2_qse", "s2_qse_s2proj"]
     return header, rows, events
@@ -272,24 +296,26 @@ def _ground_channels(cfg: ExperimentConfig):
 
 
 def _approx_spectrum(cfg: ExperimentConfig, levels: int = 3):
-    def step(point, *_):
-        psi0 = point.exact()[1][:, 0]
-        h1, h2, core = spin_orbital_tensors(point.integrals)
-        rdms = compute_rdms(psi0, 3)
-        e_g = float(np.real(psi0.conj() @ point.h_dense @ psi0))
-        basis = fermionic_basis(point.mode_count, 1)
-        direct = build_subspace_direct(basis, point.h_dense, psi0)
-        zc = approximate_lr("ZC", h1, h2, rdms, e_g, core_energy=core)
-        za = approximate_lr("ZA", h1, h2, rdms, e_g, core_energy=core)
-        rows = []
-        for method, prob in (("exact", direct), ("zc", zc), ("za", za)):
-            spec = solve_subspace(prob, cfg.metric_cutoff)
-            for i in range(min(levels, spec.retained_dim)):
-                rows.append((point.bond_length, method, i,
-                             float(spec.eigenvalues[i])))
-        return rows
+    def solve_chunk(points, basis, h, psi):
+        m = points[0].mode_count
+        h1, h2, core = map(np.stack, zip(*(spin_orbital_tensors(pt.integrals) for pt in points)))
+        # the stacked pure states' RDMs, as compute_rdms(psi, 3) gives each
+        rdms = RdmSet(mode_count=m, blocks=tuple(_pure_blocks(psi, m, 3)))
+        e_g = np.array([np.real(x.conj() @ hp @ x) for x, hp in zip(psi, h)])
+        probs = (build_subspace_direct(basis, h, psi),
+                 approximate_lr("ZC", h1, h2, rdms, e_g, core_energy=core),
+                 approximate_lr("ZA", h1, h2, rdms, e_g, core_energy=core))
+        h_sub, s_sub = (np.concatenate(mats) for mats in zip(*((p.h_sub, p.s_sub) for p in probs)))
+        spectra = solve_subspace(SubspaceProblem(h_sub, s_sub), cfg.metric_cutoff)
+        return [spectra[i::len(points)] for i in range(len(points))]
 
-    rows, _ = _sweep(cfg, (None,), step)
+    def step(point, _, spectra):
+        return [(point.bond_length, method, i, float(spec.eigenvalues[i]))
+                for method, spec in zip(("exact", "zc", "za"), spectra)
+                for i in range(min(levels, spec.retained_dim))]
+
+    solve = _pure_chunks(lambda point: fermionic_basis(point.mode_count, 1), solve_chunk)
+    rows, _ = _sweep(cfg, (None,), step, solve, ("fermionic", 1))
     return ["R", "method", "level", "energy"], rows, 0
 
 
@@ -329,25 +355,32 @@ def single_point(cfg: ExperimentConfig) -> str:
         ints = parse_fcidump(Path(cfg.fcidump).read_text())
     except ValueError as exc:  # a malformed record, or bytes that are not UTF-8
         raise FcidumpError(f"{cfg.fcidump}: {exc}") from None
-    modes = 2 * ints.norb
-    for used, what, name, limit in (
-            (cfg.subspace_kind == "fermionic", "a fermionic subspace",
-             "FERMIONIC_MODE_LIMIT", FERMIONIC_MODE_LIMIT),
-            (cfg.sampled_rdms, "sampled RDMs", "RDM_MODE_LIMIT", RDM_MODE_LIMIT)):
-        if used and modes > limit:
-            raise ConfigError(f"{cfg.fcidump}: NORB={ints.norb} gives {modes} spin "
-                              f"orbitals, above {name}={limit} for {what}")
-    # a qubit basis holds 1 + 3n single Paulis and 9 C(n, 2) pairs, all complex
-    qubit, k = cfg.subspace_kind == "qubit", cfg.subspace_order
-    n_b = (1 + 3 * modes + 9 * comb(modes, 2) * (k == 2) if qubit
-           else len(fermionic_basis(modes, k)))
-    itemsize = 16 if qubit else 8
-    try:
-        check_subspace_bytes(n_b, 2 ** modes, cfg.channel is not None, itemsize, itemsize)
-    except ValueError as exc:
-        raise ConfigError(f"{cfg.fcidump}: {exc}") from None
+    _check_size(cfg.fcidump, ints.norb, cfg.subspace_kind, cfg.subspace_order,
+                cfg.channel is not None, cfg.sampled_rdms)
     return _guarded(lambda: _point_report(cfg, ints), f"fixture {cfg.fcidump}",
                     cfg.experiment)
+
+
+def _check_size(where, norb: int, kind: str, order: int, matrix=False, sampled=False):
+    """Raise ConfigError naming `where` and the limit if NORB = norb puts a `kind` subspace of
+    `order` around a vector (or `matrix`), or sampled RDMs, above a mode or byte limit."""
+    modes = 2 * norb
+    for used, what, name, limit in (
+            (kind == "fermionic", "a fermionic subspace",
+             "FERMIONIC_MODE_LIMIT", FERMIONIC_MODE_LIMIT),
+            (sampled, "sampled RDMs", "RDM_MODE_LIMIT", RDM_MODE_LIMIT)):
+        if used and modes > limit:
+            raise ConfigError(f"{where}: NORB={norb} gives {modes} spin "
+                              f"orbitals, above {name}={limit} for {what}")
+    # a qubit basis holds 1 + 3n single Paulis and 9 C(n, 2) pairs, all complex
+    qubit = kind == "qubit"
+    n_b = (1 + 3 * modes + 9 * comb(modes, 2) * (order == 2) if qubit
+           else len(fermionic_basis(modes, order)))
+    itemsize = 16 if qubit else 8
+    try:
+        check_subspace_bytes(n_b, 2 ** modes, matrix, itemsize, itemsize)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _point_report(cfg: ExperimentConfig, ints) -> str:

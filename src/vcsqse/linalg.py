@@ -159,30 +159,34 @@ def _sector_layout(key: bytes):
 
 
 def _sector_eigh(a: np.ndarray, labels) -> tuple:
-    """Eigendecomposition of a Hermitian matrix that conserves a sector label.
+    """Eigendecomposition of a Hermitian matrix that conserves a sector label,
+    or of each of a (P, dim, dim) stack sharing the labels.
 
     Returns the ascending eigenvalues, their eigenvectors as full-length
-    columns and the sector of each level; tied levels keep ascending-label
-    order. Sectors of equal size share one batched eigh and 1x1 sectors are
-    read off the diagonal. Raises ValueError if an entry couples two sectors.
+    columns and the sector of each level (with the stack axis); tied levels
+    keep ascending-label order. Sectors of equal size share one batched eigh,
+    whole stack included, and 1x1 sectors are read off the diagonal. An entry
+    coupling two sectors raises ValueError (a StackError naming its member).
     """
-    sorted_labels, groups = _sector_layout(np.asarray(labels, dtype=np.int64).tobytes())
-    blocks = [a[idx[:, :, None], idx[:, None, :]] for _, idx in groups]
-    if sum(map(np.count_nonzero, blocks)) != np.count_nonzero(a):
-        raise ValueError("matrix has nonzero entries between sectors")
-    solved = [(b.real[..., 0], np.ones_like(b)) if b.shape[1] == 1
+    labels = np.asarray(labels, dtype=np.int64)
+    sorted_labels, groups = _sector_layout(labels.tobytes())
+    _reject(((a != 0) & (labels[:, None] != labels)).any(axis=(-2, -1)),
+            "matrix has nonzero entries between sectors")
+    blocks = [a[..., idx[:, :, None], idx[:, None, :]] for _, idx in groups]
+    solved = [(b.real[..., 0], np.ones_like(b)) if b.shape[-1] == 1
               else np.linalg.eigh(b) for b in blocks]
-    w = np.empty(a.shape[0])
+    w = np.empty(a.shape[:-1])
     for (pos, _), (bw, _) in zip(groups, solved):
-        w[pos] = bw
-    levels = w.tolist()
-    order = np.array(sorted(range(len(levels)), key=levels.__getitem__))
-    column = np.empty_like(order)
-    column[order] = np.arange(order.size)
+        w[..., pos] = bw
+    order = np.array([sorted(range(len(row)), key=row.__getitem__)
+                      for row in w.reshape(-1, w.shape[-1]).tolist()]).reshape(w.shape)
+    column = np.empty_like(order)  # not argsort: its first call maps 256 KiB of sort code
+    np.put_along_axis(column, order, np.arange(order.shape[-1]), axis=-1)
     v = np.zeros(a.shape, dtype=np.result_type(a, float))
+    lead = tuple(i[..., None, None, None] for i in np.indices(a.shape[:-2], sparse=True))
     for (pos, idx), (_, bv) in zip(groups, solved):
-        v[idx[:, :, None], column[pos][:, None, :]] = bv
-    return w[order], v, sorted_labels[order]
+        v[(*lead, idx[:, :, None], column[..., pos][..., None, :])] = bv
+    return np.take_along_axis(w, order, -1), v, sorted_labels[order]
 
 
 def _by_group(keys, solve_group) -> list:
@@ -222,8 +226,10 @@ def _stacked(h, solve_chunk, member_bytes: int, limit: int):
     step = max(1, limit // member_bytes)
     sols = []
     for start in range(0, len(mats), step):
+        chunk = mats[start:start + step]  # a lone matrix as a view: np.stack would copy it
         try:
-            sols += solve_chunk(start, _promoted(np.stack(mats[start:start + step])), sols)
+            sols += solve_chunk(start, _promoted(np.asarray(chunk[0])[None] if len(chunk) == 1
+                                                 else np.stack(chunk)), sols)
         except StackError as exc:
             raise StackError(start + exc.index, exc.reason) from exc
     return sols[0] if single else sols

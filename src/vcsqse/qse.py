@@ -8,7 +8,8 @@ for consistent inputs and are kept independent so one can check the other.
 The linear-response (LR) route (build_lr_from_rdms; ZC and ZA in
 approximate_lr) reads D1 and D2 as full tensors, at most M^4 entries, and
 each D3 and D4 term as one split contraction of the packed block
-(rdm._split_contract), O(C(M,k)^2) products instead of an M^(2k) einsum.
+(rdm._split_contract), O(C(M,k)^2) products instead of an M^(2k) einsum;
+RDM blocks and integrals with a leading axis build a stack of problems.
 
 The direct route never forms a basis operator as a dense matrix. Every
 element E_b of an ExpansionBasis is one masked signed permutation,
@@ -18,9 +19,9 @@ Pauli word by operators._signed_permutation. A build is then one gather
 per block for all elements at once: E_b psi, E_b rho as a row gather of
 rho, and W E_b as a column gather of W, each column j reading column
 src[b, j], since src is an involution. The direct build, the solve, the
-projection and the <O> reads also take a stack of problems (a single one
-is a stack of one), so a fig4 repair curve is one chunked stack; a failed
-member raises a StackError naming its index.
+projection and the <O> reads also take a stack of problems, so each
+spectrum, qse-repair and approx-spectrum curve is one chunked stack; a
+failed member raises a StackError naming its index.
 
 Both routes follow the dtype rule of linalg: the direct build takes
 np.result_type of H, the reference, the basis weights (float64 for a
@@ -208,18 +209,23 @@ def build_subspace_direct(basis: ExpansionBasis, h: np.ndarray, rho: np.ndarray,
     return SubspaceProblem(h_sub=h_sub, s_sub=s_sub, symmetry_subs=sym)
 
 
+def _t(a: np.ndarray, *axes) -> np.ndarray:
+    """a with its last len(axes) axes permuted by axes, after any stack axes."""
+    return a.transpose(*range(a.ndim - len(axes)), *(i - len(axes) for i in axes))
+
+
 def _overlap_lr(rdms: RdmSet) -> np.ndarray:
     """S[a, b] = <E_a^ E_b> over rows [g] + [(i, j)] from the packed D1, D2."""
     m = rdms.mode_count
-    d1, d2 = rdms.blocks[0], rdms.d(2)
-    s = np.empty((m * m + 1,) * 2, dtype=np.result_type(d1, d2))
-    s[0, 0] = 1.0
+    d1, d2, lead = rdms.blocks[0], rdms.d(2), rdms.blocks[0].shape[:-2]
+    s = np.empty(lead + (m * m + 1,) * 2, dtype=np.result_type(d1, d2))
+    s[..., 0, 0] = 1.0
     # S^{ij}_g = D1[j, i], rows flattened over (i, j)
-    s[1:, 0] = d1.T.reshape(m * m)
-    s[0, 1:] = s[1:, 0].conj()
+    s[..., 1:, 0] = d1.swapaxes(-1, -2).reshape(lead + (m * m,))
+    s[..., 0, 1:] = s[..., 1:, 0].conj()
     # S^{ij}_{kl} = delta_ik D1[j,l] - 2 D2[j,k,l,i]
-    s4 = np.einsum("ik,jl->ijkl", np.eye(m), d1) - 2.0 * d2.transpose(3, 0, 1, 2)
-    s[1:, 1:] = s4.reshape(m * m, m * m)
+    s4 = np.einsum("ik,...jl->...ijkl", np.eye(m), d1) - 2.0 * _t(d2, 3, 0, 1, 2)
+    s[..., 1:, 1:] = s4.reshape(lead + (m * m, m * m))
     return _symmetrized(s)
 
 
@@ -230,50 +236,55 @@ def _lr_matrix(t1: np.ndarray, v: np.ndarray, rdms: RdmSet,
 
     D1 and D2 enter as full tensors, D3 and D4 only through split
     contractions of their packed blocks. The commutator form needs no D4 and
-    leaves the g-column zero.
+    leaves the g-column zero. A leading stack axis of t1, v and the blocks stacks the result.
     """
     m = rdms.mode_count
     d1, d2, p3 = rdms.blocks[0], rdms.d(2), rdms.blocks[2]
+    lead = d1.shape[:-2]
+    four_d, pairs = lead + (m,) * 4, lead + (m * m, -1)
     # only the part of v antisymmetric in each index pair enters O
-    v = v - v.transpose(1, 0, 2, 3)
-    v = 0.25 * (v - v.transpose(0, 1, 3, 2))
-    vx = v.transpose(0, 1, 3, 2)
-    four_d = (m,) * 4
+    v = v - _t(v, 1, 0, 2, 3)
+    v = 0.25 * (v - _t(v, 0, 1, 3, 2))
+    vx = _t(v, 0, 1, 3, 2)
     # u1[k,j,l,i] = sum v[p,q,k,s] D3[j,p,q,s,l,i] and u2[a,j,k,b] =
     # sum v[a,q,r,s] D3[j,k,q,s,r,b]; each summed pair counts both its orders
-    u1 = 2.0 * _split_contract(p3, v.transpose(2, 0, 1, 3), m, 3, 2, 1).reshape(four_d)
+    u1 = 2.0 * _split_contract(p3, _t(v, 2, 0, 1, 3), m, 3, 2, 1).reshape(four_d)
     u2 = 2.0 * _split_contract(p3, vx, m, 3, 1, 2).reshape(four_d)
     # gl[i,j] = <a_j^ a_i O> without its D3 term
-    gl = t1 @ d1.T + 4.0 * vx.reshape(m, -1) @ d2.reshape(m, -1).T
-    y = 2.0 * np.einsum("ar,jkrb->ajkb", t1, d2) - 12.0 * u2
+    gl = (t1 @ _t(d1, 1, 0)
+          + 4.0 * vx.reshape(lead + (m, -1)) @ _t(d2.reshape(lead + (m, -1)), 1, 0))
+    y = 2.0 * np.einsum("...ar,...jkrb->...ajkb", t1, d2) - 12.0 * u2
     # sum v[i,q,k,s] D2[j,q,s,l] at [i,k,j,l]
-    vd2 = (v.transpose(0, 2, 1, 3).reshape(m * m, -1)
-           @ d2.transpose(1, 2, 0, 3).reshape(m * m, -1)).reshape(four_d)
-    four = (np.einsum("ik,jl->ijkl", t1, d1) - 2.0 * np.einsum("pk,jpli->ijkl", t1, d2)
-            + 8.0 * vd2.transpose(0, 2, 1, 3) + 12.0 * u1.transpose(3, 1, 0, 2))
-    out = np.zeros((m * m + 1,) * 2, dtype=np.result_type(t1, v, *rdms.blocks))
+    vd2 = (_t(v, 0, 2, 1, 3).reshape(pairs)
+           @ _t(_t(d2, 1, 2, 0, 3).reshape(pairs), 1, 0)).reshape(four_d)
+    four = (np.einsum("...ik,...jl->...ijkl", t1, d1)
+            - 2.0 * np.einsum("...pk,...jpli->...ijkl", t1, d2)
+            + 8.0 * _t(vd2, 0, 2, 1, 3) + 12.0 * _t(u1, 3, 1, 0, 2))
+    out = np.zeros(lead + (m * m + 1,) * 2, dtype=np.result_type(t1, v, *rdms.blocks))
     if commutator:
         # sum v[i,l,r,s] D2[j,k,s,r] at [i,l,j,k]
-        vrs = (vx.reshape(m * m, -1) @ d2.reshape(m * m, -1).T).reshape(four_d)
-        four += (y.transpose(3, 1, 2, 0) - np.einsum("ik,jl->ijkl", np.eye(m), gl.T)
-                 - 4.0 * vrs.transpose(0, 2, 3, 1))
+        vrs = (vx.reshape(pairs) @ _t(d2.reshape(pairs), 1, 0)).reshape(four_d)
+        four += (_t(y, 3, 1, 2, 0) - np.einsum("ik,...jl->...ijkl", np.eye(m), _t(gl, 1, 0))
+                 - 4.0 * _t(vrs, 0, 2, 3, 1))
         # <[O, a_k^ a_l]> at g-row column (k, l)
-        value = t1.T @ d1 - gl.T + 4.0 * vx.reshape(-1, m).T @ d2.reshape(-1, m)
-        out[0, 1:] = value.reshape(m * m)
+        value = (_t(t1, 1, 0) @ d1 - _t(gl, 1, 0)
+                 + 4.0 * _t(vx.reshape(lead + (-1, m)), 1, 0) @ d2.reshape(lead + (-1, m)))
+        out[..., 0, 1:] = value.reshape(lead + (m * m,))
     else:
         # c[j,l] = -2 sum t1[p,r] D2[j,p,r,l] + 6 sum v[p,q,r,s] D3[j,p,q,s,r,l]
-        c = (-2.0 * np.einsum("pr,jprl->jl", t1, d2)
+        c = (-2.0 * np.einsum("...pr,...jprl->...jl", t1, d2)
              + 24.0 * _split_contract(p3, vx, m, 3, 2, 2))
         # far[j,k,l,i] = -6 sum t1[p,r] D3[j,k,p,r,l,i]
         #                - 24 sum v[p,q,r,s] D4[j,k,p,q,s,r,l,i]
         far = (-6.0 * _split_contract(p3, t1, m, 3, 1, 1)
                - 96.0 * _split_contract(rdms.blocks[3], vx, m, 4, 2, 2)).reshape(four_d)
-        four += np.einsum("ik,jl->ijkl", np.eye(m), c) + y + far.transpose(3, 0, 1, 2)
-        out[0, 0] = np.einsum("pr,pr->", t1, d1) + 2.0 * np.einsum("pqsr,pqsr->", vx, d2)
+        four += np.einsum("ik,...jl->...ijkl", np.eye(m), c) + y + _t(far, 3, 0, 1, 2)
+        out[..., 0, 0] = (np.einsum("...pr,...pr->...", t1, d1)
+                          + 2.0 * np.einsum("...pqsr,...pqsr->...", vx, d2))
         # g-column <a_j^ a_i O> flattened over (i, j); g-row from Hermiticity
-        out[1:, 0] = (gl + c.T).reshape(m * m)
-        out[0, 1:] = np.conj(out[1:, 0])
-    out[1:, 1:] = four.reshape(m * m, m * m)
+        out[..., 1:, 0] = (gl + _t(c, 1, 0)).reshape(lead + (m * m,))
+        out[..., 0, 1:] = np.conj(out[..., 1:, 0])
+    out[..., 1:, 1:] = four.reshape(lead + (m * m, m * m))
     return out
 
 
@@ -284,21 +295,22 @@ def build_lr_from_rdms(h1: np.ndarray, h2: np.ndarray, rdms: RdmSet,
     h1/h2 follow the Hamiltonian assembly convention (the two-body part
     enters as 1/2 sum h2 a^ a^ a a). Rows are ordered [g] + [(i, j) pairs],
     matching fermionic_basis(order=1). h1 and h2 must be (M, M) and (M,)*4
-    for the M modes of rdms. The problem carries no symmetry matrices.
+    for the M modes of rdms. The problem carries no symmetry matrices. With a
+    leading stack axis on the blocks, h1, h2 and core_energy it builds a stack.
     """
     if rdms.max_k < 4:
         raise ValueError("the RDM route requires tensors through the 4-RDM")
     return _lr_problem(h1, h2, rdms, _overlap_lr(rdms), core_energy)
 
 
-def _lr_problem(h1, h2, rdms: RdmSet, s_sub: np.ndarray, shift: float,
+def _lr_problem(h1, h2, rdms: RdmSet, s_sub: np.ndarray, shift,
                 commutator: bool = False) -> SubspaceProblem:
     """LR (or commutator-form) matrices from rdms, shifted by shift * s_sub."""
-    m = rdms.mode_count
-    if np.shape(h1) != (m, m) or np.shape(h2) != (m,) * 4:
+    m, lead = rdms.mode_count, rdms.blocks[0].shape[:-2]
+    if np.shape(h1) != lead + (m, m) or np.shape(h2) != lead + (m,) * 4:
         raise ValueError(f"h1 of shape {np.shape(h1)} and h2 of shape {np.shape(h2)} "
-                         f"are not ({m}, {m}) and ({m}, {m}, {m}, {m}) for {m}-mode RDMs")
-    h_sub = _symmetrized(shift * s_sub + _lr_matrix(
+                         f"are not {lead + (m, m)} and {lead + (m,) * 4} for {m}-mode RDMs")
+    h_sub = _symmetrized(np.asarray(shift)[..., None, None] * s_sub + _lr_matrix(
         _promoted(h1), 0.5 * _promoted(h2), rdms, commutator))
     return SubspaceProblem(h_sub=h_sub, s_sub=s_sub)
 
@@ -379,6 +391,7 @@ def approximate_lr(method: str, h1: np.ndarray, h2: np.ndarray, rdms: RdmSet,
     ZA evaluates the plain LR expression with the 3- and 4-RDMs rebuilt from
     lower cumulants (reconstruct_d3=False keeps the exact 3-RDM). The overlap,
     and with it ZA's core shift, always comes from the exact 1- and 2-RDMs.
+    A stack builds a stack of problems, as in build_lr_from_rdms.
     """
     method = method.upper()
     if method not in ("ZC", "ZA"):

@@ -13,6 +13,8 @@ cumulants_from_rdms and reconstruct_rdms never build a full tensor, and
 the cumulant expansion takes its Grassmann wedge products on packed blocks
 (_wedge_packed); d(k), c(k) and d1..d4, c1..c4 build a new M^(2k) one on
 each read, by one gather through a cached position-and-sign table per (M, k).
+Blocks may carry leading stack axes, one set per state of a stack
+(_pure_blocks); the expansion and the contractions broadcast over them.
 
 The linear-response route in qse reads every 3- and 4-RDM term through one
 split contraction (_split_contract) of the packed block. Like _wedge_packed
@@ -114,38 +116,42 @@ def _split_rows(m: int, k: int, j: int):
 def _split_contract(block: np.ndarray, x: np.ndarray, m: int, k: int,
                     ju: int, jl: int) -> np.ndarray:
     """sum over increasing B, E of D[A + B, C + E] x[..., B, E], D the order-k
-    tensor of the packed block, |B| = ju, |E| = jl. x holds the ju then jl
-    summed axes after any batch axes; the result holds all free A and C,
-    each flattened row-major, and costs C(k,ju) C(k,jl) C(m,k)^2 products."""
+    tensor of the packed block, |B| = ju, |E| = jl. x holds the block's stack
+    axes, then any batch axes, then the ju and jl summed axes; the result
+    holds all free A and C, each flattened row-major, and costs
+    C(k,ju) C(k,jl) C(m,k)^2 products."""
     rows_u, flat_u, scatter_u = _split_rows(m, k, ju)
     rows_l, flat_l, scatter_l = _split_rows(m, k, jl)
     x = x.reshape(x.shape[:x.ndim - ju - jl] + (m ** ju, m ** jl))
-    terms = x[..., flat_u[:, None], flat_l] * block[rows_u[:, None], rows_l]
+    batch = tuple(range(block.ndim - 2, x.ndim - 2))  # x's axes after the stack axes
+    terms = x[..., flat_u[:, None], flat_l] * np.expand_dims(
+        block[..., rows_u[:, None], rows_l], batch)
     return scatter_u @ terms @ scatter_l.T
 
 
 def _expand(block: np.ndarray, m: int, k: int) -> np.ndarray:
-    """Full (m,)*2k tensor of a packed order-k block."""
+    """Full (m,)*2k tensor of a packed order-k block, or of each of a stack."""
+    shape = block.shape[:-2] + (m,) * (2 * k)
     if not block.size:
-        return np.zeros((m,) * (2 * k), dtype=block.dtype)
+        return np.zeros(shape, dtype=block.dtype)
     pos, sign = _gather_table(m, k)
-    full = block[np.ix_(pos, pos)]
+    full = block[..., pos[:, None], pos]
     full *= sign[:, None]
     full *= sign
-    return full.reshape((m,) * (2 * k))
+    return full.reshape(shape)
 
 
 def _wedge_packed(a: np.ndarray, b: np.ndarray, m: int, ka: int, kb: int) -> np.ndarray:
-    """Packed a ^ b of packed blocks of orders ka and kb over m modes.
+    """Packed a ^ b of packed blocks of orders ka and kb over m modes, or of stacks of them.
 
     (a ^ b)[I, J] = (ka! kb! / k!)^2 sum over splits I = Ia + Ib, J = Ja + Jb
     of sign(I split) sign(J split) a[Ia, Ja] b[Ib, Jb].
     """
     ia, ib, sign = _split_table(m, ka + kb, ka)
-    ga = a[ia[:, :, None, None], ia[None, None]]
-    gb = b[ib[:, :, None, None], ib[None, None]]
+    ga = a[..., ia[:, :, None, None], ia[None, None]]
+    gb = b[..., ib[:, :, None, None], ib[None, None]]
     scale = (factorial(ka) * factorial(kb) / factorial(ka + kb)) ** 2
-    return scale * np.einsum("isjt,isjt,st->ij", ga, gb, np.outer(sign, sign))
+    return scale * np.einsum("...isjt,...isjt,st->...ij", ga, gb, np.outer(sign, sign))
 
 
 def _disconnected(c, n: int, m: int) -> np.ndarray:
@@ -197,12 +203,12 @@ def _annihilators(m: int, k: int):
 
 
 def _pure_blocks(psi: np.ndarray, m: int, max_k: int) -> list:
-    """Packed RDM blocks of a normalized pure state, orders 1..max_k."""
+    """Packed RDM blocks, orders 1..max_k, of a normalized pure state or each of a stack."""
     blocks = []
     for k in range(1, max_k + 1):
         src, weight = _annihilators(m, k)
-        mat = np.ascontiguousarray((weight * psi[src]).T)
-        blocks.append((mat.conj().T @ mat) / factorial(k))
+        mat = np.ascontiguousarray((weight * psi[..., src]).swapaxes(-1, -2))
+        blocks.append((mat.conj().swapaxes(-1, -2) @ mat) / factorial(k))
     return blocks
 
 
@@ -254,7 +260,7 @@ def reconstruct_rdms(cumulants: CumulantSet, zero_above: int) -> RdmSet:
                          f"need {zero_above}")
     m = cumulants.mode_count
     c = list(cumulants.blocks[:zero_above])
-    c += [np.zeros((comb(m, k),) * 2, dtype=np.result_type(*c))
+    c += [np.zeros(c[0].shape[:-2] + (comb(m, k),) * 2, dtype=np.result_type(*c))
           for k in range(zero_above + 1, 5)]
     d = [c[0]] + [c[n - 1] + _disconnected(c, n, m) for n in range(2, 5)]
     return RdmSet(mode_count=m, blocks=tuple(d))

@@ -195,22 +195,37 @@ class TestExperiments:
         run_experiment(parse_config(config_text(mini_sweep, experiment=experiment)))
         assert lifts == [4] * curves
 
-    def test_stacked_failure_names_its_sweep_point(self, mini_sweep, monkeypatch):
-        """A point whose H fails the curve's stacked VCS solve is named by
-        its own R, not by the first point of the stack."""
+    @staticmethod
+    def skew_second_point(monkeypatch, entry):
+        """Add 1 to H[entry] of the second sweep point (points are built in ascending R)."""
         real, built = experiments.fermion_to_dense, []
 
         def skewed_second(op):
             h = real(op).copy()
             built.append(h)
-            if len(built) == 2:  # the points are built in ascending R
-                h[0, 1] += 1.0
+            if len(built) == 2:
+                h[entry] += 1.0
             return h
 
         monkeypatch.setattr(experiments, "fermion_to_dense", skewed_second)
+
+    def test_stacked_failure_names_its_sweep_point(self, mini_sweep, monkeypatch):
+        """A point whose H fails the curve's stacked VCS solve is named by
+        its own R, not by the first point of the stack. The skew stays in
+        the N = 1 sector, so the FCI pass before the solve accepts it."""
+        self.skew_second_point(monkeypatch, (1, 2))
         with pytest.raises(experiments.ExperimentError,
                            match=r"qse-repair: failure at sweep point R=1\.5: "
                                  "input is not Hermitian"):
+            run_experiment(parse_config(config_text(mini_sweep, experiment="qse-repair")))
+
+    def test_sector_coupling_names_its_sweep_point(self, mini_sweep, monkeypatch):
+        """An entry between the N = 0 and N = 1 sectors fails the run's
+        stacked FCI pass, before any curve is solved, naming its own R."""
+        self.skew_second_point(monkeypatch, (0, 1))
+        with pytest.raises(experiments.ExperimentError,
+                           match=r"qse-repair: failure at sweep point R=1\.5: "
+                                 "matrix has nonzero entries between sectors"):
             run_experiment(parse_config(config_text(mini_sweep, experiment="qse-repair")))
 
     def test_empty_projection_window_names_its_sweep_point(self, mini_sweep, monkeypatch):
@@ -231,6 +246,26 @@ class TestExperiments:
                            match=r"qse-repair: failure at sweep point R=1\.5: no subspace "
                                  r"states with <s_squared> within 0\.5 of 0\.0"):
             run_experiment(parse_config(config_text(mini_sweep, experiment="qse-repair")))
+
+    def test_empty_number_window_names_its_sweep_point(self, mini_sweep, monkeypatch):
+        """The middle point's exact ground state replaced by |0001>, one
+        electron, so every state of its spectrum subspace has <N> = 1 and the
+        window 2 +- 0.5 is empty there: fig3's stacked projection names R = 1.5."""
+        real = experiments._sector_eigh
+
+        def doublet_second(hs, labels):
+            w, v, n = real(hs, labels)
+            v = v.copy()
+            v[1, :, 0] = np.eye(v.shape[-1])[1]
+            return w, v, n
+
+        monkeypatch.setattr(experiments, "_sector_eigh", doublet_second)
+        text = (f"[run]\nexperiment = spectrum\nsweep_manifest = {mini_sweep}\n"
+                "[projection]\nname = number\ntarget = 2.0\nwindow = 0.5\n")
+        with pytest.raises(experiments.ExperimentError,
+                           match=r"spectrum: failure at sweep point R=1\.5: no subspace "
+                                 r"states with <number> within 0\.5 of 2\.0"):
+            run_experiment(parse_config(text))
 
     def test_csv_rows_format_mixed_columns_like_fmt(self):
         """One template per tuple of field types: a column holding strings in
@@ -298,17 +333,13 @@ def test_one_eigensolve_per_vcs_solve(configs_dir, monkeypatch, name, calls):
     assert shapes == [(28, 16, 16)] * (calls // 28)
 
 
-@pytest.mark.parametrize("count", [7, 28])
-def test_subspace_eigensolves_per_curve_do_not_grow_with_the_sweep(
-        configs_dir, sweep_manifest, tmp_path, monkeypatch, count):
-    """With one chunk per curve, each of fig4's three generalized solves per
-    curve (around rho, the S^2 projection around psi and the projected
-    problem) is one batched metric eigh over the whole curve and one more
-    per distinct retained dimension, whether the sweep has 7 or 28 points."""
+def subspace_eigh_shapes(configs_dir, sweep_manifest, tmp_path, monkeypatch, name, count):
+    """Shapes of every subspace eigh (one with qse on the stack) of config
+    `name` on the first `count` points of the sweep, one chunk per curve."""
     lines = [ln for ln in sweep_manifest.read_text().splitlines() if not ln.startswith("#")]
     manifest = tmp_path / "sweep.manifest"
-    manifest.write_text("".join(f"{r} {sweep_manifest.parent / name}\n"
-                                for r, name in map(str.split, lines[:count])))
+    manifest.write_text("".join(f"{r} {sweep_manifest.parent / fixture}\n"
+                                for r, fixture in map(str.split, lines[:count])))
     shapes, real = [], np.linalg.eigh
 
     def spy(a):
@@ -321,13 +352,40 @@ def test_subspace_eigensolves_per_curve_do_not_grow_with_the_sweep(
 
     monkeypatch.setattr(np.linalg, "eigh", spy)
     monkeypatch.setattr(experiments, "SUBSPACE_STACK_BYTES", 1 << 30)
-    cfg = load_config(configs_dir / "fig4_repair.cfg")
+    cfg = load_config(configs_dir / f"{name}.cfg")
     cfg.output, cfg.sweep_manifest = None, str(manifest)
     run_experiment(cfg)
+    return shapes
+
+
+@pytest.mark.parametrize("count", [7, 28])
+def test_subspace_eigensolves_per_curve_do_not_grow_with_the_sweep(
+        configs_dir, sweep_manifest, tmp_path, monkeypatch, count):
+    """With one chunk per curve, each of fig4's three generalized solves per
+    curve (around rho, the S^2 projection around psi and the projected
+    problem) is one batched metric eigh over the whole curve and one more
+    per distinct retained dimension, whether the sweep has 7 or 28 points."""
+    shapes = subspace_eigh_shapes(configs_dir, sweep_manifest, tmp_path, monkeypatch,
+                                  "fig4_repair", count)
     # every member is in one metric eigh and one retained-dimension group per solve
     assert sum(shape[0] for shape in shapes) == 2 * 3 * 2 * count
     assert [shape[0] for shape in shapes].count(count) >= 2 * 3
     assert len(shapes) <= 2 * 3 * 3
+
+
+@pytest.mark.parametrize("name, solves, methods", [("fig3_spectrum", 2, 1),
+                                                   ("zero_approx", 1, 3)])
+@pytest.mark.parametrize("count", [7, 28])
+def test_rdm_curve_eigensolves_do_not_grow_with_the_sweep(
+        configs_dir, sweep_manifest, tmp_path, monkeypatch, name, solves, methods, count):
+    """Likewise fig3's two generalized solves per curve (the number projection
+    and the projected problem) and zero_approx's one (its exact, ZC and ZA
+    problems together)."""
+    shapes = subspace_eigh_shapes(configs_dir, sweep_manifest, tmp_path, monkeypatch,
+                                  name, count)
+    assert sum(shape[0] for shape in shapes) == 2 * solves * methods * count
+    assert [shape[0] for shape in shapes].count(methods * count) >= solves
+    assert len(shapes) <= solves * 3
 
 
 def test_runs_never_import_numpy_ma(configs_dir, sto3g_path):
@@ -531,6 +589,23 @@ class TestCli:
         assert (f"config error: {big}: subspace build needs {need} bytes for 37 basis "
                 f"elements, above the limit of SUBSPACE_BYTE_LIMIT={qse.SUBSPACE_BYTE_LIMIT}"
                 in capsys.readouterr().err)
+
+    def test_oversized_sweep_exits_2_before_any_point(self, tmp_path, capsys, monkeypatch):
+        """`vcsqse run` checks every fixture of the manifest against the
+        size limits of the experiment's subspace before it prepares any
+        point: an NORB = 6 spectrum sweep (M = 12, a fermionic basis) exits 2
+        at once, naming the fixture and the limit."""
+        h1 = np.random.default_rng(6).normal(size=(6, 6))
+        big = tmp_path / "norb6.fcidump"
+        big.write_text(render_fcidump(MolecularIntegrals(
+            6, 2, 0, 0.0, h1 + h1.T, np.zeros((6, 6, 6, 6)))))
+        monkeypatch.setattr(experiments, "_point", None)  # preparing a point would fail
+        start = time.perf_counter()
+        assert run_spectrum(tmp_path, f"0.7 {big}\n") == 2
+        assert time.perf_counter() - start < 1.0
+        assert (f"config error: {tmp_path / 'sweep.manifest'}: fixture norb6 at R=0.7: "
+                "NORB=6 gives 12 spin orbitals, above FERMIONIC_MODE_LIMIT=8 for a "
+                "fermionic subspace") in capsys.readouterr().err
 
     def test_oversized_fcidump_exits_2(self, tmp_path, capsys):
         big = tmp_path / "norb7.fcidump"

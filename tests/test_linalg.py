@@ -187,6 +187,31 @@ def test_sector_coupling_rejected_before_any_eigh(monkeypatch):
     assert shapes == [(2, 4, 4), (1, 6, 6)]
 
 
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(1, 5), p=st.integers(1, 5),
+       ties=st.sampled_from(["none", "mirror", "diagonal"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_sector_eigh_equals_one_at_a_time(m, p, ties, seed):
+    """A stack sharing the labels gives each member's levels, vectors and
+    sectors bit for bit, with one batched eigh per sector size."""
+    rng = np.random.default_rng(seed)
+    hs, labels = zip(*(number_conserving(rng, m, ties) for _ in range(p)))
+    stacked = _sector_eigh(np.stack(hs), labels[0])
+    for i, h in enumerate(hs):
+        for got, want in zip(stacked, _sector_eigh(h, labels[0])):
+            assert got[i].shape == want.shape and np.array_equal(got[i], want)
+
+
+def test_stacked_sector_coupling_names_its_member():
+    rng = np.random.default_rng(8)
+    hs, labels = zip(*(number_conserving(rng, 3, "none") for _ in range(4)))
+    hs = np.stack(hs)
+    hs[2, 0, 1] = hs[2, 1, 0] = 0.5  # N = 0 to N = 1 in member 2 only
+    with pytest.raises(StackError, match="stack index 2: matrix has nonzero entries "
+                                         "between sectors"):
+        _sector_eigh(hs, labels[0])
+
+
 class TestStateCheck:
     """linalg._checked_state is the one check of every state the package takes."""
 

@@ -553,6 +553,56 @@ def test_stacked_solve_equals_one_at_a_time(p, mixed, complex_, kind, cutoff, ta
     assert_same_solves(stacked_projection, projected, cutoff)
 
 
+def rdm_member(rdms, i):
+    """Member i of a stacked RDM or cumulant set, as a set of its own."""
+    return type(rdms)(mode_count=rdms.mode_count, blocks=tuple(b[i] for b in rdms.blocks))
+
+
+def assert_same_blocks(stacked, loop):
+    """Each member's packed blocks of a stacked set within 1e-12 of its own."""
+    for i, one in enumerate(loop):
+        for got, want in zip(stacked.blocks, one.blocks, strict=True):
+            assert got[i].shape == want.shape
+            assert np.abs(got[i] - want).max(initial=0.0) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.sampled_from([2, 4]), p=st.integers(1, 6), complex_=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(m=4, p=6, complex_=True, seed=2)
+def test_stacked_lr_equals_one_at_a_time(m, p, complex_, seed):
+    """RDM blocks of a stack of P pure states (real, or complex with complex
+    blocks), their cumulants and reconstructions, and the LR, ZC and ZA
+    problems built from them with one h1, h2, e_g and core energy per
+    member, equal each member's one-at-a-time result within 1e-12."""
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=(p, 2 ** m)) + (1j * rng.normal(size=(p, 2 ** m)) if complex_ else 0)
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    h1 = rng.normal(size=(p, m, m))
+    h1 = h1 + h1.swapaxes(1, 2)
+    h2 = rng.normal(size=(p,) + (m,) * 4)
+    e_g, core = rng.normal(size=p), rng.normal(size=p)
+    stacked = rdm.RdmSet(mode_count=m, blocks=tuple(rdm._pure_blocks(psi, m, 4)))
+    loop = [compute_rdms(x, 4) for x in psi]
+    assert all(np.iscomplexobj(b) == complex_ for b in stacked.blocks)
+    assert_same_blocks(stacked, loop)
+    cumulants = rdm.cumulants_from_rdms(stacked)
+    assert_same_blocks(cumulants, [rdm.cumulants_from_rdms(one) for one in loop])
+    for zero_above in (2, 3, 4):
+        assert_same_blocks(rdm.reconstruct_rdms(cumulants, zero_above),
+                           [rdm.reconstruct_rdms(rdm_member(cumulants, i), zero_above)
+                            for i in range(p)])
+    assert_same_problems(build_lr_from_rdms(h1, h2, stacked, core_energy=core),
+                         [build_lr_from_rdms(h1[i], h2[i], one, core_energy=core[i])
+                          for i, one in enumerate(loop)])
+    for kwargs in ({"method": "ZC"}, {"method": "ZC", "truncate": True}, {"method": "ZA"},
+                   {"method": "ZA", "reconstruct_d3": False}):
+        assert_same_problems(
+            approximate_lr(h1=h1, h2=h2, rdms=stacked, e_g=e_g, core_energy=core, **kwargs),
+            [approximate_lr(h1=h1[i], h2=h2[i], rdms=one, e_g=e_g[i], core_energy=core[i],
+                            **kwargs) for i, one in enumerate(loop)])
+
+
 class TestApproximations:
     def test_zc_exact_for_exact_reference(self, stretched):
         psi0 = stretched["v"][:, 0]

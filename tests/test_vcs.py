@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kraus_oracle import identity_channel, kron_lift
@@ -283,6 +283,10 @@ class TestStackedSolve:
            kind=st.sampled_from(CHANNEL_KINDS), ratio=st.sampled_from([0.0, 0.05, 0.4]),
            penalized=st.booleans(), continued=st.booleans(),
            seed=st.integers(0, 2 ** 32 - 1))
+    # an exactly degenerate M = 1 stack: H' must round as each matrix's own, or
+    # eigh picks another ground vector
+    @example(p=2, m=1, complex_=True, kind="depolarizing", ratio=0.05, penalized=False,
+             continued=False, seed=0)
     def test_matches_serial_oracle(self, p, m, complex_, kind, ratio, penalized,
                                    continued, seed):
         # at ratio 0 every channel is the identity, so H' keeps the planted
@@ -298,8 +302,8 @@ class TestStackedSolve:
         start = random_unit(rng, 2 ** m, complex_) if continued else None
         # a complex phase pivot / |pivot| rounds differently as numpy scalars
         # (per matrix) and as an array (per stack); at M = 1 a matrix is one
-        # column of the transfer product and one 1 x 2 row of the fidelity
-        # product, which numpy's matmul rounds differently alone and in a stack
+        # 1 x 2 row of the fidelity product, which numpy's matmul rounds
+        # differently alone and in a stack
         shape_tol = 1e-14 if m == 1 else 0.0
         tol = 1e-14 if complex_ else shape_tol
         stacked = solve_vcs(hs, ch, penalties=penalties, continuation=start)
