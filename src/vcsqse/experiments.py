@@ -22,7 +22,7 @@ import numpy as np
 from .channels import ChannelSpec, channel_kind_from_token, lift_to_register, \
     single_qubit_channel
 from .config import ConfigError, ExperimentConfig
-from .linalg import StackError, _sector_eigh, _stacked
+from .linalg import StackError, _expectation, _sector_eigh, _stacked
 from .molecule import FcidumpError, assemble_hamiltonian, load_sweep, \
     parse_fcidump, spin_orbital_tensors
 from .operators import dense_symmetry, fermion_to_dense, jordan_wigner
@@ -37,6 +37,7 @@ CHANNEL_TOKENS = ("dephasing", "ap", "depol")
 # spin penalty.
 GROUND_CURVES = ("exact", "rhf", "ph", "ap", "depol", "ph_s2pen")
 S2_PENALTY_WEIGHT = 100.0
+APPROX_METHODS = ("exact", "zc", "za")
 
 
 class ExperimentError(RuntimeError):
@@ -85,13 +86,8 @@ class _Point:
     h_dense: np.ndarray
     mode_count: int
     symmetry_dense: dict = field(default_factory=dict)
-    eigh: tuple = None
-
-    def exact(self):
-        """FCI levels, their full-length eigenvectors and particle numbers."""
-        if self.eigh is None:  # a single point's; _sweep fills a whole run's at once
-            self.eigh = _sector_eigh(self.h_dense, np.bitwise_count(np.arange(len(self.h_dense))))
-        return self.eigh
+    # FCI levels, their full-length eigenvectors and particle numbers (_solve_exact)
+    exact: tuple = None
 
 
 def _point(integrals, bond_length=None) -> _Point:
@@ -102,6 +98,14 @@ def _point(integrals, bond_length=None) -> _Point:
                   h_dense=fermion_to_dense(h_op), mode_count=m,
                   symmetry_dense={name: dense_symmetry(name, m)
                                   for name in ("number", "s_squared")})
+
+
+def _solve_exact(run: list) -> list:
+    """run (points sharing a mode count), each given its FCI levels by one stacked sector eigh."""
+    hs = run[0].h_dense[None] if len(run) == 1 else np.stack([pt.h_dense for pt in run])
+    for point, *exact in zip(run, *_sector_eigh(hs, np.bitwise_count(np.arange(hs.shape[-1])))):
+        point.exact = tuple(exact)
+    return run
 
 
 def _channel(cfg: ExperimentConfig, kind: str, m: int):
@@ -145,11 +149,7 @@ def _sweep(cfg: ExperimentConfig, curves, step, solve=None, subspace=None):
     points = [_point(pt.integrals, pt.bond_length) for pt in sweep]
     runs = [list(run) for _, run in groupby(points, key=attrgetter("mode_count"))]
     for run in runs:
-        hs = run[0].h_dense[None] if len(run) == 1 else np.stack([pt.h_dense for pt in run])
-        exact = _guarded(lambda: _sector_eigh(hs, np.bitwise_count(np.arange(hs.shape[-1]))),
-                         run, cfg.experiment)
-        for point, *eigh in zip(run, *exact):
-            point.eigh = tuple(eigh)
+        _guarded(lambda: _solve_exact(run), run, cfg.experiment)
     rows, events = [], 0
     for curve in curves:
         for run in runs:
@@ -163,7 +163,7 @@ def _sweep(cfg: ExperimentConfig, curves, step, solve=None, subspace=None):
 def _fidelity_sweep(cfg: ExperimentConfig):
     def solve(run, token):
         ch = _channel(cfg, channel_kind_from_token(token), run[0].mode_count)
-        hs, psi0 = [point.h_dense for point in run], [point.exact()[1][:, 0] for point in run]
+        hs, psi0 = [point.h_dense for point in run], [point.exact[1][:, 0] for point in run]
         sols = solve_vcs(hs, ch, penalties=cfg.penalties)
         return (sols, no_variation_baseline(hs, ch, psi0),
                 fidelity(np.stack([sol.output_rho for sol in sols]), np.stack(psi0)))
@@ -191,28 +191,23 @@ def _pure_chunks(basis_for, solve_chunk):
     def solve(run, _):
         basis = basis_for(run[0])
 
-        def chunk(start, h, _):
-            points = run[start:start + len(h)]
-            return solve_chunk(points, basis, h, np.stack([pt.exact()[1][:, 0] for pt in points]))
+        def chunk(start, h, _, points):
+            return solve_chunk(points, basis, h, np.stack([pt.exact[1][:, 0] for pt in points]))
 
-        return (_stacked([point.h_dense for point in run], chunk,
-                         2 * len(basis) * run[0].h_dense.size * 8, SUBSPACE_STACK_BYTES),)
+        return (_stacked([point.h_dense for point in run], run, solve_chunk=chunk,
+                         limit=SUBSPACE_STACK_BYTES // len(basis)),)
     return solve
 
 
 def _spectrum(cfg: ExperimentConfig):
     def solve_chunk(points, basis, h, psi):
-        one = len(points) == 1  # a one-point chunk (M = 8) is its single problem
-        prob = build_subspace_direct(basis, h[0] if one else h, psi[0] if one else psi,
-                                     points[0].symmetry_dense)
+        prob = build_subspace_direct(basis, h, psi, points[0].symmetry_dense)
         if cfg.projection is not None:
-            name, target, window = cfg.projection
-            prob = project_symmetry(prob, name, target, window, cfg.metric_cutoff)
-        spectra = solve_subspace(prob, cfg.metric_cutoff)
-        return [spectra] if one else spectra
+            prob = project_symmetry(prob, *cfg.projection, cfg.metric_cutoff)
+        return solve_subspace(prob, cfg.metric_cutoff)
 
     def step(point, _, spec):
-        w_full, _, n = point.exact()
+        w_full, _, n = point.exact
         return [(point.bond_length, method, i, float(e))
                 for method, levels in (("qse", spec.eigenvalues),
                                        ("fci_sector", w_full[n == point.integrals.nelec]),
@@ -238,11 +233,10 @@ def _qse_repair(cfg: ExperimentConfig):
         ch = _channel(cfg, kind, run[0].mode_count)
         hs = [point.h_dense for point in run]
         sols = (solve_vcs(hs, ch, penalties=cfg.penalties) if ref_name == "vcs"
-                else no_variation_baseline(hs, ch, [point.exact()[1][:, 0] for point in run]))
+                else no_variation_baseline(hs, ch, [point.exact[1][:, 0] for point in run]))
         basis, sym = fermionic_basis(run[0].mode_count, 1), run[0].symmetry_dense
 
-        def solve_chunk(start, h, _):
-            chunk = sols[start:start + len(h)]
+        def solve_chunk(start, h, _, chunk):
             # unconstrained expansion around each mixed channel output
             prob_out = build_subspace_direct(
                 basis, h, np.stack([sol.output_rho for sol in chunk]), sym)
@@ -253,11 +247,12 @@ def _qse_repair(cfg: ExperimentConfig):
             (e_qse, s2_qse), (e_proj, s2_proj) = map(ground, (prob_out, projected))
             return list(zip(e_qse, e_proj, s2_qse, s2_proj))
 
-        return sols, _stacked(hs, solve_chunk, 2 * len(basis) * hs[0].size * 8,
-                              SUBSPACE_STACK_BYTES)
+        # a member's two real action stacks weigh as much as len(basis) complex H
+        return sols, _stacked(hs, sols, solve_chunk=solve_chunk,
+                              limit=SUBSPACE_STACK_BYTES // len(basis))
 
     def step(point, ref_name, sol, sub):
-        return [(point.bond_length, ref_name, float(point.exact()[0][0]), sol.energy,
+        return [(point.bond_length, ref_name, float(point.exact[0][0]), sol.energy,
                  *sub[:2], sol.symmetry_expectations["s_squared"], *sub[2:])]
 
     rows, events = _sweep(cfg, ("vcs", "novar"), step, solve, ("fermionic", 1, True))
@@ -280,7 +275,7 @@ def _ground_channels(cfg: ExperimentConfig):
     def step(point, curve, sol=None):
         s2d = point.symmetry_dense["s_squared"]
         if curve == "exact":
-            w, v, _ = point.exact()
+            w, v, _ = point.exact
             vec = v[:, 0]
             return [(point.bond_length, curve, float(w[0]),
                      float(np.real(vec.conj() @ s2d @ vec)))]
@@ -301,17 +296,21 @@ def _approx_spectrum(cfg: ExperimentConfig, levels: int = 3):
         h1, h2, core = map(np.stack, zip(*(spin_orbital_tensors(pt.integrals) for pt in points)))
         # the stacked pure states' RDMs, as compute_rdms(psi, 3) gives each
         rdms = RdmSet(mode_count=m, blocks=tuple(_pure_blocks(psi, m, 3)))
-        e_g = np.array([np.real(x.conj() @ hp @ x) for x, hp in zip(psi, h)])
+        e_g = _expectation(psi, h)
         probs = (build_subspace_direct(basis, h, psi),
                  approximate_lr("ZC", h1, h2, rdms, e_g, core_energy=core),
                  approximate_lr("ZA", h1, h2, rdms, e_g, core_energy=core))
         h_sub, s_sub = (np.concatenate(mats) for mats in zip(*((p.h_sub, p.s_sub) for p in probs)))
-        spectra = solve_subspace(SubspaceProblem(h_sub, s_sub), cfg.metric_cutoff)
+        try:  # member i * P + j is point j's problem of method i
+            spectra = solve_subspace(SubspaceProblem(h_sub, s_sub), cfg.metric_cutoff)
+        except StackError as exc:
+            method, j = divmod(exc.index, len(points))
+            raise StackError(j, f"{APPROX_METHODS[method]} problem: {exc.reason}") from exc
         return [spectra[i::len(points)] for i in range(len(points))]
 
     def step(point, _, spectra):
         return [(point.bond_length, method, i, float(spec.eigenvalues[i]))
-                for method, spec in zip(("exact", "zc", "za"), spectra)
+                for method, spec in zip(APPROX_METHODS, spectra)
                 for i in range(min(levels, spec.retained_dim))]
 
     solve = _pure_chunks(lambda point: fermionic_basis(point.mode_count, 1), solve_chunk)
@@ -384,9 +383,9 @@ def _check_size(where, norb: int, kind: str, order: int, matrix=False, sampled=F
 
 
 def _point_report(cfg: ExperimentConfig, ints) -> str:
-    point = _point(ints)
+    point, = _solve_exact([_point(ints)])
     m, h_dense = point.mode_count, point.h_dense
-    w, v, n = point.exact()
+    w, v, n = point.exact
     w_sector = w[n == ints.nelec]
 
     lines = [f"fixture: {cfg.fcidump}",
@@ -418,8 +417,7 @@ def _point_report(cfg: ExperimentConfig, ints) -> str:
     prob = build_subspace_direct(basis, h_dense, reference_state,
                                  point.symmetry_dense)
     if cfg.projection is not None:
-        name, target, window = cfg.projection
-        prob = project_symmetry(prob, name, target, window, cfg.metric_cutoff)
+        prob = project_symmetry(prob, *cfg.projection, cfg.metric_cutoff)
     spec = solve_subspace(prob, cfg.metric_cutoff)
     ground = spec.eigenvectors[:, 0]
     lines += [f"subspace: kind={cfg.subspace_kind} k={cfg.subspace_order} "

@@ -24,6 +24,9 @@ for a matrix, each within the absolute STATE_TOL. Only compute_rdms (eigh)
 and apply_channel (eigvalsh) decompose a state and test it for
 semidefiniteness, within STATE_TOL; the sampled routes refuse any |<P>|
 above 1 + STATE_TOL.
+
+Solvers whose result is one object per problem (a Spectrum, a VcsSolution,
+a projected problem) take stacks: a lone input is a stack of one (_lone).
 """
 
 from dataclasses import dataclass
@@ -101,11 +104,11 @@ def _finite(measure: np.ndarray, what: str) -> np.ndarray:
     return measure
 
 
-def _checked_hermitian(a, name: str, stack: bool = False) -> np.ndarray:
-    """a symmetrized, once square, finite and Hermitian on its own scale; with
-    `stack`, a (P, dim, dim) stack is checked one matrix at a time."""
+def _checked_hermitian(a, name: str) -> np.ndarray:
+    """a symmetrized, once square, finite and Hermitian on its own scale; a
+    (P, dim, dim) stack is checked one matrix at a time."""
     a = _promoted(a)
-    if a.ndim not in ((2, 3) if stack else (2,)) or a.shape[-1] != a.shape[-2]:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     largest = _finite(np.abs(a).max(axis=(-2, -1), initial=0.0), "matrix")
     _reject(_defect(a) / np.maximum(1.0, largest) > HERMITICITY_REJECT,
@@ -140,7 +143,7 @@ def hermitian_eigensolve(a) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix, ascending eigenvalues, or of
     each matrix of a (P, dim, dim) stack by one batched eigh; a failed check
     is then a StackError naming the first failing index."""
-    a = _checked_hermitian(a, "input", stack=True)
+    a = _checked_hermitian(a, "input")
     w, v = np.linalg.eigh(a)
     return Spectrum(eigenvalues=w, eigenvectors=v, retained_dim=a.shape[-1])
 
@@ -216,32 +219,44 @@ def _expectation(psi, op):
     return np.real(psi.conj()[..., None, :] @ op @ psi[..., None])[..., 0, 0]
 
 
-def _stacked(h, solve_chunk, member_bytes: int, limit: int):
-    """solve_chunk(start, chunk, solutions so far) over stacked, promoted
-    chunks of max(1, limit // member_bytes) matrices of h: one matrix, for its
-    solution, or a 3-D array or sequence of them, for the list; a chunk's
-    StackError is raised again at its index in h."""
-    single = np.ndim(h[0]) < 2
-    mats = [h] if single else h
-    step = max(1, limit // member_bytes)
+def _lone(stacked, *arrays, **options):
+    """stacked(*arrays, **options) if arrays[0] is a stack of matrices; a lone
+    problem runs as a stack of one, each array given a leading axis, for its
+    member 0 (a float for an array result), a StackError raised as ValueError(reason)."""
+    if np.ndim(arrays[0][0]) > 1:
+        return stacked(*arrays, **options)
+    try:
+        result = stacked(*(np.asarray(a)[None] for a in arrays), **options)
+    except StackError as exc:
+        raise ValueError(exc.reason) from None
+    return result.item(0) if isinstance(result, np.ndarray) else result[0]
+
+
+def _stacked(h, *members, solve_chunk, limit: int) -> list:
+    """solve_chunk(start, chunk, solutions so far, *the chunk's items of the
+    sequences members) over stacked, promoted chunks of h, a 3-D array or a
+    sequence of matrices charged 16 bytes an entry (a complex H), of at most
+    limit bytes or one matrix; a chunk's StackError names its index in h."""
+    step = max(1, limit // (16 * np.shape(h[0])[-1] ** 2))
     sols = []
-    for start in range(0, len(mats), step):
-        chunk = mats[start:start + step]  # a lone matrix as a view: np.stack would copy it
+    for start in range(0, len(h), step):
+        chunk = h[start:start + step]  # one matrix as a view: np.stack would copy it
         try:
             sols += solve_chunk(start, _promoted(np.asarray(chunk[0])[None] if len(chunk) == 1
-                                                 else np.stack(chunk)), sols)
+                                                 else np.stack(chunk)), sols,
+                                *(m[start:start + step] for m in members))
         except StackError as exc:
             raise StackError(start + exc.index, exc.reason) from exc
-    return sols[0] if single else sols
+    return sols
 
 
-def _generalized(h, s, metric_cutoff: float):
-    """generalized_eigensolve: one batched eigh per size, one per retained dimension."""
+def _generalized(h, s, metric_cutoff: float) -> list:
+    """generalized_eigensolve of a stack: a batched eigh per size and per retained dimension."""
     if not isinstance(h, np.ndarray) and np.ndim(h[0]) == 2:
         return _by_group([len(m) for m in h], lambda idx: _generalized(
             _take(h, idx), _take(s, idx), metric_cutoff))
-    h = _checked_hermitian(h, "H", stack=True)
-    s = _checked_hermitian(s, "S", stack=True)
+    h = _checked_hermitian(h, "H")
+    s = _checked_hermitian(s, "S")
     if h.shape != s.shape:
         raise ValueError(f"H and S shapes differ: {h.shape} vs {s.shape}")
     sw, su = np.linalg.eigh(s)
@@ -251,27 +266,21 @@ def _generalized(h, s, metric_cutoff: float):
     # (e.g. sampled overlaps); anything below that signals a broken overlap.
     low = sw[..., 0] < -max(HERMITICITY_REJECT, metric_cutoff) * smax
     if low.any():
-        _reject(low, f"metric eigenvalue {np.ravel(sw[..., 0])[low.argmax()]:.3e} is "
+        _reject(low, f"metric eigenvalue {sw[low.argmax(), 0]:.3e} is "
                 "negative beyond tolerance; the overlap computation is broken")
     counts = (sw > metric_cutoff * smax[..., None]).sum(axis=-1)
     _reject(counts == 0, "all metric eigenvalues below cutoff (empty subspace)")
     dim = sw.shape[-1]
 
-    def solve(h, sw, su, k: int) -> Spectrum:
-        """Of (..., dim, dim) members that all keep their last k directions
-        (sw ascends); x is column-major, the layout BLAS rounded one solve in."""
-        x = np.ascontiguousarray(su.swapaxes(-1, -2)[..., dim - k:, :]).swapaxes(-1, -2)
-        x = x / np.sqrt(sw[..., None, dim - k:])
-        w, v = np.linalg.eigh(_symmetrized(x.conj().swapaxes(-1, -2) @ h @ x))
-        return Spectrum(eigenvalues=w, eigenvectors=x @ v, retained_dim=k)
-
-    if sw.ndim == 1:
-        return solve(h, sw, su, int(counts))
-
     def group(idx):
-        spec = solve(_take(h, idx), _take(sw, idx), _take(su, idx), int(counts[idx[0]]))
-        return [Spectrum(w, v, spec.retained_dim)
-                for w, v in zip(spec.eigenvalues, spec.eigenvectors)]
+        """Spectra of the members idx, which all keep their last k directions
+        (sw ascends); x is column-major, the layout BLAS rounded one solve in."""
+        su_k, k = _take(su, idx), int(counts[idx[0]])
+        x = np.ascontiguousarray(su_k.swapaxes(-1, -2)[..., dim - k:, :]).swapaxes(-1, -2)
+        x = x / np.sqrt(_take(sw, idx)[..., None, dim - k:])
+        w, v = np.linalg.eigh(_symmetrized(x.conj().swapaxes(-1, -2) @ _take(h, idx) @ x))
+        return [Spectrum(eigenvalues=wi, eigenvectors=vi, retained_dim=k)
+                for wi, vi in zip(w, x @ v)]
 
     return _by_group(counts.tolist(), group)
 
@@ -288,4 +297,4 @@ def generalized_eigensolve(h, s, metric_cutoff: float = DEFAULT_METRIC_CUTOFF):
     arrays, or sequences of matrices of any sizes) for a list of them, a
     failed check then raising a StackError naming the first member to fail.
     """
-    return _generalized(h, s, metric_cutoff)
+    return _lone(_generalized, h, s, metric_cutoff=metric_cutoff)

@@ -21,7 +21,8 @@ rho, and W E_b as a column gather of W, each column j reading column
 src[b, j], since src is an involution. The direct build, the solve, the
 projection and the <O> reads also take a stack of problems, so each
 spectrum, qse-repair and approx-spectrum curve is one chunked stack; a
-failed member raises a StackError naming its index.
+failed member raises a StackError naming its index. A lone problem is a
+stack of one (linalg._lone).
 
 Both routes follow the dtype rule of linalg: the direct build takes
 np.result_type of H, the reference, the basis weights (float64 for a
@@ -35,8 +36,8 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .linalg import (Spectrum, StackError, _by_group, _checked_state, _expectation,
-                     _generalized, _promoted, _symmetrized, _take, generalized_eigensolve)
+from .linalg import (_by_group, _checked_state, _expectation, _generalized, _lone,
+                     _promoted, _reject, _symmetrized, _take)
 from .operators import DENSE_QUBIT_LIMIT, _ladder_action, _signed_permutation
 from .rdm import (RdmSet, _disconnected, _split_contract, cumulants_from_rdms,
                   reconstruct_rdms)
@@ -78,6 +79,10 @@ class SubspaceProblem:
     h_sub: np.ndarray
     s_sub: np.ndarray
     symmetry_subs: dict = field(default_factory=dict)
+
+    def __getitem__(self, i):  # member i of a stack of problems
+        return SubspaceProblem(self.h_sub[i], self.s_sub[i],
+                               {name: m[i] for name, m in self.symmetry_subs.items()})
 
 
 def _distinct(src: np.ndarray, weight: np.ndarray, labels) -> ExpansionBasis:
@@ -315,32 +320,24 @@ def _lr_problem(h1, h2, rdms: RdmSet, s_sub: np.ndarray, shift,
     return SubspaceProblem(h_sub=h_sub, s_sub=s_sub)
 
 
-def _eigensolve(h, s, metric_cutoff: float):
-    # a stack calls the kernel by its private name: perfbench's tracer
-    # observes generalized_eigensolve by reading one Spectrum per call
-    return (generalized_eigensolve if np.ndim(h[0]) < 2 else _generalized)(h, s, metric_cutoff)
-
-
 def solve_subspace(prob: SubspaceProblem,
                    metric_cutoff: float = QSE_METRIC_CUTOFF):
     """Generalized eigensolve of (h_sub, s_sub) with canonical orthogonalization:
     a Spectrum, or for a stack of problems the list of them."""
-    return _eigensolve(prob.h_sub, prob.s_sub, metric_cutoff)
+    return _lone(_generalized, prob.h_sub, prob.s_sub, metric_cutoff=metric_cutoff)
 
 
 def subspace_expectation(prob: SubspaceProblem, name: str, vec):
     """<O> of a subspace vector, normalized by its metric norm; for a stack of
     problems, with one vector each, the array of them."""
-    o, s = prob.symmetry_subs[name], prob.s_sub
-    if np.ndim(s[0]) < 2:
-        vec = _promoted(vec)
-        return float(_expectation(vec, o) / _expectation(vec, s))
+    def ratios(s, o, vec):
+        def group(idx):
+            v = _promoted(_take(vec, idx))
+            return _expectation(v, _take(o, idx)) / _expectation(v, _take(s, idx))
 
-    def ratio(idx):
-        v = _promoted(_take(vec, idx))
-        return _expectation(v, _take(o, idx)) / _expectation(v, _take(s, idx))
+        return np.array(_by_group([len(v) for v in vec], group))
 
-    return np.array(_by_group([len(v) for v in vec], ratio))
+    return _lone(ratios, prob.s_sub, prob.symmetry_subs[name], vec)
 
 
 def project_symmetry(prob: SubspaceProblem, name: str, target: float,
@@ -356,29 +353,25 @@ def project_symmetry(prob: SubspaceProblem, name: str, target: float,
     """
     if name not in prob.symmetry_subs:
         raise KeyError(f"no symmetry matrix named {name!r} in this problem")
-    spectra = _eigensolve(prob.symmetry_subs[name], prob.s_sub, metric_cutoff)
-    one = isinstance(spectra, Spectrum)
-    keeps = [np.abs(spec.eigenvalues - target) <= window
-             for spec in ([spectra] if one else spectra)]
-    empty = [i for i, keep in enumerate(keeps) if not keep.any()]
-    if empty:
-        reason = f"no subspace states with <{name}> within {window} of {target}"
-        raise ValueError(reason) if one else StackError(empty[0], reason)
-    mats = [prob.h_sub, prob.s_sub, *prob.symmetry_subs.values()]
 
-    def congruence(c, stacks):
-        """Each of stacks (a matrix or a stack of them) in the span of c's columns."""
-        return [_symmetrized(c.conj().swapaxes(-1, -2) @ m @ c) for m in stacks]
+    def projected(o, h, s, *sym):
+        spectra = _generalized(o, s, metric_cutoff)
+        keeps = [np.abs(spec.eigenvalues - target) <= window for spec in spectra]
+        _reject(np.array([not keep.any() for keep in keeps]),
+                f"no subspace states with <{name}> within {window} of {target}")
 
-    if one:
-        h_sub, s_sub, *sym = congruence(spectra.eigenvectors[:, keeps[0]], mats)
-    else:
-        members = _by_group([int(keep.sum()) for keep in keeps], lambda idx: zip(*congruence(
-            np.stack([spectra[i].eigenvectors[:, keeps[i]] for i in idx]),
-            [_take(m, idx) for m in mats])))
-        h_sub, s_sub, *sym = map(list, zip(*members))
-    return SubspaceProblem(h_sub=h_sub, s_sub=s_sub,
-                           symmetry_subs=dict(zip(prob.symmetry_subs, sym)))
+        def congruence(idx):
+            """Members idx of every stored matrix, each in the span of its kept vectors."""
+            c = np.stack([spectra[i].eigenvectors[:, keeps[i]] for i in idx])
+            return zip(*(_symmetrized(c.conj().swapaxes(-1, -2) @ _take(m, idx) @ c)
+                         for m in (h, s, *sym)))
+
+        h_sub, s_sub, *sym = map(list, zip(*_by_group([int(k.sum()) for k in keeps],
+                                                      congruence)))
+        return SubspaceProblem(h_sub, s_sub, dict(zip(prob.symmetry_subs, sym)))
+
+    return _lone(projected, prob.symmetry_subs[name], prob.h_sub, prob.s_sub,
+                 *prob.symmetry_subs.values())
 
 
 def approximate_lr(method: str, h1: np.ndarray, h2: np.ndarray, rdms: RdmSet,

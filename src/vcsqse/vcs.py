@@ -13,12 +13,12 @@ no-variation baseline reports a given input, normally the noiseless ground
 state, in the same way.
 
 A channel curve of a sweep is one stacked solve: both take a stack of
-Hamiltonians (a single matrix is a stack of one) and make one channel
-transform, one batched eigh and one diagnostics pass for it, in chunks of
-at most STACK_BYTE_LIMIT bytes of H, so the working set does not grow with
-the stack. Continuation chains along the stack, ascending R in a sweep. A
-check that fails on one matrix raises a StackError naming its index, which
-the experiments report as that point's R.
+Hamiltonians and make one channel transform, one batched eigh and one
+diagnostics pass for it, in chunks of at most STACK_BYTE_LIMIT bytes of H,
+so the working set does not grow with the stack. A lone input is a stack of
+one (linalg._lone), for fidelity too. Continuation chains along the stack,
+ascending R in a sweep. A check that fails on one matrix raises a StackError
+naming its index, which the experiments report as that point's R.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import KrausChannel, _transfer_sweep
-from .linalg import (_checked_state, _expectation, _promoted, _reject, _stacked,
+from .linalg import (_checked_state, _expectation, _lone, _promoted, _reject, _stacked,
                      _symmetrized, hermitian_eigensolve)
 from .operators import _mode_count, dense_symmetry
 
@@ -62,14 +62,15 @@ def transform_hamiltonian(h: np.ndarray, ch: KrausChannel) -> np.ndarray:
 def fidelity(rho: np.ndarray, phi: np.ndarray):
     """<phi| rho |phi> for a density matrix and a unit vector, or an array
     of them for P stacked pairs."""
-    rho, phi = _promoted(rho), _promoted(phi)
-    phi = phi.ravel() if rho.ndim == 2 else phi
-    if rho.shape != phi.shape + phi.shape[-1:]:
-        raise ValueError("dimension mismatch between rho and phi")
-    value = _expectation(phi, rho)
-    _reject(~((-1e-12 <= value) & (value <= 1.0 + 1e-12)), "fidelity outside [0, 1]")
-    value = np.clip(value, 0.0, 1.0)
-    return float(value) if rho.ndim == 2 else value
+    def fidelities(rho, phi):
+        rho, phi = _promoted(rho), _promoted(phi)
+        if rho.shape != phi.shape + phi.shape[-1:]:
+            raise ValueError("dimension mismatch between rho and phi")
+        value = _expectation(phi, rho)
+        _reject(~((-1e-12 <= value) & (value <= 1.0 + 1e-12)), "fidelity outside [0, 1]")
+        return np.clip(value, 0.0, 1.0)
+
+    return _lone(fidelities, rho, phi)
 
 
 def _penalty_terms(penalties, mode_count):
@@ -150,7 +151,7 @@ def solve_vcs(h, ch: KrausChannel, penalties=(), continuation=None):
         prev = sols[-1].input_state if sols else continuation
         return _solutions(hs, ch, *_ground_vectors(transform_hamiltonian(h_pen, ch), prev))
 
-    return _stacked(h, solve_chunk, 16 * np.shape(h[0])[-1] ** 2, STACK_BYTE_LIMIT)
+    return _lone(_stacked, h, solve_chunk=solve_chunk, limit=STACK_BYTE_LIMIT)
 
 
 def no_variation_baseline(h, ch: KrausChannel, state):
@@ -161,13 +162,11 @@ def no_variation_baseline(h, ch: KrausChannel, state):
     solve_vcs) takes one state per matrix, and linalg._checked_state checks
     the states of each chunk at once.
     """
-    states = [state] if np.ndim(h[0]) < 2 else state
-
-    def solve_chunk(start, hs, _):
-        psi = _promoted(np.stack([np.ravel(x) for x in states[start:start + len(hs)]]))
+    def solve_chunk(start, hs, _, states):
+        psi = _promoted(np.stack([np.ravel(x) for x in states]))
         if psi.shape != hs.shape[:2]:
             raise ValueError("state must be a unit vector of H's dimension")
         _checked_state(psi, stack=True)
         return _solutions(hs, ch, psi, _expectation(psi, hs), np.zeros(len(hs), dtype=bool))
 
-    return _stacked(h, solve_chunk, 16 * np.shape(h[0])[-1] ** 2, STACK_BYTE_LIMIT)
+    return _lone(_stacked, h, state, solve_chunk=solve_chunk, limit=STACK_BYTE_LIMIT)

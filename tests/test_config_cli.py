@@ -34,6 +34,20 @@ def mini_sweep(tmp_path, sweep_manifest):
     return mf
 
 
+def write_m8_sweep(tmp_path):
+    """Seeded random NORB = 4 integrals (M = 8) and a one-point manifest of them."""
+    rng = np.random.default_rng(21)
+    h1 = rng.normal(size=(4, 4))
+    g = rng.normal(size=(4,) * 4)
+    for perm in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
+        g = g + g.transpose(perm)
+    ints = MolecularIntegrals(norb=4, nelec=4, ms2=0, core_energy=0.5,
+                              one_body=h1 + h1.T, two_body=0.05 * g)
+    (tmp_path / "h4.fcidump").write_text(render_fcidump(ints))
+    (tmp_path / "h4.manifest").write_text("1.0 h4.fcidump\n")
+    return ints, tmp_path / "h4.manifest"
+
+
 def run_spectrum(tmp_path, manifest_text):
     """Exit code of `vcsqse run` on a spectrum sweep over manifest_text."""
     (tmp_path / "sweep.manifest").write_text(manifest_text)
@@ -117,18 +131,11 @@ class TestExperiments:
             assert abs(sorted(by_point[r])[level] - energy) < 1e-8
 
     def test_m8_spectrum_diagonalizes_by_sector(self, tmp_path, monkeypatch):
-        """FCI levels at M = 8 come from the N blocks, the largest C(8, 4) = 70."""
-        rng = np.random.default_rng(21)
-        h1 = rng.normal(size=(4, 4))
-        g = rng.normal(size=(4,) * 4)
-        for perm in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
-            g = g + g.transpose(perm)
-        ints = MolecularIntegrals(norb=4, nelec=4, ms2=0, core_energy=0.5,
-                                  one_body=h1 + h1.T, two_body=0.05 * g)
-        (tmp_path / "h4.fcidump").write_text(render_fcidump(ints))
-        (tmp_path / "h4.manifest").write_text("1.0 h4.fcidump\n")
-        cfg = parse_config("[run]\nexperiment = spectrum\n"
-                           f"sweep_manifest = {tmp_path / 'h4.manifest'}\n")
+        """FCI levels at M = 8 come from the N blocks, the largest C(8, 4) = 70.
+        The point is a chunk of one, whose qse levels are bit for bit those of
+        the public lone build and solve around the same ground state."""
+        ints, manifest = write_m8_sweep(tmp_path)
+        cfg = parse_config(f"[run]\nexperiment = spectrum\nsweep_manifest = {manifest}\n")
         shapes = {"eigh": [], "eigvalsh": []}
         for name, calls in shapes.items():
             real = getattr(np.linalg, name)
@@ -145,6 +152,13 @@ class TestExperiments:
         assert np.abs(np.array(got) - want).max() < 1e-10
         full = [energy for _, method, _, energy in rows if method == "fci_full"]
         assert np.abs(np.array(full) - np.linalg.eigvalsh(h)).max() < 1e-10
+        levels = [energy for _, method, _, energy in rows if method == "qse"]
+        assert abs(levels[0] - want[0]) < 1e-10  # the identity is in the basis
+        point, = experiments._solve_exact([experiments._point(ints, 1.0)])
+        lone = qse.solve_subspace(qse.build_subspace_direct(
+            qse.fermionic_basis(8, 1), point.h_dense, point.exact[1][:, 0],
+            point.symmetry_dense), cfg.metric_cutoff)
+        assert levels == lone.eigenvalues.tolist()
 
     @staticmethod
     def spy_dense_builds(monkeypatch):
@@ -267,6 +281,31 @@ class TestExperiments:
                                  r"states with <number> within 0\.5 of 2\.0"):
             run_experiment(parse_config(text))
 
+    @pytest.mark.parametrize("chunk, member", [(0, 1), (2, 2)])
+    def test_approx_failure_names_its_point_and_method(self, configs_dir, monkeypatch,
+                                                       chunk, member):
+        """A NaN in one point's ZA matrix fails the chunk's joint solve of its
+        exact, ZC and ZA problems, which names that point's R and the method.
+        zero_approx's 28 points go in chunks of 7."""
+        real, za = experiments.approximate_lr, []
+
+        def poisoned(method, *args, **kwargs):
+            prob = real(method, *args, **kwargs)
+            if method == "ZA":
+                za.append(prob)
+                if len(za) == chunk + 1:
+                    prob.h_sub[member, 0, 0] = np.nan
+            return prob
+
+        monkeypatch.setattr(experiments, "approximate_lr", poisoned)
+        cfg = load_config(configs_dir / "zero_approx.cfg")
+        cfg.output = None
+        r = load_sweep(cfg.sweep_manifest)[7 * chunk + member].bond_length
+        with pytest.raises(experiments.ExperimentError, match=re.escape(
+                f"approx-spectrum: failure at sweep point R={r}: za problem: matrix has "
+                "non-finite entries")):
+            run_experiment(cfg)
+
     def test_csv_rows_format_mixed_columns_like_fmt(self):
         """One template per tuple of field types: a column holding strings in
         some rows and numbers in others formats each value as _fmt does."""
@@ -388,19 +427,24 @@ def test_rdm_curve_eigensolves_do_not_grow_with_the_sweep(
     assert len(shapes) <= solves * 3
 
 
-def test_runs_never_import_numpy_ma(configs_dir, sto3g_path):
+def test_runs_never_import_numpy_ma(configs_dir, sto3g_path, tmp_path):
     """np.unique without return_index imports numpy.ma, 11 ms and 1.7 MiB
-    in every fresh process: no shipped config and no sampled single point
-    may reach it."""
+    in every fresh process: no shipped config, no M = 8 spectrum with a
+    number projection (each point a chunk of one) and no sampled single
+    point may reach it."""
+    _, manifest = write_m8_sweep(tmp_path)
+    m8 = (f"[run]\nexperiment = spectrum\nsweep_manifest = {manifest}\n"
+          "[projection]\nname = number\ntarget = 4.0\nwindow = 0.5\n")
     script = (
         "import sys\n"
-        "from vcsqse.config import ExperimentConfig, load_config\n"
+        "from vcsqse.config import ExperimentConfig, load_config, parse_config\n"
         "from vcsqse.channels import ChannelSpec\n"
         "from vcsqse.experiments import run_experiment, single_point\n"
         f"for name in {SHIPPED!r}:\n"
         f"    cfg = load_config({str(configs_dir)!r} + '/' + name + '.cfg')\n"
         "    cfg.output = None\n"
         "    run_experiment(cfg)\n"
+        f"run_experiment(parse_config({m8!r}))\n"
         f"single_point(ExperimentConfig(experiment='single-point', fcidump={str(sto3g_path)!r},\n"
         "    channel=ChannelSpec('amplitude_phase'), shots=(200, 3), sampled_rdms=True))\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")

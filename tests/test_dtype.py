@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from vcsqse.channels import (CHANNEL_KINDS, ChannelSpec, KrausChannel, apply_channel,
                              lift_to_register, single_qubit_channel)
-from vcsqse.experiments import _point
+from vcsqse.experiments import _point, _solve_exact
 from vcsqse.linalg import DEFAULT_METRIC_CUTOFF, generalized_eigensolve
 from vcsqse.molecule import spin_orbital_tensors
 from vcsqse.operators import (FermionOperator, PauliOperator, dense_symmetry, fermion_to_dense,
@@ -53,7 +53,7 @@ def lr_problems(h1, h2, rdms, e_g=-1.0):
 def point(sweep_points):
     """The STO-6G H2 fixture at R = 1.5 A, prepared as the experiments do."""
     pt = next(p for p in sweep_points if p.bond_length == 1.5)
-    return _point(pt.integrals, pt.bond_length)
+    return _solve_exact([_point(pt.integrals, pt.bond_length)])[0]
 
 
 def test_molecular_pipeline_stays_real(point):
@@ -61,7 +61,7 @@ def test_molecular_pipeline_stays_real(point):
     assert point.h_dense.dtype == np.float64
     for mat in point.symmetry_dense.values():
         assert mat.dtype == np.float64
-    w, v, _ = point.exact()
+    w, v, _ = point.exact
     assert w.dtype == v.dtype == np.float64
     psi0 = v[:, 0]
     outputs = []
@@ -91,7 +91,7 @@ def test_molecular_pipeline_stays_real(point):
 
 def test_complex_data_stays_complex(point):
     m = point.mode_count
-    psi0 = point.exact()[1][:, 0]
+    psi0 = point.exact[1][:, 0]
     prob = build_subspace_direct(qubit_basis(m, 1), point.h_dense, psi0, point.symmetry_dense)
     assert all(block.dtype == np.complex128 for block in blocks(prob))
     assert solve_subspace(prob).eigenvectors.dtype == np.complex128
@@ -183,7 +183,7 @@ def test_sampled_routes_ignore_a_complex_cast(point):
     and sampled RDM blocks are complex128 either way: their Jordan-Wigner
     coefficients carry i."""
     m = point.mode_count
-    psi0 = point.exact()[1][:, 0]
+    psi0 = point.exact[1][:, 0]
     rho = solve_vcs(point.h_dense, lifted("amplitude_phase", m)).output_rho
     pauli = PauliOperator(m, {"ZZII": 0.5, "XYYX": -0.25, "YIZY": 0.75, "XZXI": 1.0,
                               "IIII": 0.1})

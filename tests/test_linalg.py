@@ -297,3 +297,46 @@ class TestStateCheck:
         states[4, -1] = np.inf
         with pytest.raises(StackError, match="stack index 4: state has non-finite"):
             linalg._checked_state(states, stack=True)
+
+
+def lone_cases():
+    """Per public entry point that takes a lone problem: a call on arrays, a
+    good and a bad lone input, and the reason the bad one fails."""
+    h, n = np.diag([1.0, 2.0, 3.0]), np.diag([1.0, 2.0, 3.0])
+    skew = h.copy()
+    skew[0, 1] = 1.0
+    rng = np.random.default_rng(30)
+    h4 = rng.normal(size=(4, 4))
+    h4 = h4 + h4.T
+    skew4 = h4.copy()
+    skew4[0, 1] += 1.0
+    psi = np.linalg.eigh(h4)[1][:, 0]
+    ch = lift_to_register(single_qubit_channel(ChannelSpec("dephasing")), 2)
+    return {
+        "generalized_eigensolve": (generalized_eigensolve, (h, np.eye(3)), (skew, np.eye(3)),
+                                   "H is not Hermitian"),
+        "solve_subspace": (lambda h, s: qse.solve_subspace(qse.SubspaceProblem(h, s)),
+                           (h, np.eye(3)), (h, np.zeros((3, 3))),
+                           "metric has no positive eigenvalues"),
+        "project_symmetry": (lambda h, s, o: qse.project_symmetry(
+            qse.SubspaceProblem(h, s, {"number": o}), "number", 2.0, 0.5),
+            (h, np.eye(3), n), (h, np.eye(3), n + 4.0), "no subspace states"),
+        "solve_vcs": (lambda h: vcs.solve_vcs(h, ch), (h4,), (skew4,),
+                      "input is not Hermitian"),
+        "no_variation_baseline": (lambda h, psi: vcs.no_variation_baseline(h, ch, psi),
+                                  (h4, psi), (h4, 2.0 * psi), "not normalized to a unit vector"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(lone_cases()))
+def test_lone_calls_fail_one_way(name):
+    """A bad lone input raises a plain ValueError giving its reason alone, and
+    the same input at index 1 of a stack of three a StackError naming index 1."""
+    call, good, bad, reason = lone_cases()[name]
+    call(*good)
+    with pytest.raises(ValueError, match=reason) as info:
+        call(*bad)
+    assert type(info.value) is ValueError and "stack index" not in str(info.value)
+    with pytest.raises(StackError, match=f"stack index 1: .*{reason}") as info:
+        call(*map(np.stack, zip(good, bad, good)))
+    assert info.value.index == 1
