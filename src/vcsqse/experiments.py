@@ -2,11 +2,12 @@
 
 Each experiment walks the bond-length sweep and emits one row per sweep
 point per curve with 12-significant-digit values, so repeated runs of the
-same configuration are byte-identical. A run's FCI levels are one stacked
-sector eigh. A channel curve solves all its points as one VCS stack before
-its rows are written, continuing along ascending R; qse-repair, spectrum
-and approx-spectrum curves then build and solve their subspace (and RDM)
-problems as chunked stacks. A failure still names the sweep point R.
+same configuration are byte-identical. A run's Hamiltonians are one stacked
+build and its FCI levels one stacked sector eigh. A channel curve solves all
+its points as one VCS stack before its rows are written, continuing along
+ascending R; qse-repair, spectrum and approx-spectrum curves then build and
+solve their subspace (and RDM) problems as chunked stacks. A failure still
+names the sweep point R.
 Column schemas are documented in docs/experiments.md.
 """
 
@@ -14,7 +15,6 @@ import time
 from dataclasses import dataclass, field, replace
 from itertools import groupby
 from math import comb
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +23,9 @@ from .channels import ChannelSpec, channel_kind_from_token, lift_to_register, \
     single_qubit_channel
 from .config import ConfigError, ExperimentConfig
 from .linalg import StackError, _expectation, _sector_eigh, _stacked
-from .molecule import FcidumpError, assemble_hamiltonian, load_sweep, \
+from .molecule import FcidumpError, assemble_hamiltonian, dense_hamiltonians, load_sweep, \
     parse_fcidump, spin_orbital_tensors
-from .operators import dense_symmetry, fermion_to_dense, jordan_wigner
+from .operators import dense_symmetry, jordan_wigner
 from .qse import FERMIONIC_MODE_LIMIT, SUBSPACE_STACK_BYTES, SubspaceProblem, \
     approximate_lr, build_subspace_direct, check_subspace_bytes, fermionic_basis, \
     project_symmetry, qubit_basis, solve_subspace, subspace_expectation
@@ -82,29 +82,27 @@ def _csv(header, rows) -> str:
 class _Point:
     bond_length: float | None
     integrals: object
-    h_op: object
-    h_dense: np.ndarray
+    h_dense: np.ndarray  # its member of the run's stacked build
     mode_count: int
     symmetry_dense: dict = field(default_factory=dict)
     # FCI levels, their full-length eigenvectors and particle numbers (_solve_exact)
     exact: tuple = None
 
 
-def _point(integrals, bond_length=None) -> _Point:
-    """One prepared point with its dense Hamiltonian and symmetry matrices."""
-    h_op = assemble_hamiltonian(integrals)
-    m = h_op.mode_count
-    return _Point(bond_length=bond_length, integrals=integrals, h_op=h_op,
-                  h_dense=fermion_to_dense(h_op), mode_count=m,
-                  symmetry_dense={name: dense_symmetry(name, m)
-                                  for name in ("number", "s_squared")})
+class _Run(list):
+    """Prepared points of (bond_length, integrals) members sharing norb, and h,
+    their Hamiltonians as one dense_hamiltonians build (each h_dense a member)."""
+
+    def __init__(self, members):
+        self.h, m = dense_hamiltonians([ints for _, ints in members]), 2 * members[0][1].norb
+        sym = {name: dense_symmetry(name, m) for name in ("number", "s_squared")}
+        super().__init__(_Point(r, ints, h, m, sym) for (r, ints), h in zip(members, self.h))
 
 
-def _solve_exact(run: list) -> list:
-    """run (points sharing a mode count), each given its FCI levels by one stacked sector eigh."""
-    hs = run[0].h_dense[None] if len(run) == 1 else np.stack([pt.h_dense for pt in run])
-    for point, *exact in zip(run, *_sector_eigh(hs, np.bitwise_count(np.arange(hs.shape[-1])))):
-        point.exact = tuple(exact)
+def _solve_exact(run: _Run) -> _Run:
+    """run's points, each given its FCI levels by one stacked sector eigh of run.h."""
+    for pt, *exact in zip(run, *_sector_eigh(run.h, np.bitwise_count(np.arange(len(run.h[0]))))):
+        pt.exact = tuple(exact)
     return run
 
 
@@ -146,8 +144,8 @@ def _sweep(cfg: ExperimentConfig, curves, step, solve=None, subspace=None):
     for pt in sweep if subspace else ():
         _check_size(f"{cfg.sweep_manifest}: fixture {pt.label} at R={pt.bond_length}",
                     pt.integrals.norb, *subspace)
-    points = [_point(pt.integrals, pt.bond_length) for pt in sweep]
-    runs = [list(run) for _, run in groupby(points, key=attrgetter("mode_count"))]
+    runs = [_Run([(pt.bond_length, pt.integrals) for pt in run])
+            for _, run in groupby(sweep, key=lambda pt: pt.integrals.norb)]
     for run in runs:
         _guarded(lambda: _solve_exact(run), run, cfg.experiment)
     rows, events = [], 0
@@ -163,9 +161,9 @@ def _sweep(cfg: ExperimentConfig, curves, step, solve=None, subspace=None):
 def _fidelity_sweep(cfg: ExperimentConfig):
     def solve(run, token):
         ch = _channel(cfg, channel_kind_from_token(token), run[0].mode_count)
-        hs, psi0 = [point.h_dense for point in run], [point.exact[1][:, 0] for point in run]
-        sols = solve_vcs(hs, ch, penalties=cfg.penalties)
-        return (sols, no_variation_baseline(hs, ch, psi0),
+        psi0 = [point.exact[1][:, 0] for point in run]
+        sols = solve_vcs(run.h, ch, penalties=cfg.penalties)
+        return (sols, no_variation_baseline(run.h, ch, psi0),
                 fidelity(np.stack([sol.output_rho for sol in sols]), np.stack(psi0)))
 
     def step(point, token, sol, base, vs_exact):
@@ -194,7 +192,7 @@ def _pure_chunks(basis_for, solve_chunk):
         def chunk(start, h, _, points):
             return solve_chunk(points, basis, h, np.stack([pt.exact[1][:, 0] for pt in points]))
 
-        return (_stacked([point.h_dense for point in run], run, solve_chunk=chunk,
+        return (_stacked(run.h, run, solve_chunk=chunk,
                          limit=SUBSPACE_STACK_BYTES // len(basis)),)
     return solve
 
@@ -231,9 +229,8 @@ def _qse_repair(cfg: ExperimentConfig):
 
     def solve(run, ref_name):
         ch = _channel(cfg, kind, run[0].mode_count)
-        hs = [point.h_dense for point in run]
-        sols = (solve_vcs(hs, ch, penalties=cfg.penalties) if ref_name == "vcs"
-                else no_variation_baseline(hs, ch, [point.exact[1][:, 0] for point in run]))
+        sols = (solve_vcs(run.h, ch, penalties=cfg.penalties) if ref_name == "vcs"
+                else no_variation_baseline(run.h, ch, [point.exact[1][:, 0] for point in run]))
         basis, sym = fermionic_basis(run[0].mode_count, 1), run[0].symmetry_dense
 
         def solve_chunk(start, h, _, chunk):
@@ -248,7 +245,7 @@ def _qse_repair(cfg: ExperimentConfig):
             return list(zip(e_qse, e_proj, s2_qse, s2_proj))
 
         # a member's two real action stacks weigh as much as len(basis) complex H
-        return sols, _stacked(hs, sols, solve_chunk=solve_chunk,
+        return sols, _stacked(run.h, sols, solve_chunk=solve_chunk,
                               limit=SUBSPACE_STACK_BYTES // len(basis))
 
     def step(point, ref_name, sol, sub):
@@ -270,7 +267,7 @@ def _ground_channels(cfg: ExperimentConfig):
             penalties = [("s_squared", 0.0, S2_PENALTY_WEIGHT)]
         ch = _channel(cfg, channel_kind_from_token(curve.removesuffix("_s2pen")),
                       run[0].mode_count)
-        return (solve_vcs([point.h_dense for point in run], ch, penalties=penalties),)
+        return (solve_vcs(run.h, ch, penalties=penalties),)
 
     def step(point, curve, sol=None):
         s2d = point.symmetry_dense["s_squared"]
@@ -383,7 +380,7 @@ def _check_size(where, norb: int, kind: str, order: int, matrix=False, sampled=F
 
 
 def _point_report(cfg: ExperimentConfig, ints) -> str:
-    point, = _solve_exact([_point(ints)])
+    point, = _solve_exact(_Run([(None, ints)]))
     m, h_dense = point.mode_count, point.h_dense
     w, v, n = point.exact
     w_sector = w[n == ints.nelec]
@@ -428,7 +425,8 @@ def _point_report(cfg: ExperimentConfig, ints) -> str:
 
     if cfg.shots is not None:
         count, seed = cfg.shots
-        est, err = estimate_pauli(psi0, jordan_wigner(point.h_op), count, (seed, 0))
+        h_op = assemble_hamiltonian(ints)
+        est, err = estimate_pauli(psi0, jordan_wigner(h_op), count, (seed, 0))
         lines += [f"sampled ground energy ({count} shots/term, seed {seed}): "
                   f"{_fmt(est)} +- {_fmt(err)} (exact {_fmt(w[0])})"]
         if cfg.sampled_rdms:

@@ -240,10 +240,8 @@ def _stacked(h, *members, solve_chunk, limit: int) -> list:
     step = max(1, limit // (16 * np.shape(h[0])[-1] ** 2))
     sols = []
     for start in range(0, len(h), step):
-        chunk = h[start:start + step]  # one matrix as a view: np.stack would copy it
-        try:
-            sols += solve_chunk(start, _promoted(np.asarray(chunk[0])[None] if len(chunk) == 1
-                                                 else np.stack(chunk)), sols,
+        try:  # a chunk of an array is a view; a sequence's chunk is stacked
+            sols += solve_chunk(start, _promoted(np.asarray(h[start:start + step])), sols,
                                 *(m[start:start + step] for m in members))
         except StackError as exc:
             raise StackError(start + exc.index, exc.reason) from exc

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .operators import DENSE_QUBIT_LIMIT, FermionOperator, PRUNE_TOL
+from .operators import DENSE_QUBIT_LIMIT, FermionOperator, PRUNE_TOL, _ladder_dense
 
 _SYM_TOL = 1e-12
 
@@ -43,6 +43,9 @@ class MolecularIntegrals:
             raise ValueError(f"one_body must be {n}x{n}")
         if self.two_body.shape != (n, n, n, n):
             raise ValueError(f"two_body must be rank-4 with dim {n}")
+        for name in ("core_energy", "one_body", "two_body"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} has non-finite entries")
         if np.abs(self.one_body - self.one_body.T).max() > _SYM_TOL:
             raise ValueError("one_body integrals are not symmetric")
         v = self.two_body
@@ -174,36 +177,48 @@ def spin_orbital_tensors(ints: MolecularIntegrals):
     return h1, h2, ints.core_energy
 
 
+def _term_table(h1, h2, core):
+    """Ladder table of P Hamiltonians h1 (P, m, m), h2 (P, m, m, m, m), core (P,): core,
+    a_p^ a_q, a_p^ a_q^ a_r a_s (p != q, r != s, h2 halved) row-major, each kept if some
+    member's coefficient reaches PRUNE_TOL; and (P, terms) coefficients, 0 where one's does not."""
+    half = 0.5 * h2
+    distinct = np.arange(h1.shape[-1])[:, None] != np.arange(h1.shape[-1])
+    keep1 = (np.abs(h1) >= PRUNE_TOL).any(axis=0)
+    keep2 = (np.abs(half) >= PRUNE_TOL).any(axis=0) & distinct[:, :, None, None] & distinct
+    n0, n1, n2 = map(np.count_nonzero, ((np.abs(core) >= PRUNE_TOL).any(), keep1, keep2))
+    ladder = np.zeros((n0 + n1 + n2, 4, 3), dtype=np.int64)  # cut to the longest term
+    # (dagger, used) per slot of a_p^ a_q, then of a_p^ a_q^ a_r a_s
+    ladder[n0:n0 + n1, :, 1:] = [[1, 1], [0, 1], [0, 0], [0, 0]]
+    ladder[n0 + n1:, :, 1:] = [[1, 1], [1, 1], [0, 1], [0, 1]]
+    ladder[n0:n0 + n1, :2, 0], ladder[n0 + n1:, :, 0] = np.argwhere(keep1), np.argwhere(keep2)
+    coeffs = np.concatenate([np.reshape(core, (-1, 1))[:, :n0], h1[:, keep1], half[:, keep2]], 1)
+    return ladder[:, :4 if n2 else 2 if n1 else 0], np.where(abs(coeffs) >= PRUNE_TOL, coeffs, 0)
+
+
 def hamiltonian_from_tensors(h1, h2, core: float = 0.0) -> FermionOperator:
     """Second-quantized operator for spin-orbital tensors h1 (m, m), h2
-    (m, m, m, m) and core, written straight into its ladder and coeffs
-    arrays: core, then a_p^ a_q and a_p^ a_q^ a_r a_s (p != q, r != s, h2
-    halved) in row-major order, each kept if its coefficient reaches PRUNE_TOL."""
+    (m, m, m, m) and core: the _term_table of a stack of one."""
     m = np.shape(h1)[0] if np.ndim(h1) else 0
     if np.shape(h1) != (m, m) or np.shape(h2) != (m,) * 4:
         raise ValueError(f"h1 of shape {np.shape(h1)} and h2 of shape {np.shape(h2)} "
                          "are not (m, m) and (m, m, m, m)")
     if not (np.isfinite(core) and np.isfinite(h1).all() and np.isfinite(h2).all()):
         raise ValueError("non-finite integral in (h1, h2, core)")
-    half = 0.5 * h2
-    distinct = np.arange(m)[:, None] != np.arange(m)
-    keep1 = np.abs(h1) >= PRUNE_TOL
-    keep2 = (np.abs(half) >= PRUNE_TOL) & distinct[:, :, None, None] & distinct
-    n0, n1, n2 = int(abs(core) >= PRUNE_TOL), np.count_nonzero(keep1), np.count_nonzero(keep2)
-    ladder = np.zeros((n0 + n1 + n2, 4, 3), dtype=np.int64)
-    # (dagger, used) per slot of a_p^ a_q, then of a_p^ a_q^ a_r a_s
-    ladder[n0:n0 + n1, :, 1:] = [[1, 1], [0, 1], [0, 0], [0, 0]]
-    ladder[n0 + n1:, :, 1:] = [[1, 1], [1, 1], [0, 1], [0, 1]]
-    ladder[n0:n0 + n1, :2, 0], ladder[n0 + n1:, :, 0] = np.argwhere(keep1), np.argwhere(keep2)
-    coeffs = np.concatenate([[core] * n0, h1[keep1], half[keep2]]).astype(complex)
-    return FermionOperator.__new__(FermionOperator)._set(  # as many slots as the longest term
-        m, ladder[:, :4 if n2 else 2 if n1 else 0], coeffs)
+    ladder, coeffs = _term_table(np.asarray(h1)[None], np.asarray(h2)[None], core)
+    return FermionOperator.__new__(FermionOperator)._set(m, ladder, coeffs[0].astype(complex))
 
 
 def assemble_hamiltonian(ints: MolecularIntegrals) -> FermionOperator:
     """Spin-orbital Hamiltonian over 2*norb modes, core energy included."""
     h1, h2, core = spin_orbital_tensors(ints)
     return hamiltonian_from_tensors(h1, h2, core)
+
+
+def dense_hamiltonians(integrals) -> np.ndarray:
+    """(P, 2^M, 2^M) stack of the Hamiltonians of P MolecularIntegrals sharing
+    norb, each bit for bit fermion_to_dense(assemble_hamiltonian(ints))."""
+    h1, h2, core = map(np.stack, zip(*map(spin_orbital_tensors, integrals)))
+    return _ladder_dense(h1.shape[-1], *_term_table(h1, h2, core))
 
 
 def load_sweep(manifest_path) -> list[SweepPoint]:

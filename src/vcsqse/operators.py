@@ -30,7 +30,8 @@ Conventions used throughout the package:
   _ladder_masks writes it in closed form, by the occupation-bit rules
   alone, as a few bit masks per sequence. _ladder_action evaluates them on
   all 2^M states for the expansion bases of qse and the pure-state RDMs of
-  rdm; fermion_to_dense visits only the entries each term reaches.
+  rdm. _ladder_dense visits only the entries each term reaches, for a stack
+  of coefficient rows over one table; fermion_to_dense is a stack of one.
 * Dense dtype: fermion_to_dense, and with it dense_symmetry, returns float64
   when every coefficient's imaginary part is exactly zero (a molecular
   Hamiltonian in real orbitals, every symmetry operator) and complex128
@@ -46,11 +47,11 @@ import numpy as np
 PRUNE_TOL = 1e-14
 
 DENSE_QUBIT_LIMIT = 12
-# Ladder-action entries (terms x 2^M) per chunk of fermion_to_dense: its
-# alive test takes a 2 MiB int64 table and a 256 KiB mask, then ~64 bytes of
-# index and value arrays per alive entry (12% of them for an M = 8
-# Hamiltonian). 1024 terms at M = 8, so every molecular Hamiltonian up to
-# M = 8 (at most 833 spin-conserving terms) is built in one chunk.
+# Ladder-action entries per chunk of _ladder_dense: terms x 2^M per alive
+# test (a 2 MiB int64 table and a 256 KiB mask), and members x alive entries
+# per scatter, at most ~64 bytes of index and value arrays each. 1024 terms
+# at M = 8, so every molecular Hamiltonian up to M = 8 (at most 833 terms,
+# 12% of their entries alive) is one term chunk, scattered 10 members a call.
 DENSE_CHUNK_ENTRIES = 1 << 18
 
 # i^k for k mod 4
@@ -290,29 +291,37 @@ def _ladder_action(seqs, m: int) -> tuple[np.ndarray, np.ndarray]:
     return src, weight
 
 
-def fermion_to_dense(op: FermionOperator) -> np.ndarray:
-    """Dense matrix by direct ladder-operator action on occupation states,
-    in the Jordan-Wigner phase convention.
-    Each chunk of DENSE_CHUNK_ENTRIES / 2^M terms adds the signed
-    coefficients of its alive (term, input state) _ladder_masks entries with
-    one np.add.at, in term order, so each entry sums its terms in order.
-    The matrix is float64 if no coefficient has an imaginary part, else
-    complex128."""
-    m = op.mode_count
+def _ladder_dense(m: int, ladder: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """(members, 2^m, 2^m) dense matrices of one _ladder_slots table, member p
+    weighting term t by coeffs[p, t]. Each chunk of DENSE_CHUNK_ENTRIES / 2^m
+    terms finds its alive (term, input state) entries once, and np.add.at adds
+    their signed coefficients, DENSE_CHUNK_ENTRIES (member, entry) pairs at
+    most a call, in term order: a coefficient of 0 changes no bit."""
     if m > DENSE_QUBIT_LIMIT:
         raise ValueError(f"mode_count {m} exceeds dense limit {DENSE_QUBIT_LIMIT}")
-    ladder = op.ladder
-    coeffs = op.coeffs if op.coeffs.imag.any() else op.coeffs.real
-    out = np.zeros((1 << m, 1 << m), dtype=coeffs.dtype)
+    out = np.zeros((len(coeffs), 1 << m, 1 << m), dtype=coeffs.dtype)
+    x, fixed, value, parity, sign = _ladder_masks(ladder)
     step = max(1, DENSE_CHUNK_ENTRIES >> m)
     for lo in range(0, len(ladder), step):
-        x, fixed, value, parity, sign = _ladder_masks(ladder[lo:lo + step])
-        alive = np.flatnonzero((np.arange(1 << m) & fixed[:, None]) == value[:, None])
-        term, col = alive >> m, alive & ((1 << m) - 1)
+        alive = np.flatnonzero((np.arange(1 << m) & fixed[lo:lo + step, None])
+                               == value[lo:lo + step, None])
+        term, col = lo + (alive >> m), alive & ((1 << m) - 1)
         odd = (np.bitwise_count(col & parity[term]) + sign[term]) & 1
-        np.add.at(out.reshape(-1), (col ^ x[term]) << m | col,
-                  coeffs[lo + term] * np.where(odd, -1.0, 1.0))
+        entry, signs = (col ^ x[term]) << m | col, np.where(odd, -1.0, 1.0)
+        block = max(1, DENSE_CHUNK_ENTRIES // max(1, len(alive)))
+        for p in range(0, len(coeffs), block):
+            members = np.arange(p, min(p + block, len(coeffs)))[:, None]
+            np.add.at(out.reshape(-1), (members << 2 * m | entry).ravel(),
+                      (coeffs[p:p + block].take(term, axis=1) * signs).ravel())
     return out
+
+
+def fermion_to_dense(op: FermionOperator) -> np.ndarray:
+    """Dense matrix by direct ladder-operator action on occupation states, in
+    the Jordan-Wigner phase convention (the _ladder_dense stack of one):
+    float64 if no coefficient has an imaginary part, else complex128."""
+    coeffs = op.coeffs if op.coeffs.imag.any() else op.coeffs.real
+    return _ladder_dense(op.mode_count, op.ladder, coeffs[None])[0]
 
 
 def _mode_count(dim: int):

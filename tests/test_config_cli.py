@@ -154,7 +154,7 @@ class TestExperiments:
         assert np.abs(np.array(full) - np.linalg.eigvalsh(h)).max() < 1e-10
         levels = [energy for _, method, _, energy in rows if method == "qse"]
         assert abs(levels[0] - want[0]) < 1e-10  # the identity is in the basis
-        point, = experiments._solve_exact([experiments._point(ints, 1.0)])
+        point, = experiments._solve_exact(experiments._Run([(1.0, ints)]))
         lone = qse.solve_subspace(qse.build_subspace_direct(
             qse.fermionic_basis(8, 1), point.h_dense, point.exact[1][:, 0],
             point.symmetry_dense), cfg.metric_cutoff)
@@ -162,26 +162,30 @@ class TestExperiments:
 
     @staticmethod
     def spy_dense_builds(monkeypatch):
-        """Record every fermion_to_dense call, with the symmetry cache cold."""
-        built = []
-        real = operators.fermion_to_dense
-        for module in (experiments, operators):
-            monkeypatch.setattr(module, "fermion_to_dense",
-                                lambda op: built.append(op) or real(op))
+        """Record the size of every stacked Hamiltonian build and every
+        fermion_to_dense call, with the symmetry cache cold."""
+        stacks, built = [], []
+        real_stack, real = experiments.dense_hamiltonians, operators.fermion_to_dense
+        monkeypatch.setattr(experiments, "dense_hamiltonians",
+                            lambda ints: stacks.append(len(ints)) or real_stack(ints))
+        monkeypatch.setattr(operators, "fermion_to_dense",
+                            lambda op: built.append(op) or real(op))
         operators.dense_symmetry.cache_clear()
-        return built
+        return stacks, built
 
     def test_symmetry_matrices_built_once_per_sweep(self, mini_sweep, monkeypatch):
-        built = self.spy_dense_builds(monkeypatch)
+        stacks, built = self.spy_dense_builds(monkeypatch)
         cfg = parse_config(config_text(mini_sweep, experiment="spectrum"))
         run_experiment(cfg)
-        assert len(built) == 3 + 2  # one Hamiltonian per point, N and S^2 once
+        assert stacks == [3]  # the run's three Hamiltonians as one stack
+        assert len(built) == 2  # N and S^2 once
 
     def test_channel_solves_share_the_symmetry_matrices(self, mini_sweep, monkeypatch):
         """3 points x 3 channels x 2 solves read N and S^2, built once."""
-        built = self.spy_dense_builds(monkeypatch)
+        stacks, built = self.spy_dense_builds(monkeypatch)
         run_experiment(parse_config(config_text(mini_sweep)))
-        assert len(built) == 3 + 2
+        assert stacks == [3]
+        assert len(built) == 2
         assert not operators.dense_symmetry("number", 4).flags.writeable
 
     def test_expansion_basis_built_once_per_process(self, mini_sweep, monkeypatch):
@@ -211,17 +215,16 @@ class TestExperiments:
 
     @staticmethod
     def skew_second_point(monkeypatch, entry):
-        """Add 1 to H[entry] of the second sweep point (points are built in ascending R)."""
-        real, built = experiments.fermion_to_dense, []
+        """Add 1 to H[entry] of member 1 of the run's stacked build (points
+        are built in ascending R)."""
+        real = experiments.dense_hamiltonians
 
-        def skewed_second(op):
-            h = real(op).copy()
-            built.append(h)
-            if len(built) == 2:
-                h[entry] += 1.0
-            return h
+        def skewed_second(ints):
+            hs = real(ints)
+            hs[1][entry] += 1.0
+            return hs
 
-        monkeypatch.setattr(experiments, "fermion_to_dense", skewed_second)
+        monkeypatch.setattr(experiments, "dense_hamiltonians", skewed_second)
 
     def test_stacked_failure_names_its_sweep_point(self, mini_sweep, monkeypatch):
         """A point whose H fails the curve's stacked VCS solve is named by
@@ -306,6 +309,34 @@ class TestExperiments:
                 "non-finite entries")):
             run_experiment(cfg)
 
+    def test_no_state_carries_over_between_runs(self, sweep_manifest, tmp_path):
+        """Two runs in one process over a copied three-point sweep, with one
+        fixture's (11|11) integral edited between them: the second CSV
+        changes at that R alone and equals a fresh process's run."""
+        lines = [f"{r} h2_sto6g_r{r}.fcidump\n" for r in ("0.7000", "1.5000", "2.5000")]
+        for line in lines:
+            fixture = line.split()[1]
+            (tmp_path / fixture).write_text((sweep_manifest.parent / fixture).read_text())
+        (tmp_path / MINI_MANIFEST).write_text("".join(lines))
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(config_text(tmp_path / MINI_MANIFEST, experiment="spectrum")
+                            .replace("[run]\n", f"[run]\noutput = {tmp_path / 'fresh.csv'}\n"))
+        cfg = load_config(cfg_file)
+        cfg.output = None
+        before = run_experiment(cfg).csv_text
+        edited = tmp_path / "h2_sto6g_r1.5000.fcidump"
+        record = re.compile(r"^\s*(\S+)(\s+1\s+1\s+1\s+1)$", re.M)
+        edited.write_text(record.sub(lambda mt: f"{float(mt[1]) + 0.01!r}{mt[2]}",
+                                     edited.read_text(), count=1))
+        after = run_experiment(cfg).csv_text
+        changed = {row.split(",")[0] for row, old in zip(after.splitlines(), before.splitlines())
+                   if row != old}
+        assert changed == {"1.5"}
+        done = subprocess.run([sys.executable, "-m", "vcsqse.cli", "run", "--config",
+                               str(cfg_file)], capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "fresh.csv").read_text() == after
+
     def test_csv_rows_format_mixed_columns_like_fmt(self):
         """One template per tuple of field types: a column holding strings in
         some rows and numbers in others formats each value as _fmt does."""
@@ -354,6 +385,43 @@ def test_shipped_csv_reproduces_byte_for_byte(configs_dir, name):
     cfg.output = None
     golden = (configs_dir.parent / "out" / f"{name}.csv").read_bytes()
     assert run_experiment(cfg).csv_text.encode() == golden
+
+
+def shipped_csvs_script(configs_dir):
+    """Python source that runs every shipped config and fails an assertion
+    naming each one whose CSV differs from its out/*.csv."""
+    return (
+        "from pathlib import Path\n"
+        "from vcsqse.config import load_config\n"
+        "from vcsqse.experiments import run_experiment\n"
+        "bad = []\n"
+        f"for name in {SHIPPED!r}:\n"
+        f"    cfg = load_config(Path({str(configs_dir)!r}) / (name + '.cfg'))\n"
+        "    cfg.output = None\n"
+        f"    golden = (Path({str(configs_dir.parent)!r}) / 'out' / (name + '.csv')).read_bytes()\n"
+        "    bad += [name] if run_experiment(cfg).csv_text.encode() != golden else []\n"
+        "assert not bad, f'differ from out/: {bad}'\n")
+
+
+def test_shipped_csvs_reproduce_in_every_layout(configs_dir, monkeypatch):
+    """The shipped CSVs do not depend on how the work is cut or threaded:
+    with every VCS and subspace stack chunk one point and every dense build
+    one term chunk and one member at a time, and in a process with two BLAS
+    threads, each config rewrites its out/*.csv byte for byte."""
+    for module, name in ((vcs, "STACK_BYTE_LIMIT"), (qse, "SUBSPACE_STACK_BYTES"),
+                         (operators, "DENSE_CHUNK_ENTRIES"),
+                         # experiments reads its own binding of the subspace limit
+                         (experiments, "SUBSPACE_STACK_BYTES")):
+        monkeypatch.setattr(module, name, 1)
+    operators.dense_symmetry.cache_clear()  # rebuilt in the one-entry layout
+    try:
+        exec(shipped_csvs_script(configs_dir), {})
+    finally:
+        operators.dense_symmetry.cache_clear()
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    done = subprocess.run([sys.executable, "-c", shipped_csvs_script(configs_dir)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("name, calls", [
@@ -643,7 +711,7 @@ class TestCli:
         big = tmp_path / "norb6.fcidump"
         big.write_text(render_fcidump(MolecularIntegrals(
             6, 2, 0, 0.0, h1 + h1.T, np.zeros((6, 6, 6, 6)))))
-        monkeypatch.setattr(experiments, "_point", None)  # preparing a point would fail
+        monkeypatch.setattr(experiments, "_Run", None)  # preparing a point would fail
         start = time.perf_counter()
         assert run_spectrum(tmp_path, f"0.7 {big}\n") == 2
         assert time.perf_counter() - start < 1.0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from vcsqse.channels import (CHANNEL_KINDS, ChannelSpec, KrausChannel, apply_channel,
                              lift_to_register, single_qubit_channel)
-from vcsqse.experiments import _point, _solve_exact
+from vcsqse.experiments import _Run, _solve_exact
 from vcsqse.linalg import DEFAULT_METRIC_CUTOFF, generalized_eigensolve
 from vcsqse.molecule import spin_orbital_tensors
 from vcsqse.operators import (FermionOperator, PauliOperator, dense_symmetry, fermion_to_dense,
@@ -53,7 +53,7 @@ def lr_problems(h1, h2, rdms, e_g=-1.0):
 def point(sweep_points):
     """The STO-6G H2 fixture at R = 1.5 A, prepared as the experiments do."""
     pt = next(p for p in sweep_points if p.bond_length == 1.5)
-    return _solve_exact([_point(pt.integrals, pt.bond_length)])[0]
+    return _solve_exact(_Run([(pt.bond_length, pt.integrals)]))[0]
 
 
 def test_molecular_pipeline_stays_real(point):

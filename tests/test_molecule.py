@@ -4,14 +4,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from fcidump_writer import render_fcidump
 from fermion_oracle import loop_hamiltonian
-from vcsqse import cli
-from vcsqse.molecule import (FcidumpError, MolecularIntegrals, assemble_hamiltonian,
-                             hamiltonian_from_tensors, load_sweep, parse_fcidump,
-                             spin_orbital_tensors)
-from vcsqse.operators import PRUNE_TOL, FermionOperator, fermion_to_dense
+from vcsqse import cli, operators
+from vcsqse.molecule import (FcidumpError, MolecularIntegrals, _term_table, assemble_hamiltonian,
+                             dense_hamiltonians, hamiltonian_from_tensors, load_sweep,
+                             parse_fcidump, spin_orbital_tensors)
+from vcsqse.operators import PRUNE_TOL, FermionOperator, _ladder_dense, fermion_to_dense
 
 HEADER = "&FCI NORB=2,NELEC=2,MS2=0,\n&END\n"
 
@@ -128,6 +130,20 @@ class TestParse:
         with pytest.raises(ValueError, match="symmetric"):
             MolecularIntegrals(norb=2, nelec=2, ms2=0, core_energy=0.0,
                                one_body=bad, two_body=np.zeros((2, 2, 2, 2)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["one_body", "two_body", "core_energy"])
+    def test_non_finite_integral_names_its_field(self, field, value):
+        """A NaN passes the symmetry checks (nan > tol is False), so every
+        field is checked for non-finite entries first."""
+        fields = {"core_energy": 0.0, "one_body": np.zeros((2, 2)),
+                  "two_body": np.zeros((2,) * 4)}
+        if field == "core_energy":
+            fields[field] = value
+        else:
+            fields[field][(0,) * fields[field].ndim] = value
+        with pytest.raises(ValueError, match=f"^{field} has non-finite entries$"):
+            MolecularIntegrals(norb=2, nelec=2, ms2=0, **fields)
 
 
 class TestAssembly:
@@ -262,6 +278,63 @@ class TestTermOrder:
         assert again.ladder.shape == op.ladder.shape == (len(op.coeffs), 2 * sum(kept[1:]), 3)
         assert again.ladder.tobytes() == op.ladder.tobytes()
         assert again.coeffs.tobytes() == op.coeffs.tobytes()
+
+
+def member_tensors(rng, m, members):
+    """Random (members, m, m) h1, (members, m, m, m, m) h2 and (members,)
+    core. Each entry of each member is independently kept, zeroed (+-0.0),
+    scaled below PRUNE_TOL or set to 1.5 PRUNE_TOL (kept in h1 and core,
+    halved below it in h2), so one member keeps terms another prunes."""
+    tensors = [rng.normal(size=(members,) + (m,) * k) for k in (2, 4, 0)]
+    for t in tensors:
+        kind = rng.integers(4, size=t.shape)
+        t[kind == 1] *= 0.0
+        t[kind == 2] *= 1e-16
+        t[kind == 3] = 1.5 * PRUNE_TOL
+    return tensors
+
+
+class TestStackedBuild:
+    @seed(31)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(rng_seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([2, 4, 6]),
+           members=st.integers(1, 5), chunk=st.integers(1, 1 << 9))
+    @example(rng_seed=0, m=4, members=5, chunk=1)
+    @example(rng_seed=1, m=6, members=3, chunk=1 << 7)
+    def test_stack_equals_each_member_alone(self, rng_seed, m, members, chunk):
+        """The stacked build is, bit for bit, each member's own operator and
+        dense build, with chunks of `chunk` entries splitting the term list
+        (chunk < terms x 2^m) and the members (chunk < members x alive)."""
+        h1, h2, core = member_tensors(np.random.default_rng(rng_seed), m, members)
+        alone = np.stack([fermion_to_dense(hamiltonian_from_tensors(*t))
+                          for t in zip(h1, h2, core)])
+        ladder, coeffs = _term_table(h1, h2, core)
+        # some term is kept by one member and pruned, an exact 0, in another
+        assert members == 1 or ((coeffs == 0) & (coeffs != 0).any(axis=0)).any()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "DENSE_CHUNK_ENTRIES", chunk)
+            got = _ladder_dense(m, ladder, coeffs)
+        assert got.dtype == np.float64
+        assert got.tobytes() == alone.tobytes()
+
+    def test_sweep_stack_equals_the_per_point_route(self, sweep_points):
+        hs = dense_hamiltonians([pt.integrals for pt in sweep_points])
+        assert hs.shape == (28, 16, 16)
+        assert hs.tobytes() == np.stack([fermion_to_dense(assemble_hamiltonian(pt.integrals))
+                                         for pt in sweep_points]).tobytes()
+
+    def test_28_member_m8_build_stays_within_one_chunk_budget(self):
+        """A 28-member M = 8 stack takes its 14 MiB output plus at most one
+        chunk's 64 bytes per entry, scattered a block of members at a time."""
+        ints = [random_integrals(seed) for seed in range(28)]
+        tracemalloc.start()
+        try:
+            hs = dense_hamiltonians(ints)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= hs.nbytes + 64 * operators.DENSE_CHUNK_ENTRIES
+        assert hs[27].tobytes() == fermion_to_dense(assemble_hamiltonian(ints[27])).tobytes()
 
 
 class TestRoundTrip:
