@@ -1,8 +1,9 @@
 """FCIDUMP ingestion and second-quantized Hamiltonian assembly.
 
-Integrals are restricted (both spins share the spatial orbitals) and stored
-in chemist notation: two_body[p, q, r, s] = (pq|rs) with the full 8-fold
-permutation symmetry. The assembled Hamiltonian uses the convention
+A sweep's fixtures are parsed as one stack, one pass over all their records;
+a lone FCIDUMP is a stack of one. Integrals are restricted (both spins share
+the spatial orbitals) and stored in chemist notation: two_body[p, q, r, s] =
+(pq|rs) with the full 8-fold permutation symmetry. The assembled Hamiltonian is
 
     H = core + sum_pq h_pq a_p^ a_q + 1/2 sum_pqrs h_pqrs a_p^ a_q^ a_r a_s
 
@@ -11,8 +12,8 @@ over spin orbitals, where the two-body coefficient couples electron 1 on the
 spin deltas on (p,s) and (q,r).
 """
 
-import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,16 @@ import numpy as np
 from .operators import DENSE_QUBIT_LIMIT, FermionOperator, PRUNE_TOL, _ladder_dense
 
 _SYM_TOL = 1e-12
+# the 8 images of (i, j, k, l) that a record sets, by (pq|rs) = (qp|rs) = (pq|sr) = (rs|pq)
+_IMAGES = [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
+           (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0)]
+_PLACES = np.array([[3 - g.index(q) for g in _IMAGES] for q in range(4)])  # q's digit place in g
+# the nonzero indices' sum of 2^place -> 0 (two-body 15, one-body 12, core 0), or error 4 or 5
+_ZEROS = np.array([0, 5, 5, 5, 4, 5, 5, 5, 4, 5, 5, 5, 0, 5, 5, 0])
+_RECORD_ERRORS = ("expected `value i j k l`", "malformed numeric field", "value {0} is not finite",
+                  "index {1} outside [0, {2}]", "one-body record with a zero index",
+                  "mixed zero/nonzero index pattern",
+                  "value {0} conflicts with {3!r} at line {4} for the same integral")
 
 
 class FcidumpError(ValueError):
@@ -36,22 +47,22 @@ class MolecularIntegrals:
     two_body: np.ndarray
 
     def __post_init__(self):
-        self.one_body = np.asarray(self.one_body, dtype=float)
-        self.two_body = np.asarray(self.two_body, dtype=float)
-        n = self.norb
-        if self.one_body.shape != (n, n):
-            raise ValueError(f"one_body must be {n}x{n}")
-        if self.two_body.shape != (n, n, n, n):
-            raise ValueError(f"two_body must be rank-4 with dim {n}")
-        for name in ("core_energy", "one_body", "two_body"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} has non-finite entries")
-        if np.abs(self.one_body - self.one_body.T).max() > _SYM_TOL:
-            raise ValueError("one_body integrals are not symmetric")
-        v = self.two_body
-        for perm in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
-            if np.abs(v - v.transpose(perm)).max() > _SYM_TOL:
-                raise ValueError("two_body integrals break 8-fold symmetry")
+        h = self.one_body = np.asarray(self.one_body, dtype=float)
+        v = self.two_body = np.asarray(self.two_body, dtype=float)
+        if h.shape != (self.norb,) * 2:
+            raise ValueError(f"one_body must be {self.norb}x{self.norb}")
+        if v.shape != (self.norb,) * 4:
+            raise ValueError(f"two_body must be rank-4 with dim {self.norb}")
+        # an inf or NaN anywhere makes its defect non-finite, so one test covers both
+        with np.errstate(invalid="ignore", over="ignore"):
+            defect = np.abs(v - [v.transpose(_IMAGES[g]) for g in (1, 2, 4)]).max(
+                initial=np.abs(h - h.T).max(initial=self.core_energy - self.core_energy))
+        if not defect <= _SYM_TOL:
+            for name in ("core_energy", "one_body", "two_body"):
+                if not np.isfinite(getattr(self, name)).all():
+                    raise ValueError(f"{name} has non-finite entries")
+            raise ValueError("one_body integrals are not symmetric" if np.abs(h - h.T).max()
+                             > _SYM_TOL else "two_body integrals break 8-fold symmetry")
 
 
 @dataclass
@@ -66,41 +77,29 @@ class SweepPoint:
 
 
 def parse_fcidump(text: str) -> MolecularIntegrals:
-    """Parse FCIDUMP text: &FCI namelist header plus `value i j k l` records."""
-    lines = text.splitlines()
-    header_lines = []
-    body_start = None
-    for ln, line in enumerate(lines):
-        stripped = line.strip()
-        header_lines.append(stripped)
-        if stripped.upper().endswith("&END") or stripped.endswith("/"):
-            body_start = ln + 1
-            break
-    if body_start is None:
-        raise FcidumpError("no &END (or /) terminating the namelist header")
+    """Parse FCIDUMP text: &FCI namelist header plus `value i j k l` records, as a stack of one."""
+    return _parse_stack([_header(text)])[0]
 
-    header = " ".join(header_lines)
+
+def _header(text: str):
+    """(norb, nelec, ms2, lines, body_start) of FCIDUMP text whose header passes every check."""
+    lines = text.splitlines()
+    body_start = 1 + next((ln for ln, line in enumerate(lines) if line.strip().upper().endswith(
+        "&END") or line.strip().endswith("/")), -1)
+    if not body_start:
+        raise FcidumpError("no &END (or /) terminating the namelist header")
+    header = " ".join(line.strip() for line in lines[:body_start])  # ends in its terminator
     if not header.upper().lstrip().startswith("&FCI"):
         raise FcidumpError("header does not start with &FCI")
-    header = re.sub(r"&END\s*$|/\s*$", "", header[header.index("&") + 4:], flags=re.I)
-    keys = {}
-    current = None
-    for token in header.replace(",", " , ").split():
-        if token == ",":
-            continue
-        if "=" in token:
-            name, _, val = token.partition("=")
-            current = name.strip().upper()
-            keys[current] = [val.strip()] if val.strip() else []
-        elif current is not None:
-            keys[current].append(token)
+    header = header[header.index("&") + 4:-4 if header.upper().endswith("&END") else -1]
+    tokens = header.replace(",", " ").split()  # KEY=value, or KEY= then a value token
+    keys = {name.upper(): [val] if val else [t for t in tokens[i + 1:i + 2] if "=" not in t]
+            for i, (name, eq, val) in enumerate(t.partition("=") for t in tokens) if eq}
     for required in ("NORB", "NELEC", "MS2"):
-        if required not in keys or not keys[required]:
+        if not keys.get(required):
             raise FcidumpError(f"missing header key {required}")
     try:
-        norb = int(keys["NORB"][0])
-        nelec = int(keys["NELEC"][0])
-        ms2 = int(keys["MS2"][0])
+        norb, nelec, ms2 = (int(keys[key][0]) for key in ("NORB", "NELEC", "MS2"))
     except ValueError as exc:
         raise FcidumpError(f"non-integer header value: {exc}") from None
     if norb < 1:
@@ -114,47 +113,57 @@ def parse_fcidump(text: str) -> MolecularIntegrals:
     if 2 * norb > DENSE_QUBIT_LIMIT:  # reject before allocating the integrals
         raise FcidumpError(f"NORB={norb} gives {2 * norb} spin orbitals, above the "
                            f"dense limit of {DENSE_QUBIT_LIMIT}")
+    return norb, nelec, ms2, lines, body_start
 
-    core, h1, h2 = np.zeros(()), np.zeros((norb, norb)), np.zeros((norb,) * 4)
-    seen = {}  # (value, line) of each written orbit, keyed by its least index tuple
-    for ln in range(body_start, len(lines)):
-        stripped = lines[ln].strip()
-        if not stripped:
-            continue
-        fields = stripped.split()
-        if len(fields) != 5:
-            raise FcidumpError(f"line {ln + 1}: expected `value i j k l`")
-        try:
-            value = float(fields[0])
-            i, j, k, l = (int(f) for f in fields[1:])
-        except ValueError:
-            raise FcidumpError(f"line {ln + 1}: malformed numeric field") from None
-        if not np.isfinite(value):
-            raise FcidumpError(f"line {ln + 1}: value {fields[0]} is not finite")
-        for idx in (i, j, k, l):
-            if not 0 <= idx <= norb:
-                raise FcidumpError(f"line {ln + 1}: index {idx} outside [0, {norb}]")
-        if i == j == k == l == 0:
-            target, orbit = core, ((),)
-        elif k == 0 and l == 0:
-            if i == 0 or j == 0:
-                raise FcidumpError(f"line {ln + 1}: one-body record with a zero index")
-            target, orbit = h1, ((i - 1, j - 1), (j - 1, i - 1))
-        elif 0 in (i, j, k, l):
-            raise FcidumpError(f"line {ln + 1}: mixed zero/nonzero index pattern")
-        else:
-            p, q, r, s = i - 1, j - 1, k - 1, l - 1
-            target, orbit = h2, ((p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
-                                 (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p))
-        # a record sets its whole symmetry orbit, so a later one may only repeat it
-        earlier, at = seen.setdefault(min(orbit), (value, ln + 1))
-        if earlier != value:
-            raise FcidumpError(f"line {ln + 1}: value {fields[0]} conflicts with {earlier!r} "
-                               f"at line {at} for the same integral")
-        for idx in orbit:
-            target[idx] = value
-    return MolecularIntegrals(norb=norb, nelec=nelec, ms2=ms2, core_energy=float(core),
-                              one_body=h1, two_body=h2)
+
+def _numbers(cells):  # (value, i, j, k, l) with indices clipped to [-1, 64], or None
+    try:
+        return float(cells[0]), *(min(max(int(c), -1), 64) for c in cells[1:])
+    except ValueError:
+        return None
+
+
+def _parse_stack(headers, prefixes=("",)) -> list[MolecularIntegrals]:
+    """MolecularIntegrals of each _header, from one pass over the records of all of them. The
+    first bad record raises FcidumpError: its fixture's prefix, `line N: ` and its first failing
+    check, in _RECORD_ERRORS' order. A record sets its whole symmetry orbit; a later one may only
+    repeat it, and the last is written (which matters only for the sign of a zero)."""
+    base = max((h[0] for h in headers), default=0) + 1  # index i is digit i, 0 for none
+    recs = [(f, n, ln, cells) for f, (n, _, _, lines, start) in enumerate(headers)
+            for ln, cells in enumerate(map(str.split, lines[start:]), start + 1) if cells]
+    fixture, norb, line, cells = zip(*recs) if recs else ((),) * 4
+    cells5 = [c if len(c) == 5 else ("0",) * 5 for c in cells]
+    tokens, numeric = list(chain.from_iterable(cells5)), np.zeros(len(cells), bool)
+    try:
+        value = np.fromiter(map(float, tokens[::5]), float, len(cells))
+        del tokens[::5]
+        index = np.fromiter(map(int, tokens), np.int64, 4 * len(cells)).reshape(-1, 4)
+    except (ValueError, OverflowError):  # find the failing records one by one
+        nums = list(map(_numbers, cells5))
+        table, numeric = np.array([n or (0,) * 5 for n in nums]), np.array([not n for n in nums])
+        value, index = table.reshape(-1, 5)[:, 0], table.reshape(-1, 5)[:, 1:].astype(np.int64)
+    digits = np.minimum(np.maximum(index, 0), np.array(norb, int)[:, None])
+    codes = digits @ base ** _PLACES + np.array(fixture, int)[:, None] * base ** 4  # [r, g]
+    keys = codes.min(1).tolist()  # the least image of each record's orbit, per fixture
+    first = np.fromiter(map({}.setdefault, keys, range(len(keys))), int, len(keys))  # in orbit
+    pattern = _ZEROS[np.minimum(digits, 1) @ 2 ** _PLACES[:, 0]]
+    flags = np.array([np.fromiter(map(len, cells), int, len(cells)) != 5, numeric,
+                      ~np.isfinite(value), (digits != index).any(1), pattern == 4, pattern == 5,
+                      value[first] != value])
+    if flags.any():
+        r = int(flags.any(0).argmax())
+        check, fields, n = int(flags[:, r].argmax()), cells[r], norb[r]
+        bad = check == 3 and next(i for i in map(int, fields[1:]) if not 0 <= i <= n)
+        raise FcidumpError(f"{prefixes[fixture[r]]}line {line[r]}: " + _RECORD_ERRORS[
+            check].format(fields[0], bad, n, float(value[first[r]]), line[first[r]])) from None
+    last = np.fromiter(dict(zip(keys, range(len(keys)))).values(), int)  # record of each orbit
+    tensors = np.zeros((len(headers),) + (base,) * 4)
+    tensors.reshape(-1)[codes[last]] = value[last, None]
+    core, h1, h2 = tensors[:, 0, 0, 0, 0].tolist(), tensors[:, 1:, 1:, 0, 0].copy(), \
+        tensors[:, 1:, 1:, 1:, 1:].copy()  # a member of the largest NORB takes views of them
+    return [MolecularIntegrals(n, nelec, ms2, c, np.ascontiguousarray(a[:n, :n]),
+                               np.ascontiguousarray(b[:n, :n, :n, :n]))
+            for (n, nelec, ms2, *_), c, a, b in zip(headers, core, h1, h2)]
 
 
 def spin_orbital_tensors(ints: MolecularIntegrals):
@@ -222,38 +231,43 @@ def dense_hamiltonians(integrals) -> np.ndarray:
 
 
 def load_sweep(manifest_path) -> list[SweepPoint]:
-    """Read a `bond_length fcidump-path` manifest, sorted by bond length.
-
-    A malformed line or fixture raises FcidumpError naming `manifest:line`.
-    """
+    """Read a `bond_length fcidump-path` manifest, sorted by bond length, its fixtures parsed
+    as one stack. A malformed line or fixture raises FcidumpError naming `manifest:line` of
+    the first line that fails. Paths are joined to the manifest's resolved directory, so a
+    label is the stem of the name the manifest gives, not of a symlink's target."""
     manifest_path = Path(manifest_path)
-    base = manifest_path.parent
-    points = []
-    seen = {}
-    for ln, line in enumerate(manifest_path.read_text().splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        where = f"{manifest_path}:{ln}"
-        fields = stripped.split()
-        if len(fields) != 2:
-            raise FcidumpError(f"{where}: expected `bond_length path`")
-        try:
-            r = float(fields[0])
-        except ValueError:
-            raise FcidumpError(f"{where}: bond_length {fields[0]!r} is not a number") from None
-        if not 0 < r < np.inf:
-            raise FcidumpError(f"{where}: bond_length {r} is not positive and finite")
-        if r in seen:
-            raise FcidumpError(f"{where}: duplicate bond_length {r}")
-        seen[r] = ln
-        path = (base / fields[1]).resolve()
-        if not path.is_file():
-            raise FileNotFoundError(f"{where}: no such fixture {path}")
-        try:
-            ints = parse_fcidump(path.read_text())
-        except ValueError as exc:
-            raise FcidumpError(f"{where}: fixture {path}: {exc}") from None
-        points.append(SweepPoint(bond_length=r, integrals=ints, label=path.stem))
+    base = manifest_path.parent.resolve()
+    entries, headers, seen = [], [], set()
+    try:
+        for ln, line in enumerate(manifest_path.read_text().splitlines(), start=1):
+            stripped = line.split("#", 1)[0].strip()
+            if not stripped:
+                continue
+            where = f"{manifest_path}:{ln}"
+            fields = stripped.split()
+            if len(fields) != 2:
+                raise FcidumpError(f"{where}: expected `bond_length path`")
+            try:
+                r = float(fields[0])
+            except ValueError:
+                raise FcidumpError(f"{where}: bond_length {fields[0]!r} is not a number") from None
+            if not 0 < r < np.inf:
+                raise FcidumpError(f"{where}: bond_length {r} is not positive and finite")
+            if r in seen:
+                raise FcidumpError(f"{where}: duplicate bond_length {r}")
+            seen.add(r)
+            path = base / fields[1]
+            if not path.is_file():
+                raise FileNotFoundError(f"{where}: no such fixture {path}")
+            try:
+                headers.append(_header(path.read_text()))
+            except ValueError as exc:
+                raise FcidumpError(f"{where}: fixture {path}: {exc}") from None
+            entries.append((r, path, f"{where}: fixture {path}: "))
+    except (ValueError, OSError):
+        _parse_stack(headers, [e[2] for e in entries])  # a bad record on an earlier line is first
+        raise
+    points = [SweepPoint(bond_length=r, integrals=ints, label=path.stem) for (r, path, _), ints
+              in zip(entries, _parse_stack(headers, [e[2] for e in entries]))]
     points.sort(key=lambda p: p.bond_length)
     return points

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+import fcidump_oracle as oracle
 from fcidump_writer import render_fcidump
 from fermion_oracle import loop_hamiltonian
 from vcsqse import cli, operators
@@ -60,6 +61,15 @@ class TestParse:
         assert ints.one_body[0, 1] == ints.one_body[1, 0] == 0.3
         assert ints.two_body[0, 1, 0, 0] == ints.two_body[0, 0, 1, 0] == 0.1
         assert ints.core_energy == 0.7
+
+    @pytest.mark.parametrize("signs", [("-0.0", "0.0"), ("0.0", "-0.0")])
+    def test_equal_duplicates_write_the_last_zero_sign(self, signs):
+        """-0.0 and 0.0 are equal, so both records parse; the later one is
+        written, as when records were written one at a time."""
+        text = dump(f"{signs[0]} 2 1 1 1\n0.5 1 1 0 0\n{signs[1]} 1 1 1 2\n")  # one orbit
+        ints = parse_fcidump(text)
+        assert np.signbit(ints.two_body[1, 0, 0, 0]) == signs[1].startswith("-")
+        assert ints.two_body.tobytes() == oracle.parse_fcidump(text).two_body.tobytes()
 
     def test_conflicting_duplicate_in_a_shipped_fixture_exits_2(self, sto3g_path, tmp_path,
                                                                 capsys):
@@ -124,6 +134,11 @@ class TestParse:
         with pytest.raises(FcidumpError, match="zero"):
             parse_fcidump(dump("0.5 1 1 2 0\n"))
 
+    @pytest.mark.parametrize("record", ["0.5 1 0 0 0", "0.5 0 2 0 0"])
+    def test_one_body_record_with_a_zero_index(self, record):
+        with pytest.raises(FcidumpError, match="^line 4: one-body record with a zero index$"):
+            parse_fcidump(dump(f"0.5 1 1 0 0\n{record}\n"))
+
     def test_invariants_validated(self):
         bad = np.zeros((2, 2))
         bad[0, 1] = 1.0
@@ -144,6 +159,57 @@ class TestParse:
             fields[field][(0,) * fields[field].ndim] = value
         with pytest.raises(ValueError, match=f"^{field} has non-finite entries$"):
             MolecularIntegrals(norb=2, nelec=2, ms2=0, **fields)
+
+    def test_non_finite_entry_is_named_before_an_asymmetric_field(self):
+        """The fused defect check re-derives the message in the old order: a
+        NaN in two_body is named even though one_body is not symmetric."""
+        one, two = np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2,) * 4)
+        two[0, 1, 0, 0] = np.nan
+        assert oracle.check_integrals(0.0, one, two) == "two_body has non-finite entries"
+        with pytest.raises(ValueError, match="^two_body has non-finite entries$"):
+            MolecularIntegrals(norb=2, nelec=2, ms2=0, core_energy=0.0, one_body=one,
+                               two_body=two)
+
+    @seed(7)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(rng_seed=st.integers(0, 2 ** 32 - 1),
+           defects=st.lists(st.tuples(st.sampled_from(["core", "one", "two"]),
+                                      st.sampled_from([np.nan, np.inf, -np.inf, 1e-13, 1e-11,
+                                                       1e300])), max_size=3))
+    def test_integral_check_matches_the_oracle(self, rng_seed, defects):
+        """Non-finite entries and symmetry defects below, near and above
+        _SYM_TOL, alone and together, give the oracle's message or none."""
+        ints = random_integrals(rng_seed)
+        core, one, two = ints.core_energy, ints.one_body.copy(), ints.two_body.copy()
+        rng = np.random.default_rng(rng_seed)
+        for field, value in defects:
+            if field == "core":
+                core = value
+            else:
+                target = one if field == "one" else two
+                with np.errstate(invalid="ignore"):  # inf + -inf is a NaN entry
+                    target[tuple(rng.integers(4, size=target.ndim))] += value
+        expected = oracle.check_integrals(core, one, two)
+        if expected is None:
+            MolecularIntegrals(4, 4, 0, core, one, two)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                MolecularIntegrals(4, 4, 0, core, one, two)
+
+    def test_magnitude_is_not_bounded(self, sto3g_path, tmp_path, capsys):
+        """A finite value is taken as written, however large: 1e300 parses
+        bit for bit (alone and in a sweep) and a point report exits 0."""
+        text = dump("1e300 1 1 1 1\n-1e300 2 1 0 0\n1e300 0 0 0 0\n")
+        ints = parse_fcidump(text)
+        assert ints.two_body[0, 0, 0, 0] == ints.core_energy == -ints.one_body[0, 1] == 1e300
+        (tmp_path / "big.fcidump").write_text(text)
+        (tmp_path / "sweep.manifest").write_text("0.7 big.fcidump\n")
+        swept = load_sweep(tmp_path / "sweep.manifest")[0].integrals
+        assert swept.two_body.tobytes() == ints.two_body.tobytes()
+        big = tmp_path / "big_core.fcidump"
+        big.write_text(sto3g_path.read_text().replace(" 7.1375399368761816e-01   0", " 1e300   0"))
+        assert cli.main(["point", "--fcidump", str(big)]) == 0
+        assert "core_energy=1e+300" in capsys.readouterr().out
 
 
 class TestAssembly:
@@ -377,3 +443,86 @@ class TestSweep:
         assert lengths == sorted(lengths)
         assert all(p.integrals.norb == 2 for p in sweep_points)  # 4 spin orbitals
         assert all(p.integrals.nelec == 2 for p in sweep_points)
+
+    @pytest.mark.parametrize("fixture_line, bond_line", [(2, 4), (4, 2)],
+                             ids=["fixture_first", "bond_length_first"])
+    @pytest.mark.parametrize("bad_fixture", ["&FCI NORB=2,NELEC=2,\n&END\n",
+                                             HEADER + "0.5 1 1 1 1\n0.5 1 3 1 1\n"],
+                             ids=["header", "record"])
+    def test_first_failing_manifest_line_is_reported(self, tmp_path, sto3g_path, fixture_line,
+                                                     bond_line, bad_fixture):
+        """A bad fixture and a bad bond length: the earlier manifest line is
+        named, whether the fixture fails in its header (checked while the
+        manifest is read) or in a record (checked in the stacked pass)."""
+        (tmp_path / "bad.fcidump").write_text(bad_fixture)
+        lines = [f"{0.5 + k} {sto3g_path}" for k in range(5)]
+        lines[fixture_line - 1] = "0.9 bad.fcidump"
+        lines[bond_line - 1] = f"abc {sto3g_path}"
+        mf = tmp_path / "sweep.manifest"
+        mf.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FcidumpError) as got:
+            load_sweep(mf)
+        assert str(got.value).startswith(f"{mf}:{min(fixture_line, bond_line)}: ")
+        assert got.value.__suppress_context__  # a traceback shows the reported error alone
+        with pytest.raises(FcidumpError, match=f"^{re.escape(str(got.value))}$"):
+            oracle.load_sweep(mf)
+
+    def test_label_is_the_stem_the_manifest_gives(self, tmp_path, sto3g_path):
+        """Fixture paths are joined to the manifest's resolved directory and
+        not resolved one by one, so a symlinked fixture keeps the name the
+        manifest gives it."""
+        (tmp_path / "alias.fcidump").symlink_to(sto3g_path)
+        (tmp_path / "sweep.manifest").write_text("0.7 alias.fcidump\n")
+        pt, = load_sweep(tmp_path / "sweep.manifest")
+        assert pt.label == "alias"
+        assert pt.integrals.two_body.tobytes() == parse_fcidump(
+            sto3g_path.read_text()).two_body.tobytes()
+
+    def test_every_member_of_a_mixed_stack_is_contiguous(self, tmp_path, sto3g_path):
+        """An NORB = 2 member of a stack padded to NORB = 3 is copied out, so
+        every member's tensors are C-contiguous, as a lone parse gives them."""
+        two = np.random.default_rng(3).normal(size=(3,) * 4)
+        for perm in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
+            two = two + two.transpose(perm)
+        (tmp_path / "norb3.fcidump").write_text(render_fcidump(MolecularIntegrals(
+            3, 2, 0, 0.1, np.eye(3), two)))
+        (tmp_path / "sweep.manifest").write_text(f"0.7 {sto3g_path}\n0.9 norb3.fcidump\n")
+        points = load_sweep(tmp_path / "sweep.manifest")
+        for pt, lone in zip(points, oracle.load_sweep(tmp_path / "sweep.manifest")):
+            for field in ("one_body", "two_body"):
+                got = getattr(pt.integrals, field)
+                assert got.flags.c_contiguous and got.tobytes() == getattr(
+                    lone.integrals, field).tobytes()
+
+    def test_mixed_norb_sweep(self, tmp_path, sweep_manifest, capsys):
+        """A manifest interleaving NORB = 1 and NORB = 2 fixtures by R parses
+        like the oracle, fixture by fixture, and `vcsqse run` spectrum gives
+        the rows of the two single-NORB sweeps, merged by R."""
+        for k, (eps, u) in enumerate([(-0.8, 1.7), (-0.6, 1.2)]):
+            (tmp_path / f"norb1_{k}.fcidump").write_text(render_fcidump(MolecularIntegrals(
+                1, 2, 0, 0.3, np.array([[eps]]), np.full((1,) * 4, u))))
+        sto6g = [sweep_manifest.parent / f"h2_sto6g_r{r}.fcidump" for r in ("0.7000", "1.1000")]
+        norb1 = ["0.5 norb1_0.fcidump", "0.9 norb1_1.fcidump"]
+        norb2 = [f"0.7 {sto6g[0]}", f"1.1 {sto6g[1]}"]
+        rows = {}
+        for name, lines in [("mixed", [norb1[0], norb2[0], norb1[1], norb2[1]]),
+                            ("norb1", norb1), ("norb2", norb2)]:
+            mf = tmp_path / f"{name}.manifest"
+            mf.write_text("\n".join(lines) + "\n")
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(f"[run]\nexperiment = spectrum\nsweep_manifest = {mf}\n")
+            assert cli.main(["run", "--config", str(cfg), "--output",
+                             str(tmp_path / f"{name}.csv")]) == 0
+            rows[name] = (tmp_path / f"{name}.csv").read_text().splitlines()[1:]
+        capsys.readouterr()
+        def parsed(load):
+            return [(pt.bond_length, pt.label, pt.integrals.norb, pt.integrals.core_energy,
+                     pt.integrals.one_body.tobytes(), pt.integrals.two_body.tobytes(),
+                     pt.integrals.one_body.flags.c_contiguous,
+                     pt.integrals.two_body.flags.c_contiguous)
+                    for pt in load(tmp_path / "mixed.manifest")]
+
+        assert [norb for _, _, norb, *_ in parsed(load_sweep)] == [1, 2, 1, 2]
+        assert parsed(load_sweep) == parsed(oracle.load_sweep)
+        assert rows["mixed"] == sorted(rows["norb1"] + rows["norb2"],
+                                       key=lambda row: float(row.split(",")[0]))
