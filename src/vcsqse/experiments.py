@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import qse
 from .channels import ChannelSpec, channel_kind_from_token, lift_to_register, \
     single_qubit_channel
 from .config import ConfigError, ExperimentConfig
@@ -26,10 +27,9 @@ from .linalg import StackError, _expectation, _sector_eigh, _stacked
 from .molecule import FcidumpError, assemble_hamiltonian, dense_hamiltonians, load_sweep, \
     parse_fcidump, spin_orbital_tensors
 from .operators import dense_symmetry, jordan_wigner
-from .qse import FERMIONIC_MODE_LIMIT, SUBSPACE_STACK_BYTES, SubspaceProblem, \
-    approximate_lr, build_subspace_direct, check_subspace_bytes, fermionic_basis, \
-    project_symmetry, qubit_basis, solve_subspace, subspace_expectation
-from .rdm import RDM_MODE_LIMIT, RdmSet, _pure_blocks, estimate_pauli
+from .qse import FERMIONIC_MODE_LIMIT, SubspaceProblem, approximate_lr, build_subspace_direct, \
+    fermionic_basis, project_symmetry, qubit_basis, solve_subspace, subspace_expectation
+from .rdm import RDM_MODE_LIMIT, RdmSet, _pure_blocks, contract_energy, estimate_pauli, sample_rdms
 from .vcs import fidelity, no_variation_baseline, solve_vcs
 
 CHANNEL_TOKENS = ("dephasing", "ap", "depol")
@@ -176,30 +176,33 @@ def _fidelity_sweep(cfg: ExperimentConfig):
     return header, rows, events
 
 
-def _basis_for(cfg: ExperimentConfig, point: _Point):
-    if cfg.subspace_kind == "qubit":
-        return qubit_basis(point.mode_count, cfg.subspace_order)
-    return fermionic_basis(point.mode_count, cfg.subspace_order)
+def _basis(m: int, kind: str, order: int):
+    return qubit_basis(m, order) if kind == "qubit" else fermionic_basis(m, order)
 
 
-def _pure_chunks(basis_for, solve_chunk):
-    """A _sweep solve running solve_chunk(points, basis_for(point), h, psi) over
-    chunks of a run, h and psi their stacked H and ground states, each point
-    charged as a qse-repair member (about the RDM route's working set)."""
+def _chunked(run, basis, matrix, solve_chunk, *members):
+    """_stacked over run.h and members within qse.SUBSPACE_STACK_BYTES, a point charged the
+    qse.action_bytes of its build around a vector, or a density matrix if `matrix`."""
+    return _stacked(run.h, *members, solve_chunk=solve_chunk, limit=qse.SUBSPACE_STACK_BYTES,
+                    charge=qse.action_bytes(len(basis), run.h.shape[-1], matrix,
+                                            np.result_type(run.h, basis.weight, float).itemsize))
+
+
+def _pure_chunks(subspace, solve_chunk):
+    """A _sweep solve running solve_chunk(points, basis, h, psi) over _chunked chunks of a run,
+    basis its `subspace` (kind, order) and psi the stacked ground states, a point charged the
+    action stacks around a vector: 2 n_b 2^M entries, 4.4 KB at M = 4 (fermionic k = 1)."""
     def solve(run, _):
-        basis = basis_for(run[0])
-
-        def chunk(start, h, _, points):
-            return solve_chunk(points, basis, h, np.stack([pt.exact[1][:, 0] for pt in points]))
-
-        return (_stacked(run.h, run, solve_chunk=chunk,
-                         limit=SUBSPACE_STACK_BYTES // len(basis)),)
+        basis = _basis(run[0].mode_count, *subspace)
+        return (_chunked(run, basis, False, lambda _, h, __, points: solve_chunk(
+            points, basis, h, np.stack([pt.exact[1][:, 0] for pt in points])), run),)
     return solve
 
 
 def _spectrum(cfg: ExperimentConfig):
     def solve_chunk(points, basis, h, psi):
-        prob = build_subspace_direct(basis, h, psi, points[0].symmetry_dense)
+        sym = {n: points[0].symmetry_dense[n] for n in (cfg.projection or ())[:1]}
+        prob = build_subspace_direct(basis, h, psi, sym)
         if cfg.projection is not None:
             prob = project_symmetry(prob, *cfg.projection, cfg.metric_cutoff)
         return solve_subspace(prob, cfg.metric_cutoff)
@@ -212,8 +215,8 @@ def _spectrum(cfg: ExperimentConfig):
                                        ("fci_full", w_full))
                 for i, e in enumerate(levels)]
 
-    rows, _ = _sweep(cfg, (None,), step, _pure_chunks(lambda pt: _basis_for(cfg, pt), solve_chunk),
-                     (cfg.subspace_kind, cfg.subspace_order))
+    subspace = (cfg.subspace_kind, cfg.subspace_order)
+    rows, _ = _sweep(cfg, (None,), step, _pure_chunks(subspace, solve_chunk), subspace)
     return ["R", "method", "level", "energy"], rows, 0
 
 
@@ -231,7 +234,8 @@ def _qse_repair(cfg: ExperimentConfig):
         ch = _channel(cfg, kind, run[0].mode_count)
         sols = (solve_vcs(run.h, ch, penalties=cfg.penalties) if ref_name == "vcs"
                 else no_variation_baseline(run.h, ch, [point.exact[1][:, 0] for point in run]))
-        basis, sym = fermionic_basis(run[0].mode_count, 1), run[0].symmetry_dense
+        basis = fermionic_basis(run[0].mode_count, 1)
+        sym = {name: run[0].symmetry_dense[name] for name in (proj[0], "s_squared")}
 
         def solve_chunk(start, h, _, chunk):
             # unconstrained expansion around each mixed channel output
@@ -244,9 +248,7 @@ def _qse_repair(cfg: ExperimentConfig):
             (e_qse, s2_qse), (e_proj, s2_proj) = map(ground, (prob_out, projected))
             return list(zip(e_qse, e_proj, s2_qse, s2_proj))
 
-        # a member's two real action stacks weigh as much as len(basis) complex H
-        return sols, _stacked(run.h, sols, solve_chunk=solve_chunk,
-                              limit=SUBSPACE_STACK_BYTES // len(basis))
+        return sols, _chunked(run, basis, True, solve_chunk, sols)
 
     def step(point, ref_name, sol, sub):
         return [(point.bond_length, ref_name, float(point.exact[0][0]), sol.energy,
@@ -310,8 +312,8 @@ def _approx_spectrum(cfg: ExperimentConfig, levels: int = 3):
                 for method, spec in zip(APPROX_METHODS, spectra)
                 for i in range(min(levels, spec.retained_dim))]
 
-    solve = _pure_chunks(lambda point: fermionic_basis(point.mode_count, 1), solve_chunk)
-    rows, _ = _sweep(cfg, (None,), step, solve, ("fermionic", 1))
+    rows, _ = _sweep(cfg, (None,), step, _pure_chunks(("fermionic", 1), solve_chunk),
+                     ("fermionic", 1))
     return ["R", "method", "level", "energy"], rows, 0
 
 
@@ -369,12 +371,10 @@ def _check_size(where, norb: int, kind: str, order: int, matrix=False, sampled=F
             raise ConfigError(f"{where}: NORB={norb} gives {modes} spin "
                               f"orbitals, above {name}={limit} for {what}")
     # a qubit basis holds 1 + 3n single Paulis and 9 C(n, 2) pairs, all complex
-    qubit = kind == "qubit"
-    n_b = (1 + 3 * modes + 9 * comb(modes, 2) * (order == 2) if qubit
-           else len(fermionic_basis(modes, order)))
-    itemsize = 16 if qubit else 8
+    n_b, itemsize = ((1 + 3 * modes + 9 * comb(modes, 2) * (order == 2), 16) if kind == "qubit"
+                     else (len(fermionic_basis(modes, order)), 8))
     try:
-        check_subspace_bytes(n_b, 2 ** modes, matrix, itemsize, itemsize)
+        qse.check_subspace_bytes(n_b, 2 ** modes, matrix, itemsize, itemsize)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -410,9 +410,8 @@ def _point_report(cfg: ExperimentConfig, ints) -> str:
     else:
         reference_state = psi0
 
-    basis = _basis_for(cfg, point)
-    prob = build_subspace_direct(basis, h_dense, reference_state,
-                                 point.symmetry_dense)
+    basis = _basis(m, cfg.subspace_kind, cfg.subspace_order)
+    prob = build_subspace_direct(basis, h_dense, reference_state, point.symmetry_dense)
     if cfg.projection is not None:
         prob = project_symmetry(prob, *cfg.projection, cfg.metric_cutoff)
     spec = solve_subspace(prob, cfg.metric_cutoff)
@@ -436,14 +435,12 @@ def _point_report(cfg: ExperimentConfig, ints) -> str:
 
 def _sampled_rdm_lines(cfg, ints, psi0, count, seed, e_sector):
     """Feed measurement-pathway RDMs into the subspace machinery."""
-    from .qse import build_lr_from_rdms as _lr
-    from .rdm import contract_energy, sample_rdms
     h1, h2, core = spin_orbital_tensors(ints)
     rdms = sample_rdms(psi0, 4, count, seed)
     e_meas = contract_energy(h1, h2, rdms, core_energy=core)
     lines = [f"sampled-rdm energy ({count} shots/word, seed {seed}): "
              f"{_fmt(e_meas)} (exact {_fmt(e_sector)})"]
-    prob = _lr(h1, h2, rdms, core_energy=core)
+    prob = qse.build_lr_from_rdms(h1, h2, rdms, core_energy=core)
     try:
         spec = solve_subspace(prob, cfg.metric_cutoff)
         lines.append(f"sampled-rdm qse ground: {_fmt(spec.eigenvalues[0])} "

@@ -232,12 +232,13 @@ def _lone(stacked, *arrays, **options):
     return result.item(0) if isinstance(result, np.ndarray) else result[0]
 
 
-def _stacked(h, *members, solve_chunk, limit: int) -> list:
+def _stacked(h, *members, solve_chunk, limit: int, charge: int = 0) -> list:
     """solve_chunk(start, chunk, solutions so far, *the chunk's items of the
     sequences members) over stacked, promoted chunks of h, a 3-D array or a
-    sequence of matrices charged 16 bytes an entry (a complex H), of at most
-    limit bytes or one matrix; a chunk's StackError names its index in h."""
-    step = max(1, limit // (16 * np.shape(h[0])[-1] ** 2))
+    sequence of matrices, each charged `charge` bytes (by default 16 bytes an
+    entry, a complex H), of at most limit bytes or one matrix; a chunk's
+    StackError names its index in h."""
+    step = max(1, limit // (charge or 16 * np.shape(h[0])[-1] ** 2))
     sols = []
     for start in range(0, len(h), step):
         try:  # a chunk of an array is a view; a sequence's chunk is stacked

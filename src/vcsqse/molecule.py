@@ -24,6 +24,7 @@ _SYM_TOL = 1e-12
 # the 8 images of (i, j, k, l) that a record sets, by (pq|rs) = (qp|rs) = (pq|sr) = (rs|pq)
 _IMAGES = [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
            (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0)]
+_STACK_IMAGES = [(0, *np.add(_IMAGES[g], 1)) for g in (1, 2, 4)]  # of a stack, by generator
 _PLACES = np.array([[3 - g.index(q) for g in _IMAGES] for q in range(4)])  # q's digit place in g
 # the nonzero indices' sum of 2^place -> 0 (two-body 15, one-body 12, core 0), or error 4 or 5
 _ZEROS = np.array([0, 5, 5, 5, 4, 5, 5, 5, 4, 5, 5, 5, 0, 5, 5, 0])
@@ -53,16 +54,23 @@ class MolecularIntegrals:
             raise ValueError(f"one_body must be {self.norb}x{self.norb}")
         if v.shape != (self.norb,) * 4:
             raise ValueError(f"two_body must be rank-4 with dim {self.norb}")
-        # an inf or NaN anywhere makes its defect non-finite, so one test covers both
-        with np.errstate(invalid="ignore", over="ignore"):
-            defect = np.abs(v - [v.transpose(_IMAGES[g]) for g in (1, 2, 4)]).max(
-                initial=np.abs(h - h.T).max(initial=self.core_energy - self.core_energy))
-        if not defect <= _SYM_TOL:
-            for name in ("core_energy", "one_body", "two_body"):
-                if not np.isfinite(getattr(self, name)).all():
-                    raise ValueError(f"{name} has non-finite entries")
-            raise ValueError("one_body integrals are not symmetric" if np.abs(h - h.T).max()
-                             > _SYM_TOL else "two_body integrals break 8-fold symmetry")
+        _check_integrals(np.asarray(self.core_energy, float)[None], h[None], v[None])
+
+
+def _check_integrals(core, h, v):
+    """Raise ValueError if the stacked core energies (P,), one-body (P, n, n) and two-body
+    (P, n, n, n, n) integrals hold a non-finite entry (naming the first such field), else an
+    asymmetric one-body or else a two-body member breaking the 8-fold symmetry."""
+    # an inf or NaN anywhere makes its defect non-finite, so one test covers both
+    with np.errstate(invalid="ignore", over="ignore"):
+        one = np.abs(h - h.swapaxes(-1, -2)).max(initial=np.sum(core - core))
+        defect = np.abs(np.subtract(v, [v.transpose(g) for g in _STACK_IMAGES])).max(initial=one)
+    if not defect <= _SYM_TOL:
+        for name, field in (("core_energy", core), ("one_body", h), ("two_body", v)):
+            if not np.isfinite(field).all():
+                raise ValueError(f"{name} has non-finite entries")
+        raise ValueError("one_body integrals are not symmetric" if one > _SYM_TOL
+                         else "two_body integrals break 8-fold symmetry")
 
 
 @dataclass
@@ -127,7 +135,8 @@ def _parse_stack(headers, prefixes=("",)) -> list[MolecularIntegrals]:
     """MolecularIntegrals of each _header, from one pass over the records of all of them. The
     first bad record raises FcidumpError: its fixture's prefix, `line N: ` and its first failing
     check, in _RECORD_ERRORS' order. A record sets its whole symmetry orbit; a later one may only
-    repeat it, and the last is written (which matters only for the sign of a zero)."""
+    repeat it, and the last is written (which matters only for the sign of a zero). The integrals
+    are checked once, as a stack, so no member runs MolecularIntegrals' own check again."""
     base = max((h[0] for h in headers), default=0) + 1  # index i is digit i, 0 for none
     recs = [(f, n, ln, cells) for f, (n, _, _, lines, start) in enumerate(headers)
             for ln, cells in enumerate(map(str.split, lines[start:]), start + 1) if cells]
@@ -159,11 +168,17 @@ def _parse_stack(headers, prefixes=("",)) -> list[MolecularIntegrals]:
     last = np.fromiter(dict(zip(keys, range(len(keys)))).values(), int)  # record of each orbit
     tensors = np.zeros((len(headers),) + (base,) * 4)
     tensors.reshape(-1)[codes[last]] = value[last, None]
-    core, h1, h2 = tensors[:, 0, 0, 0, 0].tolist(), tensors[:, 1:, 1:, 0, 0].copy(), \
+    core, h1, h2 = tensors[:, 0, 0, 0, 0], tensors[:, 1:, 1:, 0, 0].copy(), \
         tensors[:, 1:, 1:, 1:, 1:].copy()  # a member of the largest NORB takes views of them
-    return [MolecularIntegrals(n, nelec, ms2, c, np.ascontiguousarray(a[:n, :n]),
-                               np.ascontiguousarray(b[:n, :n, :n, :n]))
-            for (n, nelec, ms2, *_), c, a, b in zip(headers, core, h1, h2)]
+    _check_integrals(core, h1, h2)
+    members = []
+    for (n, nelec, ms2, *_), c, a, b in zip(headers, core.tolist(), h1, h2):
+        ints = MolecularIntegrals.__new__(MolecularIntegrals)  # checked with the stack above
+        vars(ints).update(norb=n, nelec=nelec, ms2=ms2, core_energy=c,
+                          one_body=np.ascontiguousarray(a[:n, :n]),
+                          two_body=np.ascontiguousarray(b[:n, :n, :n, :n]))
+        members.append(ints)
+    return members
 
 
 def spin_orbital_tensors(ints: MolecularIntegrals):

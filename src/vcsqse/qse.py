@@ -46,15 +46,12 @@ from .rdm import (RdmSet, _disconnected, _split_contract, cumulants_from_rdms,
 # contraction noise in their null directions.
 QSE_METRIC_CUTOFF = 1e-8
 FERMIONIC_MODE_LIMIT = 8
-# Bound on every array build_subspace_direct holds: the basis's src and
-# weight, for a density matrix the weights moved to the entries the right
-# action reads, and the two action stacks, E_b rho and W E_b (n_b * 2^M * 2^M
-# entries each for a density matrix, E_b psi and W E_b psi, n_b * 2^M each,
-# for a state vector), charged at the itemsize of the build's dtype: 8 bytes
-# for a real build, 16 for a complex one.
+# Bound on every array build_subspace_direct holds, as check_subspace_bytes counts
+# them: src, weights, a matrix reference's moved weights and the action stacks.
 SUBSPACE_BYTE_LIMIT = 1 << 30
-# Bytes of the two action stacks per chunk of a stacked build, charged as
-# real: 7 mixed-reference problems at M = 4 with the fermionic k = 1 basis.
+# Bytes of action stacks per chunk of a stacked build, each problem charged its
+# own: with the real fermionic k = 1 basis, 7 mixed-reference problems or 120
+# pure ones at M = 4, 1 or 13 at M = 6, and one of either at M = 8.
 SUBSPACE_STACK_BYTES = 1 << 19
 
 
@@ -149,13 +146,19 @@ def qubit_basis(qubit_count: int, order: int) -> ExpansionBasis:
     return _distinct(*_signed_permutation(x, z, 1.0, n), labels)
 
 
+def action_bytes(n_b: int, dim: int, matrix: bool, itemsize: int) -> int:
+    """Bytes of a build's two action stacks at its itemsize (8 real, 16 complex): E_b psi
+    and W E_b psi, n_b * dim entries each, or E_b rho and W E_b, n_b * dim^2 each."""
+    return 2 * n_b * dim ** (1 + matrix) * itemsize
+
+
 def check_subspace_bytes(n_b: int, dim: int, matrix: bool, itemsize: int,
                          weight_itemsize: int):
     """Raise ValueError if a build of n_b elements around a state of dimension
     dim (a density matrix if `matrix`) holds more than SUBSPACE_BYTE_LIMIT:
     two action stacks, src, weights and for a matrix the moved weights."""
-    stack = n_b * (dim * dim if matrix else dim)
-    need = 2 * stack * itemsize + n_b * dim * (8 + (1 + matrix) * weight_itemsize)
+    need = (action_bytes(n_b, dim, matrix, itemsize)
+            + n_b * dim * (8 + (1 + matrix) * weight_itemsize))
     if need > SUBSPACE_BYTE_LIMIT:
         raise ValueError(f"subspace build needs {need} bytes for {n_b} basis elements, "
                          f"above the limit of SUBSPACE_BYTE_LIMIT={SUBSPACE_BYTE_LIMIT}")

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,18 +35,23 @@ def mini_sweep(tmp_path, sweep_manifest):
     return mf
 
 
-def write_m8_sweep(tmp_path):
-    """Seeded random NORB = 4 integrals (M = 8) and a one-point manifest of them."""
-    rng = np.random.default_rng(21)
-    h1 = rng.normal(size=(4, 4))
-    g = rng.normal(size=(4,) * 4)
-    for perm in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
-        g = g + g.transpose(perm)
-    ints = MolecularIntegrals(norb=4, nelec=4, ms2=0, core_energy=0.5,
-                              one_body=h1 + h1.T, two_body=0.05 * g)
-    (tmp_path / "h4.fcidump").write_text(render_fcidump(ints))
-    (tmp_path / "h4.manifest").write_text("1.0 h4.fcidump\n")
-    return ints, tmp_path / "h4.manifest"
+def write_m8_sweep(tmp_path, seed=21, count=1):
+    """Seeded random NORB = 4 integrals (M = 8) at R = 1, 2, ..., count, drawn
+    in that order, and a manifest of them; returns the first and the manifest."""
+    rng, lines, first = np.random.default_rng(seed), [], None
+    for k in range(1, count + 1):
+        h1 = rng.normal(size=(4, 4))
+        g = rng.normal(size=(4,) * 4)
+        for perm in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
+            g = g + g.transpose(perm)
+        ints = MolecularIntegrals(norb=4, nelec=4, ms2=0, core_energy=0.5,
+                                  one_body=h1 + h1.T, two_body=0.05 * g)
+        name = "h4.fcidump" if k == 1 else f"h4_{k}.fcidump"
+        (tmp_path / name).write_text(render_fcidump(ints))
+        lines.append(f"{float(k)} {name}\n")
+        first = first or ints
+    (tmp_path / "h4.manifest").write_text("".join(lines))
+    return first, tmp_path / "h4.manifest"
 
 
 def run_spectrum(tmp_path, manifest_text):
@@ -284,26 +290,31 @@ class TestExperiments:
                                  r"states with <number> within 0\.5 of 2\.0"):
             run_experiment(parse_config(text))
 
-    @pytest.mark.parametrize("chunk, member", [(0, 1), (2, 2)])
+    @pytest.mark.parametrize("chunk, member", [(0, 1), (2, 2),
+                                               pytest.param(None, 16, id="one_stack-16")])
     def test_approx_failure_names_its_point_and_method(self, configs_dir, monkeypatch,
                                                        chunk, member):
         """A NaN in one point's ZA matrix fails the chunk's joint solve of its
-        exact, ZC and ZA problems, which names that point's R and the method.
-        zero_approx's 28 points go in chunks of 7."""
+        exact, ZC and ZA problems, which names that point's R and the method:
+        member `member` of chunk `chunk` with a budget of 7 pure M = 4 builds
+        (17 real basis elements) a chunk, or of the default single stack of 28."""
         real, za = experiments.approximate_lr, []
 
         def poisoned(method, *args, **kwargs):
             prob = real(method, *args, **kwargs)
             if method == "ZA":
                 za.append(prob)
-                if len(za) == chunk + 1:
+                if len(za) == (chunk or 0) + 1:
                     prob.h_sub[member, 0, 0] = np.nan
             return prob
 
+        if chunk is not None:
+            budget = 7 * qse.action_bytes(17, 16, False, 8)
+            monkeypatch.setattr(qse, "SUBSPACE_STACK_BYTES", budget)
         monkeypatch.setattr(experiments, "approximate_lr", poisoned)
         cfg = load_config(configs_dir / "zero_approx.cfg")
         cfg.output = None
-        r = load_sweep(cfg.sweep_manifest)[7 * chunk + member].bond_length
+        r = load_sweep(cfg.sweep_manifest)[7 * (chunk or 0) + member].bond_length
         with pytest.raises(experiments.ExperimentError, match=re.escape(
                 f"approx-spectrum: failure at sweep point R={r}: za problem: matrix has "
                 "non-finite entries")):
@@ -409,9 +420,7 @@ def test_shipped_csvs_reproduce_in_every_layout(configs_dir, monkeypatch):
     one term chunk and one member at a time, and in a process with two BLAS
     threads, each config rewrites its out/*.csv byte for byte."""
     for module, name in ((vcs, "STACK_BYTE_LIMIT"), (qse, "SUBSPACE_STACK_BYTES"),
-                         (operators, "DENSE_CHUNK_ENTRIES"),
-                         # experiments reads its own binding of the subspace limit
-                         (experiments, "SUBSPACE_STACK_BYTES")):
+                         (operators, "DENSE_CHUNK_ENTRIES")):
         monkeypatch.setattr(module, name, 1)
     operators.dense_symmetry.cache_clear()  # rebuilt in the one-entry layout
     try:
@@ -458,7 +467,7 @@ def subspace_eigh_shapes(configs_dir, sweep_manifest, tmp_path, monkeypatch, nam
         return real(a)
 
     monkeypatch.setattr(np.linalg, "eigh", spy)
-    monkeypatch.setattr(experiments, "SUBSPACE_STACK_BYTES", 1 << 30)
+    monkeypatch.setattr(qse, "SUBSPACE_STACK_BYTES", 1 << 30)
     cfg = load_config(configs_dir / f"{name}.cfg")
     cfg.output, cfg.sweep_manifest = None, str(manifest)
     run_experiment(cfg)
@@ -493,6 +502,76 @@ def test_rdm_curve_eigensolves_do_not_grow_with_the_sweep(
     assert sum(shape[0] for shape in shapes) == 2 * solves * methods * count
     assert [shape[0] for shape in shapes].count(methods * count) >= solves
     assert len(shapes) <= solves * 3
+
+
+def subspace_calls(monkeypatch, cfg, names=None):
+    """Stack sizes of every build_subspace_direct call of cfg's run, its count
+    of solve_subspace calls and its CSV text; `names`, if a list, receives
+    the symmetry operators each build is given."""
+    builds, solves = [], []
+    real_build, real_solve = experiments.build_subspace_direct, experiments.solve_subspace
+
+    def build(basis, h, rho, ops=None):
+        builds.append(len(h))
+        if names is not None:
+            names.append(sorted(ops or ()))
+        return real_build(basis, h, rho, ops)
+
+    monkeypatch.setattr(experiments, "build_subspace_direct", build)
+    monkeypatch.setattr(experiments, "solve_subspace",
+                        lambda *args: solves.append(1) or real_solve(*args))
+    cfg.output = None
+    text = run_experiment(cfg).csv_text
+    return builds, len(solves), text
+
+
+@pytest.mark.parametrize("name, builds, solves, ops", [
+    ("fig3_spectrum", [28], 1, ["number"]), ("zero_approx", [28], 1, []),
+    # per curve (vcs, novar), per chunk: builds around rho and psi, two solves
+    ("fig4_repair", [7] * 2 * 4 * 2, 2 * 4 * 2, ["s_squared"])])
+def test_default_subspace_chunks_at_m4(configs_dir, monkeypatch, name, builds, solves, ops):
+    """At M = 4 a pure build is charged its own action stacks (2 * 17 * 16
+    real entries), so fig3's and zero_approx's curve is one stack of 28 and
+    one solve, while fig4's mixed builds (2 * 17 * 256 entries) go 7 a chunk.
+    Each build holds only the symmetry blocks its curve reads: fig3's number
+    projection, none for zero_approx, and S^2 for fig4's projection and reads."""
+    names = []
+    assert subspace_calls(monkeypatch, load_config(configs_dir / f"{name}.cfg"), names)[:2] == (
+        builds, solves)
+    assert names == [ops] * len(builds)
+
+
+def test_zero_approx_curve_memory(configs_dir):
+    """The whole 28-point zero_approx curve, one stack of RDMs, ZC and ZA
+    problems and solves, stays within 2.5 MiB of Python-visible allocations
+    (about 1.8 MiB measured)."""
+    cfg = load_config(configs_dir / "zero_approx.cfg")
+    cfg.output = None
+    run_experiment(cfg)  # the bases and symmetry operators are cached once
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2 ** 20
+
+
+@pytest.mark.parametrize("experiment", ["spectrum", "approx-spectrum"])
+def test_m8_curves_do_not_depend_on_the_chunking(tmp_path, monkeypatch, experiment):
+    """On two seeded M = 8 points, each point is a chunk of its own at the
+    default budget (a pure build holds 2 * 65 * 256 real entries, 266 KB),
+    and one chunk holds both with a budget of 1 GiB; the CSV is the same."""
+    _, manifest = write_m8_sweep(tmp_path, seed=7, count=2)
+    text = f"[run]\nexperiment = {experiment}\nsweep_manifest = {manifest}\n"
+    if experiment == "spectrum":
+        text += "[projection]\nname = number\ntarget = 4.0\nwindow = 0.5\n"
+    builds, _, one_each = subspace_calls(monkeypatch, parse_config(text))
+    assert builds == [1, 1]
+    monkeypatch.setattr(qse, "SUBSPACE_STACK_BYTES", 1 << 30)
+    builds, _, together = subspace_calls(monkeypatch, parse_config(text))
+    assert builds == [2]
+    assert together == one_each
 
 
 def test_runs_never_import_numpy_ma(configs_dir, sto3g_path, tmp_path):
